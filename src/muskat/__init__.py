@@ -7,7 +7,6 @@ from .core import (
     a_tilde,
     chord_arc_constant,
     evaluate_on_contour,
-    kernel,
     rhs,
 )
 from .decomposition import SAFE_COEFFICIENTS, D4Decomposition, rhs_d4_decomposition
@@ -63,7 +62,6 @@ __all__ = [
     "hbar_of",
     "hbar_t_of",
     "is_conjugate_symmetric",
-    "kernel",
     "lambda_gamma",
     "log_datum",
     "make_turnover_state",

@@ -4,8 +4,6 @@
              [--cutoff K] [--dt DT] [--direction fwd|bwd]
 
 Exit codes: 0 success, 2 configuration error, 3 numeric stop, 4 I/O error.
-The environment variable MUSKAT_THREADS caps the worker count of the
-O(N^2) quadrature loops (default 1; results are identical for any value).
 """
 
 from __future__ import annotations

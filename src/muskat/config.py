@@ -9,9 +9,11 @@ fail loudly, and validation errors always name the offending field.
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import hashlib
 import io
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass
 
 from .errors import ConfigError
 from .initial_data import GraphFamilyParams
@@ -28,25 +30,25 @@ SCENARIOS = (
     "f_kappa_build",
 )
 
-# (type, default) per key; defaults of None mean "scenario decides"
+# [run] keys mirror the RunConfig fields except the schedule, which has its
+# own section; stop_on is a comma list in the file.
+_RUN_FIELDS = {f.name: f.default for f in dataclasses.fields(RunConfig) if f.name != "schedule"}
+
+
+def _key_type(hint):
+    """int | None -> int; plain types pass through."""
+    args = [a for a in typing.get_args(hint) if a is not type(None)]
+    return args[0] if args else hint
+
+
+_RUN_HINTS = typing.get_type_hints(RunConfig)
+# (type, default) per key
 _RUN_KEYS = {
     "scenario": (str, None),
-    "n_modes": (int, 256),
-    "galerkin_cutoff": (int, None),
-    "dt": (float, None),
-    "adaptive": (bool, False),
-    "adaptive_tol": (float, 1e-8),
-    "direction": (str, None),
-    "t_start": (float, None),
-    "t_end": (float, None),
-    "stop_on": (str, None),
-    "chord_arc_floor": (float, 1e-4),
-    "blowup_norm": (float, 1e3),
-    "record_every": (int, 10),
-    "rt_convention": (str, "sigma"),
-    "density_jump_over_2pi": (float, 1.0),
+    **{name: (_key_type(_RUN_HINTS[name]), default) for name, default in _RUN_FIELDS.items()},
     "seed": (int, 0),
 }
+_RUN_KEYS["stop_on"] = (str, "")
 _SCHEDULE_KEYS = {"a": (float, 10.0), "tau": (float, 0.005), "kappa": (float, 1e-6)}
 _FAMILY_KEYS = {
     "slope_amplitude": (float, None),
@@ -62,18 +64,13 @@ _SECTIONS = {
     "perturbation": _PERTURBATION_KEYS,
 }
 
-# per-scenario fallbacks for keys the user left unset
+# per-scenario fallbacks for keys the user left unset, where they differ
+# from the RunConfig defaults
 _SCENARIO_RUN_DEFAULTS = {
-    "flat": dict(dt=1e-2, direction="forward", t_start=0.0, t_end=1.0, stop_on=""),
-    "linear_decay": dict(dt=1e-3, direction="forward", t_start=0.0, t_end=0.5, stop_on=""),
-    "turnover": dict(
-        dt=5e-4, direction="forward", t_start=0.0, t_end=0.04,
-        stop_on="chord_arc_floor,blowup_norm", record_every=5,
-    ),
-    "perturbed_pair": dict(dt=1e-3, direction="forward", t_start=0.0, t_end=0.1, stop_on=""),
-    "schedule_check": dict(dt=1e-3, direction="forward", t_start=0.0, t_end=1.0, stop_on=""),
-    "operator_suite": dict(dt=1e-3, direction="forward", t_start=0.0, t_end=1.0, stop_on=""),
-    "f_kappa_build": dict(dt=1e-3, direction="forward", t_start=0.0, t_end=1.0, stop_on=""),
+    "flat": dict(dt=1e-2),
+    "linear_decay": dict(t_end=0.5),
+    "turnover": dict(dt=5e-4, t_end=0.04, stop_on="chord_arc_floor,blowup_norm"),
+    "perturbed_pair": dict(t_end=0.1),
 }
 _SCENARIO_FAMILY_SLOPE = {"turnover": 0.98}
 
@@ -87,7 +84,6 @@ class ScenarioConfig:
     perturbation_lambda: float
     perturbation_kappa: float
     seed: int
-    provided: frozenset[tuple[str, str]] = field(default_factory=frozenset)
 
     def digest(self) -> str:
         return hashlib.sha256(serialize_config(self).encode()).hexdigest()[:16]
@@ -120,7 +116,6 @@ def _read_ini(text: str) -> configparser.ConfigParser:
 def load_config_text(text: str) -> ScenarioConfig:
     parser = _read_ini(text)
     values: dict[tuple[str, str], object] = {}
-    provided = set()
     for section in parser.sections():
         if section not in _SECTIONS:
             raise ConfigError(f"unknown section [{section}]")
@@ -128,7 +123,6 @@ def load_config_text(text: str) -> ScenarioConfig:
             if key not in _SECTIONS[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
             values[(section, key)] = _parse_value(section, key, raw)
-            provided.add((section, key))
 
     def get(section: str, key: str):
         if (section, key) in values:
@@ -141,37 +135,21 @@ def load_config_text(text: str) -> ScenarioConfig:
     if scenario not in SCENARIOS:
         raise ConfigError(f"[run] scenario: unknown scenario {scenario!r}")
 
-    fallbacks = _SCENARIO_RUN_DEFAULTS[scenario]
+    fallbacks = _SCENARIO_RUN_DEFAULTS.get(scenario, {})
 
     def run_value(key: str):
-        value = get("run", key)
-        if value is None:
-            value = fallbacks.get(key)
-        return value
+        return values.get(("run", key), fallbacks.get(key, _RUN_KEYS[key][1]))
 
-    stop_raw = run_value("stop_on") or ""
-    stop_on = frozenset(part.strip() for part in stop_raw.split(",") if part.strip())
+    run_values = {name: run_value(name) for name in _RUN_FIELDS}
+    stop_on = frozenset(
+        part.strip() for part in run_values["stop_on"].split(",") if part.strip()
+    )
     unknown_stops = stop_on - STOP_CONDITIONS
     if unknown_stops:
         raise ConfigError(f"[run] stop_on: unknown conditions {sorted(unknown_stops)}")
 
     try:
-        run = RunConfig(
-            n_modes=run_value("n_modes"),
-            galerkin_cutoff=run_value("galerkin_cutoff"),
-            dt=run_value("dt"),
-            adaptive=run_value("adaptive"),
-            adaptive_tol=run_value("adaptive_tol"),
-            direction=run_value("direction"),
-            t_start=run_value("t_start"),
-            t_end=run_value("t_end"),
-            stop_on=stop_on,
-            chord_arc_floor=run_value("chord_arc_floor"),
-            blowup_norm=run_value("blowup_norm"),
-            record_every=run_value("record_every"),
-            rt_convention=run_value("rt_convention"),
-            density_jump_over_2pi=run_value("density_jump_over_2pi"),
-        )
+        run = RunConfig(**{**run_values, "stop_on": stop_on})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"[run]: {exc}") from exc
 
@@ -208,7 +186,6 @@ def load_config_text(text: str) -> ScenarioConfig:
         perturbation_lambda=get("perturbation", "lambda"),
         perturbation_kappa=get("perturbation", "kappa"),
         seed=get("run", "seed"),
-        provided=frozenset(provided),
     )
 
 
@@ -222,25 +199,21 @@ def load_config(path: str) -> ScenarioConfig:
     return load_config_text(text)
 
 
+def _render(key: str, value) -> str:
+    typ = _RUN_KEYS[key][0]
+    if key == "stop_on":
+        return ",".join(sorted(value))
+    if typ is float:
+        return repr(value)
+    return str(value).lower() if typ is bool else str(value)
+
+
 def serialize_config(cfg: ScenarioConfig) -> str:
     """Render a fully explicit config that round-trips through load."""
     parser = configparser.ConfigParser(interpolation=None)
     parser["run"] = {
         "scenario": cfg.scenario,
-        "n_modes": str(cfg.run.n_modes),
-        "galerkin_cutoff": str(cfg.run.galerkin_cutoff),
-        "dt": repr(cfg.run.dt),
-        "adaptive": str(cfg.run.adaptive).lower(),
-        "adaptive_tol": repr(cfg.run.adaptive_tol),
-        "direction": cfg.run.direction,
-        "t_start": repr(cfg.run.t_start),
-        "t_end": repr(cfg.run.t_end),
-        "stop_on": ",".join(sorted(cfg.run.stop_on)),
-        "chord_arc_floor": repr(cfg.run.chord_arc_floor),
-        "blowup_norm": repr(cfg.run.blowup_norm),
-        "record_every": str(cfg.run.record_every),
-        "rt_convention": cfg.run.rt_convention,
-        "density_jump_over_2pi": repr(cfg.run.density_jump_over_2pi),
+        **{name: _render(name, getattr(cfg.run, name)) for name in _RUN_FIELDS},
         "seed": str(cfg.seed),
     }
     parser["schedule"] = {

@@ -84,12 +84,10 @@ def pv_cot_integral(grid: SpectralGrid, contour: LiftedContour | None = None) ->
     """
     x = grid.nodes
     dx_pair = x[:, None] - x[None, :]
-    idx = np.arange(grid.n_modes)
     if contour is None:
         with np.errstate(divide="ignore", invalid="ignore"):
             integrand = cot(dx_pair / 2.0)
-        integrand[idx, idx] = 0.0
-        return integrand.sum(axis=1) * grid.dx
+        return grid.row_quadrature(integrand, 0.0)
 
     z = contour.complex_nodes(grid)
     dz_pair = z[:, None] - z[None, :]
@@ -97,8 +95,7 @@ def pv_cot_integral(grid: SpectralGrid, contour: LiftedContour | None = None) ->
     with np.errstate(divide="ignore", invalid="ignore"):
         integrand = cot(dz_pair / 2.0) * jac[None, :] - cot(dx_pair / 2.0)
     hpp = contour.h_second(grid)
-    integrand[idx, idx] = -1j * contour.sign * hpp / jac
-    return integrand.sum(axis=1) * grid.dx
+    return grid.row_quadrature(integrand, -1j * contour.sign * hpp / jac)
 
 
 def lambda_gamma(

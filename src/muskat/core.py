@@ -18,8 +18,6 @@ converge spectrally for analytic interfaces.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,16 +28,6 @@ from .errors import DegenerateGeometryError
 from .grid import SpectralGrid, conjugate_symmetrize, is_conjugate_symmetric
 
 DEFAULT_CHORD_ARC_FLOOR = 1e-4
-
-
-def worker_count() -> int:
-    """Worker cap for the O(N^2) node loops, from MUSKAT_THREADS (default 1)."""
-    raw = os.environ.get("MUSKAT_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, min(n, os.cpu_count() or 1))
 
 
 @dataclass
@@ -219,58 +207,43 @@ def chord_arc_constant(
     return value
 
 
-def kernel(
+def guarded_workspace(
     state: InterfaceState,
     grid: SpectralGrid,
-    i: int,
-    j: int,
-    floor: float = DEFAULT_CHORD_ARC_FLOOR,
-) -> complex:
-    """Pointwise kernel K(x_i, x_j) for i != j (the diagonal is removable).
+    contour: LiftedContour | None,
+    max_order: int,
+    floor: float,
+) -> KernelWorkspace:
+    """Kernel workspace of a state whose chord-arc constant clears the floor.
 
-    Raises DegenerateGeometryError when the denominator falls below the
-    chord-arc floor times the squared wrapped distance.
+    Raises:
+        DegenerateGeometryError: chord-arc constant below the floor, with
+            the offending node pair and ratio.
     """
-    if i == j:
-        raise ValueError("the diagonal kernel value is removable; use rhs()")
-    z1, z2 = state.values(grid)
-    d1 = z1[i] - z1[j]
-    d2 = z2[i] - z2[j]
-    den = np.cosh(d2) - np.cos(d1)
-    wrapped = abs((grid.nodes[i] - grid.nodes[j] + np.pi) % (2 * np.pi) - np.pi)
-    if abs(den) < floor * wrapped**2:
+    ws = build_workspace(state, grid, contour, max_order=max_order)
+    ca, pair = chord_arc_from_workspace(ws)
+    if ca < floor:
         raise DegenerateGeometryError(
-            f"kernel denominator degenerate at pair ({i}, {j})", pair=(i, j),
-            ratio=abs(den) / wrapped**2,
+            f"chord-arc constant {ca:.3e} below floor {floor:.3e} at pair {pair}",
+            pair=pair, ratio=ca,
         )
-    return complex(np.sin(d1) / den)
-
-
-def _rhs_rows(ws: KernelWorkspace, dz_mu: NDArray, diag: NDArray, dx: float,
-              rows: slice) -> NDArray:
-    kernel_rows = np.sin(ws.dz1[rows]) / ws.den[rows]
-    integ = kernel_rows * (dz_mu[rows.start : rows.stop, None] - dz_mu[None, :])
-    idx = np.arange(rows.start, rows.stop)
-    integ[idx - rows.start, idx] = diag[rows]
-    return integ.sum(axis=1) * dx
+    return ws
 
 
 def rhs(
     state: InterfaceState,
     grid: SpectralGrid,
     floor: float = DEFAULT_CHORD_ARC_FLOOR,
-    quadrature: str = "analytic",
     density_jump_over_2pi: float = 1.0,
 ) -> Tendency:
     """Muskat right-hand side d/dt (p1, p2) in coefficient space.
+
+    Trapezoid rule with analytic diagonal limits (spectrally accurate).
 
     Args:
         state: Interface state (coefficients).
         grid: Collocation grid.
         floor: Chord-arc floor; below it the evaluation is rejected.
-        quadrature: "analytic" for the trapezoid rule with analytic diagonal
-            limits (spectrally accurate), or "alternating" for the
-            skip-diagonal alternating-node fallback.
         density_jump_over_2pi: physical prefactor (rho2 - rho1)/(2 pi); the
             default 1 is the normalization all diagnostics assume, other
             values rescale to the raw-density convention.
@@ -278,48 +251,15 @@ def rhs(
     Raises:
         DegenerateGeometryError: chord-arc constant below the floor.
     """
-    if quadrature not in ("analytic", "alternating"):
-        raise ValueError(f"unknown quadrature {quadrature!r}")
-    ws = build_workspace(state, grid, max_order=2)
-    ca, pair = chord_arc_from_workspace(ws)
-    if ca < floor:
-        raise DegenerateGeometryError(
-            f"chord-arc constant {ca:.3e} below floor {floor:.3e} at pair {pair}",
-            pair=pair, ratio=ca,
-        )
-    n = grid.n_modes
+    ws = guarded_workspace(state, grid, None, 2, floor)
+    kern = ws.kernel_matrix()
     tangent_sq = ws.tangent_sq
-
-    scale = density_jump_over_2pi
-
-    if quadrature == "alternating":
-        # Alternating-point trapezoid: keep nodes of opposite parity, double weight.
-        kernel_full = ws.kernel_matrix()
-        parity = (np.arange(n)[:, None] + np.arange(n)[None, :]) % 2 == 1
-        out = []
-        for mu in (1, 2):
-            dz = ws.der[(mu, 1)]
-            integ = kernel_full * (dz[:, None] - dz[None, :]) * parity
-            out.append(scale * grid.to_spectral(integ.sum(axis=1) * 2.0 * grid.dx))
-        return Tendency(out[0], out[1])
-
-    workers = worker_count()
     results = []
     for mu in (1, 2):
         dz = ws.der[(mu, 1)]
         diag = 2.0 * ws.der[(1, 1)] * ws.der[(mu, 2)] / tangent_sq
-        if workers == 1:
-            vals = _rhs_rows(ws, dz, diag, grid.dx, slice(0, n))
-        else:
-            block = max(1, n // workers)
-            slices = [slice(s, min(s + block, n)) for s in range(0, n, block)]
-            vals = np.empty(n, dtype=complex)
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                for sl, part in zip(
-                    slices, pool.map(lambda sl: _rhs_rows(ws, dz, diag, grid.dx, sl), slices)
-                ):
-                    vals[sl] = part
-        results.append(scale * grid.to_spectral(vals))
+        vals = grid.row_quadrature(kern * (dz[:, None] - dz[None, :]), diag)
+        results.append(density_jump_over_2pi * grid.to_spectral(vals))
     return Tendency(results[0], results[1])
 
 
@@ -340,23 +280,15 @@ def a_tilde(
     vanishes, the result equals PV int K dw, the singular integral entering
     the generalized Rayleigh-Taylor function.
     """
-    ws = build_workspace(state, grid, contour, max_order=2)
-    ca, pair = chord_arc_from_workspace(ws)
-    if ca < floor:
-        raise DegenerateGeometryError(
-            f"chord-arc constant {ca:.3e} below floor {floor:.3e} at pair {pair}",
-            pair=pair, ratio=ca,
-        )
+    ws = guarded_workspace(state, grid, contour, 2, floor)
     dzeta = ws.zeta[:, None] - ws.zeta[None, :]
-    n = grid.n_modes
-    idx = np.arange(n)
     tangent_sq = ws.tangent_sq
     ratio = ws.der[(1, 1)] / tangent_sq
     with np.errstate(divide="ignore", invalid="ignore"):
-        integrand = np.sin(ws.dz1) / ws.den - ratio[:, None] * cot(dzeta / 2.0)
+        integrand = ws.kernel_matrix() - ratio[:, None] * cot(dzeta / 2.0)
     slope_sum = ws.der[(1, 1)] * ws.der[(1, 2)] + ws.der[(2, 1)] * ws.der[(2, 2)]
     diag = 2.0 * ws.der[(1, 1)] * slope_sum / tangent_sq**2 - ws.der[(1, 2)] / tangent_sq
-    integrand[idx, idx] = diag
     if ws.jac is not None:
         integrand = integrand * ws.jac[None, :]
-    return integrand.sum(axis=1) * grid.dx
+        diag = diag * ws.jac
+    return grid.row_quadrature(integrand, diag)

@@ -22,15 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .core import (
-    DEFAULT_CHORD_ARC_FLOOR,
-    InterfaceState,
-    KernelWorkspace,
-    build_workspace,
-    chord_arc_from_workspace,
-    rhs,
-)
-from .errors import DegenerateGeometryError
+from .core import DEFAULT_CHORD_ARC_FLOOR, InterfaceState, guarded_workspace, rhs
 from .grid import SpectralGrid
 
 #: Leibniz coefficients of the six safe terms, in expansion order.
@@ -58,12 +50,6 @@ class D4Decomposition:
         return ComponentPair(d1, d2)
 
 
-def _integrate(integrand: NDArray, diag: NDArray, dx: float) -> NDArray:
-    idx = np.arange(integrand.shape[0])
-    integrand[idx, idx] = diag
-    return integrand.sum(axis=1) * dx
-
-
 def _difference(values: NDArray) -> NDArray:
     return values[:, None] - values[None, :]
 
@@ -84,14 +70,7 @@ def rhs_d4_decomposition(
     Raises:
         DegenerateGeometryError: chord-arc constant below the floor.
     """
-    ws: KernelWorkspace = build_workspace(state, grid, max_order=6)
-    ca, pair = chord_arc_from_workspace(ws)
-    if ca < floor:
-        raise DegenerateGeometryError(
-            f"chord-arc constant {ca:.3e} below floor {floor:.3e} at pair {pair}",
-            pair=pair, ratio=ca,
-        )
-    dx = grid.dx
+    ws = guarded_workspace(state, grid, None, 6, floor)
     der = ws.der
     tangent_sq = ws.tangent_sq
     sin_d = np.sin(ws.dz1)
@@ -106,41 +85,34 @@ def rhs_d4_decomposition(
     dangerous = {}
     safes = {j: {} for j in range(6)}
     for mu in (1, 2):
-        dangerous[mu] = _integrate(
+        dangerous[mu] = grid.row_quadrature(
             sin_d / den * diff5[mu],
             2.0 * der[(1, 1)] * der[(mu, 6)] / tangent_sq,
-            dx,
         )
         c = SAFE_COEFFICIENTS
-        safes[0][mu] = _integrate(
+        safes[0][mu] = grid.row_quadrature(
             c[0] * diff1[1] * cos_d / den * diff4[mu],
             c[0] * der[(1, 2)] * 2.0 / tangent_sq * der[(mu, 5)],
-            dx,
         )
-        safes[1][mu] = _integrate(
+        safes[1][mu] = grid.row_quadrature(
             c[1] * diff1[2] * sinh_d * sin_d / den_sq * diff4[mu],
             c[1] * der[(2, 2)] * der[(2, 1)] * der[(1, 1)] * 4.0 / tangent_sq**2 * der[(mu, 5)],
-            dx,
         )
-        safes[2][mu] = _integrate(
+        safes[2][mu] = grid.row_quadrature(
             c[2] * diff1[1] * sin_d**2 / den_sq * diff4[mu],
             c[2] * der[(1, 2)] * der[(1, 1)] ** 2 * 4.0 / tangent_sq**2 * der[(mu, 5)],
-            dx,
         )
-        safes[3][mu] = _integrate(
+        safes[3][mu] = grid.row_quadrature(
             c[3] * diff1[mu] * cos_d / den * diff4[1],
             c[3] * der[(mu, 2)] * 2.0 / tangent_sq * der[(1, 5)],
-            dx,
         )
-        safes[4][mu] = _integrate(
+        safes[4][mu] = grid.row_quadrature(
             c[4] * diff1[mu] * sin_d * sinh_d / den_sq * diff4[2],
             c[4] * der[(mu, 2)] * der[(1, 1)] * der[(2, 1)] * 4.0 / tangent_sq**2 * der[(2, 5)],
-            dx,
         )
-        safes[5][mu] = _integrate(
+        safes[5][mu] = grid.row_quadrature(
             c[5] * diff1[mu] * sin_d**2 / den_sq * diff4[1],
             c[5] * der[(mu, 2)] * der[(1, 1)] ** 2 * 4.0 / tangent_sq**2 * der[(1, 5)],
-            dx,
         )
 
     tendency = rhs(state, grid, floor=floor)

@@ -117,6 +117,15 @@ class SpectralGrid:
         self._check_length(values)
         return values.sum() * self.dx
 
+    def row_quadrature(self, integrand: NDArray, diag: NDArray) -> NDArray:
+        """Trapezoid rule along each row of a pairwise N x N integrand.
+
+        The removable diagonal is overwritten in place with its analytic
+        limit ``diag`` before the rows are summed.
+        """
+        np.fill_diagonal(integrand, diag)
+        return integrand.sum(axis=1) * self.dx
+
     def norm_l2(self, values: NDArray) -> float:
         """L2 norm sqrt(int |g|^2 dx) by trapezoid."""
         return float(np.sqrt(self.quadrature(np.abs(np.asarray(values)) ** 2).real))

@@ -40,8 +40,9 @@ class RunConfig:
     """Scenario description for a time integration.
 
     direction selects the sign of the time step; t_end must lie on that
-    side of t_start.  galerkin_cutoff defaults to n_modes // 3 and may not
-    exceed it (dealiasing margin).  rt_convention: "sigma" monitors the
+    side of t_start.  n_modes is a power of two of at least 8.
+    galerkin_cutoff defaults to n_modes // 3 and must lie in 1..n_modes // 3
+    (dealiasing margin).  rt_convention: "sigma" monitors the
     flat Rayleigh-Taylor function (forward runs require it negative
     everywhere, backward runs positive); "generalized" monitors the
     contour variant driven by the schedule.
@@ -64,8 +65,12 @@ class RunConfig:
     density_jump_over_2pi: float = 1.0
 
     def __post_init__(self):
+        if self.n_modes < 8 or self.n_modes & (self.n_modes - 1):
+            raise ValueError(f"n_modes must be a power of two >= 8, got {self.n_modes}")
         if self.galerkin_cutoff is None:
             self.galerkin_cutoff = self.n_modes // 3
+        if self.galerkin_cutoff < 1:
+            raise ValueError(f"galerkin_cutoff must be at least 1, got {self.galerkin_cutoff}")
         if self.galerkin_cutoff > self.n_modes // 3:
             raise ValueError(
                 f"galerkin_cutoff {self.galerkin_cutoff} exceeds the dealiasing "
@@ -79,8 +84,10 @@ class RunConfig:
             raise ValueError("forward runs need t_end > t_start")
         if self.direction == "backward" and self.t_end > self.t_start:
             raise ValueError("backward runs need t_end < t_start")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive (direction carries the sign)")
+        if not math.isfinite(self.dt) or self.dt <= 0:
+            raise ValueError(
+                f"dt must be positive and finite (direction carries the sign), got {self.dt}"
+            )
         unknown = set(self.stop_on) - STOP_CONDITIONS
         if unknown:
             raise ValueError(f"unknown stop conditions: {sorted(unknown)}")

@@ -18,7 +18,12 @@ import numpy as np
 from .config import ScenarioConfig
 from .contour_ops import LiftedContour, garding_form, lambda_gamma, pv_cot_integral
 from .core import InterfaceState
-from .errors import BlowupError, ConfigError, DegenerateGeometryError
+from .errors import (
+    BlowupError,
+    ConfigError,
+    DegenerateGeometryError,
+    DegenerateParametrizationError,
+)
 from .grid import SpectralGrid
 from .initial_data import f_kappa, log_datum, make_turnover_state, perturb
 from .integrator import RunConfig, Trajectory, run, two_solution_monitor
@@ -255,7 +260,16 @@ def _scenario_operator_suite(cfg: ScenarioConfig, out_dir: str) -> int:
     return EXIT_OK
 
 
+#: coefficient band of the f_kappa analyticity-radius fit
+_F_KAPPA_FIT_BAND = (8, 40)
+
+
 def _scenario_f_kappa_build(cfg: ScenarioConfig, out_dir: str) -> int:
+    if cfg.run.n_modes // 2 < _F_KAPPA_FIT_BAND[1]:
+        raise ConfigError(
+            f"[run] n_modes: f_kappa_build fits wavenumbers {_F_KAPPA_FIT_BAND}, "
+            f"which needs n_modes >= {2 * _F_KAPPA_FIT_BAND[1]}, got {cfg.run.n_modes}"
+        )
     grid = SpectralGrid(cfg.run.n_modes)
     kappa = cfg.perturbation_kappa
     coeffs = f_kappa(kappa, grid)
@@ -275,7 +289,7 @@ def _scenario_f_kappa_build(cfg: ScenarioConfig, out_dir: str) -> int:
         "kappa": kappa,
         "max_coefficient_deviation": float(deviation.max()),
         "fourth_derivative_vs_log_datum_max_error": datum_err,
-        "analyticity_radius": grid.analyticity_radius(coeffs, (8, 40)),
+        "analyticity_radius": grid.analyticity_radius(coeffs, _F_KAPPA_FIT_BAND),
     }
     _write_json(os.path.join(out_dir, "report.json"), report)
     return EXIT_OK
@@ -302,7 +316,7 @@ def run_scenario(name: str, cfg: ScenarioConfig, out_dir: str) -> int:
         raise OSError(f"cannot create output directory {out_dir}: {exc}") from exc
     try:
         return _SCENARIO_TABLE[name](cfg, out_dir)
-    except (DegenerateGeometryError, BlowupError) as exc:
+    except (DegenerateGeometryError, DegenerateParametrizationError, BlowupError) as exc:
         _write_json(os.path.join(out_dir, "report.json"),
                     {"scenario": name, "error": str(exc), "config_digest": cfg.digest()})
         return EXIT_NUMERIC

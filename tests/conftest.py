@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -40,3 +44,23 @@ def strip_state(grid: SpectralGrid, width: float = 0.3) -> InterfaceState:
         c2[m] = -0.5j * s2 * np.exp(-width * m)
         c2[-m] = np.conj(c2[m])
     return InterfaceState(c1, c2)
+
+
+def run_with_blas_threads(args: list[str], threads: int) -> subprocess.CompletedProcess:
+    """Run ``python *args`` in a fresh process with BLAS capped at ``threads``.
+
+    The child imports the same muskat package as this process; a nonzero
+    exit fails the calling test with the child's stderr.
+    """
+    import muskat
+
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(muskat.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [package_root, os.path.dirname(os.path.abspath(__file__)), env.get("PYTHONPATH", "")]
+    )
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[name] = str(threads)
+    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True)
+    assert proc.returncode == 0, proc.stderr.decode()
+    return proc

@@ -6,10 +6,13 @@ import pytest
 
 from muskat import InterfaceState, SpectralGrid, run
 from muskat.cli import main
-from muskat.config import load_config, load_config_text, serialize_config
-from muskat.errors import ConfigError, SnapshotError
+from muskat import scenarios
+from muskat.config import SCENARIOS, load_config, load_config_text, serialize_config
+from muskat.errors import ConfigError, DegenerateParametrizationError, SnapshotError
 from muskat.scenarios import run_scenario
 from muskat.snapshots import load_snapshot, save_snapshot
+
+from conftest import run_with_blas_threads
 
 
 class TestConfig:
@@ -54,6 +57,21 @@ class TestConfig:
         assert serialize_config(again) == serialized
         assert again.run.dt == cfg.run.dt
         assert again.family.slope_amplitude == 0.97
+
+    def test_default_digests_are_pinned(self):
+        # snapshots store the digest, so the rendered defaults must not move
+        pinned = {
+            "flat": "ef784c8f1a822214",
+            "linear_decay": "84465b4cc37742aa",
+            "turnover": "824554a71dae4e52",
+            "perturbed_pair": "e0045f99267b010f",
+            "schedule_check": "af031ed0a11c7c5e",
+            "operator_suite": "271f27830972ab9c",
+            "f_kappa_build": "0589f130e88821c1",
+        }
+        assert set(pinned) == set(SCENARIOS)
+        for name, digest in pinned.items():
+            assert load_config_text(f"[run]\nscenario = {name}\n").digest() == digest
 
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "run.ini"
@@ -243,17 +261,18 @@ class TestScenarios:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["termination"] == "chord_arc_floor"
 
-    def test_byte_identical_reruns_across_worker_counts(self, tmp_path, monkeypatch):
-        cfg = load_config_text(
-            "[run]\nscenario = perturbed_pair\nn_modes = 64\nt_end = 0.01\n"
-        )
+    def test_byte_identical_reruns_across_blas_thread_counts(self, tmp_path):
+        config = tmp_path / "pair.ini"
+        config.write_text("[run]\nscenario = perturbed_pair\nn_modes = 64\nt_end = 0.01\n")
         outputs = {}
-        for threads in ("1", "3"):
-            monkeypatch.setenv("MUSKAT_THREADS", threads)
+        for threads in (1, 2):
             out = tmp_path / f"w{threads}"
-            assert run_scenario("perturbed_pair", cfg, str(out)) == 0
+            run_with_blas_threads(
+                ["-m", "muskat.cli", "perturbed_pair", "--config", str(config), "--out", str(out)],
+                threads,
+            )
             outputs[threads] = (out / "pair_distances.csv").read_bytes()
-        assert outputs["1"] == outputs["3"]
+        assert outputs[1] == outputs[2]
 
 
 class TestCli:
@@ -280,6 +299,32 @@ class TestCli:
             "flat", "--out", str(tmp_path / "o"), "--modes", "64", "--cutoff", "60",
         ])
         assert status == 2
+
+
+    @pytest.mark.parametrize("argv", [
+        ["flat", "--modes", "4"],
+        ["flat", "--modes", "100"],
+        ["flat", "--modes", "0"],
+        ["flat", "--modes", "64", "--dt", "nan"],
+        ["flat", "--modes", "64", "--cutoff", "0"],
+        ["f_kappa_build", "--modes", "64"],
+    ])
+    def test_invalid_input_exits_two_without_traceback(self, tmp_path, capsys, argv):
+        status = main(argv + ["--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert status == 2
+        assert "config error" in err
+        assert "Traceback" not in err
+
+    def test_degenerate_parametrization_exits_three(self, tmp_path, monkeypatch):
+        def degenerate(cfg, out_dir):
+            raise DegenerateParametrizationError("tangent norm vanishes")
+
+        monkeypatch.setitem(scenarios._SCENARIO_TABLE, "flat", degenerate)
+        cfg = load_config_text("[run]\nscenario = flat\n")
+        assert run_scenario("flat", cfg, str(tmp_path)) == 3
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert "tangent norm vanishes" in report["error"]
 
 
 class TestCliDirections:

@@ -8,12 +8,13 @@ from muskat import (
     a_tilde,
     chord_arc_constant,
     evaluate_on_contour,
-    kernel,
     rhs,
+    rhs_d4_decomposition,
 )
 from muskat.errors import DegenerateGeometryError
 
-from conftest import gentle_state, strip_state
+from conftest import gentle_state, run_with_blas_threads, strip_state
+from oracles import alternating_rhs, kernel
 
 FLAT_TORUS_CHORD_ARC = 2.0 / np.pi**2
 
@@ -111,8 +112,8 @@ class TestRhsOracles:
 
     def test_quadrature_fallbacks_agree(self, grid256):
         state = gentle_state(grid256)
-        analytic = rhs(state, grid256, quadrature="analytic")
-        alternating = rhs(state, grid256, quadrature="alternating")
+        analytic = rhs(state, grid256)
+        alternating = alternating_rhs(state, grid256)
         scale = np.abs(grid256.from_spectral(analytic.d2)).max()
         for a, b in ((analytic.d1, alternating.d1), (analytic.d2, alternating.d2)):
             va = grid256.from_spectral(a)
@@ -156,9 +157,26 @@ class TestRhsSymmetries:
             grid256.to_spectral(-1.6 * np.sin(x)),
             grid256.to_spectral(0.01 * np.sin(x)),
         )
-        with pytest.raises(DegenerateGeometryError) as err:
-            rhs(state, grid256, floor=1e-2)
-        assert err.value.pair is not None
+        ratio = chord_arc_constant(state, grid256)
+        for evaluate in (rhs, a_tilde, rhs_d4_decomposition):
+            with pytest.raises(DegenerateGeometryError) as err:
+                evaluate(state, grid256, floor=1e-2)
+            i, j = err.value.pair
+            assert i != j and 0 <= min(i, j) and max(i, j) < grid256.n_modes
+            assert err.value.ratio == ratio < 1e-2
+
+    def test_blas_thread_count_invariance(self):
+        # rerun in fresh processes with one and two BLAS threads: identical bytes
+        script = (
+            "import sys; from muskat import SpectralGrid, rhs; "
+            "from conftest import gentle_state; g = SpectralGrid(256); "
+            "t = rhs(gentle_state(g), g); "
+            "sys.stdout.write((t.d1.tobytes() + t.d2.tobytes()).hex())"
+        )
+        one = run_with_blas_threads(["-c", script], 1).stdout
+        two = run_with_blas_threads(["-c", script], 2).stdout
+        assert len(one) == 2 * 2 * 16 * 256
+        assert one == two
 
 
 class TestATilde:
@@ -244,15 +262,6 @@ class TestContourEvaluation:
         values = evaluate_on_contour(coeffs, grid256, contour)
         zeta = contour.complex_nodes(grid256)
         assert np.abs(values - np.exp(5j * zeta)).max() < 1e-12
-
-    def test_worker_count_invariance(self, grid256, monkeypatch):
-        state = gentle_state(grid256)
-        monkeypatch.setenv("MUSKAT_THREADS", "1")
-        one = rhs(state, grid256)
-        monkeypatch.setenv("MUSKAT_THREADS", "4")
-        four = rhs(state, grid256)
-        assert np.array_equal(one.d1, four.d1)
-        assert np.array_equal(one.d2, four.d2)
 
 
 class TestDensityPrefactor:
