@@ -149,16 +149,18 @@ def load_config_text(text: str) -> ScenarioConfig:
         raise ConfigError(f"[run] stop_on: unknown conditions {sorted(unknown_stops)}")
 
     try:
-        run = RunConfig(**{**run_values, "stop_on": stop_on})
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"[run]: {exc}") from exc
-
-    try:
         schedule = HeightSchedule(
             A=get("schedule", "a"), tau=get("schedule", "tau"), kappa=get("schedule", "kappa")
         )
     except ValueError as exc:
         raise ConfigError(f"[schedule]: {exc}") from exc
+
+    # the generalized Rayleigh-Taylor monitor is driven by the schedule
+    run_schedule = schedule if run_values["rt_convention"] == "generalized" else None
+    try:
+        run = RunConfig(**{**run_values, "stop_on": stop_on, "schedule": run_schedule})
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"[run]: {exc}") from exc
 
     slope = get("family", "slope_amplitude")
     if slope is None:

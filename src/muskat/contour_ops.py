@@ -128,9 +128,7 @@ def lambda_gamma(
         integrand = cot(dz_pair / 2.0) * dfp * jac[None, :]
     # F''(z) = (d/du F'(w(u))) / w'(u)
     fpp = grid.from_spectral(grid.derivative(grid.to_spectral(f_prime_samples))) / jac
-    idx = np.arange(grid.n_modes)
-    integrand[idx, idx] = 2.0 * fpp * jac
-    return -(1.0 / (2.0 * np.pi)) * integrand.sum(axis=1) * grid.dx
+    return -(1.0 / (2.0 * np.pi)) * grid.row_quadrature(integrand, 2.0 * fpp * jac)
 
 
 def garding_form(

@@ -27,7 +27,7 @@ from .core import (
     chord_arc_constant,
     rhs,
 )
-from .errors import BlowupError, DegenerateGeometryError, UndefinedRadiusError
+from .errors import BlowupError, ConfigError, DegenerateGeometryError, UndefinedRadiusError
 from .grid import SpectralGrid
 from .schedules import HeightSchedule, h_of, h_t_of, hbar_of, hbar_t_of
 from .stability import h4_distance, rt_generalized, rt_unperturbed, turnover_indicator
@@ -189,19 +189,25 @@ def _radius_estimate(state: InterfaceState, grid: SpectralGrid) -> float:
     return min(estimates)
 
 
-def _schedule_contour(config: RunConfig, t: float, grid: SpectralGrid) -> LiftedContour | None:
+def _schedule_at(config: RunConfig, t: float, grid: SpectralGrid):
+    """The schedule's contour and height rate h_t at time t, or None.
+
+    None when the run has no schedule, t lies outside the schedule's
+    [-tau^2, tau] domain, or the height is not positive at t.
+    """
     s = config.schedule
     if s is None:
         return None
     if s.tau**2 <= t <= s.tau:
-        heights = h_of(grid.nodes, t, s)
+        height, rate = h_of, h_t_of
     elif -s.tau**2 <= t <= s.tau**2:
-        heights = hbar_of(grid.nodes, t, s)
+        height, rate = hbar_of, hbar_t_of
     else:
         return None
+    heights = height(grid.nodes, t, s)
     if heights.min() <= 0.0:
         return None
-    return LiftedContour.from_height(grid, heights)
+    return LiftedContour.from_height(grid, heights), rate(grid.nodes, t, s)
 
 
 def diagnostics_for(
@@ -210,7 +216,7 @@ def diagnostics_for(
     config: RunConfig,
     reference: InterfaceState,
 ) -> DiagnosticsRecord:
-    contour = _schedule_contour(config, state.time, grid)
+    contour, _ = _schedule_at(config, state.time, grid) or (None, None)
     return DiagnosticsRecord(
         time=state.time,
         min_dz1=turnover_indicator(state, grid),
@@ -232,9 +238,9 @@ def _rt_sign_violated(state: InterfaceState, grid: SpectralGrid, config: RunConf
     time domain.
     """
     if config.rt_convention == "generalized":
-        contour = _schedule_contour(config, state.time, grid)
-        if contour is not None:
-            h_t = _schedule_h_t(config, state.time, grid)
+        scheduled = _schedule_at(config, state.time, grid)
+        if scheduled is not None:
+            contour, h_t = scheduled
             monitor = rt_generalized(state, grid, contour, h_t,
                                      floor=config.chord_arc_floor)
             if config.direction == "backward":
@@ -244,13 +250,6 @@ def _rt_sign_violated(state: InterfaceState, grid: SpectralGrid, config: RunConf
     if config.direction == "forward":
         return bool(sigma.max() >= 0.0)
     return bool(sigma.min() <= 0.0)
-
-
-def _schedule_h_t(config: RunConfig, t: float, grid: SpectralGrid):
-    s = config.schedule
-    if s.tau**2 <= t <= s.tau:
-        return h_t_of(grid.nodes, t, s)
-    return hbar_t_of(grid.nodes, t, s)
 
 
 def _check_stops(state: InterfaceState, grid: SpectralGrid, config: RunConfig) -> str | None:
@@ -271,54 +270,61 @@ def run(initial: InterfaceState, config: RunConfig) -> Trajectory:
     that fired.  Chord-arc failure terminates normally when
     "chord_arc_floor" is among the stop conditions and propagates as
     DegenerateGeometryError otherwise.  Non-finite coefficients always
-    raise BlowupError.
+    raise BlowupError.  The last accepted state is always recorded.
     """
     grid = SpectralGrid(config.n_modes)
-    cutoff = config.galerkin_cutoff
-    state = InterfaceState(
-        grid.project_modes(initial.p1, cutoff),
-        grid.project_modes(initial.p2, cutoff),
-        config.t_start,
-    )
+    state = _projected(initial, grid, config)
     if "rt_sign" in config.stop_on and _check_stops(state, grid, config) == "rt_sign":
-        raise ValueError(
+        raise ConfigError(
             "initial state violates the Rayleigh-Taylor sign for this run direction"
         )
     reference = state.copy()
     trajectory = Trajectory()
-    trajectory.records.append(
-        (state.time, state.copy(), diagnostics_for(state, grid, config, reference))
-    )
-    steps = 0
-    stepper = _adaptive_steps(state, grid, cutoff, config) if config.adaptive \
-        else _fixed_steps(state, grid, cutoff, config)
-    for next_state in stepper:
-        try:
-            state = next_state()
-        except DegenerateGeometryError:
-            if "chord_arc_floor" in config.stop_on:
-                trajectory.termination = "chord_arc_floor"
-                break
-            raise
-        steps += 1
-        reason = _check_stops(state, grid, config)
-        if reason is not None:
-            trajectory.records.append(
-                (state.time, state.copy(), diagnostics_for(state, grid, config, reference))
-            )
-            trajectory.termination = reason
-            break
-        if steps % config.record_every == 0:
-            trajectory.records.append(
-                (state.time, state.copy(), diagnostics_for(state, grid, config, reference))
-            )
-    else:
-        trajectory.termination = "reached_t_end"
-    if trajectory.termination == "reached_t_end" and trajectory.records[-1][0] != state.time:
+
+    def record(s: InterfaceState) -> None:
         trajectory.records.append(
-            (state.time, state.copy(), diagnostics_for(state, grid, config, reference))
+            (s.time, s.copy(), diagnostics_for(s, grid, config, reference))
         )
+
+    trajectory.termination = _advance(
+        state, _accepted_states(state, grid, config), config,
+        lambda s: _check_stops(s, grid, config), record,
+    )
     return trajectory
+
+
+def _projected(initial: InterfaceState, grid: SpectralGrid, config: RunConfig) -> InterfaceState:
+    cutoff = config.galerkin_cutoff
+    return InterfaceState(grid.project_modes(initial.p1, cutoff),
+                          grid.project_modes(initial.p2, cutoff), config.t_start)
+
+
+def _advance(first, states, config: RunConfig, check, record) -> str:
+    """Record ``first``, then step through ``states``; returns the termination.
+
+    Records every record_every-th state and always the last accepted one.
+    A run ends at the end of ``states`` ("reached_t_end"), when ``check``
+    names a stop condition, or on a DegenerateGeometryError, which ends it
+    as "chord_arc_floor" if that stop is requested and propagates otherwise.
+    """
+    record(first)
+    last, recorded, reason = first, True, None
+    try:
+        for count, last in enumerate(states, start=1):
+            recorded = False
+            reason = check(last)
+            if reason is not None:
+                break
+            if count % config.record_every == 0:
+                record(last)
+                recorded = True
+    except DegenerateGeometryError:
+        if "chord_arc_floor" not in config.stop_on:
+            raise
+        reason = "chord_arc_floor"
+    if not recorded:
+        record(last)
+    return reason or "reached_t_end"
 
 
 def _step_plan(config: RunConfig) -> list[tuple[float, float]]:
@@ -339,42 +345,26 @@ def _step_plan(config: RunConfig) -> list[tuple[float, float]]:
     return plan
 
 
-def _fixed_steps(state: InterfaceState, grid, cutoff, config: RunConfig):
-    """Thunks advancing the state along the fixed step plan."""
-    current = state
+def _accepted_states(state: InterfaceState, grid: SpectralGrid, config: RunConfig):
+    """Each accepted state from t_start up to t_end.
 
-    def make(step_dt, target_time):
-        def advance():
-            nonlocal current
-            current = step(current, grid, step_dt, cutoff, config.chord_arc_floor,
-                           config.density_jump_over_2pi)
-            current.time = target_time
-            return current
-        return advance
-
-    return [make(step_dt, target) for step_dt, target in _step_plan(config)]
-
-
-def _adaptive_steps(state: InterfaceState, grid, cutoff, config: RunConfig):
-    """Thunks advancing by step-doubling control until t_end is reached."""
-    holder = {"state": state, "dt": config.signed_dt}
-
-    def advance():
-        remaining = config.t_end - holder["state"].time
-        this_dt = holder["dt"] if abs(remaining) >= abs(holder["dt"]) else remaining
-        new_state, next_dt = _adaptive_step(holder["state"], grid, this_dt, cutoff, config)
-        holder["state"] = new_state
-        holder["dt"] = next_dt
-        return new_state
-
-    def gen():
-        while True:
-            remaining = config.t_end - holder["state"].time
-            if remaining * np.sign(config.signed_dt) <= 1e-15:
-                return
-            yield advance
-
-    return gen()
+    Fixed runs follow the step plan; adaptive runs use step-doubling control
+    and shorten the last step to land on t_end.
+    """
+    cutoff = config.galerkin_cutoff
+    if not config.adaptive:
+        for step_dt, target_time in _step_plan(config):
+            state = step(state, grid, step_dt, cutoff, config.chord_arc_floor,
+                         config.density_jump_over_2pi)
+            state.time = target_time
+            yield state
+        return
+    dt = config.signed_dt
+    while (config.t_end - state.time) * np.sign(config.signed_dt) > 1e-15:
+        remaining = config.t_end - state.time
+        this_dt = dt if abs(remaining) >= abs(dt) else remaining
+        state, dt = _adaptive_step(state, grid, this_dt, cutoff, config)
+        yield state
 
 
 def _adaptive_step(state, grid, dt, cutoff, config):
@@ -412,41 +402,33 @@ def two_solution_monitor(
 ) -> PairMonitor:
     """Co-evolve two states with identical steps, tracking their H4 distance.
 
-    Reports the most negative one-sided difference quotient of the squared
-    distance over the recorded times (the quantity the perturbation theory
-    bounds from below).
+    Both states step on run's loop and stop for the same reasons.  Reports
+    the most negative one-sided difference quotient of the squared distance
+    over the recorded times (the quantity the perturbation theory bounds
+    from below).  Fixed steps only: two step controllers would pick
+    different steps.
     """
+    if config.adaptive:
+        raise ConfigError("two_solution_monitor needs fixed steps (adaptive = false)")
     grid = SpectralGrid(config.n_modes)
-    cutoff = config.galerkin_cutoff
-    a = InterfaceState(grid.project_modes(a0.p1, cutoff), grid.project_modes(a0.p2, cutoff),
-                       config.t_start)
-    b = InterfaceState(grid.project_modes(b0.p1, cutoff), grid.project_modes(b0.p2, cutoff),
-                       config.t_start)
+    a = _projected(a0, grid, config)
+    b = _projected(b0, grid, config)
+    times: list[float] = []
+    distances: list[float] = []
 
-    def distance(sa, sb):
-        contour = _schedule_contour(config, sa.time, grid)
-        return h4_distance(sa, sb, grid, contour)
+    def record(pair) -> None:
+        sa, sb = pair
+        contour, _ = _schedule_at(config, sa.time, grid) or (None, None)
+        times.append(sa.time)
+        distances.append(h4_distance(sa, sb, grid, contour))
 
-    times = [config.t_start]
-    distances = [distance(a, b)]
-    termination = "reached_t_end"
-    plan = _step_plan(config)
-    for steps, (this_dt, target) in enumerate(plan, start=1):
-        try:
-            a = step(a, grid, this_dt, cutoff, config.chord_arc_floor,
-                     config.density_jump_over_2pi)
-            b = step(b, grid, this_dt, cutoff, config.chord_arc_floor,
-                     config.density_jump_over_2pi)
-        except DegenerateGeometryError:
-            if "chord_arc_floor" in config.stop_on:
-                termination = "chord_arc_floor"
-                break
-            raise
-        a.time = target
-        b.time = target
-        if steps % config.record_every == 0 or steps == len(plan):
-            times.append(a.time)
-            distances.append(distance(a, b))
+    termination = _advance(
+        (a, b),
+        zip(_accepted_states(a, grid, config), _accepted_states(b, grid, config)),
+        config,
+        lambda pair: _check_stops(pair[0], grid, config) or _check_stops(pair[1], grid, config),
+        record,
+    )
     quotients = [
         (distances[i + 1] ** 2 - distances[i] ** 2) / (times[i + 1] - times[i])
         for i in range(len(times) - 1)

@@ -26,7 +26,7 @@ from .errors import (
 )
 from .grid import SpectralGrid
 from .initial_data import f_kappa, log_datum, make_turnover_state, perturb
-from .integrator import RunConfig, Trajectory, run, two_solution_monitor
+from .integrator import DiagnosticsRecord, Trajectory, run, two_solution_monitor
 from .schedules import rt_coupled_margins, schedule_margins
 from .snapshots import atomic_write_text, save_snapshot
 
@@ -42,6 +42,12 @@ def _write_json(path: str, payload: dict) -> None:
     atomic_write_text(path, json.dumps(payload, indent=1, sort_keys=True))
 
 
+def _write_report(out_dir: str, cfg: ScenarioConfig, fields: dict) -> None:
+    """report.json: the scenario name and config digest, then ``fields``."""
+    _write_json(os.path.join(out_dir, "report.json"),
+                {"scenario": cfg.scenario, "config_digest": cfg.digest(), **fields})
+
+
 def _write_csv(path: str, header: tuple[str, ...], rows: list[tuple]) -> None:
     lines = [",".join(header)]
     for row in rows:
@@ -52,7 +58,7 @@ def _write_csv(path: str, header: tuple[str, ...], rows: list[tuple]) -> None:
 
 
 def _trajectory_rows(trajectory: Trajectory, extra: dict[str, list] | None = None):
-    header = ("time", "min_dz1", "chord_arc", "rt_min", "h4_norm", "analyticity_radius")
+    header = DiagnosticsRecord.CSV_COLUMNS
     rows = [diag.row() for _, _, diag in trajectory.records]
     if extra:
         for name, column in extra.items():
@@ -91,11 +97,8 @@ def _emit_trajectory(out_dir: str, cfg: ScenarioConfig, trajectory: Trajectory,
     save_snapshot(last[1], os.path.join(out_dir, "snapshot_final.json"), digest,
                   dict(zip(last[2].CSV_COLUMNS, last[2].row())))
     _write_plot_data(os.path.join(out_dir, "plot_data.json"), trajectory, grid)
-    payload = {"scenario": cfg.scenario, "termination": trajectory.termination,
-               "config_digest": digest, "records": len(trajectory.records)}
-    if report:
-        payload.update(report)
-    _write_json(os.path.join(out_dir, "report.json"), payload)
+    _write_report(out_dir, cfg, {"termination": trajectory.termination,
+                                 "records": len(trajectory.records), **(report or {})})
     return EXIT_OK if trajectory.termination == "reached_t_end" else EXIT_NUMERIC
 
 
@@ -156,9 +159,7 @@ def _scenario_perturbed_pair(cfg: ScenarioConfig, out_dir: str) -> int:
     rows = list(zip(monitor.times, monitor.distances))
     _write_csv(os.path.join(out_dir, "pair_distances.csv"), ("time", "h4_distance"), rows)
     initial_distance = monitor.distances[0]
-    report = {
-        "scenario": cfg.scenario,
-        "config_digest": cfg.digest(),
+    _write_report(out_dir, cfg, {
         "termination": monitor.termination,
         "initial_distance": initial_distance,
         "max_ratio": max(monitor.distances) / initial_distance,
@@ -166,8 +167,7 @@ def _scenario_perturbed_pair(cfg: ScenarioConfig, out_dir: str) -> int:
         "min_quotient_of_squared_distance": monitor.min_quotient,
         "lambda": cfg.perturbation_lambda,
         "kappa": cfg.perturbation_kappa,
-    }
-    _write_json(os.path.join(out_dir, "report.json"), report)
+    })
     return EXIT_OK if monitor.termination == "reached_t_end" else EXIT_NUMERIC
 
 
@@ -175,9 +175,7 @@ def _scenario_schedule_check(cfg: ScenarioConfig, out_dir: str) -> int:
     grid = SpectralGrid(cfg.run.n_modes)
     margins = schedule_margins(cfg.schedule, grid, t_samples=64)
     coupled = rt_coupled_margins(cfg.schedule, grid, t_samples=64)
-    report = {
-        "scenario": cfg.scenario,
-        "config_digest": cfg.digest(),
+    _write_report(out_dir, cfg, {
         "schedule": {"A": cfg.schedule.A, "tau": cfg.schedule.tau, "kappa": cfg.schedule.kappa},
         "margins": {
             "h_positive": margins.h_positive,
@@ -187,8 +185,7 @@ def _scenario_schedule_check(cfg: ScenarioConfig, out_dir: str) -> int:
         },
         "rt_coupled_margins": {"h_domain": coupled[0], "hbar_domain": coupled[1]},
         "all_nonnegative": margins.all_nonnegative(),
-    }
-    _write_json(os.path.join(out_dir, "report.json"), report)
+    })
     return EXIT_OK
 
 
@@ -246,17 +243,14 @@ def _scenario_operator_suite(cfg: ScenarioConfig, out_dir: str) -> int:
     rhs_side = integrand.sum() * grid.dx**2 / (8.0 * np.pi)
     quadratic_form_err = abs(lhs - rhs_side) / abs(lhs)
 
-    report = {
-        "scenario": cfg.scenario,
-        "config_digest": cfg.digest(),
+    _write_report(out_dir, cfg, {
         "lambda_multiplier_max_error": multiplier_err,
         "lambda_equals_hilbert_derivative_max_error": composition_err,
         "pv_cot_max_abs": pv_errs,
         "constant_height_reduction_max_error": reduction_err,
         "garding_sample_value": garding_value,
         "quadratic_form_relative_error": quadratic_form_err,
-    }
-    _write_json(os.path.join(out_dir, "report.json"), report)
+    })
     return EXIT_OK
 
 
@@ -283,15 +277,12 @@ def _scenario_f_kappa_build(cfg: ScenarioConfig, out_dir: str) -> int:
                ("k", "cosine_coefficient", "closed_form", "abs_deviation"), rows)
     d4 = grid.from_spectral(grid.derivative(coeffs, 4)).real
     datum_err = float(np.abs(d4 - log_datum(kappa, grid)).max())
-    report = {
-        "scenario": cfg.scenario,
-        "config_digest": cfg.digest(),
+    _write_report(out_dir, cfg, {
         "kappa": kappa,
         "max_coefficient_deviation": float(deviation.max()),
         "fourth_derivative_vs_log_datum_max_error": datum_err,
         "analyticity_radius": grid.analyticity_radius(coeffs, _F_KAPPA_FIT_BAND),
-    }
-    _write_json(os.path.join(out_dir, "report.json"), report)
+    })
     return EXIT_OK
 
 
@@ -317,6 +308,5 @@ def run_scenario(name: str, cfg: ScenarioConfig, out_dir: str) -> int:
     try:
         return _SCENARIO_TABLE[name](cfg, out_dir)
     except (DegenerateGeometryError, DegenerateParametrizationError, BlowupError) as exc:
-        _write_json(os.path.join(out_dir, "report.json"),
-                    {"scenario": name, "error": str(exc), "config_digest": cfg.digest()})
+        _write_report(out_dir, cfg, {"scenario": name, "error": str(exc)})
         return EXIT_NUMERIC

@@ -42,6 +42,18 @@ class TestConfig:
                 "[run]\nscenario = flat\nn_modes = 128\ngalerkin_cutoff = 60\n"
             )
 
+    def test_generalized_rt_convention_gets_the_schedule(self, tmp_path):
+        path = tmp_path / "cfg.ini"
+        path.write_text(
+            "[run]\nscenario = flat\nrt_convention = generalized\nstop_on = rt_sign\n"
+            "t_start = 2.5e-05\n"
+        )
+        cfg = load_config(str(path))
+        assert cfg.run.schedule == cfg.schedule
+        assert load_config_text("[run]\nscenario = flat\n").run.schedule is None
+        # the flat state fails the generalized monitor at the initial time
+        assert main(["flat", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+
     def test_type_error_names_field(self):
         with pytest.raises(ConfigError, match=r"\[run\] dt"):
             load_config_text("[run]\nscenario = flat\ndt = soon\n")
@@ -311,6 +323,22 @@ class TestCli:
     ])
     def test_invalid_input_exits_two_without_traceback(self, tmp_path, capsys, argv):
         status = main(argv + ["--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert status == 2
+        assert "config error" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("scenario, run_keys", [
+        # the initial state already violates the requested rt_sign
+        ("turnover", "n_modes = 64\ndirection = backward\nt_end = -0.01\nstop_on = rt_sign\n"),
+        # two adaptive controllers would pick different steps
+        ("perturbed_pair", "n_modes = 64\nadaptive = true\n"),
+    ], ids=["rt_sign_at_start", "adaptive_pair"])
+    def test_invalid_config_exits_two_without_traceback(self, tmp_path, capsys, scenario,
+                                                        run_keys):
+        path = tmp_path / "cfg.ini"
+        path.write_text(f"[run]\nscenario = {scenario}\n{run_keys}")
+        status = main([scenario, "--config", str(path), "--out", str(tmp_path / "o")])
         err = capsys.readouterr().err
         assert status == 2
         assert "config error" in err

@@ -14,7 +14,8 @@ from muskat import (
     step,
     two_solution_monitor,
 )
-from muskat.errors import DegenerateGeometryError
+from muskat import integrator
+from muskat.errors import ConfigError, DegenerateGeometryError
 
 
 def eps_mode_state(grid, k=1, eps=1e-6):
@@ -207,6 +208,47 @@ class TestRun:
         trajectory = run(tight, config)
         assert trajectory.termination in ("chord_arc_floor", "reached_t_end")
 
+    def test_chord_arc_stop_records_last_accepted_state(self):
+        grid = SpectralGrid(128)
+        x = grid.nodes
+        tight = InterfaceState(
+            grid.to_spectral(-1.3 * np.sin(x) + 0.15 * np.sin(2 * x)),
+            grid.to_spectral(-0.5 * np.sin(x) + np.sin(2 * x)),
+        )
+        pinched = run(tight, RunConfig(n_modes=128, dt=5e-4, t_end=0.01)).final_state()
+        pinched.time = 0.0
+        config = RunConfig(
+            n_modes=128, dt=5e-4, t_end=0.05, record_every=10,
+            chord_arc_floor=1.9e-3, stop_on=frozenset({"chord_arc_floor"}),
+        )
+        trajectory = run(pinched, config)
+        assert trajectory.termination == "chord_arc_floor"
+        # three steps were accepted before the fourth hit the floor
+        assert trajectory.times() == pytest.approx([0.0, 0.0015], abs=1e-15)
+
+    @pytest.mark.parametrize("adaptive, stepper", [(False, "step"), (True, "_adaptive_step")])
+    def test_check_stops_runs_once_per_accepted_step(self, monkeypatch, adaptive, stepper):
+        counts = {"checks": 0, "steps": 0}
+
+        def counting(name, key):
+            original = getattr(integrator, name)
+
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(integrator, name, wrapper)
+
+        counting("_check_stops", "checks")
+        counting(stepper, "steps")
+        grid = SpectralGrid(64)
+        initial = InterfaceState(
+            np.zeros(grid.n_modes, dtype=complex),
+            grid.to_spectral(0.01 * np.cos(grid.nodes)),
+        )
+        run(initial, RunConfig(n_modes=64, dt=1e-3, t_end=0.0105, adaptive=adaptive))
+        assert counts["steps"] > 0
+        assert counts["checks"] == counts["steps"]
+
     def test_blowup_norm_stop_fires(self):
         grid = SpectralGrid(64)
         initial = InterfaceState(
@@ -277,6 +319,28 @@ class TestTwoSolutionMonitor:
             monitor.times[-1] - monitor.times[0]
         )
         assert abs(rate - 4.0 * np.pi) <= 0.05 * 4.0 * np.pi
+
+
+    def test_blowup_norm_stop_fires(self):
+        grid = SpectralGrid(64)
+        state = InterfaceState(
+            np.zeros(grid.n_modes, dtype=complex),
+            grid.to_spectral(0.05 * np.cos(grid.nodes)),
+        )
+        config = RunConfig(
+            n_modes=64, dt=1e-3, t_end=0.02, record_every=5,
+            stop_on=frozenset({"blowup_norm"}), blowup_norm=1e-9,
+        )
+        monitor = two_solution_monitor(state, perturb(state, 1e-5, f_kappa(0.2, grid)), config)
+        assert monitor.termination == "blowup_norm"
+        assert monitor.times == [0.0, 1e-3]
+
+    def test_adaptive_rejected(self):
+        grid = SpectralGrid(64)
+        state = InterfaceState.flat(grid)
+        config = RunConfig(n_modes=64, dt=1e-3, t_end=0.02, adaptive=True)
+        with pytest.raises(ConfigError, match="fixed steps"):
+            two_solution_monitor(state, state.copy(), config)
 
 
 class TestRtConventions:
