@@ -121,6 +121,9 @@ class DiagnosticsRecord:
 class Trajectory:
     records: list[tuple[float, InterfaceState, DiagnosticsRecord]] = field(default_factory=list)
     termination: str = "unterminated"
+    #: node pair and ratio of the chord-arc stop, None on other terminations
+    chord_arc_pair: tuple[int, int] | None = None
+    chord_arc_ratio: float | None = None
 
     def times(self) -> list[float]:
         return [t for t, _, _ in self.records]
@@ -286,10 +289,13 @@ def run(initial: InterfaceState, config: RunConfig) -> Trajectory:
             (s.time, s.copy(), diagnostics_for(s, grid, config, reference))
         )
 
-    trajectory.termination = _advance(
+    trajectory.termination, degenerate = _advance(
         state, _accepted_states(state, grid, config), config,
         lambda s: _check_stops(s, grid, config), record,
     )
+    if degenerate is not None:
+        trajectory.chord_arc_pair = degenerate.pair
+        trajectory.chord_arc_ratio = degenerate.ratio
     return trajectory
 
 
@@ -299,16 +305,20 @@ def _projected(initial: InterfaceState, grid: SpectralGrid, config: RunConfig) -
                           grid.project_modes(initial.p2, cutoff), config.t_start)
 
 
-def _advance(first, states, config: RunConfig, check, record) -> str:
-    """Record ``first``, then step through ``states``; returns the termination.
+def _advance(
+    first, states, config: RunConfig, check, record
+) -> tuple[str, DegenerateGeometryError | None]:
+    """Record ``first``, then step through ``states``.
 
     Records every record_every-th state and always the last accepted one.
     A run ends at the end of ``states`` ("reached_t_end"), when ``check``
     names a stop condition, or on a DegenerateGeometryError, which ends it
     as "chord_arc_floor" if that stop is requested and propagates otherwise.
+    Returns the termination and the DegenerateGeometryError that ended the
+    run, if one did.
     """
     record(first)
-    last, recorded, reason = first, True, None
+    last, recorded, reason, degenerate = first, True, None, None
     try:
         for count, last in enumerate(states, start=1):
             recorded = False
@@ -318,13 +328,13 @@ def _advance(first, states, config: RunConfig, check, record) -> str:
             if count % config.record_every == 0:
                 record(last)
                 recorded = True
-    except DegenerateGeometryError:
+    except DegenerateGeometryError as exc:
         if "chord_arc_floor" not in config.stop_on:
             raise
-        reason = "chord_arc_floor"
+        reason, degenerate = "chord_arc_floor", exc
     if not recorded:
         record(last)
-    return reason or "reached_t_end"
+    return reason or "reached_t_end", degenerate
 
 
 def _step_plan(config: RunConfig) -> list[tuple[float, float]]:
@@ -422,7 +432,7 @@ def two_solution_monitor(
         times.append(sa.time)
         distances.append(h4_distance(sa, sb, grid, contour))
 
-    termination = _advance(
+    termination, _ = _advance(
         (a, b),
         zip(_accepted_states(a, grid, config), _accepted_states(b, grid, config)),
         config,

@@ -97,8 +97,12 @@ def _emit_trajectory(out_dir: str, cfg: ScenarioConfig, trajectory: Trajectory,
     save_snapshot(last[1], os.path.join(out_dir, "snapshot_final.json"), digest,
                   dict(zip(last[2].CSV_COLUMNS, last[2].row())))
     _write_plot_data(os.path.join(out_dir, "plot_data.json"), trajectory, grid)
+    stop = {}
+    if trajectory.chord_arc_pair is not None:
+        stop = {"chord_arc_pair": list(trajectory.chord_arc_pair),
+                "chord_arc_ratio": trajectory.chord_arc_ratio}
     _write_report(out_dir, cfg, {"termination": trajectory.termination,
-                                 "records": len(trajectory.records), **(report or {})})
+                                 "records": len(trajectory.records), **stop, **(report or {})})
     return EXIT_OK if trajectory.termination == "reached_t_end" else EXIT_NUMERIC
 
 
@@ -307,6 +311,11 @@ def run_scenario(name: str, cfg: ScenarioConfig, out_dir: str) -> int:
         raise OSError(f"cannot create output directory {out_dir}: {exc}") from exc
     try:
         return _SCENARIO_TABLE[name](cfg, out_dir)
+    except ConfigError as exc:
+        # report the rejected config in the directory already created, then
+        # let the caller exit 2
+        _write_report(out_dir, cfg, {"scenario": name, "error": str(exc)})
+        raise
     except (DegenerateGeometryError, DegenerateParametrizationError, BlowupError) as exc:
         _write_report(out_dir, cfg, {"scenario": name, "error": str(exc)})
         return EXIT_NUMERIC

@@ -71,15 +71,19 @@ def classify(terms: list[sp.Expr]):
 
 
 def evaluate_terms(terms: list[sp.Expr], state: InterfaceState, grid: SpectralGrid):
-    """Trapezoid quadrature of the summed terms, one value per node."""
+    """Trapezoid quadrature of the summed terms, one value per node.
+
+    The curve is sampled as real values, like the flat kernel workspace, so
+    imaginary round-off amplified by six derivatives does not enter.
+    """
     n = grid.n_modes
     x = grid.nodes
-    z1 = x + grid.from_spectral(state.p1)
-    z2 = grid.from_spectral(state.p2)
+    z1 = x + grid.from_spectral(state.p1).real
+    z2 = grid.from_spectral(state.p2).real
     diffs = {(1, 0): z1[:, None] - z1[None, :], (2, 0): z2[:, None] - z2[None, :]}
     point = {}
     for order in range(1, 7):
-        d1, d2 = state.derivative_values(grid, order)
+        d1, d2 = (d.real for d in state.derivative_values(grid, order))
         diffs[(1, order)] = d1[:, None] - d1[None, :]
         diffs[(2, order)] = d2[:, None] - d2[None, :]
         point[(1, order)] = d1

@@ -272,6 +272,9 @@ class TestScenarios:
         assert status == 3
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["termination"] == "chord_arc_floor"
+        i, j = report["chord_arc_pair"]
+        assert i != j and 0 <= min(i, j) and max(i, j) < 128
+        assert 0.0 <= report["chord_arc_ratio"] < 0.5
 
     def test_byte_identical_reruns_across_blas_thread_counts(self, tmp_path):
         config = tmp_path / "pair.ini"
@@ -343,6 +346,10 @@ class TestCli:
         assert status == 2
         assert "config error" in err
         assert "Traceback" not in err
+        # the output directory exists by then, and it explains the exit
+        report = json.loads((tmp_path / "o" / "report.json").read_text())
+        assert report["scenario"] == scenario
+        assert report["error"]
 
     def test_degenerate_parametrization_exits_three(self, tmp_path, monkeypatch):
         def degenerate(cfg, out_dir):

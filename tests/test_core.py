@@ -11,10 +11,12 @@ from muskat import (
     rhs,
     rhs_d4_decomposition,
 )
+from muskat.core import _flat_distance_sq, build_workspace
 from muskat.errors import DegenerateGeometryError
+from muskat.initial_data import GraphFamilyParams, make_turnover_state
 
 from conftest import gentle_state, run_with_blas_threads, strip_state
-from oracles import alternating_rhs, kernel
+from oracles import alternating_rhs, kernel, mpmath_rhs
 
 FLAT_TORUS_CHORD_ARC = 2.0 / np.pi**2
 
@@ -119,6 +121,43 @@ class TestRhsOracles:
             va = grid256.from_spectral(a)
             vb = grid256.from_spectral(b)
             assert np.abs(va - vb).max() <= 1e-6 * max(scale, 1.0)
+
+    @pytest.mark.parametrize("make_state", [
+        gentle_state,
+        lambda grid: make_turnover_state(GraphFamilyParams(slope_amplitude=0.98), grid),
+    ], ids=["gentle", "turnover"])
+    def test_matches_mpmath_golden_oracle(self, make_state):
+        # the same trapezoid sum at 40 digits bounds the float64 round-off
+        grid = SpectralGrid(32)
+        state = make_state(grid)
+        tendency = rhs(state, grid)
+        golden = mpmath_rhs(state, grid)
+        for mu, coeffs in enumerate((tendency.d1, tendency.d2)):
+            values = grid.from_spectral(coeffs).real
+            error = np.abs(values - golden[mu]).max() / np.abs(golden[mu]).max()
+            assert error <= 1e-14
+
+
+class TestKernelWorkspace:
+    def test_flat_workspace_is_real(self, grid256):
+        ws = build_workspace(gentle_state(grid256), grid256, max_order=6)
+        for array in (ws.zeta, ws.dz1, ws.dz2, ws.den, *ws.der.values()):
+            assert array.dtype == np.float64
+
+    def test_flat_distance_is_cached_and_read_only(self):
+        first = _flat_distance_sq(64)
+        assert not first.flags.writeable
+        assert _flat_distance_sq(64) is first
+
+    def test_lifted_denominator_matches_cosh_minus_cos(self):
+        # the direct form itself loses ~1e-16/dx^2 relative next to the
+        # diagonal, so the grid stays coarse enough for it to hold 1e-12
+        grid = SpectralGrid(64)
+        contour = LiftedContour.from_height(grid, 0.15 + 0.03 * np.cos(grid.nodes))
+        ws = build_workspace(gentle_state(grid), grid, contour, max_order=1)
+        direct = np.cosh(ws.dz2) - np.cos(ws.dz1)
+        off = ~np.eye(grid.n_modes, dtype=bool)
+        assert (np.abs(ws.den - direct)[off] <= 1e-12 * np.abs(direct[off])).all()
 
 
 class TestRhsSymmetries:
@@ -252,6 +291,11 @@ class TestChordArc:
         value = chord_arc_constant(InterfaceState.flat(grid256), grid256, contour)
         assert value > 0.0
         assert value <= FLAT_TORUS_CHORD_ARC * (1.0 + 1e-2)
+
+    def test_cached_distance_keeps_values_across_grid_sizes(self):
+        grids = [SpectralGrid(n) for n in (64, 128, 64)]
+        values = [chord_arc_constant(gentle_state(g), g) for g in grids]
+        assert values[2] == values[0]
 
 
 class TestContourEvaluation:

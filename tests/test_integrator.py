@@ -225,6 +225,9 @@ class TestRun:
         assert trajectory.termination == "chord_arc_floor"
         # three steps were accepted before the fourth hit the floor
         assert trajectory.times() == pytest.approx([0.0, 0.0015], abs=1e-15)
+        i, j = trajectory.chord_arc_pair
+        assert i != j and 0 <= min(i, j) and max(i, j) < grid.n_modes
+        assert 0.0 <= trajectory.chord_arc_ratio < config.chord_arc_floor
 
     @pytest.mark.parametrize("adaptive, stepper", [(False, "step"), (True, "_adaptive_step")])
     def test_check_stops_runs_once_per_accepted_step(self, monkeypatch, adaptive, stepper):
