@@ -69,8 +69,14 @@ class LiftedContour:
         return 1.0 + 1j * self.sign * self.h_prime
 
 
-def cot(z: NDArray) -> NDArray:
-    return np.cos(z) / np.sin(z)
+def pairwise_cot(zeta: NDArray) -> NDArray:
+    """cot((zeta_i - zeta_j)/2) over node pairs, with a zero diagonal and no 0/0 formed."""
+    half = (zeta[:, None] - zeta[None, :]) / 2.0
+    sin_half = np.sin(half)
+    np.fill_diagonal(sin_half, 1.0)
+    out = np.cos(half) / sin_half
+    np.fill_diagonal(out, 0.0)
+    return out
 
 
 def pv_cot_integral(grid: SpectralGrid, contour: LiftedContour | None = None) -> NDArray:
@@ -82,18 +88,12 @@ def pv_cot_integral(grid: SpectralGrid, contour: LiftedContour | None = None) ->
     bounded integrand whose diagonal limit is -i*sign*h''/(1 + i*sign*h').
     The result should vanish to quadrature accuracy.
     """
-    x = grid.nodes
-    dx_pair = x[:, None] - x[None, :]
+    flat = pairwise_cot(grid.nodes)
     if contour is None:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            integrand = cot(dx_pair / 2.0)
-        return grid.row_quadrature(integrand, 0.0)
+        return grid.row_quadrature(flat, 0.0)
 
-    z = contour.complex_nodes(grid)
-    dz_pair = z[:, None] - z[None, :]
     jac = contour.jacobian()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        integrand = cot(dz_pair / 2.0) * jac[None, :] - cot(dx_pair / 2.0)
+    integrand = pairwise_cot(contour.complex_nodes(grid)) * jac[None, :] - flat
     hpp = contour.h_second(grid)
     return grid.row_quadrature(integrand, -1j * contour.sign * hpp / jac)
 
@@ -120,12 +120,9 @@ def lambda_gamma(
     """
     f_prime_samples = np.asarray(f_prime_samples, dtype=complex)
     grid._check_length(f_prime_samples)
-    z = contour.complex_nodes(grid)
     jac = contour.jacobian()
-    dz_pair = z[:, None] - z[None, :]
     dfp = f_prime_samples[:, None] - f_prime_samples[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        integrand = cot(dz_pair / 2.0) * dfp * jac[None, :]
+    integrand = pairwise_cot(contour.complex_nodes(grid)) * dfp * jac[None, :]
     # F''(z) = (d/du F'(w(u))) / w'(u)
     fpp = grid.from_spectral(grid.derivative(grid.to_spectral(f_prime_samples))) / jac
     return -(1.0 / (2.0 * np.pi)) * grid.row_quadrature(integrand, 2.0 * fpp * jac)

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import NDArray
 
-from .contour_ops import LiftedContour, cot
+from .contour_ops import LiftedContour, pairwise_cot
 from .errors import DegenerateGeometryError
 from .grid import SpectralGrid, conjugate_symmetrize, is_conjugate_symmetric
 
@@ -110,14 +110,16 @@ def evaluate_on_contour(
     """Evaluate a band-limited Fourier series at the contour nodes x + i*s*h(x).
 
     e^{ik(x + i s h)} = e^{ikx} e^{-k s h}; legitimate for band-limited
-    coefficient arrays, which is how states are stored.
+    coefficient arrays, which is how states are stored.  A stack (m, N) is
+    evaluated row by row through one phase matrix over the modes live in
+    any row.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
-    grid._check_length(coeffs)
+    grid._check_length(coeffs, stacked=True)
     k = grid.wavenumbers
-    live = np.abs(coeffs) > 0.0
+    live = (np.abs(coeffs) > 0.0).reshape(-1, grid.n_modes).any(axis=0)
     phases = np.exp(1j * np.outer(grid.nodes + 1j * contour.sign * contour.h, k[live]))
-    return phases @ coeffs[live]
+    return (phases @ coeffs[..., live].T).T
 
 
 @dataclass
@@ -167,26 +169,19 @@ def build_workspace(
     values only drops imaginary round-off, which up to six derivatives
     amplify to about 3e-7 relative.  On a lifted contour it is complex.
     """
+    pair = np.stack([state.p1, state.p2])
+    stack = np.concatenate([pair] + [grid.derivative(pair, k) for k in range(1, max_order + 1)])
     if contour is None:
         zeta = grid.nodes
-        z1, z2 = (v.real for v in state.values(grid))
-        der = {}
-        for order in range(1, max_order + 1):
-            d1, d2 = state.derivative_values(grid, order)
-            der[(1, order)] = d1.real
-            der[(2, order)] = d2.real
+        samples = grid.from_spectral(stack).real
     else:
         zeta = contour.complex_nodes(grid)
-        z1 = zeta + evaluate_on_contour(state.p1, grid, contour)
-        z2 = evaluate_on_contour(state.p2, grid, contour)
-        der = {}
-        for order in range(1, max_order + 1):
-            d1 = evaluate_on_contour(grid.derivative(state.p1, order), grid, contour)
-            d2 = evaluate_on_contour(grid.derivative(state.p2, order), grid, contour)
-            if order == 1:
-                d1 = d1 + 1.0
-            der[(1, order)] = d1
-            der[(2, order)] = d2
+        samples = evaluate_on_contour(stack, grid, contour)
+    z1 = zeta + samples[0]
+    z2 = samples[1]
+    der = {(mu, order): samples[2 * order + mu - 1]
+           for order in range(1, max_order + 1) for mu in (1, 2)}
+    der[(1, 1)] = der[(1, 1)] + 1.0
     dz1 = z1[:, None] - z1[None, :]
     dz2 = z2[:, None] - z2[None, :]
     den = 2.0 * (np.sin(dz1 / 2.0) ** 2 + np.sinh(dz2 / 2.0) ** 2)
@@ -293,6 +288,28 @@ def rhs(
     return Tendency(results[0], results[1])
 
 
+def kernel_pv_integral(ws: KernelWorkspace, grid: SpectralGrid) -> NDArray:
+    """PV int K dw per node, from a workspace with derivatives up to order 2.
+
+    a(z, w) = K(z, w) - [z1'/( (z1')^2 + (z2')^2 )] cot((z - w)/2) is bounded,
+    so the trapezoid applies; the diagonal limit is
+
+        2 z1' (z1' z1'' + z2' z2'') / T^2 - z1'' / T,   T = (z1')^2 + (z2')^2.
+
+    Because the principal value of the bare cotangent over the full contour
+    vanishes, the integral of a equals PV int K dw.
+    """
+    tangent_sq = ws.tangent_sq
+    ratio = ws.der[(1, 1)] / tangent_sq
+    integrand = ws.kernel_matrix() - ratio[:, None] * pairwise_cot(ws.zeta)
+    slope_sum = ws.der[(1, 1)] * ws.der[(1, 2)] + ws.der[(2, 1)] * ws.der[(2, 2)]
+    diag = 2.0 * ws.der[(1, 1)] * slope_sum / tangent_sq**2 - ws.der[(1, 2)] / tangent_sq
+    if ws.jac is not None:
+        integrand = integrand * ws.jac[None, :]
+        diag = diag * ws.jac
+    return grid.row_quadrature(integrand, diag)
+
+
 def a_tilde(
     state: InterfaceState,
     grid: SpectralGrid,
@@ -301,24 +318,10 @@ def a_tilde(
 ) -> NDArray[np.complexfloating]:
     """Integral of the kernel minus its matched cotangent, per node.
 
-    a(z, w) = K(z, w) - [z1'/( (z1')^2 + (z2')^2 )] cot((z - w)/2) is bounded,
-    so the trapezoid applies; the diagonal limit is
+    This is PV int K dw, the singular integral entering the generalized
+    Rayleigh-Taylor function; see :func:`kernel_pv_integral`.
 
-        2 z1' (z1' z1'' + z2' z2'') / T^2 - z1'' / T,   T = (z1')^2 + (z2')^2.
-
-    Because the principal value of the bare cotangent over the full contour
-    vanishes, the result equals PV int K dw, the singular integral entering
-    the generalized Rayleigh-Taylor function.
+    Raises:
+        DegenerateGeometryError: chord-arc constant below the floor.
     """
-    ws = guarded_workspace(state, grid, contour, 2, floor)
-    dzeta = ws.zeta[:, None] - ws.zeta[None, :]
-    tangent_sq = ws.tangent_sq
-    ratio = ws.der[(1, 1)] / tangent_sq
-    with np.errstate(divide="ignore", invalid="ignore"):
-        integrand = ws.kernel_matrix() - ratio[:, None] * cot(dzeta / 2.0)
-    slope_sum = ws.der[(1, 1)] * ws.der[(1, 2)] + ws.der[(2, 1)] * ws.der[(2, 2)]
-    diag = 2.0 * ws.der[(1, 1)] * slope_sum / tangent_sq**2 - ws.der[(1, 2)] / tangent_sq
-    if ws.jac is not None:
-        integrand = integrand * ws.jac[None, :]
-        diag = diag * ws.jac
-    return grid.row_quadrature(integrand, diag)
+    return kernel_pv_integral(guarded_workspace(state, grid, contour, 2, floor), grid)

@@ -28,6 +28,11 @@ from .grid import SpectralGrid
 #: Leibniz coefficients of the six safe terms, in expansion order.
 SAFE_COEFFICIENTS = (4.0, -4.0, -4.0, 1.0, -1.0, -1.0)
 
+#: The six safe terms, in expansion order, as (first-difference component,
+#: kernel fragment, fourth-difference component); None stands for mu.  The
+#: fragments 0, 1, 2 are cos/den, K sinh/den and K^2, with K = sin/den.
+SAFE_TERMS = ((1, 0, None), (2, 1, None), (1, 2, None), (None, 0, 1), (None, 1, 2), (None, 2, 1))
+
 
 @dataclass
 class ComponentPair:
@@ -73,57 +78,47 @@ def rhs_d4_decomposition(
     ws = guarded_workspace(state, grid, None, 6, floor)
     der = ws.der
     tangent_sq = ws.tangent_sq
-    sin_d = np.sin(ws.dz1)
-    cos_d = np.cos(ws.dz1)
-    sinh_d = np.sinh(ws.dz2)
-    den = ws.den
-    den_sq = den**2
+    kern = ws.kernel_matrix()
+    dangerous = ComponentPair(*(
+        grid.row_quadrature(
+            kern * _difference(der[(mu, 5)]), 2.0 * der[(1, 1)] * der[(mu, 6)] / tangent_sq
+        )
+        for mu in (1, 2)
+    ))
+
+    # (fragment, weight): weight is the limit of u^2 * fragment as
+    # u = x_i - x_j -> 0, so safe term j has the diagonal value
+    # c_j (d^2 z_a) weight (d^5 z_b).  Each fragment is built when its terms
+    # are due and dropped after them: one N x N fragment is held at a time.
+    fragments = (
+        (lambda: np.cos(ws.dz1) / ws.den, 2.0 / tangent_sq),
+        (lambda: kern * np.sinh(ws.dz2) / ws.den, 4.0 * der[(1, 1)] * der[(2, 1)] / tangent_sq**2),
+        (lambda: kern**2, 4.0 * der[(1, 1)] ** 2 / tangent_sq**2),
+    )
     diff1 = {mu: _difference(der[(mu, 1)]) for mu in (1, 2)}
     diff4 = {mu: _difference(der[(mu, 4)]) for mu in (1, 2)}
-    diff5 = {mu: _difference(der[(mu, 5)]) for mu in (1, 2)}
-
-    dangerous = {}
-    safes = {j: {} for j in range(6)}
-    for mu in (1, 2):
-        dangerous[mu] = grid.row_quadrature(
-            sin_d / den * diff5[mu],
-            2.0 * der[(1, 1)] * der[(mu, 6)] / tangent_sq,
-        )
-        c = SAFE_COEFFICIENTS
-        safes[0][mu] = grid.row_quadrature(
-            c[0] * diff1[1] * cos_d / den * diff4[mu],
-            c[0] * der[(1, 2)] * 2.0 / tangent_sq * der[(mu, 5)],
-        )
-        safes[1][mu] = grid.row_quadrature(
-            c[1] * diff1[2] * sinh_d * sin_d / den_sq * diff4[mu],
-            c[1] * der[(2, 2)] * der[(2, 1)] * der[(1, 1)] * 4.0 / tangent_sq**2 * der[(mu, 5)],
-        )
-        safes[2][mu] = grid.row_quadrature(
-            c[2] * diff1[1] * sin_d**2 / den_sq * diff4[mu],
-            c[2] * der[(1, 2)] * der[(1, 1)] ** 2 * 4.0 / tangent_sq**2 * der[(mu, 5)],
-        )
-        safes[3][mu] = grid.row_quadrature(
-            c[3] * diff1[mu] * cos_d / den * diff4[1],
-            c[3] * der[(mu, 2)] * 2.0 / tangent_sq * der[(1, 5)],
-        )
-        safes[4][mu] = grid.row_quadrature(
-            c[4] * diff1[mu] * sin_d * sinh_d / den_sq * diff4[2],
-            c[4] * der[(mu, 2)] * der[(1, 1)] * der[(2, 1)] * 4.0 / tangent_sq**2 * der[(2, 5)],
-        )
-        safes[5][mu] = grid.row_quadrature(
-            c[5] * diff1[mu] * sin_d**2 / den_sq * diff4[1],
-            c[5] * der[(mu, 2)] * der[(1, 1)] ** 2 * 4.0 / tangent_sq**2 * der[(1, 5)],
-        )
+    safe = [[None, None] for _ in SAFE_TERMS]
+    for f, (build, weight) in enumerate(fragments):
+        fragment = build()
+        for j, (first, fragment_index, fourth) in enumerate(SAFE_TERMS):
+            if fragment_index != f:
+                continue
+            c = SAFE_COEFFICIENTS[j]
+            for mu in (1, 2):
+                a, b = first or mu, fourth or mu
+                safe[j][mu - 1] = grid.row_quadrature(
+                    c * diff1[a] * fragment * diff4[b], c * der[(a, 2)] * weight * der[(b, 5)]
+                )
+        del fragment
+    safe_t = tuple(ComponentPair(*pair) for pair in safe)
 
     tendency = rhs(state, grid, floor=floor)
     d4 = ComponentPair(
         grid.from_spectral(grid.derivative(tendency.d1, 4)),
         grid.from_spectral(grid.derivative(tendency.d2, 4)),
     )
-    dangerous_t = ComponentPair(dangerous[1], dangerous[2])
-    safe_t = tuple(ComponentPair(safes[j][1], safes[j][2]) for j in range(6))
-    easy_t = ComponentPair(
-        d4.d1 - dangerous_t.d1 - sum(s.d1 for s in safe_t),
-        d4.d2 - dangerous_t.d2 - sum(s.d2 for s in safe_t),
+    easy = ComponentPair(
+        d4.d1 - dangerous.d1 - sum(s.d1 for s in safe_t),
+        d4.d2 - dangerous.d2 - sum(s.d2 for s in safe_t),
     )
-    return D4Decomposition(dangerous=dangerous_t, safe=safe_t, easy=easy_t, d4_rhs=d4)
+    return D4Decomposition(dangerous=dangerous, safe=safe_t, easy=easy, d4_rhs=d4)

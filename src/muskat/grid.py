@@ -5,6 +5,8 @@ nodes) or in frequency space (coefficients c_k such that
 g(x) = sum_k c_k e^{ikx}, stored in FFT order).  All multiplier operators in
 this module act on coefficient arrays; use :meth:`SpectralGrid.to_spectral`
 and :meth:`SpectralGrid.from_spectral` to move between representations.
+Those two and :meth:`SpectralGrid.derivative` also act row by row on a
+stack of shape (m, N).
 """
 
 from __future__ import annotations
@@ -41,10 +43,11 @@ class SpectralGrid:
     def __repr__(self) -> str:
         return f"SpectralGrid(n_modes={self.n_modes})"
 
-    def _check_length(self, g: NDArray) -> None:
-        if g.shape != (self.n_modes,):
+    def _check_length(self, g: NDArray, stacked: bool = False) -> None:
+        if g.shape[-1:] != (self.n_modes,) or g.ndim > 1 + stacked:
             raise SizeMismatchError(
                 f"grid function has shape {g.shape}, expected ({self.n_modes},)"
+                + (f" or (m, {self.n_modes})" if stacked else "")
             )
 
     # -- transform pair -------------------------------------------------
@@ -52,13 +55,13 @@ class SpectralGrid:
     def to_spectral(self, values: NDArray) -> NDArray[np.complexfloating]:
         """Return coefficients c_k with values(x_j) = sum_k c_k e^{ikx_j}."""
         values = np.asarray(values, dtype=complex)
-        self._check_length(values)
+        self._check_length(values, stacked=True)
         return np.fft.fft(values) / self.n_modes
 
     def from_spectral(self, coeffs: NDArray) -> NDArray[np.complexfloating]:
         """Evaluate the Fourier series on the grid (inverse of to_spectral)."""
         coeffs = np.asarray(coeffs, dtype=complex)
-        self._check_length(coeffs)
+        self._check_length(coeffs, stacked=True)
         return np.fft.ifft(coeffs) * self.n_modes
 
     # -- multiplier operators (coefficient space) -----------------------
@@ -92,9 +95,9 @@ class SpectralGrid:
         if not 0 <= order <= 8:
             raise ValueError(f"derivative order must be in 0..8, got {order}")
         coeffs = np.asarray(coeffs, dtype=complex)
-        self._check_length(coeffs)
+        self._check_length(coeffs, stacked=True)
         out = coeffs * (1j * self.wavenumbers) ** order
-        out[self.n_modes // 2] = 0.0
+        out[..., self.n_modes // 2] = 0.0
         return out
 
     def lambda_op(self, coeffs: NDArray) -> NDArray:

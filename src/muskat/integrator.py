@@ -40,7 +40,9 @@ class RunConfig:
     """Scenario description for a time integration.
 
     direction selects the sign of the time step; t_end must lie on that
-    side of t_start.  n_modes is a power of two of at least 8.
+    side of t_start.  n_modes is a power of two of at least 8.  Times and
+    density_jump_over_2pi are finite; dt, adaptive_tol, chord_arc_floor and
+    blowup_norm are positive and finite.
     galerkin_cutoff defaults to n_modes // 3 and must lie in 1..n_modes // 3
     (dealiasing margin).  rt_convention: "sigma" monitors the
     flat Rayleigh-Taylor function (forward runs require it negative
@@ -78,16 +80,19 @@ class RunConfig:
             )
         if self.direction not in ("forward", "backward"):
             raise ValueError(f"direction must be forward or backward, got {self.direction!r}")
+        for name in ("t_start", "t_end", "density_jump_over_2pi"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("dt", "adaptive_tol", "chord_arc_floor", "blowup_norm"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.t_end == self.t_start:
             raise ValueError("t_end must differ from t_start")
         if self.direction == "forward" and self.t_end < self.t_start:
             raise ValueError("forward runs need t_end > t_start")
         if self.direction == "backward" and self.t_end > self.t_start:
             raise ValueError("backward runs need t_end < t_start")
-        if not math.isfinite(self.dt) or self.dt <= 0:
-            raise ValueError(
-                f"dt must be positive and finite (direction carries the sign), got {self.dt}"
-            )
         unknown = set(self.stop_on) - STOP_CONDITIONS
         if unknown:
             raise ValueError(f"unknown stop conditions: {sorted(unknown)}")

@@ -16,8 +16,9 @@ from .contour_ops import LiftedContour
 from .core import (
     DEFAULT_CHORD_ARC_FLOOR,
     InterfaceState,
-    a_tilde,
     evaluate_on_contour,
+    guarded_workspace,
+    kernel_pv_integral,
 )
 from .errors import DegenerateParametrizationError
 from .grid import SpectralGrid
@@ -57,20 +58,19 @@ def rt_generalized(
              + Im((PV int K dw + i h_t) * (1 + i h')^{-1}),
 
     with the principal-value kernel integral evaluated through its bounded
-    subtracted form (see :func:`muskat.core.a_tilde`).  Positivity of RT is
+    subtracted form (see :func:`muskat.core.kernel_pv_integral`).  Positivity of RT is
     the stability requirement for solving backward in time on the moving
     strip; runs stop as soon as it fails.
     """
     if contour.sign != +1:
         raise ValueError("the generalized RT monitor is defined on the upper contour")
-    d1 = evaluate_on_contour(grid.derivative(state.p1), grid, contour) + 1.0
-    d2 = evaluate_on_contour(grid.derivative(state.p2), grid, contour)
-    tangent_sq = d1**2 + d2**2
+    ws = guarded_workspace(state, grid, contour, 2, floor)
+    tangent_sq = ws.tangent_sq
     if np.abs(tangent_sq).min() < TANGENT_FLOOR:
         raise DegenerateParametrizationError("complex tangent norm vanishes on contour")
-    inv_jac = 1.0 / contour.jacobian()
-    pv_kernel = a_tilde(state, grid, contour, floor=floor)
-    first = (-2.0 * np.pi * d1 / tangent_sq * inv_jac).real
+    inv_jac = 1.0 / ws.jac
+    pv_kernel = kernel_pv_integral(ws, grid)
+    first = (-2.0 * np.pi * ws.der[(1, 1)] / tangent_sq * inv_jac).real
     second = ((pv_kernel + 1j * np.asarray(h_t)) * inv_jac).imag
     return first + second
 
@@ -84,20 +84,13 @@ def _h4_norm_sq_of_difference(
     summed over both curve components.  The flat case integrates over the
     torus twice, matching the h -> 0 limit of the two contours.
     """
-    total = 0.0
-    for dc in (dc1, dc2):
-        d4 = grid.derivative(dc, 4)
-        if contour is None:
-            for c in (dc, d4):
-                vals = grid.from_spectral(c)
-                total += 2.0 * grid.quadrature(np.abs(vals) ** 2).real
-        else:
-            for sign in (+1, -1):
-                side = LiftedContour(contour.h, contour.h_prime, sign)
-                for c in (dc, d4):
-                    vals = evaluate_on_contour(c, grid, side)
-                    total += grid.quadrature(np.abs(vals) ** 2).real
-    return total
+    stack = np.stack([dc1, grid.derivative(dc1, 4), dc2, grid.derivative(dc2, 4)])
+    if contour is None:
+        samples, weight = grid.from_spectral(stack), 2.0
+    else:
+        lifts = (LiftedContour(contour.h, contour.h_prime, sign) for sign in (+1, -1))
+        samples, weight = np.concatenate([evaluate_on_contour(stack, grid, s) for s in lifts]), 1.0
+    return weight * sum(grid.quadrature(np.abs(vals) ** 2).real for vals in samples)
 
 
 def h4_distance(

@@ -331,6 +331,27 @@ class TestCli:
         assert "config error" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("run_keys", [
+        "t_start = -inf\n",
+        "t_start = nan\n",
+        "t_end = inf\n",
+        "t_end = nan\n",
+        "chord_arc_floor = nan\n",
+        "blowup_norm = nan\n",
+        "adaptive = true\nadaptive_tol = 0\n",
+        "adaptive = true\nadaptive_tol = -1e-8\n",
+        "density_jump_over_2pi = inf\n",
+    ], ids=["t_start_inf", "t_start_nan", "t_end_inf", "t_end_nan", "floor_nan", "blowup_nan",
+            "tol_zero", "tol_negative", "density_inf"])
+    def test_invalid_run_value_exits_two_without_traceback(self, tmp_path, capsys, run_keys):
+        path = tmp_path / "cfg.ini"
+        path.write_text(f"[run]\nscenario = flat\nn_modes = 32\ndt = 0.01\n{run_keys}")
+        status = main(["flat", "--config", str(path), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert status == 2
+        assert "config error" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("scenario, run_keys", [
         # the initial state already violates the requested rt_sign
         ("turnover", "n_modes = 64\ndirection = backward\nt_end = -0.01\nstop_on = rt_sign\n"),

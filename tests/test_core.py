@@ -256,20 +256,22 @@ class TestATilde:
 
         assert abs(a_value(0.7, 0.7 - 1e-3) - predicted) < 1e-3
 
-    def test_matches_on_lifted_contour_for_entire_state(self, grid256):
+    def test_matches_on_lifted_contour_for_entire_state(self):
         # contour deformation: for band-limited (entire) states the contour
-        # integral equals the flat one
-        state = gentle_state(grid256)
-        flat_values = a_tilde(state, grid256)
-        contour = LiftedContour.from_height(grid256, np.full(grid256.n_modes, 0.15))
-        lifted = a_tilde(state, grid256, contour)
-        # compare at real nodes vs contour nodes via the analytic continuation
-        # of a_tilde itself: both integrals represent the same analytic
-        # function, so the real-node values of the flat evaluation must agree
-        # with the contour evaluation continued back; here we simply check
-        # both are finite and the flat result is the real trace
-        assert np.isfinite(lifted).all()
-        assert np.abs(flat_values.imag).max() <= 1e-10
+        # integral is the analytic continuation of the flat one, so the flat
+        # values, band-limited and evaluated on the contour, give the lifted
+        # ones.  Lifted sampling amplifies coefficient round-off by e^{|k| h},
+        # hence N = 128 and a state projected to |k| <= 4.
+        grid = SpectralGrid(128)
+        gentle = gentle_state(grid)
+        state = InterfaceState(grid.project_modes(gentle.p1, 4), grid.project_modes(gentle.p2, 4))
+        flat_coeffs = grid.project_modes(grid.to_spectral(a_tilde(state, grid)), grid.n_modes // 4)
+        x = grid.nodes
+        for heights in (np.full(grid.n_modes, 0.15), 0.1 + 0.03 * np.cos(x)):
+            contour = LiftedContour.from_height(grid, heights)
+            lifted = a_tilde(state, grid, contour)
+            continued = evaluate_on_contour(flat_coeffs, grid, contour)
+            assert np.abs(continued - lifted).max() <= 1e-10 * np.abs(lifted).max()
 
 
 class TestChordArc:
@@ -306,6 +308,18 @@ class TestContourEvaluation:
         values = evaluate_on_contour(coeffs, grid256, contour)
         zeta = contour.complex_nodes(grid256)
         assert np.abs(values - np.exp(5j * zeta)).max() < 1e-12
+
+    def test_stack_matches_row_by_row(self, grid256):
+        # rows with different live modes share one phase matrix over their union
+        contour = LiftedContour.from_height(grid256, 0.1 + 0.03 * np.cos(grid256.nodes))
+        state = gentle_state(grid256)
+        stack = np.stack([state.p1, grid256.derivative(state.p2, 3),
+                          np.zeros(grid256.n_modes, dtype=complex)])
+        stack[2, [7, -7]] = 0.5
+        together = evaluate_on_contour(stack, grid256, contour)
+        for row, values in zip(stack, together):
+            alone = evaluate_on_contour(row, grid256, contour)
+            assert np.abs(values - alone).max() <= 1e-14 * np.abs(alone).max()
 
 
 class TestDensityPrefactor:

@@ -5,6 +5,8 @@ from muskat import (
     InterfaceState,
     LiftedContour,
     SpectralGrid,
+    a_tilde,
+    evaluate_on_contour,
     h4_distance,
     rt_generalized,
     rt_unperturbed,
@@ -122,6 +124,20 @@ class TestRtGeneralized:
             errors.append(np.abs(value - sigma).max())
         slope = np.polyfit(np.log(heights), np.log(errors), 1)[0]
         assert abs(slope - 1.0) < 0.2
+
+    def test_matches_definition_from_public_operators(self, grid256):
+        x = grid256.nodes
+        state = gentle_state(grid256)
+        contour = LiftedContour.from_height(grid256, 0.1 + 0.03 * np.cos(x))
+        h_t = 0.5 * np.sin(x)
+        d1 = evaluate_on_contour(grid256.derivative(state.p1), grid256, contour) + 1.0
+        d2 = evaluate_on_contour(grid256.derivative(state.p2), grid256, contour)
+        inv_jac = 1.0 / contour.jacobian()
+        pv_kernel = a_tilde(state, grid256, contour)
+        expected = ((-2.0 * np.pi * d1 / (d1**2 + d2**2) * inv_jac).real
+                    + ((pv_kernel + 1j * h_t) * inv_jac).imag)
+        value = rt_generalized(state, grid256, contour, h_t)
+        assert np.abs(value - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 class TestH4Distance:
