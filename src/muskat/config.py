@@ -12,6 +12,7 @@ import configparser
 import dataclasses
 import hashlib
 import io
+import math
 import typing
 from dataclasses import dataclass
 
@@ -178,7 +179,12 @@ def load_config_text(text: str) -> ScenarioConfig:
             vertical_amplitudes=verticals,
         )
     except ValueError as exc:
-        raise ConfigError(f"[family]: {exc}") from exc
+        raise ConfigError(f"[family] {exc}") from exc
+
+    for key in ("lambda", "kappa"):
+        value = get("perturbation", key)
+        if not (math.isfinite(value) and value >= 0.0):
+            raise ConfigError(f"[perturbation] {key}: must be finite and nonnegative, got {value}")
 
     return ScenarioConfig(
         scenario=scenario,

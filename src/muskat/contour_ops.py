@@ -25,41 +25,35 @@ from .grid import SpectralGrid
 
 @dataclass
 class LiftedContour:
-    """Curve {x + i*sign*h(x)} over the periodic grid.
+    """Curve {x + i*sign*h(x)} over the periodic grid of N = len(h) nodes.
 
-    h must be strictly positive and h_prime must be consistent with the
-    spectral derivative of h (checked on construction).
+    h must be finite and strictly positive.  Its spectral derivatives
+    h_prime and h_second are derived once, on construction.
     """
 
     h: NDArray[np.floating]
-    h_prime: NDArray[np.floating]
     sign: int = +1
-    _h_second: NDArray | None = field(default=None, repr=False)
+    h_prime: NDArray[np.floating] = field(init=False, repr=False)
+    h_second: NDArray[np.floating] = field(init=False, repr=False)
 
     def __post_init__(self):
         self.h = np.asarray(self.h, dtype=float)
-        self.h_prime = np.asarray(self.h_prime, dtype=float)
         if self.sign not in (+1, -1):
             raise InvalidContourError(f"sign must be +1 or -1, got {self.sign}")
+        if not np.isfinite(self.h).all():
+            raise InvalidContourError("contour height must be finite")
         if self.h.min() <= 0.0:
             raise InvalidContourError(f"contour height must be positive, min={self.h.min()}")
         grid = SpectralGrid(len(self.h))
-        spectral = grid.from_spectral(grid.derivative(grid.to_spectral(self.h))).real
-        if np.abs(spectral - self.h_prime).max() > 1e-8 * max(1.0, np.abs(self.h_prime).max()):
-            raise InvalidContourError("h_prime is not the spectral derivative of h")
+        c = grid.to_spectral(self.h)
+        derived = grid.from_spectral(np.stack([grid.derivative(c, 1), grid.derivative(c, 2)]))
+        self.h_prime, self.h_second = derived.real
 
     @classmethod
     def from_height(cls, grid: SpectralGrid, h_values: NDArray, sign: int = +1) -> "LiftedContour":
-        """Build a contour from height samples, differentiating spectrally."""
-        h_values = np.asarray(h_values, dtype=float)
-        hp = grid.from_spectral(grid.derivative(grid.to_spectral(h_values))).real
-        return cls(h_values, hp, sign)
-
-    def h_second(self, grid: SpectralGrid) -> NDArray:
-        if self._h_second is None:
-            c = grid.to_spectral(self.h)
-            self._h_second = grid.from_spectral(grid.derivative(c, 2)).real
-        return self._h_second
+        """Build the contour of height samples taken at the nodes of ``grid``."""
+        grid._check_length(np.asarray(h_values))
+        return cls(h_values, sign)
 
     def complex_nodes(self, grid: SpectralGrid) -> NDArray[np.complexfloating]:
         return grid.nodes + 1j * self.sign * self.h
@@ -94,8 +88,7 @@ def pv_cot_integral(grid: SpectralGrid, contour: LiftedContour | None = None) ->
 
     jac = contour.jacobian()
     integrand = pairwise_cot(contour.complex_nodes(grid)) * jac[None, :] - flat
-    hpp = contour.h_second(grid)
-    return grid.row_quadrature(integrand, -1j * contour.sign * hpp / jac)
+    return grid.row_quadrature(integrand, -1j * contour.sign * contour.h_second / jac)
 
 
 def lambda_gamma(

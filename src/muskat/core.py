@@ -59,15 +59,6 @@ class InterfaceState:
         zero = np.zeros(grid.n_modes, dtype=complex)
         return cls(zero, zero.copy(), time)
 
-    @classmethod
-    def from_values(
-        cls, grid: SpectralGrid, z1_values: NDArray, z2_values: NDArray, time: float = 0.0
-    ) -> "InterfaceState":
-        """Build a state from samples of z1 (including the identity part) and z2."""
-        p1 = grid.to_spectral(np.asarray(z1_values, dtype=complex) - grid.nodes)
-        p2 = grid.to_spectral(z2_values)
-        return cls(p1, p2, time)
-
     def copy(self) -> "InterfaceState":
         return InterfaceState(self.p1.copy(), self.p2.copy(), self.time)
 
@@ -99,9 +90,6 @@ class Tendency:
 
     d1: NDArray[np.complexfloating]
     d2: NDArray[np.complexfloating]
-
-    def values(self, grid: SpectralGrid) -> tuple[NDArray, NDArray]:
-        return grid.from_spectral(self.d1), grid.from_spectral(self.d2)
 
 
 def evaluate_on_contour(
@@ -277,15 +265,27 @@ def rhs(
         DegenerateGeometryError: chord-arc constant below the floor.
     """
     ws = guarded_workspace(state, grid, None, 2, floor)
-    kern = ws.kernel_matrix()
+    values = kernel_difference_integral(ws, grid, ws.kernel_matrix(), 1)
+    return Tendency(*(density_jump_over_2pi * grid.to_spectral(v) for v in values))
+
+
+def kernel_difference_integral(
+    ws: KernelWorkspace, grid: SpectralGrid, kern: NDArray, order: int
+) -> tuple[NDArray, NDArray]:
+    """Row quadrature of K(x, u) (d^k z_mu(x) - d^k z_mu(u)), per component mu.
+
+    ``kern`` is ``ws.kernel_matrix()``; ``ws`` holds derivatives up to k + 1.
+    The diagonal limit is 2 z1' d^{k+1} z_mu / T, T = (z1')^2 + (z2')^2.
+    Order 1 is the right-hand side in physical space, order 5 the dangerous
+    term of its fourth derivative.
+    """
     tangent_sq = ws.tangent_sq
     results = []
     for mu in (1, 2):
-        dz = ws.der[(mu, 1)]
-        diag = 2.0 * ws.der[(1, 1)] * ws.der[(mu, 2)] / tangent_sq
-        vals = grid.row_quadrature(kern * (dz[:, None] - dz[None, :]), diag)
-        results.append(density_jump_over_2pi * grid.to_spectral(vals))
-    return Tendency(results[0], results[1])
+        dz = ws.der[(mu, order)]
+        diag = 2.0 * ws.der[(1, 1)] * ws.der[(mu, order + 1)] / tangent_sq
+        results.append(grid.row_quadrature(kern * (dz[:, None] - dz[None, :]), diag))
+    return results[0], results[1]
 
 
 def kernel_pv_integral(ws: KernelWorkspace, grid: SpectralGrid) -> NDArray:

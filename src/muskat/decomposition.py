@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .core import DEFAULT_CHORD_ARC_FLOOR, InterfaceState, guarded_workspace, rhs
+from .core import DEFAULT_CHORD_ARC_FLOOR, InterfaceState
+from .core import guarded_workspace, kernel_difference_integral
 from .grid import SpectralGrid
 
 #: Leibniz coefficients of the six safe terms, in expansion order.
@@ -79,12 +80,7 @@ def rhs_d4_decomposition(
     der = ws.der
     tangent_sq = ws.tangent_sq
     kern = ws.kernel_matrix()
-    dangerous = ComponentPair(*(
-        grid.row_quadrature(
-            kern * _difference(der[(mu, 5)]), 2.0 * der[(1, 1)] * der[(mu, 6)] / tangent_sq
-        )
-        for mu in (1, 2)
-    ))
+    dangerous = ComponentPair(*kernel_difference_integral(ws, grid, kern, 5))
 
     # (fragment, weight): weight is the limit of u^2 * fragment as
     # u = x_i - x_j -> 0, so safe term j has the diagonal value
@@ -112,11 +108,11 @@ def rhs_d4_decomposition(
         del fragment
     safe_t = tuple(ComponentPair(*pair) for pair in safe)
 
-    tendency = rhs(state, grid, floor=floor)
-    d4 = ComponentPair(
-        grid.from_spectral(grid.derivative(tendency.d1, 4)),
-        grid.from_spectral(grid.derivative(tendency.d2, 4)),
-    )
+    # order 1 of the primitive is the right-hand side in physical space
+    d4 = ComponentPair(*(
+        grid.from_spectral(grid.derivative(grid.to_spectral(values), 4))
+        for values in kernel_difference_integral(ws, grid, kern, 1)
+    ))
     easy = ComponentPair(
         d4.d1 - dangerous.d1 - sum(s.d1 for s in safe_t),
         d4.d2 - dangerous.d2 - sum(s.d2 for s in safe_t),

@@ -14,7 +14,7 @@ class UndefinedRadiusError(ValueError):
 
 
 class InvalidContourError(ValueError):
-    """A lifted contour violates positivity or derivative consistency."""
+    """A lifted contour has a non-finite or non-positive height."""
 
 
 class DegenerateGeometryError(RuntimeError):

@@ -49,6 +49,19 @@ class GraphFamilyParams:
     def __post_init__(self):
         if self.mode_count < 1 or self.mode_count > 8:
             raise InvalidFamilyError(f"mode_count must be 1..8, got {self.mode_count}")
+        for name in ("slope_amplitude", "steepening_rate", "vertical_amplitudes"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise InvalidFamilyError(f"{name} must be finite, got {getattr(self, name)}")
+        third = self.slope_amplitude + self.steepening_rate * (self.mode_count**2 - 1)
+        if third <= 0.0:
+            raise InvalidFamilyError(
+                f"slope_amplitude, steepening_rate: z1'''(0) = s + r (M^2 - 1) = {third} "
+                "must be positive"
+            )
+        verticals = self.vertical_amplitudes[: self.mode_count]
+        slope2 = sum((m + 1) * v for m, v in enumerate(verticals))
+        if slope2 <= 0.0:
+            raise InvalidFamilyError(f"vertical_amplitudes: z2'(0) = {slope2} must be positive")
 
 
 def make_turnover_state(params: GraphFamilyParams, grid: SpectralGrid) -> InterfaceState:
@@ -59,24 +72,15 @@ def make_turnover_state(params: GraphFamilyParams, grid: SpectralGrid) -> Interf
 
     Point conditions at a = 0: z1' = 1 - s (zero at critical amplitude),
     z1'' = 0 by oddness, z1''' = s + r (M^2 - 1), z2' = sum_m m v_m.
-
-    Raises:
-        InvalidFamilyError: if z1'''(0) <= 0 or z2'(0) <= 0.
+    :class:`GraphFamilyParams` guarantees z1'''(0) > 0 and z2'(0) > 0.
     """
     s = params.slope_amplitude
     r = params.steepening_rate
     m_top = params.mode_count
-    third = s + r * (m_top**2 - 1)
-    if third <= 0.0:
-        raise InvalidFamilyError(f"z1'''(0) = {third} must be positive")
-    verticals = params.vertical_amplitudes[:m_top]
-    slope2 = sum((m + 1) * v for m, v in enumerate(verticals))
-    if slope2 <= 0.0:
-        raise InvalidFamilyError(f"z2'(0) = {slope2} must be positive")
     a = grid.nodes
     z1_periodic = -s * np.sin(a) + r * (np.sin(a) - np.sin(m_top * a) / m_top)
     z2 = np.zeros_like(a)
-    for m, v in enumerate(verticals):
+    for m, v in enumerate(params.vertical_amplitudes[:m_top]):
         z2 += v * np.sin((m + 1) * a)
     return InterfaceState(grid.to_spectral(z1_periodic), grid.to_spectral(z2))
 

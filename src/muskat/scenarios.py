@@ -16,7 +16,7 @@ import os
 import numpy as np
 
 from .config import ScenarioConfig
-from .contour_ops import LiftedContour, garding_form, lambda_gamma, pv_cot_integral
+from .contour_ops import LiftedContour, garding_form, lambda_gamma, pairwise_cot, pv_cot_integral
 from .core import InterfaceState
 from .errors import (
     BlowupError,
@@ -238,13 +238,10 @@ def _scenario_operator_suite(cfg: ScenarioConfig, out_dir: str) -> int:
     f = np.cos(x).astype(complex)
     lam_f = grid.from_spectral(grid.lambda_op(grid.to_spectral(f)))
     lhs = grid.quadrature(np.conj(f) * lam_f).real
-    pair_diff = f[:, None] - f[None, :]
-    half_sines = np.sin((x[:, None] - x[None, :]) / 2.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        integrand = np.abs(pair_diff) ** 2 / half_sines**2
-    idx = np.arange(grid.n_modes)
-    integrand[idx, idx] = 4.0 * np.sin(x) ** 2
-    rhs_side = integrand.sum() * grid.dx**2 / (8.0 * np.pi)
+    # |f(x) - f(u)|^2 / sin^2((x - u)/2), with 1/sin^2 = 1 + cot^2 and the
+    # diagonal limit 4 |f'(x)|^2
+    integrand = np.abs(f[:, None] - f[None, :]) ** 2 * (1.0 + pairwise_cot(x) ** 2)
+    rhs_side = grid.row_quadrature(integrand, 4.0 * np.sin(x) ** 2).sum() * grid.dx / (8.0 * np.pi)
     quadratic_form_err = abs(lhs - rhs_side) / abs(lhs)
 
     _write_report(out_dir, cfg, {

@@ -31,6 +31,9 @@ class HeightSchedule:
     kappa: float = 1e-6
 
     def __post_init__(self):
+        for name in ("A", "tau", "kappa"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.A <= 1.0:
             raise ValueError(f"A must exceed 1, got {self.A}")
         if not 0.0 < self.tau < 1.0:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from muskat import LiftedContour, SpectralGrid, garding_form, lambda_gamma, pv_cot_integral
-from muskat.errors import InvalidContourError
+from muskat.errors import InvalidContourError, SizeMismatchError
 
 # Empirical Garding floor, frozen from the first N=256 measurement; the same
 # constant must bound the N=512 runs.
@@ -25,16 +25,22 @@ class TestLiftedContour:
         with pytest.raises(InvalidContourError):
             LiftedContour.from_height(grid, 0.1 * np.cos(grid.nodes))
 
-    def test_rejects_inconsistent_derivative(self):
-        grid = SpectralGrid(64)
-        h = 0.4 + 0.05 * np.cos(grid.nodes)
+    def test_rejects_nonfinite_height(self):
+        h = np.full(64, 0.4)
+        h[5] = np.nan
         with pytest.raises(InvalidContourError):
-            LiftedContour(h, np.ones(64), +1)
+            LiftedContour(h, +1)
+
+    def test_from_height_checks_length_against_grid(self):
+        with pytest.raises(SizeMismatchError):
+            LiftedContour.from_height(SpectralGrid(64), np.full(128, 0.4))
 
     def test_derivative_consistency(self):
+        # h = 0.4 + 0.05 cos x: h' = -0.05 sin x, h'' = -0.05 cos x
         grid = SpectralGrid(128)
         contour = make_contour(grid, "cosine")
         assert np.abs(contour.h_prime - (-0.05 * np.sin(grid.nodes))).max() < 1e-8
+        assert np.abs(contour.h_second - (-0.05 * np.cos(grid.nodes))).max() < 1e-8
 
 
 class TestPrincipalValue:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from muskat import InterfaceState, SpectralGrid, rhs, rhs_d4_decomposition
+from muskat import InterfaceState, SpectralGrid, core, rhs, rhs_d4_decomposition
 from muskat.decomposition import SAFE_COEFFICIENTS
 
 import symbolic_assembly as sym
@@ -28,6 +28,30 @@ class TestDecompositionBasics:
         total = parts.reassembled()
         assert np.abs(total.d1 - parts.d4_rhs.d1).max() < 1e-9
         assert np.abs(total.d2 - parts.d4_rhs.d2).max() < 1e-9
+
+    def test_one_workspace_and_one_chord_arc_check(self, grid256, monkeypatch):
+        calls = {"build_workspace": 0, "chord_arc_from_workspace": 0}
+
+        def counted(name):
+            inner = getattr(core, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(core, name, counted(name))
+        rhs_d4_decomposition(frozen_test_state(grid256), grid256)
+        assert calls == {"build_workspace": 1, "chord_arc_from_workspace": 1}
+
+    def test_d4_rhs_is_fourth_derivative_of_rhs(self, grid256):
+        state = frozen_test_state(grid256)
+        parts = rhs_d4_decomposition(state, grid256)
+        tendency = rhs(state, grid256)
+        for got, coeffs in ((parts.d4_rhs.d1, tendency.d1), (parts.d4_rhs.d2, tendency.d2)):
+            assert np.array_equal(got, grid256.from_spectral(grid256.derivative(coeffs, 4)))
 
     def test_dangerous_matches_linearized_half_laplacian(self, grid256):
         # near-flat: Dangerous_2 ~ -2 pi Lambda(d^4 z2) to O(eps^2)
