@@ -181,6 +181,10 @@ def load_config_text(text: str) -> ScenarioConfig:
     except ValueError as exc:
         raise ConfigError(f"[family] {exc}") from exc
 
+    # numpy's generators take only nonnegative seeds
+    if get("run", "seed") < 0:
+        raise ConfigError(f"[run] seed: must be nonnegative, got {get('run', 'seed')}")
+
     for key in ("lambda", "kappa"):
         value = get("perturbation", key)
         if not (math.isfinite(value) and value >= 0.0):

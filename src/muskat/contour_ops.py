@@ -63,9 +63,13 @@ class LiftedContour:
         return 1.0 + 1j * self.sign * self.h_prime
 
 
-def pairwise_cot(zeta: NDArray) -> NDArray:
-    """cot((zeta_i - zeta_j)/2) over node pairs, with a zero diagonal and no 0/0 formed."""
-    half = (zeta[:, None] - zeta[None, :]) / 2.0
+def pairwise_cot(zeta: NDArray, rows: slice = slice(None)) -> NDArray:
+    """cot((zeta_i - zeta_j)/2) with a zero diagonal and no 0/0 formed.
+
+    Over i in ``rows`` and j >= rows.start, so that the pair (i, i) sits on
+    the diagonal; the default is every node pair.
+    """
+    half = (zeta[rows, None] - zeta[None, rows.start:]) / 2.0
     sin_half = np.sin(half)
     np.fill_diagonal(sin_half, 1.0)
     out = np.cos(half) / sin_half

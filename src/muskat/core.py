@@ -15,15 +15,22 @@ obtained from the quadratic expansion of the denominator.  Quadratures are
 equispaced trapezoid sums with those analytic diagonal values, so they
 converge spectrally for analytic interfaces.
 
-The pairwise geometry lives in a :class:`KernelWorkspace`.  On the flat grid
-it is real float64 (the curve is real), its denominator is evaluated in the
-cancellation-free form 2 (sin^2(dz1/2) + sinh^2(dz2/2)), and the grid-only
-wrapped-distance matrix of the chord-arc check is cached per N.
+A :class:`KernelWorkspace` holds the node samples, real float64 on the flat
+grid (the curve is real).  Every pairwise quantity is formed by
+:func:`pair_sweep`, one pass over the upper triangle of node pairs in
+cache-sized row blocks: dz1 and dz2 are exactly antisymmetric and numpy's
+sin, sinh (real and complex) exactly odd, so the denominator, evaluated in
+the cancellation-free form 2 (sin^2(dz1/2) + sinh^2(dz2/2)), is exactly
+symmetric and each pair's mirror costs no transcendental.  The chord-arc
+check is taken in the same pass, against the grid-only wrapped distance,
+which is cached per N.
 """
 
 from __future__ import annotations
 
 import functools
+import threading
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -112,36 +119,27 @@ def evaluate_on_contour(
 
 @dataclass
 class KernelWorkspace:
-    """Pairwise geometry shared by the singular quadratures.
+    """Node samples shared by the singular quadratures: O(N) arrays only.
 
     On the flat grid every array is real float64; on a lifted contour they
-    are complex.
+    are complex.  The pairwise quantities are formed block by block in
+    :func:`pair_sweep` and never held as N x N arrays.
 
     zeta: node positions (real grid nodes, or complex lifted-contour nodes).
-    dz1, dz2: pairwise differences of z1, z2 at those positions.
-    den: cosh(dz2) - cos(dz1), evaluated as 2 (sin^2(dz1/2) + sinh^2(dz2/2))
-        so that nothing cancels near the diagonal; the diagonal is patched
-        to 1.
+    z1, z2: the curve at those positions.
     der: per-node derivative values d^k z_mu, orders 1..max_order.
-    jac: dw/du weights (ones on the flat torus).
+    jac: dw/du weights (None on the flat torus, where they are ones).
     """
 
     zeta: NDArray
-    dz1: NDArray
-    dz2: NDArray
-    den: NDArray
+    z1: NDArray
+    z2: NDArray
     der: dict = field(repr=False, default_factory=dict)
     jac: NDArray | None = None
 
     @property
     def tangent_sq(self) -> NDArray:
         return self.der[(1, 1)] ** 2 + self.der[(2, 1)] ** 2
-
-    def kernel_matrix(self) -> NDArray:
-        """K(x_i, x_j) with zeros on the (removable) diagonal."""
-        out = np.sin(self.dz1) / self.den
-        np.fill_diagonal(out, 0.0)
-        return out
 
 
 def build_workspace(
@@ -150,7 +148,7 @@ def build_workspace(
     contour: LiftedContour | None = None,
     max_order: int = 2,
 ) -> KernelWorkspace:
-    """Pairwise differences, denominator and node derivatives of a state.
+    """Node samples and derivatives of a state, up to ``max_order``.
 
     With ``contour=None`` the workspace is real: the curve is real (the
     integrator symmetrizes every state), so taking ``.real`` of the sampled
@@ -165,47 +163,208 @@ def build_workspace(
     else:
         zeta = contour.complex_nodes(grid)
         samples = evaluate_on_contour(stack, grid, contour)
-    z1 = zeta + samples[0]
-    z2 = samples[1]
     der = {(mu, order): samples[2 * order + mu - 1]
            for order in range(1, max_order + 1) for mu in (1, 2)}
     der[(1, 1)] = der[(1, 1)] + 1.0
-    dz1 = z1[:, None] - z1[None, :]
-    dz2 = z2[:, None] - z2[None, :]
-    den = 2.0 * (np.sin(dz1 / 2.0) ** 2 + np.sinh(dz2 / 2.0) ** 2)
-    np.fill_diagonal(den, 1.0)
     jac = contour.jacobian() if contour is not None else None
-    return KernelWorkspace(zeta=zeta, dz1=dz1, dz2=dz2, den=den, der=der, jac=jac)
+    return KernelWorkspace(zeta=zeta, z1=zeta + samples[0], z2=samples[1], der=der, jac=jac)
 
 
-def _wrapped_distance_sq(zeta: NDArray) -> NDArray:
-    """(||Re(zi - zj)|| + |Im(zi - zj)|)^2, distance to 2*pi*Z in the real part."""
-    diff = zeta[:, None] - zeta[None, :]
-    re = np.abs(np.mod(diff.real + np.pi, 2.0 * np.pi) - np.pi)
-    return (re + np.abs(diff.imag)) ** 2
+@functools.lru_cache(maxsize=8)
+def _node_distance(n_modes: int) -> NDArray:
+    """Read-only wrapped distance ||x_k - x_0|| of the N-node grid, k = 0..N-1."""
+    k = np.arange(n_modes)
+    table = SpectralGrid(n_modes).dx * np.minimum(k, n_modes - k)
+    table.flags.writeable = False
+    return table
 
 
 @functools.lru_cache(maxsize=8)
 def _flat_distance_sq(n_modes: int) -> NDArray:
-    """Read-only wrapped-distance matrix of the N-node grid, diagonal set to 1."""
-    dist_sq = _wrapped_distance_sq(SpectralGrid(n_modes).nodes)
+    """Read-only squared wrapped distance of the N-node grid, diagonal set to 1.
+
+    Read from the O(N) table by |i - j|, so it is exactly symmetric.
+    """
+    k = np.arange(n_modes)
+    dist_sq = _node_distance(n_modes)[np.abs(k[:, None] - k[None, :])] ** 2
     np.fill_diagonal(dist_sq, 1.0)
     dist_sq.flags.writeable = False
     return dist_sq
 
 
-def chord_arc_from_workspace(ws: KernelWorkspace) -> tuple[float, tuple[int, int]]:
+def _distance_sq(zeta: NDArray, rows: slice) -> NDArray:
+    """(||Re(zi - zj)|| + |Im(zi - zj)|)^2 over a block's pairs, diagonal set to 1.
+
+    ``zeta`` is the grid, or the grid lifted by i*sign*h; its real parts
+    are the nodes, so their wrapped distance is read from the table.
+    """
+    n = len(zeta)
+    if np.isrealobj(zeta):
+        return _flat_distance_sq(n)[rows, rows.start:]
+    offsets = np.abs(np.arange(rows.start, rows.stop)[:, None] - np.arange(rows.start, n))
+    lift = np.abs(zeta.imag[rows, None] - zeta.imag[None, rows.start:])
+    dist_sq = (_node_distance(n)[offsets] + lift) ** 2
+    np.fill_diagonal(dist_sq, 1.0)
+    return dist_sq
+
+
+#: Size of one pairwise array of a sweep block: 8192 real or 4096 complex
+#: pairs.  It keeps every block array cache-sized and every buffer below
+#: glibc's default mmap threshold (128 KiB).
+_BLOCK_BYTES = 64 * 1024
+
+
+class _BlockBuffers(threading.local):
+    """The calling thread's block arrays, kept from one sweep to the next.
+
+    Each is allocated once, at the full block budget, and every block of
+    every sweep reuses it.  Block arrays allocated afresh and freed with
+    each sweep left a heap top that glibc returned to the system and
+    faulted back in on the next call, about 110 minor page faults per
+    ``rhs`` at N=128.  The contents never outlive a block, so sweeps must
+    not nest.
+    """
+
+    def __init__(self):
+        self.arrays: dict = {}
+
+
+_BUFFERS = _BlockBuffers()
+
+
+def _block_array(name: str, shape: tuple[int, int], dtype) -> NDArray:
+    """A block-shaped view of the calling thread's buffer ``name``."""
+    dtype = np.dtype(dtype)
+    key = (name, dtype.char)
+    if key not in _BUFFERS.arrays:
+        _BUFFERS.arrays[key] = np.empty(_BLOCK_BYTES // dtype.itemsize, dtype)
+    return _BUFFERS.arrays[key][:shape[0] * shape[1]].reshape(shape)
+
+
+@dataclass
+class PairBlock:
+    """Rows r0:r1 of the pairwise geometry against the columns r0:N.
+
+    Column c holds node j = r0 + c, so the pair (r0 + k, r0 + k) sits at
+    (k, k).  The first r1 - r0 columns are the diagonal sub-block, the pairs
+    among the block's rows in both orders; the rest are pairs i < j.  The
+    arrays are views of reused buffers, valid until the next block.
+
+    dz1, dz2: pairwise differences of z1, z2.
+    den: cosh(dz2) - cos(dz1), evaluated as 2 (sin^2(dz1/2) + sinh^2(dz2/2))
+        so that nothing cancels near the diagonal; the diagonal is set to 1.
+    """
+
+    ws: KernelWorkspace
+    rows: slice
+    dz1: NDArray
+    dz2: NDArray
+    den: NDArray
+    _differences: dict = field(default_factory=dict, repr=False)
+
+    @property
+    def cols(self) -> slice:
+        return slice(self.rows.start, None)
+
+    @functools.cached_property
+    def kern(self) -> NDArray:
+        """K(x_i, x_j); zero on the (removable) diagonal, where dz1 = 0 and den = 1."""
+        kern = np.sin(self.dz1, out=_block_array("kern", self.dz1.shape, self.dz1.dtype))
+        kern /= self.den
+        return kern
+
+    def difference(self, mu: int, order: int) -> NDArray:
+        """d^k z_mu(x_i) - d^k z_mu(x_j) over the block, formed once per block."""
+        key = (mu, order)
+        if key not in self._differences:
+            values = self.ws.der[key]
+            out = _block_array(f"d{order}z{mu}", self.dz1.shape, values.dtype)
+            self._differences[key] = np.subtract(values[self.rows, None],
+                                                 values[None, self.cols], out=out)
+        return self._differences[key]
+
+
+def pair_sweep(
+    ws: KernelWorkspace,
+    grid: SpectralGrid,
+    integrands: Callable[[PairBlock], Iterable[tuple[NDArray, NDArray]]] | None = None,
+    diagonals: Sequence[NDArray] = (),
+    floor: float | None = None,
+) -> tuple[list[NDArray], tuple[float, tuple[int, int]]]:
+    """Trapezoid row quadratures over all node pairs from one sweep of the upper triangle.
+
+    The pairs are visited in :class:`PairBlock` row blocks of at most
+    ``_BLOCK_BYTES`` per array.  Each block forms dz1, dz2 and den once and
+    takes its chord-arc minimum |den| / distance^2 before anything divides
+    by den.  ``integrands(block)`` then yields one pair (F, M) per entry of
+    ``diagonals``: F(x_i, x_j) at the block's pairs, and its mirror
+    M = F(x_j, x_i).  A symmetric integrand passes F twice; the mirror of an
+    antisymmetric kernel is -F, with column weights where the quadrature
+    has them.  F's diagonal is overwritten with the analytic limit.  The
+    diagonal sub-block enters through its row sums only; the pairs i < j
+    beyond it enter row i through the row sums of F and row j through the
+    column sums of M.  The block's arrays are reused by the next block and
+    the next sweep on the same thread, so ``integrands`` must not start
+    another sweep.
+
+    Args:
+        ws: Node samples.
+        grid: Collocation grid (for the trapezoid weight).
+        integrands: Block integrands; None for the chord-arc constant alone.
+        diagonals: Analytic diagonal limit of each integrand, per node.
+        floor: Chord-arc floor, or None to accept any geometry.
+
+    Returns:
+        The quadratures, one per diagonal, and the chord-arc constant with
+        its node pair (i < j).
+
+    Raises:
+        DegenerateGeometryError: chord-arc constant below the floor, with
+            the offending node pair and ratio.  From the first block under
+            the floor on, no integrand is built; the sweep finishes the
+            minimum on den alone.
+    """
     n = len(ws.zeta)
-    if np.isrealobj(ws.zeta):
-        dist_sq = _flat_distance_sq(n)
-    else:
-        dist_sq = _wrapped_distance_sq(ws.zeta)
-        np.fill_diagonal(dist_sq, 1.0)
-    ratio = np.abs(ws.den) / dist_sq
-    np.fill_diagonal(ratio, np.inf)
-    flat_index = int(np.argmin(ratio))
-    pair = (flat_index // n, flat_index % n)
-    return float(ratio[pair]), pair
+    totals = [np.zeros(n, dtype=np.result_type(ws.z1, diag)) for diag in diagonals]
+    per_block = _BLOCK_BYTES // np.dtype(ws.z1.dtype).itemsize
+    minima, pairs = [], []
+    degenerate = False
+    r0 = 0
+    while r0 < n:
+        r1 = min(n, r0 + max(1, per_block // (n - r0)))
+        rows = slice(r0, r1)
+        shape = (r1 - r0, n - r0)
+        dz1, dz2, den, half = (_block_array(name, shape, ws.z1.dtype)
+                               for name in ("dz1", "dz2", "den", "half"))
+        np.subtract(ws.z1[rows, None], ws.z1[None, r0:], out=dz1)
+        np.subtract(ws.z2[rows, None], ws.z2[None, r0:], out=dz2)
+        # 2 (sin^2(dz1/2) + sinh^2(dz2/2)), in place
+        np.square(np.sin(np.divide(dz1, 2.0, out=den), out=den), out=den)
+        den += np.square(np.sinh(np.divide(dz2, 2.0, out=half), out=half), out=half)
+        den *= 2.0
+        np.fill_diagonal(den, 1.0)
+        ratio = np.abs(den, out=_block_array("ratio", shape, np.float64))
+        ratio /= _distance_sq(ws.zeta, rows)
+        np.fill_diagonal(ratio, np.inf)
+        k = int(np.argmin(ratio))
+        minima.append(ratio.flat[k])
+        pairs.append((r0 + k // (n - r0), r0 + k % (n - r0)))
+        degenerate = degenerate or (floor is not None and minima[-1] < floor)
+        if integrands is not None and not degenerate:
+            block = PairBlock(ws, rows, dz1, dz2, den)
+            for total, diag, (values, mirror) in zip(totals, diagonals, integrands(block)):
+                np.fill_diagonal(values, diag[rows])
+                total[rows] += values.sum(axis=1)
+                total[r1:] += mirror[:, r1 - r0:].sum(axis=0)
+        r0 = r1
+    best = int(np.argmin(minima))
+    chord_arc, pair = float(minima[best]), pairs[best]
+    if degenerate:
+        raise DegenerateGeometryError(
+            f"chord-arc constant {chord_arc:.3e} below floor {floor:.3e} at pair {pair}",
+            pair=pair, ratio=chord_arc,
+        )
+    return [total * grid.dx for total in totals], (chord_arc, pair)
 
 
 def chord_arc_constant(
@@ -215,32 +374,8 @@ def chord_arc_constant(
 
     Returns 0 for touching or self-intersecting curves; raises nothing.
     """
-    ws = build_workspace(state, grid, contour, max_order=1)
-    value, _ = chord_arc_from_workspace(ws)
+    _, (value, _) = pair_sweep(build_workspace(state, grid, contour, max_order=1), grid)
     return value
-
-
-def guarded_workspace(
-    state: InterfaceState,
-    grid: SpectralGrid,
-    contour: LiftedContour | None,
-    max_order: int,
-    floor: float,
-) -> KernelWorkspace:
-    """Kernel workspace of a state whose chord-arc constant clears the floor.
-
-    Raises:
-        DegenerateGeometryError: chord-arc constant below the floor, with
-            the offending node pair and ratio.
-    """
-    ws = build_workspace(state, grid, contour, max_order=max_order)
-    ca, pair = chord_arc_from_workspace(ws)
-    if ca < floor:
-        raise DegenerateGeometryError(
-            f"chord-arc constant {ca:.3e} below floor {floor:.3e} at pair {pair}",
-            pair=pair, ratio=ca,
-        )
-    return ws
 
 
 def rhs(
@@ -264,31 +399,49 @@ def rhs(
     Raises:
         DegenerateGeometryError: chord-arc constant below the floor.
     """
-    ws = guarded_workspace(state, grid, None, 2, floor)
-    values = kernel_difference_integral(ws, grid, ws.kernel_matrix(), 1)
+    ws = build_workspace(state, grid, None, 2)
+    values = kernel_difference_integral(ws, grid, 1, floor)
     return Tendency(*(density_jump_over_2pi * grid.to_spectral(v) for v in values))
 
 
+def kernel_difference_diagonals(ws: KernelWorkspace, order: int) -> list[NDArray]:
+    """Diagonal limits 2 z1' d^{k+1} z_mu / T, T = (z1')^2 + (z2')^2, for mu = 1, 2."""
+    return [2.0 * ws.der[(1, 1)] * ws.der[(mu, order + 1)] / ws.tangent_sq for mu in (1, 2)]
+
+
+def kernel_difference_integrands(
+    block: PairBlock, order: int
+) -> Iterator[tuple[NDArray, NDArray]]:
+    """K(x, u) (d^k z_mu(x) - d^k z_mu(u)) over a block, for mu = 1, 2.
+
+    Both factors are antisymmetric, so each integrand is its own mirror.
+    """
+    for mu in (1, 2):
+        values = block.kern * block.difference(mu, order)
+        yield values, values
+
+
 def kernel_difference_integral(
-    ws: KernelWorkspace, grid: SpectralGrid, kern: NDArray, order: int
-) -> tuple[NDArray, NDArray]:
+    ws: KernelWorkspace, grid: SpectralGrid, order: int, floor: float | None
+) -> list[NDArray]:
     """Row quadrature of K(x, u) (d^k z_mu(x) - d^k z_mu(u)), per component mu.
 
-    ``kern`` is ``ws.kernel_matrix()``; ``ws`` holds derivatives up to k + 1.
-    The diagonal limit is 2 z1' d^{k+1} z_mu / T, T = (z1')^2 + (z2')^2.
-    Order 1 is the right-hand side in physical space, order 5 the dangerous
-    term of its fourth derivative.
+    ``ws`` holds derivatives up to k + 1.  Order 1 is the right-hand side in
+    physical space, order 5 the dangerous term of its fourth derivative.
+
+    Raises:
+        DegenerateGeometryError: chord-arc constant below the floor.
     """
-    tangent_sq = ws.tangent_sq
-    results = []
-    for mu in (1, 2):
-        dz = ws.der[(mu, order)]
-        diag = 2.0 * ws.der[(1, 1)] * ws.der[(mu, order + 1)] / tangent_sq
-        results.append(grid.row_quadrature(kern * (dz[:, None] - dz[None, :]), diag))
-    return results[0], results[1]
+    values, _ = pair_sweep(
+        ws, grid, lambda block: kernel_difference_integrands(block, order),
+        kernel_difference_diagonals(ws, order), floor,
+    )
+    return values
 
 
-def kernel_pv_integral(ws: KernelWorkspace, grid: SpectralGrid) -> NDArray:
+def kernel_pv_integral(
+    ws: KernelWorkspace, grid: SpectralGrid, floor: float | None
+) -> NDArray:
     """PV int K dw per node, from a workspace with derivatives up to order 2.
 
     a(z, w) = K(z, w) - [z1'/( (z1')^2 + (z2')^2 )] cot((z - w)/2) is bounded,
@@ -297,17 +450,30 @@ def kernel_pv_integral(ws: KernelWorkspace, grid: SpectralGrid) -> NDArray:
         2 z1' (z1' z1'' + z2' z2'') / T^2 - z1'' / T,   T = (z1')^2 + (z2')^2.
 
     Because the principal value of the bare cotangent over the full contour
-    vanishes, the integral of a equals PV int K dw.
+    vanishes, the integral of a equals PV int K dw.  K and the cotangent are
+    antisymmetric, so the mirror a(w, z) is [z1'/T](w) cot((z - w)/2) - K(z, w).
+
+    Raises:
+        DegenerateGeometryError: chord-arc constant below the floor.
     """
     tangent_sq = ws.tangent_sq
     ratio = ws.der[(1, 1)] / tangent_sq
-    integrand = ws.kernel_matrix() - ratio[:, None] * pairwise_cot(ws.zeta)
     slope_sum = ws.der[(1, 1)] * ws.der[(1, 2)] + ws.der[(2, 1)] * ws.der[(2, 2)]
     diag = 2.0 * ws.der[(1, 1)] * slope_sum / tangent_sq**2 - ws.der[(1, 2)] / tangent_sq
+
+    def integrands(block: PairBlock):
+        cot = pairwise_cot(ws.zeta, block.rows)
+        values = block.kern - ratio[block.rows, None] * cot
+        mirror = ratio[None, block.cols] * cot - block.kern
+        if ws.jac is not None:
+            values = values * ws.jac[None, block.cols]
+            mirror = mirror * ws.jac[block.rows, None]
+        yield values, mirror
+
     if ws.jac is not None:
-        integrand = integrand * ws.jac[None, :]
         diag = diag * ws.jac
-    return grid.row_quadrature(integrand, diag)
+    (total,), _ = pair_sweep(ws, grid, integrands, [diag], floor)
+    return total
 
 
 def a_tilde(
@@ -324,4 +490,4 @@ def a_tilde(
     Raises:
         DegenerateGeometryError: chord-arc constant below the floor.
     """
-    return kernel_pv_integral(guarded_workspace(state, grid, contour, 2, floor), grid)
+    return kernel_pv_integral(build_workspace(state, grid, contour, 2), grid, floor)

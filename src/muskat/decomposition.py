@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .core import DEFAULT_CHORD_ARC_FLOOR, InterfaceState
-from .core import guarded_workspace, kernel_difference_integral
+from .core import DEFAULT_CHORD_ARC_FLOOR, InterfaceState, PairBlock, build_workspace
+from .core import kernel_difference_diagonals, kernel_difference_integrands, pair_sweep
 from .grid import SpectralGrid
 
 #: Leibniz coefficients of the six safe terms, in expansion order.
@@ -56,10 +56,6 @@ class D4Decomposition:
         return ComponentPair(d1, d2)
 
 
-def _difference(values: NDArray) -> NDArray:
-    return values[:, None] - values[None, :]
-
-
 def rhs_d4_decomposition(
     state: InterfaceState,
     grid: SpectralGrid,
@@ -71,50 +67,53 @@ def rhs_d4_decomposition(
     limits; the diagonal of each part follows from the quadratic expansion
     of the kernel denominator.  Requires the state to resolve six
     derivatives, i.e. its coefficients should decay below round-off well
-    before the cutoff.
+    before the cutoff.  The dangerous term, the six safe terms and the
+    right-hand side come from one sweep of the node pairs.
 
     Raises:
         DegenerateGeometryError: chord-arc constant below the floor.
     """
-    ws = guarded_workspace(state, grid, None, 6, floor)
+    ws = build_workspace(state, grid, None, 6)
     der = ws.der
     tangent_sq = ws.tangent_sq
-    kern = ws.kernel_matrix()
-    dangerous = ComponentPair(*kernel_difference_integral(ws, grid, kern, 5))
-
-    # (fragment, weight): weight is the limit of u^2 * fragment as
-    # u = x_i - x_j -> 0, so safe term j has the diagonal value
-    # c_j (d^2 z_a) weight (d^5 z_b).  Each fragment is built when its terms
-    # are due and dropped after them: one N x N fragment is held at a time.
-    fragments = (
-        (lambda: np.cos(ws.dz1) / ws.den, 2.0 / tangent_sq),
-        (lambda: kern * np.sinh(ws.dz2) / ws.den, 4.0 * der[(1, 1)] * der[(2, 1)] / tangent_sq**2),
-        (lambda: kern**2, 4.0 * der[(1, 1)] ** 2 / tangent_sq**2),
+    # weight of fragment f: the limit of u^2 * fragment as u = x_i - x_j -> 0,
+    # so safe term j has the diagonal value c_j (d^2 z_a) weight (d^5 z_b)
+    weights = (
+        2.0 / tangent_sq,
+        4.0 * der[(1, 1)] * der[(2, 1)] / tangent_sq**2,
+        4.0 * der[(1, 1)] ** 2 / tangent_sq**2,
     )
-    diff1 = {mu: _difference(der[(mu, 1)]) for mu in (1, 2)}
-    diff4 = {mu: _difference(der[(mu, 4)]) for mu in (1, 2)}
-    safe = [[None, None] for _ in SAFE_TERMS]
-    for f, (build, weight) in enumerate(fragments):
-        fragment = build()
-        for j, (first, fragment_index, fourth) in enumerate(SAFE_TERMS):
-            if fragment_index != f:
-                continue
-            c = SAFE_COEFFICIENTS[j]
+    safe_diagonals = [
+        c * der[(first or mu, 2)] * weights[f] * der[(fourth or mu, 5)]
+        for c, (first, f, fourth) in zip(SAFE_COEFFICIENTS, SAFE_TERMS) for mu in (1, 2)
+    ]
+
+    def integrands(block: PairBlock):
+        yield from kernel_difference_integrands(block, 5)
+        # cos/den, K sinh/den and K^2 are symmetric, the two differences
+        # antisymmetric: every safe integrand is its own mirror
+        fragments = (
+            np.cos(block.dz1) / block.den,
+            block.kern * np.sinh(block.dz2) / block.den,
+            block.kern**2,
+        )
+        for c, (first, f, fourth) in zip(SAFE_COEFFICIENTS, SAFE_TERMS):
             for mu in (1, 2):
-                a, b = first or mu, fourth or mu
-                safe[j][mu - 1] = grid.row_quadrature(
-                    c * diff1[a] * fragment * diff4[b], c * der[(a, 2)] * weight * der[(b, 5)]
-                )
-        del fragment
-    safe_t = tuple(ComponentPair(*pair) for pair in safe)
+                values = (c * block.difference(first or mu, 1) * fragments[f]
+                          * block.difference(fourth or mu, 4))
+                yield values, values
+        yield from kernel_difference_integrands(block, 1)
 
-    # order 1 of the primitive is the right-hand side in physical space
-    d4 = ComponentPair(*(
-        grid.from_spectral(grid.derivative(grid.to_spectral(values), 4))
-        for values in kernel_difference_integral(ws, grid, kern, 1)
-    ))
+    diagonals = (kernel_difference_diagonals(ws, 5) + safe_diagonals
+                 + kernel_difference_diagonals(ws, 1))
+    sums, _ = pair_sweep(ws, grid, integrands, diagonals, floor)
+    dangerous = ComponentPair(*sums[:2])
+    safe = tuple(ComponentPair(*sums[2 + 2 * j:4 + 2 * j]) for j in range(len(SAFE_TERMS)))
+    # order 1 of the kernel difference is the right-hand side in physical space
+    d4 = ComponentPair(*(grid.from_spectral(grid.derivative(grid.to_spectral(values), 4))
+                         for values in sums[-2:]))
     easy = ComponentPair(
-        d4.d1 - dangerous.d1 - sum(s.d1 for s in safe_t),
-        d4.d2 - dangerous.d2 - sum(s.d2 for s in safe_t),
+        d4.d1 - dangerous.d1 - sum(s.d1 for s in safe),
+        d4.d2 - dangerous.d2 - sum(s.d2 for s in safe),
     )
-    return D4Decomposition(dangerous=dangerous, safe=safe_t, easy=easy, d4_rhs=d4)
+    return D4Decomposition(dangerous=dangerous, safe=safe, easy=easy, d4_rhs=d4)

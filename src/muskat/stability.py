@@ -16,8 +16,8 @@ from .contour_ops import LiftedContour
 from .core import (
     DEFAULT_CHORD_ARC_FLOOR,
     InterfaceState,
+    build_workspace,
     evaluate_on_contour,
-    guarded_workspace,
     kernel_pv_integral,
 )
 from .errors import DegenerateParametrizationError
@@ -64,12 +64,12 @@ def rt_generalized(
     """
     if contour.sign != +1:
         raise ValueError("the generalized RT monitor is defined on the upper contour")
-    ws = guarded_workspace(state, grid, contour, 2, floor)
+    ws = build_workspace(state, grid, contour, 2)
     tangent_sq = ws.tangent_sq
     if np.abs(tangent_sq).min() < TANGENT_FLOOR:
         raise DegenerateParametrizationError("complex tangent norm vanishes on contour")
     inv_jac = 1.0 / ws.jac
-    pv_kernel = kernel_pv_integral(ws, grid)
+    pv_kernel = kernel_pv_integral(ws, grid, floor)
     first = (-2.0 * np.pi * ws.der[(1, 1)] / tangent_sq * inv_jac).real
     second = ((pv_kernel + 1j * np.asarray(h_t)) * inv_jac).imag
     return first + second

@@ -2,18 +2,132 @@
 
 All are independent of the production quadrature: a pointwise kernel
 value, the right-hand side by the alternating-node trapezoid, which skips
-the diagonal instead of assigning it its analytic limit, and the
-right-hand side summed in extended precision.
+the diagonal instead of assigning it its analytic limit, the right-hand
+side summed in extended precision, and the full-matrix quadratures, which
+hold every pairwise array as one N x N matrix and sum each row in one
+reduction, as the quadratures did before the triangle sweep.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import mpmath
 import numpy as np
 
 from muskat import InterfaceState, SpectralGrid, Tendency
-from muskat.core import DEFAULT_CHORD_ARC_FLOOR, guarded_workspace
+from muskat.contour_ops import pairwise_cot
+from muskat.core import DEFAULT_CHORD_ARC_FLOOR, KernelWorkspace, build_workspace
+from muskat.decomposition import SAFE_COEFFICIENTS, SAFE_TERMS, ComponentPair, D4Decomposition
 from muskat.errors import DegenerateGeometryError
+
+
+@dataclass
+class FullPairs:
+    """Every pairwise array of a workspace as one N x N matrix."""
+
+    ws: KernelWorkspace
+    dz1: np.ndarray
+    dz2: np.ndarray
+    den: np.ndarray
+    kern: np.ndarray
+
+
+def full_pairs(ws: KernelWorkspace, floor: float = DEFAULT_CHORD_ARC_FLOOR) -> FullPairs:
+    """dz1, dz2, den (diagonal 1) and K (diagonal 0) over all node pairs.
+
+    Raises DegenerateGeometryError when the chord-arc ratio, taken over the
+    full matrix with the wrapped distance computed per pair, is below the
+    floor.
+    """
+    dz1 = ws.z1[:, None] - ws.z1[None, :]
+    dz2 = ws.z2[:, None] - ws.z2[None, :]
+    den = 2.0 * (np.sin(dz1 / 2.0) ** 2 + np.sinh(dz2 / 2.0) ** 2)
+    np.fill_diagonal(den, 1.0)
+    diff = ws.zeta[:, None] - ws.zeta[None, :]
+    wrapped = np.abs(np.mod(diff.real + np.pi, 2.0 * np.pi) - np.pi) + np.abs(diff.imag)
+    np.fill_diagonal(wrapped, 1.0)
+    ratio = np.abs(den) / wrapped**2
+    np.fill_diagonal(ratio, np.inf)
+    i, j = np.unravel_index(np.argmin(ratio), ratio.shape)
+    if ratio[i, j] < floor:
+        raise DegenerateGeometryError(
+            f"chord-arc constant {ratio[i, j]:.3e} below floor {floor:.3e}",
+            pair=(int(i), int(j)), ratio=float(ratio[i, j]),
+        )
+    kern = np.sin(dz1) / den
+    np.fill_diagonal(kern, 0.0)
+    return FullPairs(ws, dz1, dz2, den, kern)
+
+
+def _difference(values: np.ndarray) -> np.ndarray:
+    return values[:, None] - values[None, :]
+
+
+def _full_kernel_difference(pairs: FullPairs, grid: SpectralGrid, order: int) -> list:
+    der = pairs.ws.der
+    return [
+        grid.row_quadrature(pairs.kern * _difference(der[(mu, order)]),
+                            2.0 * der[(1, 1)] * der[(mu, order + 1)] / pairs.ws.tangent_sq)
+        for mu in (1, 2)
+    ]
+
+
+def full_matrix_rhs(
+    state: InterfaceState,
+    grid: SpectralGrid,
+    floor: float = DEFAULT_CHORD_ARC_FLOOR,
+    density_jump_over_2pi: float = 1.0,
+) -> Tendency:
+    """The right-hand side from full N x N matrices."""
+    pairs = full_pairs(build_workspace(state, grid, None, 2), floor)
+    values = _full_kernel_difference(pairs, grid, 1)
+    return Tendency(*(density_jump_over_2pi * grid.to_spectral(v) for v in values))
+
+
+def full_kernel_pv_integral(
+    ws: KernelWorkspace, grid: SpectralGrid, floor: float = DEFAULT_CHORD_ARC_FLOOR
+) -> np.ndarray:
+    """PV int K dw per node, from full N x N matrices (``kernel_pv_integral``'s signature)."""
+    pairs = full_pairs(ws, floor)
+    der = ws.der
+    tangent_sq = ws.tangent_sq
+    integrand = pairs.kern - (der[(1, 1)] / tangent_sq)[:, None] * pairwise_cot(ws.zeta)
+    slope_sum = der[(1, 1)] * der[(1, 2)] + der[(2, 1)] * der[(2, 2)]
+    diag = 2.0 * der[(1, 1)] * slope_sum / tangent_sq**2 - der[(1, 2)] / tangent_sq
+    if ws.jac is not None:
+        integrand = integrand * ws.jac[None, :]
+        diag = diag * ws.jac
+    return grid.row_quadrature(integrand, diag)
+
+
+def full_matrix_decomposition(state: InterfaceState, grid: SpectralGrid) -> D4Decomposition:
+    """Dangerous, safe and easy parts and d4_rhs from full N x N matrices."""
+    pairs = full_pairs(build_workspace(state, grid, None, 6))
+    der = pairs.ws.der
+    tangent_sq = pairs.ws.tangent_sq
+    fragments = (
+        (np.cos(pairs.dz1) / pairs.den, 2.0 / tangent_sq),
+        (pairs.kern * np.sinh(pairs.dz2) / pairs.den,
+         4.0 * der[(1, 1)] * der[(2, 1)] / tangent_sq**2),
+        (pairs.kern**2, 4.0 * der[(1, 1)] ** 2 / tangent_sq**2),
+    )
+    safe = []
+    for c, (first, f, fourth) in zip(SAFE_COEFFICIENTS, SAFE_TERMS):
+        fragment, weight = fragments[f]
+        safe.append(ComponentPair(*(
+            grid.row_quadrature(
+                c * _difference(der[(first or mu, 1)]) * fragment
+                * _difference(der[(fourth or mu, 4)]),
+                c * der[(first or mu, 2)] * weight * der[(fourth or mu, 5)])
+            for mu in (1, 2)
+        )))
+    dangerous = ComponentPair(*_full_kernel_difference(pairs, grid, 5))
+    d4 = ComponentPair(*(grid.from_spectral(grid.derivative(grid.to_spectral(v), 4))
+                         for v in _full_kernel_difference(pairs, grid, 1)))
+    easy = ComponentPair(d4.d1 - dangerous.d1 - sum(s.d1 for s in safe),
+                         d4.d2 - dangerous.d2 - sum(s.d2 for s in safe))
+    return D4Decomposition(dangerous=dangerous, safe=tuple(safe), easy=easy, d4_rhs=d4)
 
 
 def kernel(
@@ -54,14 +168,12 @@ def alternating_rhs(
     Keeps only node pairs of opposite parity, at double weight, so the
     singular diagonal is never evaluated.
     """
-    ws = guarded_workspace(state, grid, None, 2, floor)
-    kernel_full = ws.kernel_matrix()
+    pairs = full_pairs(build_workspace(state, grid, None, 2), floor)
     n = grid.n_modes
     parity = (np.arange(n)[:, None] + np.arange(n)[None, :]) % 2 == 1
     out = []
     for mu in (1, 2):
-        dz = ws.der[(mu, 1)]
-        integ = kernel_full * (dz[:, None] - dz[None, :]) * parity
+        integ = pairs.kern * _difference(pairs.ws.der[(mu, 1)]) * parity
         out.append(density_jump_over_2pi * grid.to_spectral(integ.sum(axis=1) * 2.0 * grid.dx))
     return Tendency(out[0], out[1])
 

@@ -350,11 +350,13 @@ class TestCli:
         "[family]\nsteepening_rate = -5\n",
         "[family]\nslope_amplitude = nan\n",
         "[family]\nsteepening_rate = nan\n",
+        "seed = -1\n",
     ], ids=["t_start_inf", "t_start_nan", "t_end_inf", "t_end_nan", "floor_nan", "blowup_nan",
             "tol_zero", "tol_negative", "density_inf", "schedule_a_nan", "schedule_kappa_nan",
             "perturbation_kappa_negative", "perturbation_lambda_negative",
             "perturbation_lambda_nan", "family_verticals_negative_slope",
-            "family_steepening_negative", "family_slope_nan", "family_steepening_nan"])
+            "family_steepening_negative", "family_slope_nan", "family_steepening_nan",
+            "seed_negative"])
     def test_invalid_run_value_exits_two_without_traceback(self, tmp_path, capsys, run_keys):
         path = tmp_path / "cfg.ini"
         path.write_text(f"[run]\nscenario = flat\nn_modes = 32\ndt = 0.01\n{run_keys}")

@@ -1,3 +1,6 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -10,13 +13,21 @@ from muskat import (
     evaluate_on_contour,
     rhs,
     rhs_d4_decomposition,
+    rt_generalized,
+    stability,
 )
-from muskat.core import _flat_distance_sq, build_workspace
+from muskat.core import _flat_distance_sq, build_workspace, pair_sweep
 from muskat.errors import DegenerateGeometryError
 from muskat.initial_data import GraphFamilyParams, make_turnover_state
 
 from conftest import gentle_state, run_with_blas_threads, strip_state
-from oracles import alternating_rhs, kernel, mpmath_rhs
+from oracles import (
+    alternating_rhs,
+    full_kernel_pv_integral,
+    full_matrix_rhs,
+    kernel,
+    mpmath_rhs,
+)
 
 FLAT_TORUS_CHORD_ARC = 2.0 / np.pi**2
 
@@ -141,23 +152,107 @@ class TestRhsOracles:
 class TestKernelWorkspace:
     def test_flat_workspace_is_real(self, grid256):
         ws = build_workspace(gentle_state(grid256), grid256, max_order=6)
-        for array in (ws.zeta, ws.dz1, ws.dz2, ws.den, *ws.der.values()):
+        for array in (ws.zeta, ws.z1, ws.z2, *ws.der.values()):
             assert array.dtype == np.float64
+            assert array.shape == (grid256.n_modes,)
 
     def test_flat_distance_is_cached_and_read_only(self):
         first = _flat_distance_sq(64)
         assert not first.flags.writeable
         assert _flat_distance_sq(64) is first
+        assert np.array_equal(first, first.T)
+
+    @pytest.mark.parametrize("lifted", [False, True], ids=["flat", "lifted"])
+    def test_blocks_tile_the_upper_triangle_within_the_budget(self, lifted):
+        grid = SpectralGrid(1024)
+        contour = LiftedContour.from_height(grid, np.full(grid.n_modes, 0.1)) if lifted else None
+        ws = build_workspace(InterfaceState.flat(grid), grid, contour, max_order=1)
+        covered = np.zeros((grid.n_modes, grid.n_modes), dtype=int)
+
+        def record(block):
+            assert block.den.nbytes <= 64 * 1024
+            covered[block.rows, block.cols] += 1
+            return ()
+
+        pair_sweep(ws, grid, record)
+        assert (covered[np.triu_indices(grid.n_modes)] == 1).all()
 
     def test_lifted_denominator_matches_cosh_minus_cos(self):
         # the direct form itself loses ~1e-16/dx^2 relative next to the
-        # diagonal, so the grid stays coarse enough for it to hold 1e-12
-        grid = SpectralGrid(64)
+        # diagonal, so the grid stays coarse enough for it to hold 1e-12;
+        # at N = 128 the complex sweep takes more than one block
+        grid = SpectralGrid(128)
         contour = LiftedContour.from_height(grid, 0.15 + 0.03 * np.cos(grid.nodes))
         ws = build_workspace(gentle_state(grid), grid, contour, max_order=1)
-        direct = np.cosh(ws.dz2) - np.cos(ws.dz1)
-        off = ~np.eye(grid.n_modes, dtype=bool)
-        assert (np.abs(ws.den - direct)[off] <= 1e-12 * np.abs(direct[off])).all()
+        blocks = []
+
+        def check(block):
+            direct = np.cosh(block.dz2) - np.cos(block.dz1)
+            off = ~np.eye(*direct.shape, dtype=bool)
+            assert (np.abs(block.den - direct)[off] <= 1e-12 * np.abs(direct[off])).all()
+            blocks.append(block.rows)
+            return ()
+
+        pair_sweep(ws, grid, check)
+        assert len(blocks) > 1
+
+    def test_threads_keep_their_own_block_buffers(self):
+        # each thread reuses its own block arrays; six threads on two cores
+        # with a short switch interval would clobber shared ones
+        grids = [SpectralGrid(n) for n in (128, 256, 512) for _ in range(2)]
+        states = [strip_state(g, width) for g, width in zip(grids, (0.2, 0.3) * 3)]
+        serial = [rhs(state, g) for state, g in zip(states, grids)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=len(grids)) as pool:
+                futures = [pool.submit(lambda s, g: [rhs(s, g) for _ in range(5)], state, g)
+                           for state, g in zip(states, grids)]
+                results = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for want, runs in zip(serial, results):
+            for got in runs:
+                assert np.array_equal(got.d1, want.d1) and np.array_equal(got.d2, want.d2)
+
+    def test_transcendentals_have_exact_parity(self):
+        # the sweep takes each pair's mirror from the pair: sin and sinh must
+        # be exactly odd and cos exactly even, for real and complex arguments
+        rng = np.random.default_rng(2012)
+        real = rng.uniform(-12.0, 12.0, 10**6)
+        values = (real, real + 1j * rng.uniform(-2.0, 2.0, 10**6))
+        for x in values:
+            assert np.array_equal(np.sin(-x), -np.sin(x))
+            assert np.array_equal(np.sinh(-x), -np.sinh(x))
+            assert np.array_equal(np.cos(-x), np.cos(x))
+
+    @pytest.mark.parametrize("n_modes", [64, 128, 256, 512])
+    def test_rhs_matches_full_matrix(self, n_modes):
+        # N = 64 is a single block, which sums every row as the full matrix does
+        grid = SpectralGrid(n_modes)
+        state = gentle_state(grid)
+        swept, full = rhs(state, grid), full_matrix_rhs(state, grid)
+        for got, want in ((swept.d1, full.d1), (swept.d2, full.d2)):
+            if n_modes == 64:
+                assert np.array_equal(got, want)
+            else:
+                assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+    def test_pv_integral_matches_full_matrix(self, monkeypatch):
+        grid = SpectralGrid(256)
+        state = gentle_state(grid)
+        heights = 0.15 + 0.03 * np.cos(grid.nodes)
+        h_t = 0.1 * np.sin(grid.nodes)
+        upper = LiftedContour.from_height(grid, heights)
+        contours = (None, upper, LiftedContour.from_height(grid, heights, -1))
+        swept = [a_tilde(state, grid, contour) for contour in contours]
+        swept.append(rt_generalized(state, grid, upper, h_t))
+        full = [full_kernel_pv_integral(build_workspace(state, grid, contour), grid)
+                for contour in contours]
+        monkeypatch.setattr(stability, "kernel_pv_integral", full_kernel_pv_integral)
+        full.append(rt_generalized(state, grid, upper, h_t))
+        for got, want in zip(swept, full):
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 class TestRhsSymmetries:
@@ -201,7 +296,7 @@ class TestRhsSymmetries:
             with pytest.raises(DegenerateGeometryError) as err:
                 evaluate(state, grid256, floor=1e-2)
             i, j = err.value.pair
-            assert i != j and 0 <= min(i, j) and max(i, j) < grid256.n_modes
+            assert 0 <= i < j < grid256.n_modes
             assert err.value.ratio == ratio < 1e-2
 
     def test_blas_thread_count_invariance(self):

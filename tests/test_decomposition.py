@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from muskat import InterfaceState, SpectralGrid, core, rhs, rhs_d4_decomposition
+from muskat import InterfaceState, SpectralGrid, core, decomposition, rhs, rhs_d4_decomposition
 from muskat.decomposition import SAFE_COEFFICIENTS
 
 import symbolic_assembly as sym
+from oracles import full_matrix_decomposition
 
 
 def frozen_test_state(grid: SpectralGrid) -> InterfaceState:
@@ -30,7 +31,8 @@ class TestDecompositionBasics:
         assert np.abs(total.d2 - parts.d4_rhs.d2).max() < 1e-9
 
     def test_one_workspace_and_one_chord_arc_check(self, grid256, monkeypatch):
-        calls = {"build_workspace": 0, "chord_arc_from_workspace": 0}
+        # the sweep also takes the chord-arc check, so one sweep is one check
+        calls = {"build_workspace": 0, "pair_sweep": 0}
 
         def counted(name):
             inner = getattr(core, name)
@@ -42,9 +44,19 @@ class TestDecompositionBasics:
             return wrapper
 
         for name in calls:
-            monkeypatch.setattr(core, name, counted(name))
+            wrapper = counted(name)
+            for module in (core, decomposition):
+                monkeypatch.setattr(module, name, wrapper)
         rhs_d4_decomposition(frozen_test_state(grid256), grid256)
-        assert calls == {"build_workspace": 1, "chord_arc_from_workspace": 1}
+        assert calls == {"build_workspace": 1, "pair_sweep": 1}
+
+    def test_parts_match_full_matrix(self, grid256):
+        state = frozen_test_state(grid256)
+        swept = rhs_d4_decomposition(state, grid256)
+        full = full_matrix_decomposition(state, grid256)
+        for got, want in ((swept.dangerous, full.dangerous), *zip(swept.safe, full.safe)):
+            for a, b in ((got.d1, want.d1), (got.d2, want.d2)):
+                assert np.abs(a - b).max() <= 1e-14 * np.abs(b).max()
 
     def test_d4_rhs_is_fourth_derivative_of_rhs(self, grid256):
         state = frozen_test_state(grid256)
