@@ -63,11 +63,11 @@ class LiftedContour:
         return 1.0 + 1j * self.sign * self.h_prime
 
 
-def pairwise_cot(zeta: NDArray, rows: slice = slice(None)) -> NDArray:
+def pairwise_cot(zeta: NDArray, rows: slice) -> NDArray:
     """cot((zeta_i - zeta_j)/2) with a zero diagonal and no 0/0 formed.
 
-    Over i in ``rows`` and j >= rows.start, so that the pair (i, i) sits on
-    the diagonal; the default is every node pair.
+    Over i in ``rows`` and j >= rows.start, one block of
+    :meth:`SpectralGrid.pair_quadrature`; cot is exactly odd, so its mirror is -cot.
     """
     half = (zeta[rows, None] - zeta[None, rows.start:]) / 2.0
     sin_half = np.sin(half)
@@ -81,18 +81,27 @@ def pv_cot_integral(grid: SpectralGrid, contour: LiftedContour | None = None) ->
     """PV of int cot((z - w)/2) dw over the contour, per node z.
 
     On the flat torus the principal value vanishes by odd symmetry; the
-    equispaced trapezoid with the diagonal node set to 0 realizes this
-    exactly.  On a lifted contour the flat kernel is subtracted, leaving a
+    equispaced trapezoid with the diagonal node set to 0 realizes this to
+    round-off.  On a lifted contour the flat kernel is subtracted, leaving a
     bounded integrand whose diagonal limit is -i*sign*h''/(1 + i*sign*h').
     The result should vanish to quadrature accuracy.
     """
-    flat = pairwise_cot(grid.nodes)
     if contour is None:
-        return grid.row_quadrature(flat, 0.0)
+        def flat_integrands(rows: slice):
+            cot = pairwise_cot(grid.nodes, rows)
+            return [(cot, -cot)]
+
+        return grid.pair_quadrature(flat_integrands, [np.zeros(grid.n_modes)], float)[0]
 
     jac = contour.jacobian()
-    integrand = pairwise_cot(contour.complex_nodes(grid)) * jac[None, :] - flat
-    return grid.row_quadrature(integrand, -1j * contour.sign * contour.h_second / jac)
+    zeta = contour.complex_nodes(grid)
+
+    def integrands(rows: slice):
+        flat, lifted = pairwise_cot(grid.nodes, rows), pairwise_cot(zeta, rows)
+        return [(lifted * jac[None, rows.start:] - flat, flat - lifted * jac[rows, None])]
+
+    diag = -1j * contour.sign * contour.h_second / jac
+    return grid.pair_quadrature(integrands, [diag], complex)[0]
 
 
 def lambda_gamma(
@@ -115,14 +124,19 @@ def lambda_gamma(
         diagonal; its limit 2 F''(z) (1 + i*sign*h'(x)) is used there, with
         F'' recovered spectrally from the supplied F' samples.
     """
-    f_prime_samples = np.asarray(f_prime_samples, dtype=complex)
-    grid._check_length(f_prime_samples)
+    fp = np.asarray(f_prime_samples, dtype=complex)
+    grid._check_length(fp)
     jac = contour.jacobian()
-    dfp = f_prime_samples[:, None] - f_prime_samples[None, :]
-    integrand = pairwise_cot(contour.complex_nodes(grid)) * dfp * jac[None, :]
+    zeta = contour.complex_nodes(grid)
+
+    def integrands(rows: slice):
+        # cot and the F' difference are both odd, so their product is even
+        even = pairwise_cot(zeta, rows) * (fp[rows, None] - fp[None, rows.start:])
+        return [(even * jac[None, rows.start:], even * jac[rows, None])]
+
     # F''(z) = (d/du F'(w(u))) / w'(u)
-    fpp = grid.from_spectral(grid.derivative(grid.to_spectral(f_prime_samples))) / jac
-    return -(1.0 / (2.0 * np.pi)) * grid.row_quadrature(integrand, 2.0 * fpp * jac)
+    fpp = grid.from_spectral(grid.derivative(grid.to_spectral(fp))) / jac
+    return -(1.0 / (2.0 * np.pi)) * grid.pair_quadrature(integrands, [2.0 * fpp * jac], complex)[0]
 
 
 def garding_form(

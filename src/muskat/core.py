@@ -17,13 +17,13 @@ converge spectrally for analytic interfaces.
 
 A :class:`KernelWorkspace` holds the node samples, real float64 on the flat
 grid (the curve is real).  Every pairwise quantity is formed by
-:func:`pair_sweep`, one pass over the upper triangle of node pairs in
-cache-sized row blocks: dz1 and dz2 are exactly antisymmetric and numpy's
-sin, sinh (real and complex) exactly odd, so the denominator, evaluated in
-the cancellation-free form 2 (sin^2(dz1/2) + sinh^2(dz2/2)), is exactly
-symmetric and each pair's mirror costs no transcendental.  The chord-arc
-check is taken in the same pass, against the grid-only wrapped distance,
-which is cached per N.
+:func:`pair_sweep`, one pass of :meth:`SpectralGrid.pair_quadrature` over
+the upper triangle of node pairs in cache-sized row blocks: dz1 and dz2
+are exactly antisymmetric and numpy's sin, sinh (real and complex) exactly
+odd, so the denominator, evaluated in the cancellation-free form
+2 (sin^2(dz1/2) + sinh^2(dz2/2)), is exactly symmetric and each pair's
+mirror costs no transcendental.  The chord-arc check is taken in the same
+pass, against the grid-only wrapped distance, a view of an O(N) table.
 """
 
 from __future__ import annotations
@@ -34,11 +34,12 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.typing import NDArray
 
 from .contour_ops import LiftedContour, pairwise_cot
 from .errors import DegenerateGeometryError
-from .grid import SpectralGrid, conjugate_symmetrize, is_conjugate_symmetric
+from .grid import _BLOCK_BYTES, SpectralGrid, conjugate_symmetrize, is_conjugate_symmetric
 
 DEFAULT_CHORD_ARC_FLOOR = 1e-4
 
@@ -172,46 +173,28 @@ def build_workspace(
 
 @functools.lru_cache(maxsize=8)
 def _node_distance(n_modes: int) -> NDArray:
-    """Read-only wrapped distance ||x_k - x_0|| of the N-node grid, k = 0..N-1."""
-    k = np.arange(n_modes)
-    table = SpectralGrid(n_modes).dx * np.minimum(k, n_modes - k)
-    table.flags.writeable = False
-    return table
+    """Read-only wrapped distance of node pairs and its square, as a (2, N, N) view.
 
-
-@functools.lru_cache(maxsize=8)
-def _flat_distance_sq(n_modes: int) -> NDArray:
-    """Read-only squared wrapped distance of the N-node grid, diagonal set to 1.
-
-    Read from the O(N) table by |i - j|, so it is exactly symmetric.
+    [0, i, j] = ||x_i - x_j|| and [1, i, j] its square, both 1 on the
+    diagonal: a Toeplitz view of an O(N) table by the signed offset j - i,
+    so both are exactly symmetric.
     """
-    k = np.arange(n_modes)
-    dist_sq = _node_distance(n_modes)[np.abs(k[:, None] - k[None, :])] ** 2
-    np.fill_diagonal(dist_sq, 1.0)
-    dist_sq.flags.writeable = False
-    return dist_sq
+    offset = np.abs(np.arange(1 - n_modes, n_modes))
+    dist = SpectralGrid(n_modes).dx * np.minimum(offset, n_modes - offset)
+    dist[n_modes - 1] = 1.0
+    return sliding_window_view(np.stack([dist, dist**2]), n_modes, axis=1)[:, ::-1]
 
 
 def _distance_sq(zeta: NDArray, rows: slice) -> NDArray:
-    """(||Re(zi - zj)|| + |Im(zi - zj)|)^2 over a block's pairs, diagonal set to 1.
+    """(||Re(zi - zj)|| + |Im(zi - zj)|)^2 over a block's pairs, diagonal 1.
 
     ``zeta`` is the grid, or the grid lifted by i*sign*h; its real parts
-    are the nodes, so their wrapped distance is read from the table.
+    are the nodes, so their wrapped distance is read from the cached view.
     """
-    n = len(zeta)
+    dist, dist_sq = _node_distance(len(zeta))[:, rows, rows.start:]
     if np.isrealobj(zeta):
-        return _flat_distance_sq(n)[rows, rows.start:]
-    offsets = np.abs(np.arange(rows.start, rows.stop)[:, None] - np.arange(rows.start, n))
-    lift = np.abs(zeta.imag[rows, None] - zeta.imag[None, rows.start:])
-    dist_sq = (_node_distance(n)[offsets] + lift) ** 2
-    np.fill_diagonal(dist_sq, 1.0)
-    return dist_sq
-
-
-#: Size of one pairwise array of a sweep block: 8192 real or 4096 complex
-#: pairs.  It keeps every block array cache-sized and every buffer below
-#: glibc's default mmap threshold (128 KiB).
-_BLOCK_BYTES = 64 * 1024
+        return dist_sq
+    return (dist + np.abs(zeta.imag[rows, None] - zeta.imag[None, rows.start:])) ** 2
 
 
 class _BlockBuffers(threading.local):
@@ -291,25 +274,20 @@ def pair_sweep(
     diagonals: Sequence[NDArray] = (),
     floor: float | None = None,
 ) -> tuple[list[NDArray], tuple[float, tuple[int, int]]]:
-    """Trapezoid row quadratures over all node pairs from one sweep of the upper triangle.
+    """Row quadratures of kernel integrands and the chord-arc constant, in one sweep.
 
-    The pairs are visited in :class:`PairBlock` row blocks of at most
-    ``_BLOCK_BYTES`` per array.  Each block forms dz1, dz2 and den once and
-    takes its chord-arc minimum |den| / distance^2 before anything divides
-    by den.  ``integrands(block)`` then yields one pair (F, M) per entry of
-    ``diagonals``: F(x_i, x_j) at the block's pairs, and its mirror
-    M = F(x_j, x_i).  A symmetric integrand passes F twice; the mirror of an
-    antisymmetric kernel is -F, with column weights where the quadrature
-    has them.  F's diagonal is overwritten with the analytic limit.  The
-    diagonal sub-block enters through its row sums only; the pairs i < j
-    beyond it enter row i through the row sums of F and row j through the
-    column sums of M.  The block's arrays are reused by the next block and
-    the next sweep on the same thread, so ``integrands`` must not start
-    another sweep.
+    For each row block of :meth:`SpectralGrid.pair_quadrature` this forms a
+    :class:`PairBlock` (dz1, dz2 and den once) and takes its chord-arc
+    minimum |den| / distance^2 before anything divides by den.
+    ``integrands(block)`` then yields the pairs (F, M) that
+    ``pair_quadrature`` sums; the mirror of an antisymmetric kernel is -F,
+    with column weights where the quadrature has them.  The block's arrays
+    are reused by the next block and sweep on the same thread, so
+    ``integrands`` must not start another sweep.
 
     Args:
         ws: Node samples.
-        grid: Collocation grid (for the trapezoid weight).
+        grid: Collocation grid.
         integrands: Block integrands; None for the chord-arc constant alone.
         diagonals: Analytic diagonal limit of each integrand, per node.
         floor: Chord-arc floor, or None to accept any geometry.
@@ -325,15 +303,14 @@ def pair_sweep(
             minimum on den alone.
     """
     n = len(ws.zeta)
-    totals = [np.zeros(n, dtype=np.result_type(ws.z1, diag)) for diag in diagonals]
-    per_block = _BLOCK_BYTES // np.dtype(ws.z1.dtype).itemsize
     minima, pairs = [], []
     degenerate = False
-    r0 = 0
-    while r0 < n:
-        r1 = min(n, r0 + max(1, per_block // (n - r0)))
-        rows = slice(r0, r1)
-        shape = (r1 - r0, n - r0)
+
+    def block_integrands(rows: slice):
+        # eager, not a generator: with no diagonals nothing would run it
+        nonlocal degenerate
+        r0 = rows.start
+        shape = (rows.stop - r0, n - r0)
         dz1, dz2, den, half = (_block_array(name, shape, ws.z1.dtype)
                                for name in ("dz1", "dz2", "den", "half"))
         np.subtract(ws.z1[rows, None], ws.z1[None, r0:], out=dz1)
@@ -350,13 +327,11 @@ def pair_sweep(
         minima.append(ratio.flat[k])
         pairs.append((r0 + k // (n - r0), r0 + k % (n - r0)))
         degenerate = degenerate or (floor is not None and minima[-1] < floor)
-        if integrands is not None and not degenerate:
-            block = PairBlock(ws, rows, dz1, dz2, den)
-            for total, diag, (values, mirror) in zip(totals, diagonals, integrands(block)):
-                np.fill_diagonal(values, diag[rows])
-                total[rows] += values.sum(axis=1)
-                total[r1:] += mirror[:, r1 - r0:].sum(axis=0)
-        r0 = r1
+        if integrands is None or degenerate:
+            return ()
+        return integrands(PairBlock(ws, rows, dz1, dz2, den))
+
+    totals = grid.pair_quadrature(block_integrands, diagonals, ws.z1.dtype)
     best = int(np.argmin(minima))
     chord_arc, pair = float(minima[best]), pairs[best]
     if degenerate:
@@ -364,7 +339,7 @@ def pair_sweep(
             f"chord-arc constant {chord_arc:.3e} below floor {floor:.3e} at pair {pair}",
             pair=pair, ratio=chord_arc,
         )
-    return [total * grid.dx for total in totals], (chord_arc, pair)
+    return totals, (chord_arc, pair)
 
 
 def chord_arc_constant(

@@ -11,6 +11,8 @@ stack of shape (m, N).
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Sequence
+
 import numpy as np
 from numpy.typing import NDArray
 
@@ -19,6 +21,11 @@ from .errors import InvalidCutoffError, SizeMismatchError, UndefinedRadiusError
 #: coefficients with modulus below this are treated as round-off noise
 #: and excluded from decay fits
 COEFF_FLOOR = 1e-14
+
+#: Size of one pairwise array of a pair-quadrature block: 8192 real or 4096
+#: complex pairs.  It keeps every block array cache-sized and every buffer
+#: below glibc's default mmap threshold (128 KiB).
+_BLOCK_BYTES = 64 * 1024
 
 
 class SpectralGrid:
@@ -120,14 +127,34 @@ class SpectralGrid:
         self._check_length(values)
         return values.sum() * self.dx
 
-    def row_quadrature(self, integrand: NDArray, diag: NDArray) -> NDArray:
-        """Trapezoid rule along each row of a pairwise N x N integrand.
+    def pair_quadrature(
+        self, integrands: Callable[[slice], Iterable[tuple[NDArray, NDArray]]],
+        diagonals: Sequence[NDArray], dtype,
+    ) -> list[NDArray]:
+        """Trapezoid rule along the rows of pairwise integrands, in one upper-triangle sweep.
 
-        The removable diagonal is overwritten in place with its analytic
-        limit ``diag`` before the rows are summed.
+        The pairs are tiled in row blocks rows = [r0, r1) against the columns
+        [r0, N), of at most ``_BLOCK_BYTES`` per ``dtype`` array, so the pair
+        (r0 + k, r0 + k) sits at (k, k).  ``integrands(rows)`` yields one pair
+        (F, M) per diagonal: F(x_i, x_j) over the block and its mirror
+        M = F(x_j, x_i); a symmetric F is passed twice.  F's diagonal is set to
+        the analytic limit.  The diagonal sub-block enters through F's row sums
+        only; the pairs i < j beyond it enter row i through the row sums of F
+        and row j through the column sums of M.
         """
-        np.fill_diagonal(integrand, diag)
-        return integrand.sum(axis=1) * self.dx
+        n = self.n_modes
+        totals = [np.zeros(n, dtype=np.result_type(dtype, diag)) for diag in diagonals]
+        per_block = _BLOCK_BYTES // np.dtype(dtype).itemsize
+        r0 = 0
+        while r0 < n:
+            r1 = min(n, r0 + max(1, per_block // (n - r0)))
+            rows = slice(r0, r1)
+            for total, diag, (values, mirror) in zip(totals, diagonals, integrands(rows)):
+                np.fill_diagonal(values, diag[rows])
+                total[rows] += values.sum(axis=1)
+                total[r1:] += mirror[:, r1 - r0:].sum(axis=0)
+            r0 = r1
+        return [total * self.dx for total in totals]
 
     def norm_l2(self, values: NDArray) -> float:
         """L2 norm sqrt(int |g|^2 dx) by trapezoid."""

@@ -21,6 +21,13 @@ from .grid import SpectralGrid
 
 DOMAIN_TOL = 1e-12
 
+#: time samples per schedule domain in the margin scans
+_T_SAMPLES = 64
+#: constant c0 of the bound c0 tau^-1 hbar >= |dhbar/dt|
+_C0 = 8.0
+#: constants c1, c2 of the model Rayleigh-Taylor envelope
+_RT_C1 = _RT_C2 = 1.0
+
 
 @dataclass(frozen=True)
 class HeightSchedule:
@@ -112,12 +119,7 @@ class ScheduleMargins:
         return min(self.h_positive, self.h_t_bound, self.handover, self.hbar_t_bound) >= 0.0
 
 
-def schedule_margins(
-    s: HeightSchedule,
-    grid: SpectralGrid,
-    t_samples: int = 64,
-    c0: float = 8.0,
-) -> ScheduleMargins:
+def schedule_margins(s: HeightSchedule, grid: SpectralGrid) -> ScheduleMargins:
     """Evaluate the four testable schedule inequalities on an (x, t) box.
 
     Margins are reported, never raised on: a pinched schedule legitimately
@@ -125,11 +127,10 @@ def schedule_margins(
     """
     x = grid.nodes
     wrapped = np.abs(np.mod(x + np.pi, 2.0 * np.pi) - np.pi)
-    sin_sq = np.sin(x / 2.0) ** 2
 
     h_min = np.inf
     bound_min = np.inf
-    for t in np.linspace(s.tau**2, s.tau, t_samples):
+    for t in np.linspace(s.tau**2, s.tau, _T_SAMPLES):
         h = h_of(x, t, s)
         h_min = min(h_min, h.min())
         outer = wrapped >= 10.0 / s.A * np.sqrt(t)
@@ -140,8 +141,8 @@ def schedule_margins(
     handover = (h_of(x, s.tau**2, s) - hbar_of(x, s.tau**2, s)).min()
 
     hbar_bound_min = np.inf
-    for t in np.linspace(-s.tau**2, s.tau**2, t_samples):
-        margin = c0 / s.tau * hbar_of(x, t, s) - np.abs(hbar_t_of(x, t, s))
+    for t in np.linspace(-s.tau**2, s.tau**2, _T_SAMPLES):
+        margin = _C0 / s.tau * hbar_of(x, t, s) - np.abs(hbar_t_of(x, t, s))
         hbar_bound_min = min(hbar_bound_min, margin.min())
 
     return ScheduleMargins(
@@ -152,41 +153,29 @@ def schedule_margins(
     )
 
 
-def model_rt_profile(c1: float = 1.0, c2: float = 1.0):
+def _model_rt_profile(x, t):
     """Built-in stand-in for the unperturbed Rayleigh-Taylor envelope.
 
     sigma(x, t) = c1 t - (c2/2) sin^2(x/2), matching the parabolic envelope
     the unperturbed solution satisfies near the turnover point.
     """
-
-    def sigma(x, t):
-        return c1 * t - 0.5 * c2 * np.sin(np.asarray(x, dtype=float) / 2.0) ** 2
-
-    return sigma
+    return _RT_C1 * t - 0.5 * _RT_C2 * np.sin(np.asarray(x, dtype=float) / 2.0) ** 2
 
 
-def rt_coupled_margins(
-    s: HeightSchedule,
-    grid: SpectralGrid,
-    t_samples: int = 64,
-    sigma=None,
-) -> tuple[float, float]:
+def rt_coupled_margins(s: HeightSchedule, grid: SpectralGrid) -> tuple[float, float]:
     """Minima of sigma + dh/dt - sqrt(A) h on both schedule domains.
 
-    ``sigma(x, t)`` may be any callable profile; defaults to the built-in
-    parabolic model.  Returns (margin on [tau^2, tau], margin on
-    [-tau^2, tau^2]).
+    sigma is the built-in parabolic model.  Returns (margin on
+    [tau^2, tau], margin on [-tau^2, tau^2]).
     """
-    if sigma is None:
-        sigma = model_rt_profile()
     x = grid.nodes
     sqrt_a = np.sqrt(s.A)
     first = min(
-        (sigma(x, t) + h_t_of(x, t, s) - sqrt_a * h_of(x, t, s)).min()
-        for t in np.linspace(s.tau**2, s.tau, t_samples)
+        (_model_rt_profile(x, t) + h_t_of(x, t, s) - sqrt_a * h_of(x, t, s)).min()
+        for t in np.linspace(s.tau**2, s.tau, _T_SAMPLES)
     )
     second = min(
-        (sigma(x, t) + hbar_t_of(x, t, s) - sqrt_a * hbar_of(x, t, s)).min()
-        for t in np.linspace(-s.tau**2, s.tau**2, t_samples)
+        (_model_rt_profile(x, t) + hbar_t_of(x, t, s) - sqrt_a * hbar_of(x, t, s)).min()
+        for t in np.linspace(-s.tau**2, s.tau**2, _T_SAMPLES)
     )
     return float(first), float(second)

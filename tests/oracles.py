@@ -15,11 +15,51 @@ from dataclasses import dataclass
 import mpmath
 import numpy as np
 
-from muskat import InterfaceState, SpectralGrid, Tendency
+from muskat import InterfaceState, LiftedContour, SpectralGrid, Tendency
 from muskat.contour_ops import pairwise_cot
 from muskat.core import DEFAULT_CHORD_ARC_FLOOR, KernelWorkspace, build_workspace
 from muskat.decomposition import SAFE_COEFFICIENTS, SAFE_TERMS, ComponentPair, D4Decomposition
 from muskat.errors import DegenerateGeometryError
+
+
+def row_quadrature(grid: SpectralGrid, integrand: np.ndarray, diag) -> np.ndarray:
+    """Trapezoid rule along each row of a pairwise N x N integrand.
+
+    The removable diagonal is overwritten in place with its analytic limit
+    ``diag`` before the rows are summed.
+    """
+    np.fill_diagonal(integrand, diag)
+    return integrand.sum(axis=1) * grid.dx
+
+
+def full_cot(zeta: np.ndarray) -> np.ndarray:
+    """cot((zeta_i - zeta_j)/2) over all node pairs, diagonal 0."""
+    return pairwise_cot(zeta, slice(0, len(zeta)))
+
+
+def full_pv_cot_integral(grid: SpectralGrid, contour: LiftedContour | None = None) -> np.ndarray:
+    """``pv_cot_integral`` from full N x N matrices."""
+    flat = full_cot(grid.nodes)
+    if contour is None:
+        return row_quadrature(grid, flat, 0.0)
+    jac = contour.jacobian()
+    integrand = full_cot(contour.complex_nodes(grid)) * jac[None, :] - flat
+    return row_quadrature(grid, integrand, -1j * contour.sign * contour.h_second / jac)
+
+
+def full_lambda_gamma(
+    f_samples: np.ndarray,
+    f_prime_samples: np.ndarray,
+    contour: LiftedContour,
+    grid: SpectralGrid,
+) -> np.ndarray:
+    """``lambda_gamma`` from full N x N matrices."""
+    f_prime_samples = np.asarray(f_prime_samples, dtype=complex)
+    jac = contour.jacobian()
+    dfp = f_prime_samples[:, None] - f_prime_samples[None, :]
+    integrand = full_cot(contour.complex_nodes(grid)) * dfp * jac[None, :]
+    fpp = grid.from_spectral(grid.derivative(grid.to_spectral(f_prime_samples))) / jac
+    return -(1.0 / (2.0 * np.pi)) * row_quadrature(grid, integrand, 2.0 * fpp * jac)
 
 
 @dataclass
@@ -67,8 +107,8 @@ def _difference(values: np.ndarray) -> np.ndarray:
 def _full_kernel_difference(pairs: FullPairs, grid: SpectralGrid, order: int) -> list:
     der = pairs.ws.der
     return [
-        grid.row_quadrature(pairs.kern * _difference(der[(mu, order)]),
-                            2.0 * der[(1, 1)] * der[(mu, order + 1)] / pairs.ws.tangent_sq)
+        row_quadrature(grid, pairs.kern * _difference(der[(mu, order)]),
+                       2.0 * der[(1, 1)] * der[(mu, order + 1)] / pairs.ws.tangent_sq)
         for mu in (1, 2)
     ]
 
@@ -92,13 +132,13 @@ def full_kernel_pv_integral(
     pairs = full_pairs(ws, floor)
     der = ws.der
     tangent_sq = ws.tangent_sq
-    integrand = pairs.kern - (der[(1, 1)] / tangent_sq)[:, None] * pairwise_cot(ws.zeta)
+    integrand = pairs.kern - (der[(1, 1)] / tangent_sq)[:, None] * full_cot(ws.zeta)
     slope_sum = der[(1, 1)] * der[(1, 2)] + der[(2, 1)] * der[(2, 2)]
     diag = 2.0 * der[(1, 1)] * slope_sum / tangent_sq**2 - der[(1, 2)] / tangent_sq
     if ws.jac is not None:
         integrand = integrand * ws.jac[None, :]
         diag = diag * ws.jac
-    return grid.row_quadrature(integrand, diag)
+    return row_quadrature(grid, integrand, diag)
 
 
 def full_matrix_decomposition(state: InterfaceState, grid: SpectralGrid) -> D4Decomposition:
@@ -116,7 +156,8 @@ def full_matrix_decomposition(state: InterfaceState, grid: SpectralGrid) -> D4De
     for c, (first, f, fourth) in zip(SAFE_COEFFICIENTS, SAFE_TERMS):
         fragment, weight = fragments[f]
         safe.append(ComponentPair(*(
-            grid.row_quadrature(
+            row_quadrature(
+                grid,
                 c * _difference(der[(first or mu, 1)]) * fragment
                 * _difference(der[(fourth or mu, 4)]),
                 c * der[(first or mu, 2)] * weight * der[(fourth or mu, 5)])

@@ -216,7 +216,7 @@ def test_criterion_6_schedule_margins_literal_parameters():
     with criterion(6, "schedule margins at the pinned tuple (A=10, tau=0.05)"):
         schedule = HeightSchedule(A=10.0, tau=0.05, kappa=1e-6)
         grid = SpectralGrid(256)
-        margins = schedule_margins(schedule, grid, t_samples=64)
+        margins = schedule_margins(schedule, grid)
         print(f"  measured margins: {margins}")
         assert margins.h_positive >= 0.0
         assert margins.h_t_bound >= 0.0
@@ -231,7 +231,7 @@ def test_criterion_6_schedule_margins_valid_regime():
     with criterion(6, "schedule margins in the admissible smallness regime (tau=0.005)"):
         schedule = HeightSchedule(A=10.0, tau=0.005, kappa=1e-6)
         grid = SpectralGrid(256)
-        margins = schedule_margins(schedule, grid, t_samples=64)
+        margins = schedule_margins(schedule, grid)
         assert margins.h_positive >= 0.0
         assert margins.h_t_bound >= 0.0
         assert margins.handover >= 0.0

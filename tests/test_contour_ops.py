@@ -4,6 +4,8 @@ import pytest
 from muskat import LiftedContour, SpectralGrid, garding_form, lambda_gamma, pv_cot_integral
 from muskat.errors import InvalidContourError, SizeMismatchError
 
+from oracles import full_lambda_gamma, full_pv_cot_integral
+
 # Empirical Garding floor, frozen from the first N=256 measurement; the same
 # constant must bound the N=512 runs.
 GARDING_C0 = 1e-6
@@ -109,6 +111,34 @@ class TestLambdaGamma:
         main_terms = np.array(main_terms)
         assert np.all(residuals / residuals[0] <= 10.0)
         assert main_terms[-1] / main_terms[0] > 16.0  # ~k growth
+
+
+class TestMatchesFullMatrix:
+    # N = 64 is a single block, which sums every row as the full matrix does;
+    # beyond it the triangle sweep only reorders the sums
+    @pytest.mark.parametrize("n_modes", [64, 128, 256, 512])
+    @pytest.mark.parametrize("label", [None, "constant", "cosine"])
+    def test_pv_cot_integral(self, n_modes, label):
+        grid = SpectralGrid(n_modes)
+        contour = None if label is None else make_contour(grid, label)
+        got, want = pv_cot_integral(grid, contour), full_pv_cot_integral(grid, contour)
+        if n_modes == 64:
+            assert np.array_equal(got, want)
+        else:
+            assert np.abs(got - want).max() <= 1e-14
+
+    @pytest.mark.parametrize("n_modes", [64, 128, 256, 512])
+    @pytest.mark.parametrize("label", ["constant", "cosine"])
+    def test_lambda_gamma(self, n_modes, label):
+        grid = SpectralGrid(n_modes)
+        contour = make_contour(grid, label)
+        mode = np.exp(4j * contour.complex_nodes(grid))
+        args = (mode, 4j * mode, contour, grid)
+        got, want = lambda_gamma(*args), full_lambda_gamma(*args)
+        if n_modes == 64:
+            assert np.array_equal(got, want)
+        else:
+            assert np.abs(got - want).max() <= 2e-15 * np.abs(want).max()
 
 
 class TestGardingForm:

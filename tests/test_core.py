@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -11,12 +12,14 @@ from muskat import (
     a_tilde,
     chord_arc_constant,
     evaluate_on_contour,
+    lambda_gamma,
+    pv_cot_integral,
     rhs,
     rhs_d4_decomposition,
     rt_generalized,
     stability,
 )
-from muskat.core import _flat_distance_sq, build_workspace, pair_sweep
+from muskat.core import _distance_sq, _node_distance, build_workspace, pair_sweep
 from muskat.errors import DegenerateGeometryError
 from muskat.initial_data import GraphFamilyParams, make_turnover_state
 
@@ -105,7 +108,9 @@ class TestRhsOracles:
         with np.errstate(divide="ignore", invalid="ignore"):
             integrand = (np.sin(x0) - np.sin(x0 - u)) / np.tan(u / 2.0)
         integrand[0] = integrand[-1] = 2.0 * np.cos(x0)
-        value = np.trapezoid(integrand, u)
+        # np.trapezoid is numpy >= 2.0; pyproject declares numpy >= 1.24
+        trapezoid = getattr(np, "trapezoid", None) or np.trapz
+        value = trapezoid(integrand, u)
         assert abs(value - 2.0 * np.pi * np.cos(x0)) < 1e-6
 
     def test_spectral_self_convergence(self):
@@ -156,11 +161,40 @@ class TestKernelWorkspace:
             assert array.dtype == np.float64
             assert array.shape == (grid256.n_modes,)
 
-    def test_flat_distance_is_cached_and_read_only(self):
-        first = _flat_distance_sq(64)
-        assert not first.flags.writeable
-        assert _flat_distance_sq(64) is first
-        assert np.array_equal(first, first.T)
+    def test_node_distance_is_a_cached_read_only_view_of_an_o_n_table(self):
+        n = 64
+        view = _node_distance(n)
+        assert view.shape == (2, n, n)
+        assert not view.flags.writeable
+        assert _node_distance(n) is view
+        root = view
+        while getattr(root, "base", None) is not None:
+            root = root.base
+        assert root.size == 2 * (2 * n - 1)
+
+    @pytest.mark.parametrize("lifted", [False, True], ids=["flat", "lifted"])
+    def test_block_distance_is_exact(self, lifted):
+        # (dx min(|i - j|, N - |i - j|) + |dh|)^2 off the diagonal, 1 on it;
+        # at N = 128 either sweep takes more than one block
+        grid = SpectralGrid(128)
+        n = grid.n_modes
+        heights = 0.15 + 0.03 * np.cos(grid.nodes) if lifted else np.zeros(n)
+        contour = LiftedContour.from_height(grid, heights, -1) if lifted else None
+        ws = build_workspace(gentle_state(grid), grid, contour, max_order=1)
+        blocks = []
+
+        def check(block):
+            i = np.arange(block.rows.start, block.rows.stop)[:, None]
+            j = np.arange(block.rows.start, n)[None, :]
+            offset = np.abs(i - j)
+            want = (grid.dx * np.minimum(offset, n - offset) + np.abs(heights[i] - heights[j])) ** 2
+            want[i == j] = 1.0
+            assert np.array_equal(_distance_sq(ws.zeta, block.rows), want)
+            blocks.append(block.rows)
+            return ()
+
+        pair_sweep(ws, grid, check)
+        assert len(blocks) > 1
 
     @pytest.mark.parametrize("lifted", [False, True], ids=["flat", "lifted"])
     def test_blocks_tile_the_upper_triangle_within_the_budget(self, lifted):
@@ -253,6 +287,37 @@ class TestKernelWorkspace:
         full.append(rt_generalized(state, grid, upper, h_t))
         for got, want in zip(swept, full):
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def _lifted_mode(grid: SpectralGrid):
+    contour = LiftedContour.from_height(grid, np.full(grid.n_modes, 0.5))
+    mode = np.exp(4j * contour.complex_nodes(grid))
+    return mode, 4j * mode, contour, grid
+
+
+class TestPairQuadratureMemory:
+    # one N x N complex array at N = 1024 is 16 MiB; every pair sum keeps
+    # its arrays block-sized, and the distance cache is O(N)
+    @pytest.mark.parametrize("evaluate", [
+        lambda grid: rhs(gentle_state(grid), grid),
+        lambda grid: chord_arc_constant(gentle_state(grid), grid),
+        lambda grid: a_tilde(gentle_state(grid), grid),
+        lambda grid: rhs_d4_decomposition(gentle_state(grid), grid),
+        lambda grid: pv_cot_integral(grid),
+        lambda grid: pv_cot_integral(grid, _lifted_mode(grid)[2]),
+        lambda grid: lambda_gamma(*_lifted_mode(grid)),
+    ], ids=["rhs", "chord_arc", "a_tilde", "decomposition", "pv_flat", "pv_lifted",
+            "lambda_gamma"])
+    def test_first_call_peak_below_two_mib_at_n1024(self, evaluate):
+        grid = SpectralGrid(1024)
+        _node_distance.cache_clear()
+        tracemalloc.start()
+        try:
+            evaluate(grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 class TestRhsSymmetries:

@@ -108,7 +108,7 @@ class TestSymmetries:
 class TestMargins:
     def test_all_margins_nonnegative_in_regime(self):
         grid = SpectralGrid(256)
-        margins = schedule_margins(VALID, grid, t_samples=64)
+        margins = schedule_margins(VALID, grid)
         assert margins.h_positive >= 0.0
         assert margins.h_t_bound >= 0.0
         assert margins.handover >= 0.0
@@ -117,13 +117,13 @@ class TestMargins:
 
     def test_handover_margin_exceeds_an_eighth(self):
         grid = SpectralGrid(256)
-        margins = schedule_margins(VALID, grid, t_samples=64)
+        margins = schedule_margins(VALID, grid)
         assert margins.handover >= VALID.tau**2 / (8.0 * VALID.A)
 
     def test_pinched_schedule_reports_zero_margin(self):
         pinched = HeightSchedule(A=10.0, tau=0.005, kappa=0.0)
         grid = SpectralGrid(256)
-        margins = schedule_margins(pinched, grid, t_samples=64)
+        margins = schedule_margins(pinched, grid)
         # h(0, tau) = 0 exactly: reported, not an error
         assert abs(h_of(0.0, pinched.tau, pinched)) < 1e-15
         assert margins.h_positive >= 0.0
@@ -134,12 +134,12 @@ class TestMargins:
         # must say so rather than fail
         loose = HeightSchedule(A=10.0, tau=0.05, kappa=1e-6)
         grid = SpectralGrid(256)
-        margins = schedule_margins(loose, grid, t_samples=64)
+        margins = schedule_margins(loose, grid)
         assert margins.h_positive < 0.0
         assert not margins.all_nonnegative()
 
     def test_rt_coupled_margins_positive_in_regime(self):
         grid = SpectralGrid(256)
-        first, second = rt_coupled_margins(VALID, grid, t_samples=64)
+        first, second = rt_coupled_margins(VALID, grid)
         assert first > 0.0
         assert second > 0.0
