@@ -1,8 +1,14 @@
 """Galerkin-truncated time integration of the interface evolution.
 
 The truncated system projects the right-hand side onto modes |k| <= cutoff,
-which turns the evolution into a finite ODE system; classical RK4 steps it
-in either time direction.  Every stage is re-projected (the quotient
+which turns the evolution into a finite ODE system.  Fixed-step runs step it
+with classical RK4 in either time direction.  Adaptive runs step it with
+Lawson's integrating-factor RK4 and an embedded third-order estimate: the
+linear part L = -2 pi density |k|, the exact decay rate around the flat
+interface, is integrated exactly when e^{L dt} decays (L = 0 otherwise, so no
+step multiplies by a growing factor), and the last stage
+evaluated at the new state is the next step's first (FSAL), so an attempted
+step costs 4 rhs calls.  Every stage is re-projected (the quotient
 nonlinearity aliases badly) and the result is reality-symmetrized, so
 band-limitation and conjugate symmetry are preserved exactly along a run.
 
@@ -129,6 +135,10 @@ class Trajectory:
     #: node pair and ratio of the chord-arc stop, None on other terminations
     chord_arc_pair: tuple[int, int] | None = None
     chord_arc_ratio: float | None = None
+    #: rhs evaluations the steps asked for (a step cut short by a geometry
+    #: stop counts in full) and adaptive steps rejected by the error control
+    rhs_calls: int = 0
+    rejected_steps: int = 0
 
     def times(self) -> list[float]:
         return [t for t, _, _ in self.records]
@@ -168,22 +178,45 @@ def step(
     Stages are projected to the cutoff; the result is projected and
     reality-symmetrized, so real band-limited states stay exactly so.
     """
+    f = _galerkin_field(grid, cutoff, floor, density_jump_over_2pi)
+    u = _stacked(state)
+    u_next, _ = _lawson_rk4(u, f(u), dt, f, 1.0, 1.0)
+    return _finished(u_next, grid, cutoff, state.time + dt)
 
-    def f(s: InterfaceState) -> Tendency:
-        return galerkin_rhs(s, grid, cutoff, floor, density_jump_over_2pi)
 
-    def advance(s: InterfaceState, h: float, tend: Tendency) -> InterfaceState:
-        return InterfaceState(s.p1 + h * tend.d1, s.p2 + h * tend.d2, s.time + h)
+def _stacked(state: InterfaceState) -> np.ndarray:
+    return np.stack([state.p1, state.p2])
 
-    k1 = f(state)
-    k2 = f(advance(state, dt / 2.0, k1))
-    k3 = f(advance(state, dt / 2.0, k2))
-    k4 = f(advance(state, dt, k3))
-    p1 = state.p1 + dt / 6.0 * (k1.d1 + 2.0 * k2.d1 + 2.0 * k3.d1 + k4.d1)
-    p2 = state.p2 + dt / 6.0 * (k1.d2 + 2.0 * k2.d2 + 2.0 * k3.d2 + k4.d2)
-    out = InterfaceState(grid.project_modes(p1, cutoff), grid.project_modes(p2, cutoff),
-                         state.time + dt)
+
+def _finished(u: np.ndarray, grid: SpectralGrid, cutoff: int, time: float) -> InterfaceState:
+    """The projected, reality-symmetrized state of stacked coefficients u."""
+    out = InterfaceState(grid.project_modes(u[0], cutoff), grid.project_modes(u[1], cutoff), time)
     return out.symmetrized()
+
+
+def _galerkin_field(grid: SpectralGrid, cutoff: int, floor: float, density: float):
+    """galerkin_rhs on stacked coefficients u = [p1, p2]."""
+
+    def f(u: np.ndarray) -> np.ndarray:
+        tendency = galerkin_rhs(InterfaceState(u[0], u[1]), grid, cutoff, floor, density)
+        return np.stack([tendency.d1, tendency.d2])
+
+    return f
+
+
+def _lawson_rk4(u, k1, h, nonlinear, e_half, e_full):
+    """Lawson's integrating-factor RK4 step of u' = L u + N(u).
+
+    u holds stacked coefficients, k1 = N(u), and e_half, e_full are
+    e^{Lh/2}, e^{Lh}.  Returns the unprojected new state and the last
+    stage k4.  With both factors 1.0 this is classical RK4 bit for bit:
+    multiplying by 1.0 is exact.
+    """
+    k2 = nonlinear(e_half * (u + h / 2.0 * k1))
+    k3 = nonlinear(e_half * u + h / 2.0 * k2)
+    k4 = nonlinear(e_full * u + h * (e_half * k3))
+    u_next = e_full * u + h / 6.0 * (e_full * k1 + 2.0 * e_half * k2 + 2.0 * e_half * k3 + k4)
+    return u_next, k4
 
 
 def _radius_estimate(state: InterfaceState, grid: SpectralGrid) -> float:
@@ -295,7 +328,7 @@ def run(initial: InterfaceState, config: RunConfig) -> Trajectory:
         )
 
     trajectory.termination, degenerate = _advance(
-        state, _accepted_states(state, grid, config), config,
+        state, _accepted_states(state, grid, config, trajectory), config,
         lambda s: _check_stops(s, grid, config), record,
     )
     if degenerate is not None:
@@ -360,45 +393,66 @@ def _step_plan(config: RunConfig) -> list[tuple[float, float]]:
     return plan
 
 
-def _accepted_states(state: InterfaceState, grid: SpectralGrid, config: RunConfig):
+def _accepted_states(state: InterfaceState, grid: SpectralGrid, config: RunConfig,
+                     counts: Trajectory | None = None):
     """Each accepted state from t_start up to t_end.
 
-    Fixed runs follow the step plan; adaptive runs use step-doubling control
-    and shorten the last step to land on t_end.
+    Fixed runs follow the step plan with classical RK4; adaptive runs use
+    the embedded integrating-factor pair and shorten the last step to land
+    on t_end.  When ``counts`` is given, adds the rhs calls and rejected
+    steps to its ``rhs_calls`` and ``rejected_steps``.
     """
+    counts = counts if counts is not None else Trajectory()
     cutoff = config.galerkin_cutoff
     if not config.adaptive:
         for step_dt, target_time in _step_plan(config):
+            counts.rhs_calls += 4
             state = step(state, grid, step_dt, cutoff, config.chord_arc_floor,
                          config.density_jump_over_2pi)
             state.time = target_time
             yield state
         return
+    density = config.density_jump_over_2pi
+    f = _galerkin_field(grid, cutoff, config.chord_arc_floor, density)
+    lin, nonlinear = 0.0, f
+    if density * config.signed_dt > 0:
+        # e^{L dt} decays: integrate the flat-interface linear part exactly
+        lin = -2.0 * math.pi * density * np.abs(grid.wavenumbers)
+
+        def nonlinear(u):
+            return f(u) - lin * u
+    counts.rhs_calls += 1
+    k1 = nonlinear(_stacked(state))
     dt = config.signed_dt
     while (config.t_end - state.time) * np.sign(config.signed_dt) > 1e-15:
         remaining = config.t_end - state.time
         this_dt = dt if abs(remaining) >= abs(dt) else remaining
-        state, dt = _adaptive_step(state, grid, this_dt, cutoff, config)
+        state, k1, dt = _adaptive_step(state, k1, this_dt, nonlinear, lin, grid, config, counts)
         yield state
 
 
-def _adaptive_step(state, grid, dt, cutoff, config):
-    """Step-doubling control: compare one dt step against two dt/2 steps."""
-    floor = config.chord_arc_floor
-    tol = config.adaptive_tol
-    density = config.density_jump_over_2pi
+def _adaptive_step(state, k1, dt, nonlinear, lin, grid, config, counts):
+    """One accepted step of the embedded integrating-factor RK4 pair.
+
+    k1 = N(state).  The embedded third-order solution swaps k4 for
+    k5 = N(new state), so the error estimate is |dt|/6 max|k4 - k5|.  A step
+    is accepted when that is within adaptive_tol |dt|; a rejected dt is
+    halved and retried.  Returns the accepted state, its k5 (the next
+    step's k1) and the next dt, doubled when the error is below 1/16 of the
+    budget.
+    """
+    u = _stacked(state)
     while True:
-        full = step(state, grid, dt, cutoff, floor, density)
-        half = step(step(state, grid, dt / 2.0, cutoff, floor, density),
-                    grid, dt / 2.0, cutoff, floor, density)
-        err = max(
-            np.abs(full.p1 - half.p1).max(),
-            np.abs(full.p2 - half.p2).max(),
-        )
-        budget = tol * abs(dt)
+        counts.rhs_calls += 4
+        e_half, e_full = np.exp(lin * (dt / 2.0)), np.exp(lin * dt)
+        u_next, k4 = _lawson_rk4(u, k1, dt, nonlinear, e_half, e_full)
+        candidate = _finished(u_next, grid, config.galerkin_cutoff, state.time + dt)
+        k5 = nonlinear(_stacked(candidate))
+        err = abs(dt) / 6.0 * np.abs(k4 - k5).max()
+        budget = config.adaptive_tol * abs(dt)
         if err <= budget:
-            grow = 2.0 if err < budget / 32.0 else 1.0
-            return half, dt * grow
+            return candidate, k5, dt * (2.0 if err < budget / 16.0 else 1.0)
+        counts.rejected_steps += 1
         dt = dt / 2.0
         if abs(dt) < 1e-12:
             raise BlowupError("adaptive step collapsed below 1e-12")

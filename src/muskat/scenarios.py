@@ -102,7 +102,10 @@ def _emit_trajectory(out_dir: str, cfg: ScenarioConfig, trajectory: Trajectory,
         stop = {"chord_arc_pair": list(trajectory.chord_arc_pair),
                 "chord_arc_ratio": trajectory.chord_arc_ratio}
     _write_report(out_dir, cfg, {"termination": trajectory.termination,
-                                 "records": len(trajectory.records), **stop, **(report or {})})
+                                 "records": len(trajectory.records),
+                                 "rhs_calls": trajectory.rhs_calls,
+                                 "rejected_steps": trajectory.rejected_steps,
+                                 **stop, **(report or {})})
     return EXIT_OK if trajectory.termination == "reached_t_end" else EXIT_NUMERIC
 
 
@@ -126,8 +129,10 @@ def _scenario_linear_decay(cfg: ScenarioConfig, out_dir: str) -> int:
     slope, _ = np.polyfit(times, np.log(amplitudes), 1)
     fitted_rate = float(-slope)
     extra = {"fitted_decay_rate": [fitted_rate] * len(trajectory.records)}
-    report = {"fitted_decay_rate": fitted_rate, "expected_rate": 2.0 * math.pi,
-              "relative_error": abs(fitted_rate - 2.0 * math.pi) / (2.0 * math.pi)}
+    # the linear rate of mode 1 around the flat interface
+    expected = 2.0 * math.pi * cfg.run.density_jump_over_2pi
+    report = {"fitted_decay_rate": fitted_rate, "expected_rate": expected,
+              "relative_error": abs(fitted_rate - expected) / abs(expected) if expected else None}
     return _emit_trajectory(out_dir, cfg, trajectory, grid, extra, report)
 
 

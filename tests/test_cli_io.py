@@ -207,6 +207,24 @@ class TestScenarios:
         header, _ = read_csv(tmp_path / "trajectory.csv")
         assert header[-1] == "fitted_decay_rate"
 
+    @pytest.mark.parametrize("run_keys, expected_rate", [
+        ("n_modes = 32\ndensity_jump_over_2pi = 0.5\n", np.pi),
+        ("n_modes = 64\nadaptive = true\n", 2 * np.pi),
+    ], ids=["density_half", "adaptive"])
+    def test_linear_decay_cli_rate_and_rhs_calls(self, tmp_path, run_keys, expected_rate):
+        path = tmp_path / "cfg.ini"
+        path.write_text(f"[run]\nscenario = linear_decay\n{run_keys}")
+        assert main(["linear_decay", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+        report = json.loads((tmp_path / "o" / "report.json").read_text())
+        assert report["expected_rate"] == pytest.approx(expected_rate, rel=1e-15)
+        assert report["relative_error"] < 1e-4
+        if "adaptive" in run_keys:
+            # FSAL: one call to start, four per attempted step
+            assert (report["rhs_calls"] - 1) % 4 == 0 and report["rhs_calls"] <= 60
+        else:
+            assert report["rhs_calls"] == 4 * 500
+            assert report["rejected_steps"] == 0
+
     def test_f_kappa_build_emits_deviation(self, tmp_path):
         cfg = load_config_text("[run]\nscenario = f_kappa_build\nn_modes = 256\n")
         status = run_scenario("f_kappa_build", cfg, str(tmp_path))

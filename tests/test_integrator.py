@@ -18,6 +18,14 @@ from muskat import integrator
 from muskat.errors import ConfigError, DegenerateGeometryError
 
 
+def decay_state(grid):
+    """Modes 1-4 of z2 at the amplitudes of the decay benchmark, fixed phases."""
+    x = grid.nodes
+    z2 = (1e-2 * np.cos(x + 0.3) + 7.5e-3 * np.cos(2 * x + 1.1)
+          + 5e-3 * np.cos(3 * x + 2.0) + 2e-3 * np.cos(4 * x + 4.0))
+    return InterfaceState(np.zeros(grid.n_modes, dtype=complex), grid.to_spectral(z2))
+
+
 def eps_mode_state(grid, k=1, eps=1e-6):
     c2 = np.zeros(grid.n_modes, dtype=complex)
     c2[k] = eps / 2.0
@@ -280,6 +288,82 @@ class TestRun:
         b = adaptive.final_state()
         assert abs(a.time - b.time) < 1e-12
         assert np.abs(a.p2 - b.p2).max() < 1e-8
+
+
+def fixed_rk4(initial, grid, cutoff, dts, density=1.0):
+    """Classical RK4 from the projected initial state; every state along the way."""
+    state = InterfaceState(grid.project_modes(initial.p1, cutoff),
+                           grid.project_modes(initial.p2, cutoff))
+    states = [state]
+    for dt in dts:
+        state = step(state, grid, dt, cutoff, density_jump_over_2pi=density)
+        states.append(state)
+    return states
+
+
+def max_gap(a, b):
+    return max(np.abs(a.p1 - b.p1).max(), np.abs(a.p2 - b.p2).max())
+
+
+class TestEmbeddedPair:
+    def test_fsal_accounting_with_a_forced_rejection(self):
+        grid = SpectralGrid(64)
+        steep = InterfaceState(np.zeros(grid.n_modes, dtype=complex),
+                               grid.to_spectral(0.3 * np.sin(grid.nodes)))
+        # a first step of 0.05 is far outside the error budget on this slope
+        config = RunConfig(n_modes=64, dt=0.05, t_end=0.1, adaptive=True, record_every=1)
+        trajectory = run(steep, config)
+        accepted = len(trajectory.records) - 1
+        assert trajectory.termination == "reached_t_end"
+        assert trajectory.rejected_steps >= 1
+        assert trajectory.rhs_calls == 1 + 4 * (accepted + trajectory.rejected_steps)
+
+    def test_fixed_runs_count_four_calls_per_step(self):
+        grid = SpectralGrid(32)
+        config = RunConfig(n_modes=32, dt=1e-3, t_end=0.0105, record_every=1)
+        trajectory = run(decay_state(grid), config)
+        assert len(trajectory.records) == 12
+        assert trajectory.rhs_calls == 4 * 11
+        assert trajectory.rejected_steps == 0
+
+    @pytest.mark.parametrize("case", ["decay", "turnover"])
+    def test_final_state_matches_fixed_rk4_at_an_eighth_of_dt(self, case):
+        grid = SpectralGrid(128)
+        if case == "decay":
+            initial, dt, t_end = decay_state(grid), 8e-3, 0.5
+        else:
+            initial = make_turnover_state(GraphFamilyParams(slope_amplitude=0.98), grid)
+            dt, t_end = 5e-4, 0.02
+        config = RunConfig(n_modes=128, dt=dt, t_end=t_end, adaptive=True,
+                           record_every=10**6)
+        adaptive = run(initial, config).final_state()
+        n_steps = round(8 * t_end / dt)
+        reference = fixed_rk4(initial, grid, config.galerkin_cutoff, [dt / 8] * n_steps)[-1]
+        assert adaptive.time == pytest.approx(t_end, abs=1e-15)
+        assert max_gap(adaptive, reference) <= config.adaptive_tol * t_end
+
+    def test_decay_state_reaches_half_in_few_rhs_calls(self):
+        grid = SpectralGrid(128)
+        config = RunConfig(n_modes=128, dt=1e-3, t_end=0.5, adaptive=True, record_every=1)
+        trajectory = run(decay_state(grid), config)
+        assert trajectory.termination == "reached_t_end"
+        assert trajectory.rhs_calls <= 60
+
+    @pytest.mark.parametrize("direction, density", [("backward", 1.0), ("forward", -0.5)])
+    def test_no_growing_factor(self, direction, density):
+        # e^{L dt} would grow here, so the pair must be classical RK4
+        grid = SpectralGrid(64)
+        t_end = -0.02 if direction == "backward" else 0.02
+        config = RunConfig(n_modes=64, dt=1e-3, t_end=t_end, direction=direction,
+                           adaptive=True, density_jump_over_2pi=density, record_every=1)
+        trajectory = run(decay_state(grid), config)
+        times = trajectory.times()
+        assert len(times) > 2 and abs(times[-1] - t_end) < 1e-15
+        states = fixed_rk4(decay_state(grid), grid, config.galerkin_cutoff,
+                           np.diff(times), density)
+        for (_, got, _), want in zip(trajectory.records, states):
+            scale = max(np.abs(want.p1).max(), np.abs(want.p2).max())
+            assert max_gap(got, want) <= 1e-14 * scale
 
 
 class TestTwoSolutionMonitor:
