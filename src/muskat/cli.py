@@ -3,6 +3,10 @@
     simulate <scenario> [--config PATH] [--out DIR] [--modes N]
              [--cutoff K] [--dt DT] [--direction fwd|bwd]
 
+The flags set the [run] keys of the same name in the loaded config and go
+through the same parsing and checks as the file's values; --modes without
+--cutoff lets the cutoff follow the new mode count.
+
 Exit codes: 0 success, 2 configuration error, 3 numeric stop, 4 I/O error.
 """
 
@@ -10,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 from .config import SCENARIOS, ScenarioConfig, load_config, load_config_text
 from .errors import ConfigError
@@ -27,42 +30,27 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("scenario", choices=SCENARIOS, help="scenario to execute")
     parser.add_argument("--config", help="path to an INI config file (defaults apply if omitted)")
     parser.add_argument("--out", default=None, help="output directory (default out-<scenario>)")
-    parser.add_argument("--modes", type=int, default=None, help="override [run] n_modes")
-    parser.add_argument("--cutoff", type=int, default=None, help="override [run] galerkin_cutoff")
-    parser.add_argument("--dt", type=float, default=None, help="override [run] dt")
-    parser.add_argument("--direction", choices=sorted(_DIRECTIONS), default=None,
-                        help="override [run] direction")
+    parser.add_argument("--modes", help="set [run] n_modes")
+    parser.add_argument("--cutoff", help="set [run] galerkin_cutoff")
+    parser.add_argument("--dt", help="set [run] dt")
+    parser.add_argument("--direction", choices=sorted(_DIRECTIONS), help="set [run] direction")
     return parser
 
 
 def _load(args) -> ScenarioConfig:
-    if args.config is not None:
-        cfg = load_config(args.config)
-        if cfg.scenario != args.scenario:
-            raise ConfigError(
-                f"config names scenario {cfg.scenario!r} but {args.scenario!r} was requested"
-            )
-    else:
-        cfg = load_config_text(f"[run]\nscenario = {args.scenario}\n")
-    overrides = []
-    if args.modes is not None:
-        overrides.append(("n_modes", args.modes))
-    if args.cutoff is not None:
-        overrides.append(("galerkin_cutoff", args.cutoff))
-    if args.dt is not None:
-        overrides.append(("dt", args.dt))
-    if args.direction is not None:
-        overrides.append(("direction", _DIRECTIONS[args.direction]))
-    if overrides:
-        fields = dict(overrides)
-        if args.modes is not None and args.cutoff is None:
-            # let the changed mode count derive its own dealiasing cutoff
-            fields["galerkin_cutoff"] = None
-        try:
-            run = replace(cfg.run, **fields)
-        except ValueError as exc:
-            raise ConfigError(f"command-line override: {exc}") from exc
-        cfg = replace(cfg, run=run)
+    flags = {"n_modes": args.modes, "galerkin_cutoff": args.cutoff, "dt": args.dt,
+             "direction": _DIRECTIONS.get(args.direction)}
+    run = {key: value for key, value in flags.items() if value is not None}
+    if args.modes is not None and args.cutoff is None:
+        # an empty cutoff is unset: the changed mode count derives its own
+        run["galerkin_cutoff"] = ""
+    if args.config is None:
+        return load_config_text(f"[run]\nscenario = {args.scenario}\n", run)
+    cfg = load_config(args.config, run)
+    if cfg.scenario != args.scenario:
+        raise ConfigError(
+            f"config names scenario {cfg.scenario!r} but {args.scenario!r} was requested"
+        )
     return cfg
 
 

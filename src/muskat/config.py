@@ -1,24 +1,32 @@
 """Flat key-value configuration files with typed sections.
 
 Format: INI-style text with sections [run], [schedule], [family],
-[perturbation].  Only the scenario name is mandatory; every other key has a
-documented default.  Unknown sections or keys are rejected so that typos
-fail loudly, and validation errors always name the offending field.
+[perturbation].  Each key is a field, in lower case, of what its section
+builds: [run] of RunConfig plus ScenarioConfig's scenario and seed,
+[schedule] of HeightSchedule, [family] of GraphFamilyParams, [perturbation]
+of ScenarioConfig's perturbation_* fields.  The field's type hint sets how a
+value is parsed and written.  Only the scenario name is mandatory; an unset
+key takes its scenario's fallback, else the field's default.  Unknown
+sections or keys are rejected so that typos fail loudly, and validation
+errors always name the offending field.  The command-line flags set [run]
+keys through the same loader and checks.
 """
 
 from __future__ import annotations
 
 import configparser
 import dataclasses
+import functools
 import hashlib
 import io
 import math
 import typing
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .errors import ConfigError
 from .initial_data import GraphFamilyParams
-from .integrator import STOP_CONDITIONS, RunConfig
+from .integrator import RunConfig
 from .schedules import HeightSchedule
 
 SCENARIOS = (
@@ -31,50 +39,6 @@ SCENARIOS = (
     "f_kappa_build",
 )
 
-# [run] keys mirror the RunConfig fields except the schedule, which has its
-# own section; stop_on is a comma list in the file.
-_RUN_FIELDS = {f.name: f.default for f in dataclasses.fields(RunConfig) if f.name != "schedule"}
-
-
-def _key_type(hint):
-    """int | None -> int; plain types pass through."""
-    args = [a for a in typing.get_args(hint) if a is not type(None)]
-    return args[0] if args else hint
-
-
-_RUN_HINTS = typing.get_type_hints(RunConfig)
-# (type, default) per key
-_RUN_KEYS = {
-    "scenario": (str, None),
-    **{name: (_key_type(_RUN_HINTS[name]), default) for name, default in _RUN_FIELDS.items()},
-    "seed": (int, 0),
-}
-_RUN_KEYS["stop_on"] = (str, "")
-_SCHEDULE_KEYS = {"a": (float, 10.0), "tau": (float, 0.005), "kappa": (float, 1e-6)}
-_FAMILY_KEYS = {
-    "slope_amplitude": (float, None),
-    "steepening_rate": (float, -0.3),
-    "mode_count": (int, 2),
-    "vertical_amplitudes": (str, "-0.5, 1.0"),
-}
-_PERTURBATION_KEYS = {"lambda": (float, 1e-5), "kappa": (float, 0.2)}
-_SECTIONS = {
-    "run": _RUN_KEYS,
-    "schedule": _SCHEDULE_KEYS,
-    "family": _FAMILY_KEYS,
-    "perturbation": _PERTURBATION_KEYS,
-}
-
-# per-scenario fallbacks for keys the user left unset, where they differ
-# from the RunConfig defaults
-_SCENARIO_RUN_DEFAULTS = {
-    "flat": dict(dt=1e-2),
-    "linear_decay": dict(t_end=0.5),
-    "turnover": dict(dt=5e-4, t_end=0.04, stop_on="chord_arc_floor,blowup_norm"),
-    "perturbed_pair": dict(t_end=0.1),
-}
-_SCENARIO_FAMILY_SLOPE = {"turnover": 0.98}
-
 
 @dataclass
 class ScenarioConfig:
@@ -82,27 +46,109 @@ class ScenarioConfig:
     run: RunConfig
     schedule: HeightSchedule
     family: GraphFamilyParams
-    perturbation_lambda: float
-    perturbation_kappa: float
-    seed: int
+    perturbation_lambda: float = 1e-5
+    perturbation_kappa: float = 0.2
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.scenario not in SCENARIOS:
+            raise ConfigError(f"[run] scenario: unknown scenario {self.scenario!r}")
+        # numpy's generators take only nonnegative seeds
+        if self.seed < 0:
+            raise ConfigError(f"[run] seed: must be nonnegative, got {self.seed}")
+        for key in ("lambda", "kappa"):
+            value = getattr(self, f"perturbation_{key}")
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ConfigError(
+                    f"[perturbation] {key}: must be finite and nonnegative, got {value}"
+                )
 
     def digest(self) -> str:
         return hashlib.sha256(serialize_config(self).encode()).hexdigest()[:16]
 
 
+def _items(raw: str) -> list[str]:
+    return [part.strip() for part in raw.split(",") if part.strip()]
+
+
+# type hint -> (parse, render); the two comma lists keep their own
+# separators, so the rendered defaults (and the digests snapshots store) hold
+_CODECS = {
+    float: (float, repr),
+    int: (int, str),
+    str: (str, str),
+    bool: (lambda raw: configparser.ConfigParser.BOOLEAN_STATES[raw.lower()],
+           lambda value: str(value).lower()),
+    frozenset[str]: (lambda raw: frozenset(_items(raw)), lambda value: ",".join(sorted(value))),
+    tuple[float, ...]: (
+        lambda raw: tuple(float(part) for part in _items(raw)),
+        lambda value: ", ".join(repr(v) for v in value),
+    ),
+}
+
+
+def _codec(hint):
+    """(parse, render) of a type hint; ``X | None`` reads an empty value as None."""
+    args = typing.get_args(hint)
+    if type(None) not in args:
+        return _CODECS[hint]
+    (inner,) = [arg for arg in args if arg is not type(None)]
+    parse, render = _CODECS[inner]
+    return (lambda raw: parse(raw) if raw.strip() else None,
+            lambda value: "" if value is None else render(value))
+
+
+def _build_table() -> dict[tuple[str, str], tuple]:
+    """(section, key) -> (attribute path from ScenarioConfig, type hint,
+    default) for every config key, in file order.
+
+    A dataclass-typed field of ScenarioConfig is the section of its name; a
+    scalar field perturbation_<key> is <key> of [perturbation], any other
+    scalar field a [run] key.
+    """
+    table = {}
+    hints = typing.get_type_hints(ScenarioConfig)
+    for top in dataclasses.fields(ScenarioConfig):
+        hint = hints[top.name]
+        if not dataclasses.is_dataclass(hint):
+            section, _, key = top.name.rpartition("_")
+            table[(section or "run", key)] = ((top.name,), hint, top.default)
+            continue
+        sub_hints = typing.get_type_hints(hint)
+        for sub in dataclasses.fields(hint):
+            # RunConfig.schedule is the [schedule] section itself
+            if (top.name, sub.name) != ("run", "schedule"):
+                table[(top.name, sub.name.lower())] = (
+                    (top.name, sub.name), sub_hints[sub.name], sub.default
+                )
+    return table
+
+
+_TABLE = _build_table()
+_SECTION_NAMES = {section for section, _ in _TABLE}
+
+# per-scenario fallbacks for keys the file leaves unset, where they differ
+# from the field defaults
+_SCENARIO_DEFAULTS = {
+    "flat": {("run", "dt"): 1e-2},
+    "linear_decay": {("run", "t_end"): 0.5},
+    "turnover": {
+        ("run", "dt"): 5e-4,
+        ("run", "t_end"): 0.04,
+        ("run", "stop_on"): frozenset({"chord_arc_floor", "blowup_norm"}),
+        ("family", "slope_amplitude"): 0.98,
+    },
+    "perturbed_pair": {("run", "t_end"): 0.1},
+}
+
+
 def _parse_value(section: str, key: str, raw: str):
-    typ, _default = _SECTIONS[section][key]
+    hint = _TABLE[(section, key)][1]
     try:
-        if typ is bool:
-            lowered = raw.strip().lower()
-            if lowered in ("true", "yes", "1", "on"):
-                return True
-            if lowered in ("false", "no", "0", "off"):
-                return False
-            raise ValueError(raw)
-        return typ(raw)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key}: cannot parse {raw!r} as {typ.__name__}") from exc
+        return _codec(hint)[0](raw)
+    except (KeyError, ValueError) as exc:
+        name = getattr(hint, "__name__", hint)
+        raise ConfigError(f"[{section}] {key}: cannot parse {raw!r} as {name}") from exc
 
 
 def _read_ini(text: str) -> configparser.ConfigParser:
@@ -114,135 +160,64 @@ def _read_ini(text: str) -> configparser.ConfigParser:
     return parser
 
 
-def load_config_text(text: str) -> ScenarioConfig:
+def load_config_text(text: str, run: Mapping[str, str] | None = None) -> ScenarioConfig:
+    """Parse and validate config text; ``run`` holds raw [run] values that
+    replace the text's, as the command-line flags do."""
     parser = _read_ini(text)
+    if run:
+        parser.read_dict({"run": run})
     values: dict[tuple[str, str], object] = {}
     for section in parser.sections():
-        if section not in _SECTIONS:
+        if section not in _SECTION_NAMES:
             raise ConfigError(f"unknown section [{section}]")
         for key, raw in parser.items(section):
-            if key not in _SECTIONS[section]:
+            if (section, key) not in _TABLE:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
             values[(section, key)] = _parse_value(section, key, raw)
 
-    def get(section: str, key: str):
-        if (section, key) in values:
-            return values[(section, key)]
-        return _SECTIONS[section][key][1]
+    fallbacks = _SCENARIO_DEFAULTS.get(values.get(("run", "scenario")), {})
+    kwargs: dict[str, typing.Any] = {}
+    for name, (path, _, default) in _TABLE.items():
+        value = values.get(name, fallbacks.get(name, default))
+        if value is dataclasses.MISSING:
+            raise ConfigError(f"[{name[0]}] {name[1]}: required")
+        if len(path) == 1:
+            kwargs[path[0]] = value
+        else:
+            kwargs.setdefault(path[0], {})[path[1]] = value
 
-    scenario = get("run", "scenario")
-    if scenario is None:
-        raise ConfigError("[run] scenario: required")
-    if scenario not in SCENARIOS:
-        raise ConfigError(f"[run] scenario: unknown scenario {scenario!r}")
+    def build(section: str, cls, **extra):
+        try:
+            return cls(**kwargs[section], **extra)
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] {exc}") from exc
 
-    fallbacks = _SCENARIO_RUN_DEFAULTS.get(scenario, {})
-
-    def run_value(key: str):
-        return values.get(("run", key), fallbacks.get(key, _RUN_KEYS[key][1]))
-
-    run_values = {name: run_value(name) for name in _RUN_FIELDS}
-    stop_on = frozenset(
-        part.strip() for part in run_values["stop_on"].split(",") if part.strip()
-    )
-    unknown_stops = stop_on - STOP_CONDITIONS
-    if unknown_stops:
-        raise ConfigError(f"[run] stop_on: unknown conditions {sorted(unknown_stops)}")
-
-    try:
-        schedule = HeightSchedule(
-            A=get("schedule", "a"), tau=get("schedule", "tau"), kappa=get("schedule", "kappa")
-        )
-    except ValueError as exc:
-        raise ConfigError(f"[schedule]: {exc}") from exc
-
+    schedule = build("schedule", HeightSchedule)
     # the generalized Rayleigh-Taylor monitor is driven by the schedule
-    run_schedule = schedule if run_values["rt_convention"] == "generalized" else None
-    try:
-        run = RunConfig(**{**run_values, "stop_on": stop_on, "schedule": run_schedule})
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"[run]: {exc}") from exc
-
-    slope = get("family", "slope_amplitude")
-    if slope is None:
-        slope = _SCENARIO_FAMILY_SLOPE.get(scenario, 1.0)
-    raw_verticals = get("family", "vertical_amplitudes")
-    try:
-        verticals = tuple(float(part) for part in str(raw_verticals).split(",") if part.strip())
-    except ValueError as exc:
-        raise ConfigError(f"[family] vertical_amplitudes: {exc}") from exc
-    try:
-        family = GraphFamilyParams(
-            slope_amplitude=slope,
-            steepening_rate=get("family", "steepening_rate"),
-            mode_count=get("family", "mode_count"),
-            vertical_amplitudes=verticals,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"[family] {exc}") from exc
-
-    # numpy's generators take only nonnegative seeds
-    if get("run", "seed") < 0:
-        raise ConfigError(f"[run] seed: must be nonnegative, got {get('run', 'seed')}")
-
-    for key in ("lambda", "kappa"):
-        value = get("perturbation", key)
-        if not (math.isfinite(value) and value >= 0.0):
-            raise ConfigError(f"[perturbation] {key}: must be finite and nonnegative, got {value}")
-
-    return ScenarioConfig(
-        scenario=scenario,
-        run=run,
-        schedule=schedule,
-        family=family,
-        perturbation_lambda=get("perturbation", "lambda"),
-        perturbation_kappa=get("perturbation", "kappa"),
-        seed=get("run", "seed"),
-    )
+    generalized = kwargs["run"]["rt_convention"] == "generalized"
+    kwargs["run"] = build("run", RunConfig, schedule=schedule if generalized else None)
+    kwargs["family"] = build("family", GraphFamilyParams)
+    kwargs["schedule"] = schedule
+    return ScenarioConfig(**kwargs)
 
 
-def load_config(path: str) -> ScenarioConfig:
+def load_config(path: str, run: Mapping[str, str] | None = None) -> ScenarioConfig:
     """Parse and validate a config file; ConfigError carries the field name."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return load_config_text(text)
-
-
-def _render(key: str, value) -> str:
-    typ = _RUN_KEYS[key][0]
-    if key == "stop_on":
-        return ",".join(sorted(value))
-    if typ is float:
-        return repr(value)
-    return str(value).lower() if typ is bool else str(value)
+    return load_config_text(text, run)
 
 
 def serialize_config(cfg: ScenarioConfig) -> str:
     """Render a fully explicit config that round-trips through load."""
     parser = configparser.ConfigParser(interpolation=None)
-    parser["run"] = {
-        "scenario": cfg.scenario,
-        **{name: _render(name, getattr(cfg.run, name)) for name in _RUN_FIELDS},
-        "seed": str(cfg.seed),
-    }
-    parser["schedule"] = {
-        "a": repr(cfg.schedule.A),
-        "tau": repr(cfg.schedule.tau),
-        "kappa": repr(cfg.schedule.kappa),
-    }
-    parser["family"] = {
-        "slope_amplitude": repr(cfg.family.slope_amplitude),
-        "steepening_rate": repr(cfg.family.steepening_rate),
-        "mode_count": str(cfg.family.mode_count),
-        "vertical_amplitudes": ", ".join(repr(v) for v in cfg.family.vertical_amplitudes),
-    }
-    parser["perturbation"] = {
-        "lambda": repr(cfg.perturbation_lambda),
-        "kappa": repr(cfg.perturbation_kappa),
-    }
+    for (section, key), (path, hint, _) in _TABLE.items():
+        if not parser.has_section(section):
+            parser.add_section(section)
+        parser.set(section, key, _codec(hint)[1](functools.reduce(getattr, path, cfg)))
     out = io.StringIO()
     parser.write(out)
     return out.getvalue()

@@ -121,12 +121,6 @@ class DiagnosticsRecord:
     h4_norm: float
     analyticity_radius: float
 
-    CSV_COLUMNS = ("time", "min_dz1", "chord_arc", "rt_min", "h4_norm", "analyticity_radius")
-
-    def row(self) -> tuple[float, ...]:
-        return (self.time, self.min_dz1, self.chord_arc, self.rt_min,
-                self.h4_norm, self.analyticity_radius)
-
 
 @dataclass
 class Trajectory:

@@ -9,6 +9,7 @@ non-finite values are refused, so a consumer never sees NaN output.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -35,8 +36,6 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
 
-NUMERIC_STOPS = {"chord_arc_floor", "rt_sign", "blowup_norm"}
-
 
 def _write_json(path: str, payload: dict) -> None:
     atomic_write_text(path, json.dumps(payload, indent=1, sort_keys=True))
@@ -58,8 +57,8 @@ def _write_csv(path: str, header: tuple[str, ...], rows: list[tuple]) -> None:
 
 
 def _trajectory_rows(trajectory: Trajectory, extra: dict[str, list] | None = None):
-    header = DiagnosticsRecord.CSV_COLUMNS
-    rows = [diag.row() for _, _, diag in trajectory.records]
+    header = tuple(field.name for field in dataclasses.fields(DiagnosticsRecord))
+    rows = [dataclasses.astuple(diag) for _, _, diag in trajectory.records]
     if extra:
         for name, column in extra.items():
             header = header + (name,)
@@ -93,9 +92,9 @@ def _emit_trajectory(out_dir: str, cfg: ScenarioConfig, trajectory: Trajectory,
     first = trajectory.records[0]
     last = trajectory.records[-1]
     save_snapshot(first[1], os.path.join(out_dir, "snapshot_initial.json"), digest,
-                  dict(zip(first[2].CSV_COLUMNS, first[2].row())))
+                  dataclasses.asdict(first[2]))
     save_snapshot(last[1], os.path.join(out_dir, "snapshot_final.json"), digest,
-                  dict(zip(last[2].CSV_COLUMNS, last[2].row())))
+                  dataclasses.asdict(last[2]))
     _write_plot_data(os.path.join(out_dir, "plot_data.json"), trajectory, grid)
     stop = {}
     if trajectory.chord_arc_pair is not None:

@@ -34,7 +34,7 @@ class HeightSchedule:
     """Parameters (A, tau, kappa) of the two height functions."""
 
     A: float = 10.0
-    tau: float = 0.05
+    tau: float = 0.005
     kappa: float = 1e-6
 
     def __post_init__(self):

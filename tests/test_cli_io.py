@@ -5,11 +5,14 @@ import numpy as np
 import pytest
 
 from muskat import InterfaceState, SpectralGrid, run
-from muskat.cli import main
+from muskat.cli import _load, build_parser, main
 from muskat import scenarios
 from muskat.config import SCENARIOS, load_config, load_config_text, serialize_config
 from muskat.errors import ConfigError, DegenerateParametrizationError, SnapshotError
+from muskat.initial_data import GraphFamilyParams
+from muskat.integrator import RunConfig
 from muskat.scenarios import run_scenario
+from muskat.schedules import HeightSchedule
 from muskat.snapshots import load_snapshot, save_snapshot
 
 from conftest import run_with_blas_threads
@@ -23,6 +26,13 @@ class TestConfig:
         assert cfg.run.galerkin_cutoff == 256 // 3
         assert cfg.run.direction == "forward"
         assert cfg.run.t_end == 1.0
+
+    @pytest.mark.parametrize("scenario", ["schedule_check", "operator_suite", "f_kappa_build"])
+    def test_scenario_without_fallbacks_loads_the_field_defaults(self, scenario):
+        cfg = load_config_text(f"[run]\nscenario = {scenario}\n")
+        assert cfg.run == RunConfig()
+        assert cfg.schedule == HeightSchedule()
+        assert cfg.family == GraphFamilyParams()
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
@@ -327,6 +337,20 @@ class TestCli:
         status = main(["turnover", "--config", str(path), "--out", str(tmp_path / "o")])
         assert status == 2
 
+    def test_flags_set_the_same_run_keys_as_the_file(self):
+        args = build_parser().parse_args(["flat", "--modes", "64", "--cutoff", "10", "--dt", "0.05"])
+        from_file = load_config_text(
+            "[run]\nscenario = flat\nn_modes = 64\ngalerkin_cutoff = 10\ndt = 0.05\n"
+        )
+        assert serialize_config(_load(args)) == serialize_config(from_file)
+
+    def test_modes_flag_derives_the_cutoff_again(self, tmp_path):
+        path = tmp_path / "cfg.ini"
+        path.write_text("[run]\nscenario = flat\ngalerkin_cutoff = 60\n")
+        assert load_config(str(path)).run.galerkin_cutoff == 60
+        args = build_parser().parse_args(["flat", "--config", str(path), "--modes", "64"])
+        assert _load(args).run.galerkin_cutoff == 21
+
     def test_bad_cutoff_is_config_error(self, tmp_path):
         status = main([
             "flat", "--out", str(tmp_path / "o"), "--modes", "64", "--cutoff", "60",
@@ -341,6 +365,7 @@ class TestCli:
         ["flat", "--modes", "64", "--dt", "nan"],
         ["flat", "--modes", "64", "--cutoff", "0"],
         ["f_kappa_build", "--modes", "64"],
+        ["flat", "--modes", "64", "--direction", "bwd"],
     ])
     def test_invalid_input_exits_two_without_traceback(self, tmp_path, capsys, argv):
         status = main(argv + ["--out", str(tmp_path / "o")])
