@@ -152,7 +152,9 @@ def _parse_value(section: str, key: str, raw: str):
 
 
 def _read_ini(text: str) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser(interpolation=None)
+    # no section header can be empty, so [DEFAULT] is an ordinary section,
+    # reported as unknown instead of merged into every other section
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         parser.read_string(text)
     except configparser.Error as exc:

@@ -20,7 +20,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import InvalidContourError
-from .grid import SpectralGrid
+from .grid import SpectralGrid, block_sums
 
 
 @dataclass
@@ -87,21 +87,22 @@ def pv_cot_integral(grid: SpectralGrid, contour: LiftedContour | None = None) ->
     The result should vanish to quadrature accuracy.
     """
     if contour is None:
-        def flat_integrands(rows: slice):
+        def flat_sums(rows: slice):
             cot = pairwise_cot(grid.nodes, rows)
-            return [(cot, -cot)]
+            return [block_sums(cot, -cot, 0.0)]
 
-        return grid.pair_quadrature(flat_integrands, [np.zeros(grid.n_modes)], float)[0]
+        return grid.pair_quadrature(flat_sums, 1, float)[0]
 
     jac = contour.jacobian()
     zeta = contour.complex_nodes(grid)
-
-    def integrands(rows: slice):
-        flat, lifted = pairwise_cot(grid.nodes, rows), pairwise_cot(zeta, rows)
-        return [(lifted * jac[None, rows.start:] - flat, flat - lifted * jac[rows, None])]
-
     diag = -1j * contour.sign * contour.h_second / jac
-    return grid.pair_quadrature(integrands, [diag], complex)[0]
+
+    def sums(rows: slice):
+        flat, lifted = pairwise_cot(grid.nodes, rows), pairwise_cot(zeta, rows)
+        return [block_sums(lifted * jac[None, rows.start:] - flat,
+                           flat - lifted * jac[rows, None], diag[rows])]
+
+    return grid.pair_quadrature(sums, 1, complex)[0]
 
 
 def lambda_gamma(
@@ -128,15 +129,16 @@ def lambda_gamma(
     grid._check_length(fp)
     jac = contour.jacobian()
     zeta = contour.complex_nodes(grid)
-
-    def integrands(rows: slice):
-        # cot and the F' difference are both odd, so their product is even
-        even = pairwise_cot(zeta, rows) * (fp[rows, None] - fp[None, rows.start:])
-        return [(even * jac[None, rows.start:], even * jac[rows, None])]
-
     # F''(z) = (d/du F'(w(u))) / w'(u)
     fpp = grid.from_spectral(grid.derivative(grid.to_spectral(fp))) / jac
-    return -(1.0 / (2.0 * np.pi)) * grid.pair_quadrature(integrands, [2.0 * fpp * jac], complex)[0]
+    diag = 2.0 * fpp * jac
+
+    def sums(rows: slice):
+        # cot and the F' difference are both odd, so their product is even
+        even = pairwise_cot(zeta, rows) * (fp[rows, None] - fp[None, rows.start:])
+        return [block_sums(even * jac[None, rows.start:], even * jac[rows, None], diag[rows])]
+
+    return -(1.0 / (2.0 * np.pi)) * grid.pair_quadrature(sums, 1, complex)[0]
 
 
 def garding_form(

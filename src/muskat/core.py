@@ -18,19 +18,29 @@ converge spectrally for analytic interfaces.
 A :class:`KernelWorkspace` holds the node samples, real float64 on the flat
 grid (the curve is real).  Every pairwise quantity is formed by
 :func:`pair_sweep`, one pass of :meth:`SpectralGrid.pair_quadrature` over
-the upper triangle of node pairs in cache-sized row blocks: dz1 and dz2
-are exactly antisymmetric and numpy's sin, sinh (real and complex) exactly
-odd, so the denominator, evaluated in the cancellation-free form
-2 (sin^2(dz1/2) + sinh^2(dz2/2)), is exactly symmetric and each pair's
-mirror costs no transcendental.  The chord-arc check is taken in the same
-pass, against the grid-only wrapped distance, a view of an O(N) table.
+the upper triangle of node pairs in cache-sized row blocks.  The pair
+geometry comes from w = e^{iZ}, Z = z1 + i z2, taken once per node, so the
+sweep takes no transcendental per pair.  On the flat grid, with w = u + iv and
+q = |w_i - w_j|^2,
+
+    K = 2 (v_i u_j - u_i v_j) / q,   cosh(dz2) - cos(dz1) = q e^{z2_i} e^{z2_j} / 2;
+
+on a lifted contour the denominator is the same product of
+W+-_i - W+-_j, W+- = e^{i(z1 +- i z2)}.  q is exactly symmetric and the
+cross product exactly antisymmetric, because IEEE products commute, so
+each pair's mirror is free.  The chord-arc check is taken in the same pass,
+against the grid-only wrapped distance, a view of an O(N) table.  A
+kernel-difference integral sum_j K_ij (a_i - a_j) is a_i (K 1)_i - (K a)_i,
+so each block reduces it by two matrix products.  The principal-value
+integral cancels K's pole against a cotangent's and keeps both in the
+half-angle form of the node differences, whose rounding cancels with them.
 """
 
 from __future__ import annotations
 
 import functools
 import threading
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,7 +49,8 @@ from numpy.typing import NDArray
 
 from .contour_ops import LiftedContour, pairwise_cot
 from .errors import DegenerateGeometryError
-from .grid import _BLOCK_BYTES, SpectralGrid, conjugate_symmetrize, is_conjugate_symmetric
+from .grid import _BLOCK_BYTES, SpectralGrid, block_sums, conjugate_symmetrize
+from .grid import is_conjugate_symmetric
 
 DEFAULT_CHORD_ARC_FLOOR = 1e-4
 
@@ -142,6 +153,22 @@ class KernelWorkspace:
     def tangent_sq(self) -> NDArray:
         return self.der[(1, 1)] ** 2 + self.der[(2, 1)] ** 2
 
+    @functools.cached_property
+    def exp_map(self) -> tuple[NDArray, NDArray, NDArray]:
+        """Per-node factors of the pair geometry, from w = e^{iZ}, Z = z1 + i z2.
+
+        Returns (a, b, c) with den_ij = cosh(dz2) - cos(dz1) = q_ij c_i c_j.
+        Flat grid: a + ib = w, so q = |w_i - w_j|^2, and c = e^{z2} / sqrt(2).
+        Lifted contour, where z1 and z2 are complex: a, b = W+, W- with
+        W+- = e^{i(z1 +- i z2)}, q = (W+_i - W+_j)(W-_i - W-_j), and
+        c = i e^{-i z1} / sqrt(2).  O(N) transcendentals, taken once.
+        """
+        if np.isrealobj(self.z1):
+            scale = np.exp(-self.z2)
+            return scale * np.cos(self.z1), scale * np.sin(self.z1), np.sqrt(0.5) / scale
+        return (np.exp(1j * self.z1 - self.z2), np.exp(1j * self.z1 + self.z2),
+                1j * np.sqrt(0.5) * np.exp(-1j * self.z1))
+
 
 def build_workspace(
     state: InterfaceState,
@@ -233,27 +260,51 @@ class PairBlock:
     among the block's rows in both orders; the rest are pairs i < j.  The
     arrays are views of reused buffers, valid until the next block.
 
-    dz1, dz2: pairwise differences of z1, z2.
-    den: cosh(dz2) - cos(dz1), evaluated as 2 (sin^2(dz1/2) + sinh^2(dz2/2))
-        so that nothing cancels near the diagonal; the diagonal is set to 1.
+    q: |w_i - w_j|^2 on the flat grid, (W+_i - W+_j)(W-_i - W-_j) on a
+        lifted contour (see :attr:`KernelWorkspace.exp_map`); diagonal 1.
     """
 
     ws: KernelWorkspace
     rows: slice
-    dz1: NDArray
-    dz2: NDArray
-    den: NDArray
+    q: NDArray
     _differences: dict = field(default_factory=dict, repr=False)
 
     @property
     def cols(self) -> slice:
         return slice(self.rows.start, None)
 
+    @property
+    def den(self) -> NDArray:
+        """cosh(dz2) - cos(dz1) = q_ij c_i c_j over the block, a fresh array."""
+        c = self.ws.exp_map[2]
+        return self.q * np.multiply(c[self.rows, None], c[None, self.cols])
+
+    @property
+    def dz1(self) -> NDArray:
+        """z1(x_i) - z1(x_j) over the block, a fresh array."""
+        return self.ws.z1[self.rows, None] - self.ws.z1[None, self.cols]
+
+    @property
+    def dz2(self) -> NDArray:
+        """z2(x_i) - z2(x_j) over the block, a fresh array."""
+        return self.ws.z2[self.rows, None] - self.ws.z2[None, self.cols]
+
     @functools.cached_property
     def kern(self) -> NDArray:
-        """K(x_i, x_j); zero on the (removable) diagonal, where dz1 = 0 and den = 1."""
-        kern = np.sin(self.dz1, out=_block_array("kern", self.dz1.shape, self.dz1.dtype))
-        kern /= self.den
+        """K(x_i, x_j) = 2 (v_i u_j - u_i v_j) / q on the flat grid, zero on the diagonal.
+
+        The cross product is exactly antisymmetric and vanishes on the
+        diagonal, where q = 1.
+        """
+        if np.iscomplexobj(self.q):
+            raise NotImplementedError("the exp-map kernel is formed on the flat grid only")
+        u, v, _ = self.ws.exp_map
+        rows, cols = self.rows, self.cols
+        kern = np.multiply(2.0 * v[rows, None], u[None, cols],
+                           out=_block_array("kern", self.q.shape, self.q.dtype))
+        kern -= np.multiply(2.0 * u[rows, None], v[None, cols],
+                            out=_block_array("scratch", self.q.shape, self.q.dtype))
+        kern /= self.q
         return kern
 
     def difference(self, mu: int, order: int) -> NDArray:
@@ -261,40 +312,65 @@ class PairBlock:
         key = (mu, order)
         if key not in self._differences:
             values = self.ws.der[key]
-            out = _block_array(f"d{order}z{mu}", self.dz1.shape, values.dtype)
+            out = _block_array(f"d{order}z{mu}", self.q.shape, values.dtype)
             self._differences[key] = np.subtract(values[self.rows, None],
                                                  values[None, self.cols], out=out)
         return self._differences[key]
 
 
+def _block_geometry(ws: KernelWorkspace, rows: slice, shape: tuple[int, int]):
+    """q and the chord-arc ratio |den| / distance^2 of one block, no transcendental per pair.
+
+    |den| = |q| |c_i| |c_j| with the outer product formed first, so the
+    ratio is exactly symmetric, as q is.
+    """
+    a, b, c = ws.exp_map
+    cols = slice(rows.start, None)
+    q, scratch = (_block_array(name, shape, ws.z1.dtype) for name in ("q", "scratch"))
+    ratio = _block_array("ratio", shape, np.float64)
+    np.subtract(a[rows, None], a[None, cols], out=q)
+    np.subtract(b[rows, None], b[None, cols], out=scratch)
+    if np.isrealobj(q):
+        np.square(q, out=q)
+        q += np.square(scratch, out=scratch)
+        modulus, scale = q, c
+    else:
+        q *= scratch
+        modulus, scale = np.abs(q, out=scratch.real), np.abs(c)
+    np.multiply(scale[rows, None], scale[None, cols], out=ratio)
+    ratio *= modulus
+    ratio /= _distance_sq(ws.zeta, rows)
+    np.fill_diagonal(q, 1.0)
+    np.fill_diagonal(ratio, np.inf)
+    return q, ratio
+
+
 def pair_sweep(
     ws: KernelWorkspace,
     grid: SpectralGrid,
-    integrands: Callable[[PairBlock], Iterable[tuple[NDArray, NDArray]]] | None = None,
-    diagonals: Sequence[NDArray] = (),
+    sums: Callable[[PairBlock], Iterable[tuple[NDArray, NDArray]]] | None = None,
+    count: int = 0,
     floor: float | None = None,
 ) -> tuple[list[NDArray], tuple[float, tuple[int, int]]]:
     """Row quadratures of kernel integrands and the chord-arc constant, in one sweep.
 
     For each row block of :meth:`SpectralGrid.pair_quadrature` this forms a
-    :class:`PairBlock` (dz1, dz2 and den once) and takes its chord-arc
-    minimum |den| / distance^2 before anything divides by den.
-    ``integrands(block)`` then yields the pairs (F, M) that
-    ``pair_quadrature`` sums; the mirror of an antisymmetric kernel is -F,
-    with column weights where the quadrature has them.  The block's arrays
-    are reused by the next block and sweep on the same thread, so
-    ``integrands`` must not start another sweep.
+    :class:`PairBlock` (q and den once) and takes its chord-arc minimum
+    |den| / distance^2 before anything divides by q.  ``sums(block)`` then
+    yields the block's row sums and mirror column sums of ``count``
+    integrands, which ``pair_quadrature`` adds up.  The block's arrays are
+    reused by the next block and sweep on the same thread, so ``sums`` must
+    not start another sweep.
 
     Args:
         ws: Node samples.
         grid: Collocation grid.
-        integrands: Block integrands; None for the chord-arc constant alone.
-        diagonals: Analytic diagonal limit of each integrand, per node.
+        sums: Block sums; None for the chord-arc constant alone.
+        count: Number of integrands ``sums`` yields per block.
         floor: Chord-arc floor, or None to accept any geometry.
 
     Returns:
-        The quadratures, one per diagonal, and the chord-arc constant with
-        its node pair (i < j).
+        The quadratures, and the chord-arc constant with its node pair (i < j).
 
     Raises:
         DegenerateGeometryError: chord-arc constant below the floor, with
@@ -306,32 +382,20 @@ def pair_sweep(
     minima, pairs = [], []
     degenerate = False
 
-    def block_integrands(rows: slice):
-        # eager, not a generator: with no diagonals nothing would run it
+    def block_sums(rows: slice):
+        # eager, not a generator: with no integrands nothing would run it
         nonlocal degenerate
         r0 = rows.start
-        shape = (rows.stop - r0, n - r0)
-        dz1, dz2, den, half = (_block_array(name, shape, ws.z1.dtype)
-                               for name in ("dz1", "dz2", "den", "half"))
-        np.subtract(ws.z1[rows, None], ws.z1[None, r0:], out=dz1)
-        np.subtract(ws.z2[rows, None], ws.z2[None, r0:], out=dz2)
-        # 2 (sin^2(dz1/2) + sinh^2(dz2/2)), in place
-        np.square(np.sin(np.divide(dz1, 2.0, out=den), out=den), out=den)
-        den += np.square(np.sinh(np.divide(dz2, 2.0, out=half), out=half), out=half)
-        den *= 2.0
-        np.fill_diagonal(den, 1.0)
-        ratio = np.abs(den, out=_block_array("ratio", shape, np.float64))
-        ratio /= _distance_sq(ws.zeta, rows)
-        np.fill_diagonal(ratio, np.inf)
+        q, ratio = _block_geometry(ws, rows, (rows.stop - r0, n - r0))
         k = int(np.argmin(ratio))
         minima.append(ratio.flat[k])
         pairs.append((r0 + k // (n - r0), r0 + k % (n - r0)))
         degenerate = degenerate or (floor is not None and minima[-1] < floor)
-        if integrands is None or degenerate:
+        if sums is None or degenerate:
             return ()
-        return integrands(PairBlock(ws, rows, dz1, dz2, den))
+        return sums(PairBlock(ws, rows, q))
 
-    totals = grid.pair_quadrature(block_integrands, diagonals, ws.z1.dtype)
+    totals = grid.pair_quadrature(block_sums, count, ws.z1.dtype)
     best = int(np.argmin(minima))
     chord_arc, pair = float(minima[best]), pairs[best]
     if degenerate:
@@ -379,21 +443,31 @@ def rhs(
     return Tendency(*(density_jump_over_2pi * grid.to_spectral(v) for v in values))
 
 
-def kernel_difference_diagonals(ws: KernelWorkspace, order: int) -> list[NDArray]:
-    """Diagonal limits 2 z1' d^{k+1} z_mu / T, T = (z1')^2 + (z2')^2, for mu = 1, 2."""
-    return [2.0 * ws.der[(1, 1)] * ws.der[(mu, order + 1)] / ws.tangent_sq for mu in (1, 2)]
+def kernel_difference_sums(
+    ws: KernelWorkspace, order: int
+) -> Callable[[PairBlock], list[tuple[NDArray, NDArray]]]:
+    """Block sums of K(x, u) (d^k z_mu(x) - d^k z_mu(u)), mu = 1, 2, on the flat grid.
 
-
-def kernel_difference_integrands(
-    block: PairBlock, order: int
-) -> Iterator[tuple[NDArray, NDArray]]:
-    """K(x, u) (d^k z_mu(x) - d^k z_mu(u)) over a block, for mu = 1, 2.
-
-    Both factors are antisymmetric, so each integrand is its own mirror.
+    With A = [1, d^k z1, d^k z2] (N x 3), sum_j K_ij (a_i - a_j) is
+    a_i (K 1)_i - (K a)_i, so a block takes one matrix product for its rows
+    and one for the columns beyond its diagonal sub-block; K and the
+    difference are both antisymmetric, so the integrand is its own mirror.
+    The row sums add the diagonal limit 2 z1' d^{k+1} z_mu / T,
+    T = (z1')^2 + (z2')^2.
     """
-    for mu in (1, 2):
-        values = block.kern * block.difference(mu, order)
-        yield values, values
+    columns = np.column_stack([np.ones_like(ws.z1), ws.der[(1, order)], ws.der[(2, order)]])
+    diagonals = np.column_stack([2.0 * ws.der[(1, 1)] * ws.der[(mu, order + 1)] / ws.tangent_sq
+                                 for mu in (1, 2)])
+
+    def sums(block: PairBlock) -> list[tuple[NDArray, NDArray]]:
+        rows = block.rows
+        by_row = block.kern @ columns[block.cols]
+        by_column = block.kern[:, rows.stop - rows.start:].T @ columns[rows]
+        by_row = columns[rows, 1:] * by_row[:, :1] - by_row[:, 1:] + diagonals[rows]
+        by_column = by_column[:, 1:] - columns[rows.stop:, 1:] * by_column[:, :1]
+        return [(by_row[:, 0], by_column[:, 0]), (by_row[:, 1], by_column[:, 1])]
+
+    return sums
 
 
 def kernel_difference_integral(
@@ -407,10 +481,7 @@ def kernel_difference_integral(
     Raises:
         DegenerateGeometryError: chord-arc constant below the floor.
     """
-    values, _ = pair_sweep(
-        ws, grid, lambda block: kernel_difference_integrands(block, order),
-        kernel_difference_diagonals(ws, order), floor,
-    )
+    values, _ = pair_sweep(ws, grid, kernel_difference_sums(ws, order), 2, floor)
     return values
 
 
@@ -436,18 +507,26 @@ def kernel_pv_integral(
     slope_sum = ws.der[(1, 1)] * ws.der[(1, 2)] + ws.der[(2, 1)] * ws.der[(2, 2)]
     diag = 2.0 * ws.der[(1, 1)] * slope_sum / tangent_sq**2 - ws.der[(1, 2)] / tangent_sq
 
-    def integrands(block: PairBlock):
+    if ws.jac is not None:
+        diag = diag * ws.jac
+
+    def sums(block: PairBlock):
+        # K in the half-angle form of dz1, dz2, like the cotangent: a cancels
+        # their poles and with them the rounding of the node differences,
+        # which the exp-map kernel does not share (1e-13 apart at N = 256)
+        dz1, dz2 = block.dz1, block.dz2
+        den = 2.0 * (np.sin(dz1 / 2.0) ** 2 + np.sinh(dz2 / 2.0) ** 2)
+        np.fill_diagonal(den, 1.0)
+        kern = np.sin(dz1) / den
         cot = pairwise_cot(ws.zeta, block.rows)
-        values = block.kern - ratio[block.rows, None] * cot
-        mirror = ratio[None, block.cols] * cot - block.kern
+        values = kern - ratio[block.rows, None] * cot
+        mirror = ratio[None, block.cols] * cot - kern
         if ws.jac is not None:
             values = values * ws.jac[None, block.cols]
             mirror = mirror * ws.jac[block.rows, None]
-        yield values, mirror
+        yield block_sums(values, mirror, diag[block.rows])
 
-    if ws.jac is not None:
-        diag = diag * ws.jac
-    (total,), _ = pair_sweep(ws, grid, integrands, [diag], floor)
+    (total,), _ = pair_sweep(ws, grid, sums, 1, floor)
     return total
 
 

@@ -23,15 +23,16 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .core import DEFAULT_CHORD_ARC_FLOOR, InterfaceState, PairBlock, build_workspace
-from .core import kernel_difference_diagonals, kernel_difference_integrands, pair_sweep
-from .grid import SpectralGrid
+from .core import kernel_difference_sums, pair_sweep
+from .grid import SpectralGrid, block_sums
 
 #: Leibniz coefficients of the six safe terms, in expansion order.
 SAFE_COEFFICIENTS = (4.0, -4.0, -4.0, 1.0, -1.0, -1.0)
 
 #: The six safe terms, in expansion order, as (first-difference component,
 #: kernel fragment, fourth-difference component); None stands for mu.  The
-#: fragments 0, 1, 2 are cos/den, K sinh/den and K^2, with K = sin/den.
+#: fragments 0, 1, 2 are cos/den, K sinh/den and K^2, with K = sin/den and
+#: den = cosh(dz2) - cos(dz1).
 SAFE_TERMS = ((1, 0, None), (2, 1, None), (1, 2, None), (None, 0, 1), (None, 1, 2), (None, 2, 1))
 
 
@@ -83,30 +84,40 @@ def rhs_d4_decomposition(
         4.0 * der[(1, 1)] * der[(2, 1)] / tangent_sq**2,
         4.0 * der[(1, 1)] ** 2 / tangent_sq**2,
     )
-    safe_diagonals = [
-        c * der[(first or mu, 2)] * weights[f] * der[(fourth or mu, 5)]
-        for c, (first, f, fourth) in zip(SAFE_COEFFICIENTS, SAFE_TERMS) for mu in (1, 2)
-    ]
+    # (coefficient, first-difference component, fragment, fourth-difference
+    # component) of the twelve safe integrands, term by term, mu = 1, 2
+    safe_terms = [(c, first or mu, f, fourth or mu)
+                  for c, (first, f, fourth) in zip(SAFE_COEFFICIENTS, SAFE_TERMS) for mu in (1, 2)]
+    safe_diagonals = [c * der[(a, 2)] * weights[f] * der[(b, 5)] for c, a, f, b in safe_terms]
+    dangerous_sums, rhs_sums = kernel_difference_sums(ws, 5), kernel_difference_sums(ws, 1)
+    u, v, _ = ws.exp_map
+    w_sq = np.exp(-2.0 * ws.z2)
 
     def integrands(block: PairBlock):
-        yield from kernel_difference_integrands(block, 5)
-        # cos/den, K sinh/den and K^2 are symmetric, the two differences
+        yield from dangerous_sums(block)
+        # rational in w = u + iv, with q = |w_i - w_j|^2: cos(dz1)/den is
+        # 2 (u_i u_j + v_i v_j)/q and sinh(dz2)/den is (|w_j|^2 - |w_i|^2)/q.
+        # All three fragments are symmetric and the two differences
         # antisymmetric: every safe integrand is its own mirror
-        fragments = (
-            np.cos(block.dz1) / block.den,
-            block.kern * np.sinh(block.dz2) / block.den,
-            block.kern**2,
-        )
-        for c, (first, f, fourth) in zip(SAFE_COEFFICIENTS, SAFE_TERMS):
-            for mu in (1, 2):
-                values = (c * block.difference(first or mu, 1) * fragments[f]
-                          * block.difference(fourth or mu, 4))
-                yield values, values
-        yield from kernel_difference_integrands(block, 1)
+        rows, cols = block.rows, block.cols
+        cos_frag = np.multiply(u[rows, None], u[None, cols])
+        # the product is then reused for each safe integrand in turn
+        values = np.multiply(v[rows, None], v[None, cols])
+        cos_frag += values
+        cos_frag *= 2.0
+        cos_frag /= block.q
+        sinh_frag = np.subtract(w_sq[None, cols], w_sq[rows, None])
+        sinh_frag /= block.q
+        sinh_frag *= block.kern
+        fragments = (cos_frag, sinh_frag, np.square(block.kern))
+        for (c, a, f, b), diag in zip(safe_terms, safe_diagonals):
+            np.multiply(block.difference(a, 1), fragments[f], out=values)
+            values *= block.difference(b, 4)
+            values *= c
+            yield block_sums(values, values, diag[rows])
+        yield from rhs_sums(block)
 
-    diagonals = (kernel_difference_diagonals(ws, 5) + safe_diagonals
-                 + kernel_difference_diagonals(ws, 1))
-    sums, _ = pair_sweep(ws, grid, integrands, diagonals, floor)
+    sums, _ = pair_sweep(ws, grid, integrands, 4 + len(safe_terms), floor)
     dangerous = ComponentPair(*sums[:2])
     safe = tuple(ComponentPair(*sums[2 + 2 * j:4 + 2 * j]) for j in range(len(SAFE_TERMS)))
     # order 1 of the kernel difference is the right-hand side in physical space

@@ -11,7 +11,7 @@ stack of shape (m, N).
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable
 
 import numpy as np
 from numpy.typing import NDArray
@@ -128,31 +128,30 @@ class SpectralGrid:
         return values.sum() * self.dx
 
     def pair_quadrature(
-        self, integrands: Callable[[slice], Iterable[tuple[NDArray, NDArray]]],
-        diagonals: Sequence[NDArray], dtype,
+        self, sums: Callable[[slice], Iterable[tuple[NDArray, NDArray]]], count: int, dtype,
     ) -> list[NDArray]:
-        """Trapezoid rule along the rows of pairwise integrands, in one upper-triangle sweep.
+        """Trapezoid rule along the rows of ``count`` pairwise integrands, in one triangle sweep.
 
         The pairs are tiled in row blocks rows = [r0, r1) against the columns
         [r0, N), of at most ``_BLOCK_BYTES`` per ``dtype`` array, so the pair
-        (r0 + k, r0 + k) sits at (k, k).  ``integrands(rows)`` yields one pair
-        (F, M) per diagonal: F(x_i, x_j) over the block and its mirror
-        M = F(x_j, x_i); a symmetric F is passed twice.  F's diagonal is set to
-        the analytic limit.  The diagonal sub-block enters through F's row sums
-        only; the pairs i < j beyond it enter row i through the row sums of F
-        and row j through the column sums of M.
+        (r0 + k, r0 + k) sits at (k, k).  For each integrand F, ``sums(rows)``
+        yields one pair: F's row sums over the block, its removable diagonal
+        taken at the analytic limit, and the column sums beyond the diagonal
+        sub-block, [r1, N), of its mirror M(x_i, x_j) = F(x_j, x_i).  The
+        diagonal sub-block enters through the row sums only; a pair i < j
+        beyond it enters row i through F and row j through M.  A consumer
+        reduces its block by :func:`block_sums` or by a matrix product.
         """
         n = self.n_modes
-        totals = [np.zeros(n, dtype=np.result_type(dtype, diag)) for diag in diagonals]
+        totals = [np.zeros(n, dtype=dtype) for _ in range(count)]
         per_block = _BLOCK_BYTES // np.dtype(dtype).itemsize
         r0 = 0
         while r0 < n:
             r1 = min(n, r0 + max(1, per_block // (n - r0)))
             rows = slice(r0, r1)
-            for total, diag, (values, mirror) in zip(totals, diagonals, integrands(rows)):
-                np.fill_diagonal(values, diag[rows])
-                total[rows] += values.sum(axis=1)
-                total[r1:] += mirror[:, r1 - r0:].sum(axis=0)
+            for total, (by_row, by_column) in zip(totals, sums(rows)):
+                total[rows] += by_row
+                total[r1:] += by_column
             r0 = r1
         return [total * self.dx for total in totals]
 
@@ -195,6 +194,18 @@ class SpectralGrid:
         design = np.column_stack([np.ones_like(kk), np.log(kk), -kk])
         sol, *_ = np.linalg.lstsq(design, y, rcond=None)
         return float(max(sol[2], 0.0))
+
+
+def block_sums(values: NDArray, mirror: NDArray, diag) -> tuple[NDArray, NDArray]:
+    """One :meth:`SpectralGrid.pair_quadrature` block of an elementwise integrand.
+
+    ``values`` is F over the block and ``mirror`` its mirror M; a symmetric
+    F is passed twice.  F's diagonal is overwritten with ``diag``, the
+    analytic limit at the block's rows.  Returns F's row sums and M's column
+    sums beyond the diagonal sub-block.
+    """
+    np.fill_diagonal(values, diag)
+    return values.sum(axis=1), mirror[:, len(mirror):].sum(axis=0)
 
 
 def conjugate_symmetrize(coeffs: NDArray) -> NDArray:

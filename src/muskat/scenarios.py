@@ -25,7 +25,7 @@ from .errors import (
     DegenerateGeometryError,
     DegenerateParametrizationError,
 )
-from .grid import SpectralGrid
+from .grid import SpectralGrid, block_sums
 from .initial_data import f_kappa, log_datum, make_turnover_state, perturb
 from .integrator import DiagnosticsRecord, Trajectory, run, two_solution_monitor
 from .schedules import rt_coupled_margins, schedule_margins
@@ -244,12 +244,14 @@ def _scenario_operator_suite(cfg: ScenarioConfig, out_dir: str) -> int:
     lhs = grid.quadrature(np.conj(f) * lam_f).real
     # |f(x) - f(u)|^2 / sin^2((x - u)/2), with 1/sin^2 = 1 + cot^2 and the
     # diagonal limit 4 |f'(x)|^2; symmetric, so its own mirror
-    def integrands(rows: slice):
+    diag = 4.0 * np.sin(x) ** 2
+
+    def sums(rows: slice):
         df = f[rows, None] - f[None, rows.start:]
         values = np.abs(df) ** 2 * (1.0 + pairwise_cot(x, rows) ** 2)
-        return [(values, values)]
+        return [block_sums(values, values, diag[rows])]
 
-    (row_sums,) = grid.pair_quadrature(integrands, [4.0 * np.sin(x) ** 2], float)
+    (row_sums,) = grid.pair_quadrature(sums, 1, float)
     rhs_side = row_sums.sum() * grid.dx / (8.0 * np.pi)
     quadratic_form_err = abs(lhs - rhs_side) / abs(lhs)
 

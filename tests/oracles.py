@@ -16,7 +16,6 @@ import mpmath
 import numpy as np
 
 from muskat import InterfaceState, LiftedContour, SpectralGrid, Tendency
-from muskat.contour_ops import pairwise_cot
 from muskat.core import DEFAULT_CHORD_ARC_FLOOR, KernelWorkspace, build_workspace
 from muskat.decomposition import SAFE_COEFFICIENTS, SAFE_TERMS, ComponentPair, D4Decomposition
 from muskat.errors import DegenerateGeometryError
@@ -33,8 +32,13 @@ def row_quadrature(grid: SpectralGrid, integrand: np.ndarray, diag) -> np.ndarra
 
 
 def full_cot(zeta: np.ndarray) -> np.ndarray:
-    """cot((zeta_i - zeta_j)/2) over all node pairs, diagonal 0."""
-    return pairwise_cot(zeta, slice(0, len(zeta)))
+    """cot((zeta_i - zeta_j)/2) over all node pairs, diagonal 0, in the half-angle form."""
+    half = (zeta[:, None] - zeta[None, :]) / 2.0
+    sin_half = np.sin(half)
+    np.fill_diagonal(sin_half, 1.0)
+    out = np.cos(half) / sin_half
+    np.fill_diagonal(out, 0.0)
+    return out
 
 
 def full_pv_cot_integral(grid: SpectralGrid, contour: LiftedContour | None = None) -> np.ndarray:

@@ -42,6 +42,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unknown section"):
             load_config_text("[run]\nscenario = flat\n[extra]\nx = 1\n")
 
+    @pytest.mark.parametrize("text", ["[DEFAULT]\n", "[DEFAULT]\nkappa = 1e-7\n"],
+                             ids=["empty", "kappa"])
+    def test_default_section_is_unknown(self, text):
+        # configparser would merge [DEFAULT] into every section
+        with pytest.raises(ConfigError, match=r"unknown section \[DEFAULT\]"):
+            load_config_text("[run]\nscenario = flat\n" + text)
+
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ConfigError, match="scenario"):
             load_config_text("[run]\nscenario = warp\n")
@@ -366,8 +373,17 @@ class TestCli:
         ["flat", "--modes", "64", "--cutoff", "0"],
         ["f_kappa_build", "--modes", "64"],
         ["flat", "--modes", "64", "--direction", "bwd"],
+        ["flat", "--config", "[run]\nscenario = flat\nn_modes = 32\ndt = 0.01\n[DEFAULT]\n"],
+        ["flat", "--config", "[run]\nscenario = flat\nn_modes = 32\ndt = 0.01\n"
+                             "[DEFAULT]\nkappa = 1e-7\n"],
     ])
     def test_invalid_input_exits_two_without_traceback(self, tmp_path, capsys, argv):
+        if "--config" in argv:
+            # the value after --config is the text of the file to pass
+            at = argv.index("--config") + 1
+            path = tmp_path / "cfg.ini"
+            path.write_text(argv[at])
+            argv = [*argv[:at], str(path), *argv[at + 1:]]
         status = main(argv + ["--out", str(tmp_path / "o")])
         err = capsys.readouterr().err
         assert status == 2
