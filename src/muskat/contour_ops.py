@@ -91,7 +91,7 @@ def pv_cot_integral(grid: SpectralGrid, contour: LiftedContour | None = None) ->
             cot = pairwise_cot(grid.nodes, rows)
             return [block_sums(cot, -cot, 0.0)]
 
-        return grid.pair_quadrature(flat_sums, 1, float)[0]
+        return grid.pair_quadrature(flat_sums, float)[0]
 
     jac = contour.jacobian()
     zeta = contour.complex_nodes(grid)
@@ -102,7 +102,7 @@ def pv_cot_integral(grid: SpectralGrid, contour: LiftedContour | None = None) ->
         return [block_sums(lifted * jac[None, rows.start:] - flat,
                            flat - lifted * jac[rows, None], diag[rows])]
 
-    return grid.pair_quadrature(sums, 1, complex)[0]
+    return grid.pair_quadrature(sums, complex)[0]
 
 
 def lambda_gamma(
@@ -138,7 +138,7 @@ def lambda_gamma(
         even = pairwise_cot(zeta, rows) * (fp[rows, None] - fp[None, rows.start:])
         return [block_sums(even * jac[None, rows.start:], even * jac[rows, None], diag[rows])]
 
-    return -(1.0 / (2.0 * np.pi)) * grid.pair_quadrature(sums, 1, complex)[0]
+    return -(1.0 / (2.0 * np.pi)) * grid.pair_quadrature(sums, complex)[0]
 
 
 def garding_form(

@@ -139,15 +139,15 @@ class KernelWorkspace:
 
     zeta: node positions (real grid nodes, or complex lifted-contour nodes).
     z1, z2: the curve at those positions.
+    jac: dw/du weights (ones on the flat torus).
     der: per-node derivative values d^k z_mu, orders 1..max_order.
-    jac: dw/du weights (None on the flat torus, where they are ones).
     """
 
     zeta: NDArray
     z1: NDArray
     z2: NDArray
+    jac: NDArray
     der: dict = field(repr=False, default_factory=dict)
-    jac: NDArray | None = None
 
     @property
     def tangent_sq(self) -> NDArray:
@@ -186,16 +186,15 @@ def build_workspace(
     pair = np.stack([state.p1, state.p2])
     stack = np.concatenate([pair] + [grid.derivative(pair, k) for k in range(1, max_order + 1)])
     if contour is None:
-        zeta = grid.nodes
+        zeta, jac = grid.nodes, np.ones(grid.n_modes)
         samples = grid.from_spectral(stack).real
     else:
-        zeta = contour.complex_nodes(grid)
+        zeta, jac = contour.complex_nodes(grid), contour.jacobian()
         samples = evaluate_on_contour(stack, grid, contour)
     der = {(mu, order): samples[2 * order + mu - 1]
            for order in range(1, max_order + 1) for mu in (1, 2)}
     der[(1, 1)] = der[(1, 1)] + 1.0
-    jac = contour.jacobian() if contour is not None else None
-    return KernelWorkspace(zeta=zeta, z1=zeta + samples[0], z2=samples[1], der=der, jac=jac)
+    return KernelWorkspace(zeta=zeta, z1=zeta + samples[0], z2=samples[1], jac=jac, der=der)
 
 
 @functools.lru_cache(maxsize=8)
@@ -258,10 +257,14 @@ class PairBlock:
     Column c holds node j = r0 + c, so the pair (r0 + k, r0 + k) sits at
     (k, k).  The first r1 - r0 columns are the diagonal sub-block, the pairs
     among the block's rows in both orders; the rest are pairs i < j.  The
-    arrays are views of reused buffers, valid until the next block.
+    arrays are views of reused buffers, valid until the next block.  It
+    carries the exp-map geometry only: a consumer that needs the node
+    differences themselves, as the half-angle PV integrand does, forms
+    them from ``ws``.
 
     q: |w_i - w_j|^2 on the flat grid, (W+_i - W+_j)(W-_i - W-_j) on a
         lifted contour (see :attr:`KernelWorkspace.exp_map`); diagonal 1.
+        cosh(dz2) - cos(dz1) = q_ij c_i c_j.
     """
 
     ws: KernelWorkspace
@@ -272,22 +275,6 @@ class PairBlock:
     @property
     def cols(self) -> slice:
         return slice(self.rows.start, None)
-
-    @property
-    def den(self) -> NDArray:
-        """cosh(dz2) - cos(dz1) = q_ij c_i c_j over the block, a fresh array."""
-        c = self.ws.exp_map[2]
-        return self.q * np.multiply(c[self.rows, None], c[None, self.cols])
-
-    @property
-    def dz1(self) -> NDArray:
-        """z1(x_i) - z1(x_j) over the block, a fresh array."""
-        return self.ws.z1[self.rows, None] - self.ws.z1[None, self.cols]
-
-    @property
-    def dz2(self) -> NDArray:
-        """z2(x_i) - z2(x_j) over the block, a fresh array."""
-        return self.ws.z2[self.rows, None] - self.ws.z2[None, self.cols]
 
     @functools.cached_property
     def kern(self) -> NDArray:
@@ -349,34 +336,34 @@ def pair_sweep(
     ws: KernelWorkspace,
     grid: SpectralGrid,
     sums: Callable[[PairBlock], Iterable[tuple[NDArray, NDArray]]] | None = None,
-    count: int = 0,
     floor: float | None = None,
 ) -> tuple[list[NDArray], tuple[float, tuple[int, int]]]:
     """Row quadratures of kernel integrands and the chord-arc constant, in one sweep.
 
     For each row block of :meth:`SpectralGrid.pair_quadrature` this forms a
-    :class:`PairBlock` (q and den once) and takes its chord-arc minimum
-    |den| / distance^2 before anything divides by q.  ``sums(block)`` then
-    yields the block's row sums and mirror column sums of ``count``
-    integrands, which ``pair_quadrature`` adds up.  The block's arrays are
-    reused by the next block and sweep on the same thread, so ``sums`` must
-    not start another sweep.
+    :class:`PairBlock` (q once) and takes its chord-arc minimum
+    |den| / distance^2, den = q_ij c_i c_j, before anything divides by q.
+    ``sums(block)`` then yields the block's row sums and mirror column sums
+    of each integrand, the same number for every block, which
+    ``pair_quadrature`` adds up.  The block's arrays are reused by the next
+    block and sweep on the same thread, so ``sums`` must not start another
+    sweep.
 
     Args:
         ws: Node samples.
         grid: Collocation grid.
         sums: Block sums; None for the chord-arc constant alone.
-        count: Number of integrands ``sums`` yields per block.
         floor: Chord-arc floor, or None to accept any geometry.
 
     Returns:
-        The quadratures, and the chord-arc constant with its node pair (i < j).
+        The quadratures (none without ``sums``), and the chord-arc constant
+        with its node pair (i < j).
 
     Raises:
         DegenerateGeometryError: chord-arc constant below the floor, with
             the offending node pair and ratio.  From the first block under
             the floor on, no integrand is built; the sweep finishes the
-            minimum on den alone.
+            minimum on the geometry alone.
     """
     n = len(ws.zeta)
     minima, pairs = [], []
@@ -395,7 +382,7 @@ def pair_sweep(
             return ()
         return sums(PairBlock(ws, rows, q))
 
-    totals = grid.pair_quadrature(block_sums, count, ws.z1.dtype)
+    totals = grid.pair_quadrature(block_sums, ws.z1.dtype)
     best = int(np.argmin(minima))
     chord_arc, pair = float(minima[best]), pairs[best]
     if degenerate:
@@ -439,7 +426,7 @@ def rhs(
         DegenerateGeometryError: chord-arc constant below the floor.
     """
     ws = build_workspace(state, grid, None, 2)
-    values = kernel_difference_integral(ws, grid, 1, floor)
+    values, _ = pair_sweep(ws, grid, kernel_difference_sums(ws, 1), floor)
     return Tendency(*(density_jump_over_2pi * grid.to_spectral(v) for v in values))
 
 
@@ -448,6 +435,8 @@ def kernel_difference_sums(
 ) -> Callable[[PairBlock], list[tuple[NDArray, NDArray]]]:
     """Block sums of K(x, u) (d^k z_mu(x) - d^k z_mu(u)), mu = 1, 2, on the flat grid.
 
+    ``ws`` holds derivatives up to k + 1.  Order 1 is the right-hand side in
+    physical space, order 5 the dangerous term of its fourth derivative.
     With A = [1, d^k z1, d^k z2] (N x 3), sum_j K_ij (a_i - a_j) is
     a_i (K 1)_i - (K a)_i, so a block takes one matrix product for its rows
     and one for the columns beyond its diagonal sub-block; K and the
@@ -468,21 +457,6 @@ def kernel_difference_sums(
         return [(by_row[:, 0], by_column[:, 0]), (by_row[:, 1], by_column[:, 1])]
 
     return sums
-
-
-def kernel_difference_integral(
-    ws: KernelWorkspace, grid: SpectralGrid, order: int, floor: float | None
-) -> list[NDArray]:
-    """Row quadrature of K(x, u) (d^k z_mu(x) - d^k z_mu(u)), per component mu.
-
-    ``ws`` holds derivatives up to k + 1.  Order 1 is the right-hand side in
-    physical space, order 5 the dangerous term of its fourth derivative.
-
-    Raises:
-        DegenerateGeometryError: chord-arc constant below the floor.
-    """
-    values, _ = pair_sweep(ws, grid, kernel_difference_sums(ws, order), 2, floor)
-    return values
 
 
 def kernel_pv_integral(
@@ -506,27 +480,26 @@ def kernel_pv_integral(
     ratio = ws.der[(1, 1)] / tangent_sq
     slope_sum = ws.der[(1, 1)] * ws.der[(1, 2)] + ws.der[(2, 1)] * ws.der[(2, 2)]
     diag = 2.0 * ws.der[(1, 1)] * slope_sum / tangent_sq**2 - ws.der[(1, 2)] / tangent_sq
-
-    if ws.jac is not None:
-        diag = diag * ws.jac
+    diag = diag * ws.jac
 
     def sums(block: PairBlock):
         # K in the half-angle form of dz1, dz2, like the cotangent: a cancels
-        # their poles and with them the rounding of the node differences,
-        # which the exp-map kernel does not share (1e-13 apart at N = 256)
-        dz1, dz2 = block.dz1, block.dz2
+        # their poles and with them the rounding of the node differences.
+        # Against an mpmath trapezoid of the same samples at N = 128 this
+        # form is 5.9e-15 off on the flat grid; the exp-map K with a table
+        # cotangent is 1.0e-13 off (2.2e-14 against 1.9e-13 at N = 256)
+        rows, cols = block.rows, block.cols
+        dz1 = ws.z1[rows, None] - ws.z1[None, cols]
+        dz2 = ws.z2[rows, None] - ws.z2[None, cols]
         den = 2.0 * (np.sin(dz1 / 2.0) ** 2 + np.sinh(dz2 / 2.0) ** 2)
         np.fill_diagonal(den, 1.0)
         kern = np.sin(dz1) / den
-        cot = pairwise_cot(ws.zeta, block.rows)
-        values = kern - ratio[block.rows, None] * cot
-        mirror = ratio[None, block.cols] * cot - kern
-        if ws.jac is not None:
-            values = values * ws.jac[None, block.cols]
-            mirror = mirror * ws.jac[block.rows, None]
-        yield block_sums(values, mirror, diag[block.rows])
+        cot = pairwise_cot(ws.zeta, rows)
+        values = (kern - ratio[rows, None] * cot) * ws.jac[None, cols]
+        mirror = (ratio[None, cols] * cot - kern) * ws.jac[rows, None]
+        yield block_sums(values, mirror, diag[rows])
 
-    (total,), _ = pair_sweep(ws, grid, sums, 1, floor)
+    (total,), _ = pair_sweep(ws, grid, sums, floor)
     return total
 
 

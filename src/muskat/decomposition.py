@@ -117,7 +117,7 @@ def rhs_d4_decomposition(
             yield block_sums(values, values, diag[rows])
         yield from rhs_sums(block)
 
-    sums, _ = pair_sweep(ws, grid, integrands, 4 + len(safe_terms), floor)
+    sums, _ = pair_sweep(ws, grid, integrands, floor)
     dangerous = ComponentPair(*sums[:2])
     safe = tuple(ComponentPair(*sums[2 + 2 * j:4 + 2 * j]) for j in range(len(SAFE_TERMS)))
     # order 1 of the kernel difference is the right-hand side in physical space

@@ -128,9 +128,9 @@ class SpectralGrid:
         return values.sum() * self.dx
 
     def pair_quadrature(
-        self, sums: Callable[[slice], Iterable[tuple[NDArray, NDArray]]], count: int, dtype,
+        self, sums: Callable[[slice], Iterable[tuple[NDArray, NDArray]]], dtype,
     ) -> list[NDArray]:
-        """Trapezoid rule along the rows of ``count`` pairwise integrands, in one triangle sweep.
+        """Trapezoid rule along the rows of pairwise integrands, in one triangle sweep.
 
         The pairs are tiled in row blocks rows = [r0, r1) against the columns
         [r0, N), of at most ``_BLOCK_BYTES`` per ``dtype`` array, so the pair
@@ -141,17 +141,24 @@ class SpectralGrid:
         diagonal sub-block enters through the row sums only; a pair i < j
         beyond it enters row i through F and row j through M.  A consumer
         reduces its block by :func:`block_sums` or by a matrix product.
+
+        The first block that yields anything sets the number of integrands;
+        a later block that yields a different number raises ValueError, and
+        one that yields nothing (a sweep stopped by its caller) is skipped.
         """
         n = self.n_modes
-        totals = [np.zeros(n, dtype=dtype) for _ in range(count)]
+        totals: list[NDArray] = []
         per_block = _BLOCK_BYTES // np.dtype(dtype).itemsize
         r0 = 0
         while r0 < n:
             r1 = min(n, r0 + max(1, per_block // (n - r0)))
             rows = slice(r0, r1)
-            for total, (by_row, by_column) in zip(totals, sums(rows)):
-                total[rows] += by_row
-                total[r1:] += by_column
+            pairs = list(sums(rows))
+            if pairs:
+                totals = totals or [np.zeros(n, dtype=dtype) for _ in pairs]
+                for total, (by_row, by_column) in zip(totals, pairs, strict=True):
+                    total[rows] += by_row
+                    total[r1:] += by_column
             r0 = r1
         return [total * self.dx for total in totals]
 
@@ -187,7 +194,8 @@ class SpectralGrid:
         usable = mags > COEFF_FLOOR
         if usable.sum() < 3:
             raise UndefinedRadiusError(
-                f"only {int(usable.sum())} coefficients above {COEFF_FLOOR} in band {fit_band}"
+                f"fit band {fit_band} lies below COEFF_FLOOR = {COEFF_FLOOR}: "
+                f"only {int(usable.sum())} coefficients above it"
             )
         kk = k[usable].astype(float)
         y = np.log(mags[usable])

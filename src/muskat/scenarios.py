@@ -24,6 +24,7 @@ from .errors import (
     ConfigError,
     DegenerateGeometryError,
     DegenerateParametrizationError,
+    UndefinedRadiusError,
 )
 from .grid import SpectralGrid, block_sums
 from .initial_data import f_kappa, log_datum, make_turnover_state, perturb
@@ -164,9 +165,16 @@ def _scenario_perturbed_pair(cfg: ScenarioConfig, out_dir: str) -> int:
     )
     other = perturb(base, cfg.perturbation_lambda, f_kappa(cfg.perturbation_kappa, grid))
     monitor = two_solution_monitor(base, other, cfg.run)
+    initial_distance = monitor.distances[0]
+    if initial_distance == 0.0:
+        # lambda = 0, or a kappa that underflows f_kappa: the pair is one solution
+        raise ConfigError(
+            f"[perturbation] lambda: the perturbation lambda * f_kappa has zero H4 norm "
+            f"(lambda = {cfg.perturbation_lambda}, kappa = {cfg.perturbation_kappa}), "
+            "so the distance ratios are undefined"
+        )
     rows = list(zip(monitor.times, monitor.distances))
     _write_csv(os.path.join(out_dir, "pair_distances.csv"), ("time", "h4_distance"), rows)
-    initial_distance = monitor.distances[0]
     _write_report(out_dir, cfg, {
         "termination": monitor.termination,
         "initial_distance": initial_distance,
@@ -251,7 +259,7 @@ def _scenario_operator_suite(cfg: ScenarioConfig, out_dir: str) -> int:
         values = np.abs(df) ** 2 * (1.0 + pairwise_cot(x, rows) ** 2)
         return [block_sums(values, values, diag[rows])]
 
-    (row_sums,) = grid.pair_quadrature(sums, 1, float)
+    (row_sums,) = grid.pair_quadrature(sums, float)
     rhs_side = row_sums.sum() * grid.dx / (8.0 * np.pi)
     quadratic_form_err = abs(lhs - rhs_side) / abs(lhs)
 
@@ -324,6 +332,7 @@ def run_scenario(name: str, cfg: ScenarioConfig, out_dir: str) -> int:
         # let the caller exit 2
         _write_report(out_dir, cfg, {"scenario": name, "error": str(exc)})
         raise
-    except (DegenerateGeometryError, DegenerateParametrizationError, BlowupError) as exc:
+    except (DegenerateGeometryError, DegenerateParametrizationError, BlowupError,
+            UndefinedRadiusError) as exc:
         _write_report(out_dir, cfg, {"scenario": name, "error": str(exc)})
         return EXIT_NUMERIC

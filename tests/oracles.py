@@ -3,9 +3,10 @@
 All are independent of the production quadrature: a pointwise kernel
 value, the right-hand side by the alternating-node trapezoid, which skips
 the diagonal instead of assigning it its analytic limit, the right-hand
-side summed in extended precision, and the full-matrix quadratures, which
-hold every pairwise array as one N x N matrix and sum each row in one
-reduction, as the quadratures did before the triangle sweep.
+side and the principal-value integral summed in extended precision, and
+the full-matrix quadratures, which hold every pairwise array as one N x N
+matrix and sum each row in one reduction, as the quadratures did before
+the triangle sweep.
 """
 
 from __future__ import annotations
@@ -139,10 +140,7 @@ def full_kernel_pv_integral(
     integrand = pairs.kern - (der[(1, 1)] / tangent_sq)[:, None] * full_cot(ws.zeta)
     slope_sum = der[(1, 1)] * der[(1, 2)] + der[(2, 1)] * der[(2, 2)]
     diag = 2.0 * der[(1, 1)] * slope_sum / tangent_sq**2 - der[(1, 2)] / tangent_sq
-    if ws.jac is not None:
-        integrand = integrand * ws.jac[None, :]
-        diag = diag * ws.jac
-    return row_quadrature(grid, integrand, diag)
+    return row_quadrature(grid, integrand * ws.jac[None, :], diag * ws.jac)
 
 
 def full_matrix_decomposition(state: InterfaceState, grid: SpectralGrid) -> D4Decomposition:
@@ -250,4 +248,35 @@ def mpmath_rhs(state: InterfaceState, grid: SpectralGrid, dps: int = 40) -> np.n
                 diag = 2 * d1[0][i] * d2[mu][i] / tangent_sq
                 total = mpmath.fsum([diag] + [kern[j] * (d1[mu][i] - d1[mu][j]) for j in others])
                 out[mu, i] = float(total * dx)
+    return out
+
+
+def mpmath_pv_integral(ws: KernelWorkspace, grid: SpectralGrid, dps: int = 30) -> np.ndarray:
+    """Node values of ``kernel_pv_integral``, summed at ``dps`` digits.
+
+    The same trapezoid sum with analytic diagonal, from the float64 samples
+    of ``ws`` (nodes, curve, first and second derivatives, dw/du), flat or
+    lifted; every kernel and cotangent value and every sum is then
+    evaluated in mpmath, so the only float64 error left is that of the
+    samples and of the final rounding.
+    """
+    n = grid.n_modes
+    out = np.empty(n, dtype=complex)
+    with mpmath.workdps(dps):
+        zeta, z1, z2, jac, d1z1, d1z2, d2z1, d2z2 = (
+            [mpmath.mpmathify(complex(v)) for v in values]
+            for values in (ws.zeta, ws.z1, ws.z2, ws.jac, ws.der[(1, 1)], ws.der[(2, 1)],
+                           ws.der[(1, 2)], ws.der[(2, 2)]))
+        dx = 2 * mpmath.pi / n
+        for i in range(n):
+            tangent_sq = d1z1[i] ** 2 + d1z2[i] ** 2
+            ratio = d1z1[i] / tangent_sq
+            slope_sum = d1z1[i] * d2z1[i] + d1z2[i] * d2z2[i]
+            terms = [(2 * d1z1[i] * slope_sum / tangent_sq**2 - d2z1[i] / tangent_sq) * jac[i]]
+            for j in range(n):
+                if j != i:
+                    p, q = z1[i] - z1[j], z2[i] - z2[j]
+                    kern = mpmath.sin(p) / (mpmath.cosh(q) - mpmath.cos(p))
+                    terms.append((kern - ratio * mpmath.cot((zeta[i] - zeta[j]) / 2)) * jac[j])
+            out[i] = complex(mpmath.fsum(terms) * dx)
     return out

@@ -430,7 +430,9 @@ class TestCli:
         ("turnover", "n_modes = 64\ndirection = backward\nt_end = -0.01\nstop_on = rt_sign\n"),
         # two adaptive controllers would pick different steps
         ("perturbed_pair", "n_modes = 64\nadaptive = true\n"),
-    ], ids=["rt_sign_at_start", "adaptive_pair"])
+        # a vanishing perturbation leaves no distance to take ratios of
+        ("perturbed_pair", "n_modes = 32\n[perturbation]\nlambda = 0.0\n"),
+    ], ids=["rt_sign_at_start", "adaptive_pair", "zero_perturbation"])
     def test_invalid_config_exits_two_without_traceback(self, tmp_path, capsys, scenario,
                                                         run_keys):
         path = tmp_path / "cfg.ini"
@@ -444,6 +446,18 @@ class TestCli:
         report = json.loads((tmp_path / "o" / "report.json").read_text())
         assert report["scenario"] == scenario
         assert report["error"]
+
+    def test_f_kappa_coefficients_below_the_floor_exit_three(self, tmp_path, capsys):
+        # e^{-5k}/k^5 falls below COEFF_FLOOR before the fit band (8, 40) starts
+        path = tmp_path / "cfg.ini"
+        path.write_text("[run]\nscenario = f_kappa_build\n[perturbation]\nkappa = 5\n")
+        out = tmp_path / "o"
+        status = main(["f_kappa_build", "--config", str(path), "--modes", "128",
+                       "--out", str(out)])
+        assert status == 3
+        assert "Traceback" not in capsys.readouterr().err
+        report = json.loads((out / "report.json").read_text())
+        assert "COEFF_FLOOR" in report["error"]
 
     def test_degenerate_parametrization_exits_three(self, tmp_path, monkeypatch):
         def degenerate(cfg, out_dir):

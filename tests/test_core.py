@@ -37,6 +37,7 @@ from oracles import (
     full_matrix_rhs,
     full_pairs,
     kernel,
+    mpmath_pv_integral,
     mpmath_rhs,
 )
 
@@ -169,6 +170,11 @@ class TestKernelWorkspace:
             assert array.dtype == np.float64
             assert array.shape == (grid256.n_modes,)
 
+    def test_flat_jacobian_is_ones(self, grid256):
+        ws = build_workspace(gentle_state(grid256), grid256, max_order=1)
+        assert ws.jac.dtype == np.float64
+        assert (ws.jac == 1.0).all()
+
     def test_node_distance_is_a_cached_read_only_view_of_an_o_n_table(self):
         n = 64
         view = _node_distance(n)
@@ -212,7 +218,7 @@ class TestKernelWorkspace:
         covered = np.zeros((grid.n_modes, grid.n_modes), dtype=int)
 
         def record(block):
-            assert block.den.nbytes <= 64 * 1024
+            assert block.q.nbytes <= 64 * 1024
             covered[block.rows, block.cols] += 1
             return ()
 
@@ -226,12 +232,17 @@ class TestKernelWorkspace:
         grid = SpectralGrid(128)
         contour = LiftedContour.from_height(grid, 0.15 + 0.03 * np.cos(grid.nodes))
         ws = build_workspace(gentle_state(grid), grid, contour, max_order=1)
+        c = ws.exp_map[2]
         blocks = []
 
         def check(block):
-            direct = np.cosh(block.dz2) - np.cos(block.dz1)
+            rows, cols = block.rows, block.cols
+            dz1 = ws.z1[rows, None] - ws.z1[None, cols]
+            dz2 = ws.z2[rows, None] - ws.z2[None, cols]
+            direct = np.cosh(dz2) - np.cos(dz1)
+            den = block.q * np.multiply(c[rows, None], c[None, cols])
             off = ~np.eye(*direct.shape, dtype=bool)
-            assert (np.abs(block.den - direct)[off] <= 1e-12 * np.abs(direct[off])).all()
+            assert (np.abs(den - direct)[off] <= 1e-12 * np.abs(direct[off])).all()
             blocks.append(block.rows)
             return ()
 
@@ -454,6 +465,22 @@ class TestATilde:
             return np.sin(p) / (np.cosh(q) - np.cos(p)) - dz1 / t_sq / np.tan((x - w) / 2)
 
         assert abs(a_value(0.7, 0.7 - 1e-3) - predicted) < 1e-3
+
+    @pytest.mark.parametrize("lifted, bound", [(False, 2e-14), (True, 4e-14)],
+                             ids=["flat", "upper"])
+    def test_matches_mpmath_trapezoid(self, lifted, bound):
+        # the same trapezoid summed at 30 digits from the same float64
+        # samples: an accuracy pin, not agreement with a float64 oracle of
+        # the same formula.  The half-angle K and cotangent measure 5.9e-15
+        # (flat) and 2.4e-14 (upper); the exp-map K with a table or W-form
+        # cotangent 1.0e-13 and 6.7e-14
+        grid = SpectralGrid(128)
+        contour = (LiftedContour.from_height(grid, 0.15 + 0.03 * np.cos(grid.nodes))
+                   if lifted else None)
+        state = gentle_state(grid)
+        values = a_tilde(state, grid, contour)
+        golden = mpmath_pv_integral(build_workspace(state, grid, contour, 2), grid)
+        assert np.abs(values - golden).max() <= bound * np.abs(golden).max()
 
     def test_matches_on_lifted_contour_for_entire_state(self):
         # contour deformation: for band-limited (entire) states the contour

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from muskat import SpectralGrid, is_conjugate_symmetric
+from muskat.grid import block_sums
 from muskat.errors import InvalidCutoffError, SizeMismatchError, UndefinedRadiusError
 
 
@@ -205,6 +206,45 @@ class TestQuadraticFormIdentity:
         fp = grid.from_spectral(grid.derivative(c))
         lhs, rhs = quadratic_form_sides(grid, f, fp)
         assert abs(lhs - rhs) <= 1e-6 * abs(lhs)
+
+
+class TestPairQuadrature:
+    @staticmethod
+    def ones_sums(grid, per_block):
+        """Block sums of the constant integrand 1, ``per_block(rows)`` times."""
+        def sums(rows):
+            values = np.ones((rows.stop - rows.start, grid.n_modes - rows.start))
+            return [block_sums(values, values, 1.0)] * per_block(rows)
+        return sums
+
+    def test_the_consumer_sets_the_number_of_integrands(self):
+        grid = SpectralGrid(128)
+        totals = grid.pair_quadrature(self.ones_sums(grid, lambda rows: 2), float)
+        assert len(totals) == 2
+        for total in totals:
+            assert np.allclose(total, 2.0 * np.pi, rtol=1e-14, atol=0.0)
+
+    def test_blocks_that_yield_nothing_are_skipped(self):
+        # as after a chord-arc failure: only the first block is summed, so
+        # its rows see every column and the later rows its r1 columns
+        grid = SpectralGrid(128)
+        stops = []
+
+        def first_block_only(rows):
+            stops.append(rows.stop)
+            return int(rows.start == 0)
+
+        (total,) = grid.pair_quadrature(self.ones_sums(grid, first_block_only), float)
+        r1 = stops[0]
+        assert 1 < len(stops) and r1 < grid.n_modes
+        assert np.allclose(total[:r1], 2.0 * np.pi, rtol=1e-14, atol=0.0)
+        assert np.allclose(total[r1:], r1 * grid.dx, rtol=1e-14, atol=0.0)
+
+    def test_a_block_yielding_another_number_of_integrands_raises(self):
+        grid = SpectralGrid(128)
+        sums = self.ones_sums(grid, lambda rows: 2 if rows.start == 0 else 1)
+        with pytest.raises(ValueError):
+            grid.pair_quadrature(sums, float)
 
 
 class TestAnalyticityRadius:
