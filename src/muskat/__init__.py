@@ -3,7 +3,6 @@
 from .contour_ops import LiftedContour, garding_form, lambda_gamma, pv_cot_integral
 from .core import (
     InterfaceState,
-    Tendency,
     a_tilde,
     chord_arc_constant,
     evaluate_on_contour,
@@ -46,7 +45,6 @@ __all__ = [
     "SAFE_COEFFICIENTS",
     "ScheduleMargins",
     "SpectralGrid",
-    "Tendency",
     "Trajectory",
     "a_tilde",
     "chord_arc_constant",

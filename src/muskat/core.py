@@ -55,60 +55,67 @@ from .grid import is_conjugate_symmetric
 DEFAULT_CHORD_ARC_FLOOR = 1e-4
 
 
-@dataclass
 class InterfaceState:
-    """Fourier representation of the curve: p1 = coeffs of z1(a) - a, p2 of z2."""
+    """Fourier representation of the curve: one (2, N) array ``coeffs``.
 
-    p1: NDArray[np.complexfloating]
-    p2: NDArray[np.complexfloating]
-    time: float = 0.0
+    Row 0 holds the coefficients of z1(a) - a, row 1 those of z2.  p1 and p2
+    are views of the rows; assigning to one writes its row.  Construction
+    copies its inputs.
+    """
 
-    def __post_init__(self):
-        self.p1 = np.asarray(self.p1, dtype=complex)
-        self.p2 = np.asarray(self.p2, dtype=complex)
-        if self.p1.shape != self.p2.shape:
+    def __init__(self, p1: NDArray, p2: NDArray, time: float = 0.0):
+        p1, p2 = np.asarray(p1, dtype=complex), np.asarray(p2, dtype=complex)
+        if p1.shape != p2.shape:
             raise ValueError("p1 and p2 must have equal length")
+        self.coeffs = np.stack([p1, p2])
+        self.time = time
+
+    @property
+    def p1(self) -> NDArray[np.complexfloating]:
+        return self.coeffs[0]
+
+    @p1.setter
+    def p1(self, value: NDArray) -> None:
+        self.coeffs[0] = value
+
+    @property
+    def p2(self) -> NDArray[np.complexfloating]:
+        return self.coeffs[1]
+
+    @p2.setter
+    def p2(self, value: NDArray) -> None:
+        self.coeffs[1] = value
 
     @property
     def n_modes(self) -> int:
-        return len(self.p1)
+        return self.coeffs.shape[1]
 
     @classmethod
     def flat(cls, grid: SpectralGrid, time: float = 0.0) -> "InterfaceState":
-        zero = np.zeros(grid.n_modes, dtype=complex)
-        return cls(zero, zero.copy(), time)
+        return cls(*np.zeros((2, grid.n_modes), dtype=complex), time)
 
     def copy(self) -> "InterfaceState":
-        return InterfaceState(self.p1.copy(), self.p2.copy(), self.time)
+        return InterfaceState(*self.coeffs, self.time)
 
     def is_real(self, tol: float = 1e-10) -> bool:
-        return is_conjugate_symmetric(self.p1, tol) and is_conjugate_symmetric(self.p2, tol)
+        return all(is_conjugate_symmetric(row, tol) for row in self.coeffs)
 
     def symmetrized(self) -> "InterfaceState":
         """Project onto real-valued curves (conjugate-symmetric coefficients)."""
-        return InterfaceState(
-            conjugate_symmetrize(self.p1), conjugate_symmetrize(self.p2), self.time
-        )
+        return InterfaceState(*conjugate_symmetrize(self.coeffs), self.time)
 
-    def values(self, grid: SpectralGrid) -> tuple[NDArray, NDArray]:
-        """(z1, z2) at the grid nodes, identity part included."""
-        return grid.nodes + grid.from_spectral(self.p1), grid.from_spectral(self.p2)
+    def values(self, grid: SpectralGrid) -> NDArray[np.complexfloating]:
+        """(z1, z2) at the grid nodes as a (2, N) array, identity part included."""
+        values = grid.from_spectral(self.coeffs)
+        values[0] += grid.nodes
+        return values
 
-    def derivative_values(self, grid: SpectralGrid, order: int = 1) -> tuple[NDArray, NDArray]:
-        """(d^k z1, d^k z2) at the nodes; order 1 includes the identity slope."""
-        d1 = grid.from_spectral(grid.derivative(self.p1, order))
-        d2 = grid.from_spectral(grid.derivative(self.p2, order))
+    def derivative_values(self, grid: SpectralGrid, order: int = 1) -> NDArray[np.complexfloating]:
+        """(d^k z1, d^k z2) at the nodes as a (2, N) array; order 1 includes the identity slope."""
+        values = grid.from_spectral(grid.derivative(self.coeffs, order))
         if order == 1:
-            d1 = d1 + 1.0
-        return d1, d2
-
-
-@dataclass
-class Tendency:
-    """Coefficient-space time derivatives of (p1, p2)."""
-
-    d1: NDArray[np.complexfloating]
-    d2: NDArray[np.complexfloating]
+            values[0] += 1.0
+        return values
 
 
 def evaluate_on_contour(
@@ -183,11 +190,12 @@ def build_workspace(
     values only drops imaginary round-off, which up to six derivatives
     amplify to about 3e-7 relative.  On a lifted contour it is complex.
     """
-    pair = np.stack([state.p1, state.p2])
+    pair = state.coeffs
     stack = np.concatenate([pair] + [grid.derivative(pair, k) for k in range(1, max_order + 1)])
     if contour is None:
         zeta, jac = grid.nodes, np.ones(grid.n_modes)
-        samples = grid.from_spectral(stack).real
+        # a copy, so the views below do not keep the complex transform alive
+        samples = grid.from_spectral(stack).real.copy()
     else:
         zeta, jac = contour.complex_nodes(grid), contour.jacobian()
         samples = evaluate_on_contour(stack, grid, contour)
@@ -408,26 +416,24 @@ def rhs(
     state: InterfaceState,
     grid: SpectralGrid,
     floor: float = DEFAULT_CHORD_ARC_FLOOR,
-    density_jump_over_2pi: float = 1.0,
-) -> Tendency:
-    """Muskat right-hand side d/dt (p1, p2) in coefficient space.
+) -> NDArray[np.complexfloating]:
+    """Muskat right-hand side d/dt coeffs in coefficient space, shape (2, N).
 
-    Trapezoid rule with analytic diagonal limits (spectrally accurate).
+    Trapezoid rule with analytic diagonal limits (spectrally accurate).  The
+    normalization is (rho2 - rho1)/(2 pi) = 1, which all diagnostics assume;
+    :func:`muskat.integrator.galerkin_rhs` applies any other density jump.
 
     Args:
         state: Interface state (coefficients).
         grid: Collocation grid.
         floor: Chord-arc floor; below it the evaluation is rejected.
-        density_jump_over_2pi: physical prefactor (rho2 - rho1)/(2 pi); the
-            default 1 is the normalization all diagnostics assume, other
-            values rescale to the raw-density convention.
 
     Raises:
         DegenerateGeometryError: chord-arc constant below the floor.
     """
     ws = build_workspace(state, grid, None, 2)
     values, _ = pair_sweep(ws, grid, kernel_difference_sums(ws, 1), floor)
-    return Tendency(*(density_jump_over_2pi * grid.to_spectral(v) for v in values))
+    return grid.to_spectral(np.stack(values))
 
 
 def kernel_difference_sums(

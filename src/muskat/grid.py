@@ -5,8 +5,9 @@ nodes) or in frequency space (coefficients c_k such that
 g(x) = sum_k c_k e^{ikx}, stored in FFT order).  All multiplier operators in
 this module act on coefficient arrays; use :meth:`SpectralGrid.to_spectral`
 and :meth:`SpectralGrid.from_spectral` to move between representations.
-Those two and :meth:`SpectralGrid.derivative` also act row by row on a
-stack of shape (m, N).
+Those two, :meth:`SpectralGrid.project_modes`, :meth:`SpectralGrid.derivative`
+and :func:`conjugate_symmetrize` also act row by row on a stack of shape
+(m, N).
 """
 
 from __future__ import annotations
@@ -84,13 +85,13 @@ class SpectralGrid:
             The band-limited coefficient array.  Idempotent.
         """
         coeffs = np.asarray(coeffs, dtype=complex)
-        self._check_length(coeffs)
+        self._check_length(coeffs, stacked=True)
         if not 0 < cutoff <= self.n_modes // 2:
             raise InvalidCutoffError(
                 f"cutoff must lie in 1..{self.n_modes // 2}, got {cutoff}"
             )
         out = coeffs.copy()
-        out[np.abs(self.wavenumbers) > cutoff] = 0.0
+        out[..., np.abs(self.wavenumbers) > cutoff] = 0.0
         return out
 
     def derivative(self, coeffs: NDArray, order: int = 1) -> NDArray:
@@ -217,10 +218,10 @@ def block_sums(values: NDArray, mirror: NDArray, diag) -> tuple[NDArray, NDArray
 
 
 def conjugate_symmetrize(coeffs: NDArray) -> NDArray:
-    """Project onto conjugate-symmetric coefficients (real grid functions)."""
+    """Project onto conjugate-symmetric coefficients (real grid functions), row by row."""
     coeffs = np.asarray(coeffs, dtype=complex)
-    n = len(coeffs)
-    reflected = np.conj(coeffs[np.mod(-np.arange(n), n)])
+    n = coeffs.shape[-1]
+    reflected = np.conj(coeffs[..., np.mod(-np.arange(n), n)])
     return 0.5 * (coeffs + reflected)
 
 

@@ -117,4 +117,4 @@ def perturb(base: InterfaceState, lam: float, f_coeffs: NDArray) -> InterfaceSta
     f_coeffs = np.asarray(f_coeffs, dtype=complex)
     if f_coeffs.shape != base.p1.shape:
         raise ValueError("perturbation length does not match the state")
-    return InterfaceState(base.p1 + lam * f_coeffs, base.p2.copy(), base.time)
+    return InterfaceState(base.p1 + lam * f_coeffs, base.p2, base.time)

@@ -21,20 +21,15 @@ normal outcomes recorded in the trajectory, not errors.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .contour_ops import LiftedContour
-from .core import (
-    DEFAULT_CHORD_ARC_FLOOR,
-    InterfaceState,
-    Tendency,
-    chord_arc_constant,
-    rhs,
-)
+from .core import DEFAULT_CHORD_ARC_FLOOR, InterfaceState, chord_arc_constant, rhs
 from .errors import BlowupError, ConfigError, DegenerateGeometryError, UndefinedRadiusError
-from .grid import SpectralGrid
+from .grid import SpectralGrid, conjugate_symmetrize
 from .schedules import HeightSchedule, h_of, h_t_of, hbar_of, hbar_t_of
 from .stability import h4_distance, rt_generalized, rt_unperturbed, turnover_indicator
 
@@ -150,13 +145,13 @@ def galerkin_rhs(
     cutoff: int,
     floor: float = DEFAULT_CHORD_ARC_FLOOR,
     density_jump_over_2pi: float = 1.0,
-) -> Tendency:
-    """Projected right-hand side: Pi_N applied to the full tendency."""
-    tendency = rhs(state, grid, floor=floor, density_jump_over_2pi=density_jump_over_2pi)
-    return Tendency(
-        grid.project_modes(tendency.d1, cutoff),
-        grid.project_modes(tendency.d2, cutoff),
-    )
+) -> np.ndarray:
+    """Projected right-hand side Pi_N (density_jump_over_2pi * rhs), shape (2, N).
+
+    The physical prefactor (rho2 - rho1)/(2 pi) enters here, where time is
+    integrated; :func:`muskat.core.rhs` carries the unit normalization.
+    """
+    return grid.project_modes(density_jump_over_2pi * rhs(state, grid, floor), cutoff)
 
 
 def step(
@@ -173,27 +168,20 @@ def step(
     reality-symmetrized, so real band-limited states stay exactly so.
     """
     f = _galerkin_field(grid, cutoff, floor, density_jump_over_2pi)
-    u = _stacked(state)
-    u_next, _ = _lawson_rk4(u, f(u), dt, f, 1.0, 1.0)
+    u_next, _ = _lawson_rk4(state.coeffs, f(state.coeffs), dt, f, 1.0, 1.0)
     return _finished(u_next, grid, cutoff, state.time + dt)
 
 
-def _stacked(state: InterfaceState) -> np.ndarray:
-    return np.stack([state.p1, state.p2])
-
-
 def _finished(u: np.ndarray, grid: SpectralGrid, cutoff: int, time: float) -> InterfaceState:
-    """The projected, reality-symmetrized state of stacked coefficients u."""
-    out = InterfaceState(grid.project_modes(u[0], cutoff), grid.project_modes(u[1], cutoff), time)
-    return out.symmetrized()
+    """The projected, reality-symmetrized state of coefficients u."""
+    return InterfaceState(*conjugate_symmetrize(grid.project_modes(u, cutoff)), time)
 
 
 def _galerkin_field(grid: SpectralGrid, cutoff: int, floor: float, density: float):
-    """galerkin_rhs on stacked coefficients u = [p1, p2]."""
+    """galerkin_rhs on coefficients u, shape (2, N)."""
 
     def f(u: np.ndarray) -> np.ndarray:
-        tendency = galerkin_rhs(InterfaceState(u[0], u[1]), grid, cutoff, floor, density)
-        return np.stack([tendency.d1, tendency.d2])
+        return galerkin_rhs(InterfaceState(*u), grid, cutoff, floor, density)
 
     return f
 
@@ -201,7 +189,7 @@ def _galerkin_field(grid: SpectralGrid, cutoff: int, floor: float, density: floa
 def _lawson_rk4(u, k1, h, nonlinear, e_half, e_full):
     """Lawson's integrating-factor RK4 step of u' = L u + N(u).
 
-    u holds stacked coefficients, k1 = N(u), and e_half, e_full are
+    u holds the coefficients, k1 = N(u), and e_half, e_full are
     e^{Lh/2}, e^{Lh}.  Returns the unprojected new state and the last
     stage k4.  With both factors 1.0 this is classical RK4 bit for bit:
     multiplying by 1.0 is exact.
@@ -215,7 +203,7 @@ def _lawson_rk4(u, k1, h, nonlinear, e_half, e_full):
 
 def _radius_estimate(state: InterfaceState, grid: SpectralGrid) -> float:
     estimates = []
-    for coeffs in (state.p1, state.p2):
+    for coeffs in state.coeffs:
         try:
             estimates.append(grid.analyticity_radius(coeffs))
         except UndefinedRadiusError:
@@ -288,7 +276,7 @@ def _rt_sign_violated(state: InterfaceState, grid: SpectralGrid, config: RunConf
 
 
 def _check_stops(state: InterfaceState, grid: SpectralGrid, config: RunConfig) -> str | None:
-    coeff_norm = max(np.abs(state.p1).sum(), np.abs(state.p2).sum())
+    coeff_norm = np.abs(state.coeffs).sum(axis=1).max()
     if not np.isfinite(coeff_norm):
         raise BlowupError(f"non-finite coefficients at t={state.time}")
     if "blowup_norm" in config.stop_on and coeff_norm > config.blowup_norm:
@@ -332,9 +320,8 @@ def run(initial: InterfaceState, config: RunConfig) -> Trajectory:
 
 
 def _projected(initial: InterfaceState, grid: SpectralGrid, config: RunConfig) -> InterfaceState:
-    cutoff = config.galerkin_cutoff
-    return InterfaceState(grid.project_modes(initial.p1, cutoff),
-                          grid.project_modes(initial.p2, cutoff), config.t_start)
+    return InterfaceState(*grid.project_modes(initial.coeffs, config.galerkin_cutoff),
+                          config.t_start)
 
 
 def _advance(
@@ -369,8 +356,8 @@ def _advance(
     return reason or "reached_t_end", degenerate
 
 
-def _step_plan(config: RunConfig) -> list[tuple[float, float]]:
-    """(dt, time_after_step) pairs covering [t_start, t_end].
+def _step_plan(config: RunConfig) -> Iterator[tuple[float, float]]:
+    """(dt, time_after_step) pairs covering [t_start, t_end], yielded one at a time.
 
     Spans that are integer multiples of dt take only full-size steps, and
     times are assigned rather than accumulated, so splitting a fixed-step
@@ -381,10 +368,10 @@ def _step_plan(config: RunConfig) -> list[tuple[float, float]]:
     dt = config.signed_dt
     n_full = int(abs(span) / config.dt + 1e-9)
     tail = span - n_full * dt
-    plan = [(dt, config.t_start + (i + 1) * dt) for i in range(n_full)]
+    for i in range(n_full):
+        yield dt, config.t_start + (i + 1) * dt
     if abs(tail) > 1e-9 * config.dt:
-        plan.append((tail, config.t_end))
-    return plan
+        yield tail, config.t_end
 
 
 def _accepted_states(state: InterfaceState, grid: SpectralGrid, config: RunConfig,
@@ -416,7 +403,7 @@ def _accepted_states(state: InterfaceState, grid: SpectralGrid, config: RunConfi
         def nonlinear(u):
             return f(u) - lin * u
     counts.rhs_calls += 1
-    k1 = nonlinear(_stacked(state))
+    k1 = nonlinear(state.coeffs)
     dt = config.signed_dt
     while (config.t_end - state.time) * np.sign(config.signed_dt) > 1e-15:
         remaining = config.t_end - state.time
@@ -435,13 +422,13 @@ def _adaptive_step(state, k1, dt, nonlinear, lin, grid, config, counts):
     step's k1) and the next dt, doubled when the error is below 1/16 of the
     budget.
     """
-    u = _stacked(state)
+    u = state.coeffs
     while True:
         counts.rhs_calls += 4
         e_half, e_full = np.exp(lin * (dt / 2.0)), np.exp(lin * dt)
         u_next, k4 = _lawson_rk4(u, k1, dt, nonlinear, e_half, e_full)
         candidate = _finished(u_next, grid, config.galerkin_cutoff, state.time + dt)
-        k5 = nonlinear(_stacked(candidate))
+        k5 = nonlinear(candidate.coeffs)
         err = abs(dt) / 6.0 * np.abs(k4 - k5).max()
         budget = config.adaptive_tol * abs(dt)
         if err <= budget:

@@ -45,7 +45,7 @@ class Snapshot:
     diagnostics: dict | None = None
 
     def state(self) -> InterfaceState:
-        return InterfaceState(self.p1.copy(), self.p2.copy(), self.time)
+        return InterfaceState(self.p1, self.p2, self.time)
 
 
 def atomic_write_text(path: str, text: str) -> None:

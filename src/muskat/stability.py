@@ -76,15 +76,16 @@ def rt_generalized(
 
 
 def _h4_norm_sq_of_difference(
-    dc1: NDArray, dc2: NDArray, grid: SpectralGrid, contour: LiftedContour | None
+    diff: NDArray, grid: SpectralGrid, contour: LiftedContour | None
 ) -> float:
-    """Squared H4 norm of the coefficient-space difference (dc1, dc2).
+    """Squared H4 norm of the coefficient-space difference ``diff``, shape (2, N).
 
     ||f||^2 = sum_{+,-} int_{Gamma_pm} |f|^2 dRe + sum_{+,-} int |d^4 f|^2 dRe,
     summed over both curve components.  The flat case integrates over the
     torus twice, matching the h -> 0 limit of the two contours.
     """
-    stack = np.stack([dc1, grid.derivative(dc1, 4), dc2, grid.derivative(dc2, 4)])
+    # rows dc1, d^4 dc1, dc2, d^4 dc2
+    stack = np.stack([diff, grid.derivative(diff, 4)], axis=1).reshape(4, -1)
     if contour is None:
         samples, weight = grid.from_spectral(stack), 2.0
     else:
@@ -105,9 +106,7 @@ def h4_distance(
     coefficient evaluation on the contours is exact.  ``contour=None``
     integrates on the flat torus (both boundary curves collapsed).
     """
-    dc1 = s1.p1 - s2.p1
-    dc2 = s1.p2 - s2.p2
-    return float(np.sqrt(_h4_norm_sq_of_difference(dc1, dc2, grid, contour)))
+    return float(np.sqrt(_h4_norm_sq_of_difference(s1.coeffs - s2.coeffs, grid, contour)))
 
 
 def h4_norm(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import mpmath
 import numpy as np
 
-from muskat import InterfaceState, LiftedContour, SpectralGrid, Tendency
+from muskat import InterfaceState, LiftedContour, SpectralGrid
 from muskat.core import DEFAULT_CHORD_ARC_FLOOR, KernelWorkspace, build_workspace
 from muskat.decomposition import SAFE_COEFFICIENTS, SAFE_TERMS, ComponentPair, D4Decomposition
 from muskat.errors import DegenerateGeometryError
@@ -122,12 +122,10 @@ def full_matrix_rhs(
     state: InterfaceState,
     grid: SpectralGrid,
     floor: float = DEFAULT_CHORD_ARC_FLOOR,
-    density_jump_over_2pi: float = 1.0,
-) -> Tendency:
-    """The right-hand side from full N x N matrices."""
+) -> np.ndarray:
+    """The right-hand side (2, N) from full N x N matrices."""
     pairs = full_pairs(build_workspace(state, grid, None, 2), floor)
-    values = _full_kernel_difference(pairs, grid, 1)
-    return Tendency(*(density_jump_over_2pi * grid.to_spectral(v) for v in values))
+    return grid.to_spectral(np.stack(_full_kernel_difference(pairs, grid, 1)))
 
 
 def full_kernel_pv_integral(
@@ -204,9 +202,8 @@ def alternating_rhs(
     state: InterfaceState,
     grid: SpectralGrid,
     floor: float = DEFAULT_CHORD_ARC_FLOOR,
-    density_jump_over_2pi: float = 1.0,
-) -> Tendency:
-    """Right-hand side by the skip-diagonal alternating-point trapezoid.
+) -> np.ndarray:
+    """Right-hand side (2, N) by the skip-diagonal alternating-point trapezoid.
 
     Keeps only node pairs of opposite parity, at double weight, so the
     singular diagonal is never evaluated.
@@ -217,8 +214,8 @@ def alternating_rhs(
     out = []
     for mu in (1, 2):
         integ = pairs.kern * _difference(pairs.ws.der[(mu, 1)]) * parity
-        out.append(density_jump_over_2pi * grid.to_spectral(integ.sum(axis=1) * 2.0 * grid.dx))
-    return Tendency(out[0], out[1])
+        out.append(integ.sum(axis=1) * 2.0 * grid.dx)
+    return grid.to_spectral(np.stack(out))
 
 
 def mpmath_rhs(state: InterfaceState, grid: SpectralGrid, dps: int = 40) -> np.ndarray:

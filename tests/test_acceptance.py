@@ -133,8 +133,8 @@ def test_criterion_3_rhs_oracles():
         grid = SpectralGrid(256)
         x = grid.nodes
         flat_tendency = rhs(InterfaceState.flat(grid), grid)
-        assert np.abs(flat_tendency.d1).max() <= 1e-10
-        assert np.abs(flat_tendency.d2).max() <= 1e-10
+        assert np.abs(flat_tendency[0]).max() <= 1e-10
+        assert np.abs(flat_tendency[1]).max() <= 1e-10
 
         state = InterfaceState(
             grid.to_spectral(-0.08 * np.sin(x)), grid.to_spectral(0.05 * np.sin(x))
@@ -143,8 +143,8 @@ def test_criterion_3_rhs_oracles():
         shifted.p2 = shifted.p2.copy()
         shifted.p2[0] += 0.37
         ta, tb = rhs(state, grid), rhs(shifted, grid)
-        assert np.abs(ta.d1 - tb.d1).max() <= 1e-12
-        assert np.abs(ta.d2 - tb.d2).max() <= 1e-12
+        assert np.abs(ta[0] - tb[0]).max() <= 1e-12
+        assert np.abs(ta[1] - tb[1]).max() <= 1e-12
 
         eps = 1e-6
         for k in (1, 2, 3):
@@ -153,7 +153,7 @@ def test_criterion_3_rhs_oracles():
                 grid.to_spectral(eps * np.cos(k * x)),
             )
             tendency = rhs(mode_state, grid)
-            rate = -(tendency.d2[k] / mode_state.p2[k]).real
+            rate = -(tendency[1, k] / mode_state.p2[k]).real
             assert abs(rate - 2.0 * np.pi * k) <= 1e-4 * 2.0 * np.pi * k
 
         previous = None
@@ -161,7 +161,7 @@ def test_criterion_3_rhs_oracles():
         for n in (64, 128, 256, 512):
             g = SpectralGrid(n)
             tendency = rhs(strip_state(g, width=0.3), g)
-            values = g.from_spectral(tendency.d2)
+            values = g.from_spectral(tendency[1])
             if previous is not None:
                 errors.append(np.abs(previous - values[::2]).max())
             previous = values

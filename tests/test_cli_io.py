@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
+import math
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from muskat import InterfaceState, SpectralGrid, run
 from muskat.cli import _load, build_parser, main
@@ -178,6 +184,14 @@ class TestSnapshots:
         assert np.array_equal(a.p2, b.p2)
 
 
+def strict_json(text: str):
+    """json.loads that rejects NaN and Infinity, which are not JSON."""
+    def reject(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def read_csv(path):
     with open(path) as handle:
         lines = [line.strip() for line in handle if line.strip()]
@@ -251,6 +265,19 @@ class TestScenarios:
         header, rows = read_csv(tmp_path / "coefficients.csv")
         assert header == ["k", "cosine_coefficient", "closed_form", "abs_deviation"]
         assert len(rows) == 64
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_f_kappa_build_at_kappa_zero_writes_finite_json(self, tmp_path, capsys):
+        # the limiting datum: log_datum is -inf at the node x = 0
+        path = tmp_path / "cfg.ini"
+        path.write_text("[run]\nscenario = f_kappa_build\n[perturbation]\nkappa = 0\n")
+        out = tmp_path / "o"
+        status = main(["f_kappa_build", "--config", str(path), "--modes", "128",
+                       "--out", str(out)])
+        assert status == 0
+        assert "Traceback" not in capsys.readouterr().err
+        report = strict_json((out / "report.json").read_text())
+        assert math.isfinite(report["fourth_derivative_vs_log_datum_max_error"])
 
     def test_schedule_check_reports_margins(self, tmp_path):
         cfg = load_config_text(
@@ -479,3 +506,76 @@ class TestCliDirections:
         )
         status = main(["flat", "--config", str(path), "--out", str(tmp_path / "o")])
         assert status == 0
+
+
+#: per config key: values that parse, boundaries such as kappa = 0 among
+#: them, and bad tokens.  n_modes, dt and t_end are always set and keep every
+#: example short: at most 32 modes with dt >= 1e-3 for the scenarios that
+#: step, 128 for f_kappa_build, which needs 80 and does not step
+_FUZZ_KEYS = {
+    ("run", "n_modes"): (["8", "16", "32"], ["4", "100", "-1", "abc", ""]),
+    ("run", "dt"): (["1e-3", "4e-3", "1e-2"], ["0", "-1e-3", "nan", "abc", ""]),
+    ("run", "t_end"): (["0.01", "0.02", "-0.01"], ["0", "inf", "nan", "abc", ""]),
+    ("run", "t_start"): (["0", "1e-5", "-0.01"], ["nan", "-inf", "abc"]),
+    ("run", "galerkin_cutoff"): (["", "1", "5"], ["0", "20", "abc"]),
+    ("run", "adaptive"): (["true", "false"], ["maybe", ""]),
+    ("run", "adaptive_tol"): (["1e-8", "1e-6"], ["0", "-1", "nan"]),
+    ("run", "direction"): (["forward", "backward"], ["sideways", ""]),
+    ("run", "stop_on"): (["", "chord_arc_floor", "blowup_norm, rt_sign"], ["warp"]),
+    ("run", "chord_arc_floor"): (["1e-4", "0.5"], ["0", "nan"]),
+    ("run", "blowup_norm"): (["1e3", "1e-3"], ["0", "nan"]),
+    ("run", "record_every"): (["1", "5"], ["0", "abc"]),
+    ("run", "rt_convention"): (["sigma", "generalized"], ["bogus"]),
+    ("run", "density_jump_over_2pi"): (["1.0", "0.5", "0", "-1"], ["nan", "abc"]),
+    ("run", "seed"): (["0", "7"], ["-1", "abc"]),
+    ("schedule", "a"): (["10", "2"], ["1", "nan"]),
+    ("schedule", "tau"): (["0.005", "0.01"], ["0", "1", "nan"]),
+    ("schedule", "kappa"): (["1e-6", "0"], ["-1", "nan"]),
+    ("family", "slope_amplitude"): (["0.98", "1.0", "0"], ["nan", ""]),
+    ("family", "steepening_rate"): (["-0.3", "0"], ["-5", "nan"]),
+    ("family", "mode_count"): (["2", "1", "8"], ["0", "9", "abc"]),
+    ("family", "vertical_amplitudes"): (["-0.5, 1.0", "1.0"], ["-1.0, 0.1", "", "abc"]),
+    ("perturbation", "lambda"): (["1e-5", "1e-3", "0"], ["-1", "nan", "abc", ""]),
+    ("perturbation", "kappa"): (["0.2", "0", "5"], ["-1", "nan", "abc", ""]),
+}
+_FUZZ_ALWAYS = (("run", "n_modes"), ("run", "dt"), ("run", "t_end"))
+
+
+@st.composite
+def fuzz_config(draw, scenario: str) -> str:
+    """INI text: the keys of _FUZZ_ALWAYS and up to four others at values that
+    parse, then at most one key at a bad token."""
+    optional = [key for key in _FUZZ_KEYS if key not in _FUZZ_ALWAYS]
+    chosen = [*_FUZZ_ALWAYS, *draw(st.lists(st.sampled_from(optional), max_size=4, unique=True))]
+    values = {key: draw(st.sampled_from(_FUZZ_KEYS[key][0])) for key in chosen}
+    if scenario == "f_kappa_build":
+        values[("run", "n_modes")] = "128"
+    for key in draw(st.lists(st.sampled_from(list(_FUZZ_KEYS)), max_size=1)):
+        values[key] = draw(st.sampled_from(_FUZZ_KEYS[key][1]))
+    sections: dict[str, list[str]] = {"run": [f"scenario = {scenario}"]}
+    for (section, key), value in values.items():
+        sections.setdefault(section, []).append(f"{key} = {value}")
+    return "".join(f"[{name}]\n" + "".join(f"{line}\n" for line in lines)
+                   for name, lines in sections.items())
+
+
+class TestExitCodeContract:
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_any_config_exits_with_a_contract_code(self, scenario, data):
+        text = data.draw(fuzz_config(scenario), label="config")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "cfg.ini")
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            out = os.path.join(tmp, "o")
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                status = main([scenario, "--config", path, "--out", out])
+            assert status in (0, 2, 3, 4)
+            assert "Traceback" not in err.getvalue()
+            report = os.path.join(out, "report.json")
+            if os.path.exists(report):
+                with open(report, encoding="utf-8") as handle:
+                    strict_json(handle.read())

@@ -62,7 +62,7 @@ class TestDecompositionBasics:
         state = frozen_test_state(grid256)
         parts = rhs_d4_decomposition(state, grid256)
         tendency = rhs(state, grid256)
-        for got, coeffs in ((parts.d4_rhs.d1, tendency.d1), (parts.d4_rhs.d2, tendency.d2)):
+        for got, coeffs in ((parts.d4_rhs.d1, tendency[0]), (parts.d4_rhs.d2, tendency[1])):
             assert np.array_equal(got, grid256.from_spectral(grid256.derivative(coeffs, 4)))
 
     def test_dangerous_matches_linearized_half_laplacian(self, grid256):
@@ -113,7 +113,7 @@ class TestSymbolicCrossCheck:
     def test_termwise_assembly_reproduces_spectral_d4(self, grid256, expansions):
         state = frozen_test_state(grid256)
         tendency = rhs(state, grid256)
-        for mu, coeffs in ((1, tendency.d1), (2, tendency.d2)):
+        for mu, coeffs in ((1, tendency[0]), (2, tendency[1])):
             spectral = grid256.from_spectral(grid256.derivative(coeffs, 4))
             assembled = sym.evaluate_terms(expansions[mu], state, grid256)
             scale = np.abs(spectral).max()

@@ -81,6 +81,17 @@ class TestProjection:
         once = grid.project_modes(c, 20)
         assert np.array_equal(once, grid.project_modes(once, 20))
 
+    def test_stack_matches_row_by_row(self):
+        from muskat import conjugate_symmetrize
+
+        grid = SpectralGrid(64)
+        rng = np.random.default_rng(4)
+        stack = rng.normal(size=(2, 64)) + 1j * rng.normal(size=(2, 64))
+        for op in (lambda c: grid.project_modes(c, 10), conjugate_symmetrize):
+            together = op(stack)
+            for row, values in zip(stack, together):
+                assert np.array_equal(values, op(row))
+
     def test_invalid_cutoff(self):
         grid = SpectralGrid(64)
         with pytest.raises(InvalidCutoffError):

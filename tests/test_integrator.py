@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -37,8 +39,8 @@ class TestGalerkinRhs:
     def test_flat_zero(self):
         grid = SpectralGrid(64)
         tendency = galerkin_rhs(InterfaceState.flat(grid), grid, 21)
-        assert np.abs(tendency.d1).max() == 0.0
-        assert np.abs(tendency.d2).max() == 0.0
+        assert np.abs(tendency[0]).max() == 0.0
+        assert np.abs(tendency[1]).max() == 0.0
 
     def test_band_limited_output(self):
         grid = SpectralGrid(128)
@@ -50,14 +52,14 @@ class TestGalerkinRhs:
         cutoff = 16
         tendency = galerkin_rhs(state, grid, cutoff)
         outside = np.abs(grid.wavenumbers) > cutoff
-        assert np.abs(tendency.d1[outside]).max() == 0.0
-        assert np.abs(tendency.d2[outside]).max() == 0.0
+        assert np.abs(tendency[0][outside]).max() == 0.0
+        assert np.abs(tendency[1, outside]).max() == 0.0
 
     def test_matches_linearization_after_projection(self):
         grid = SpectralGrid(128)
         state = eps_mode_state(grid, k=2)
         tendency = galerkin_rhs(state, grid, 16)
-        rate = -(tendency.d2[2] / state.p2[2]).real
+        rate = -(tendency[1, 2] / state.p2[2]).real
         assert abs(rate - 4.0 * np.pi) < 1e-3 * 4.0 * np.pi
 
 
@@ -104,6 +106,20 @@ class TestStep:
             state = step(state, grid, 1e-3, cutoff)
         assert state.is_real(tol=1e-12)
         assert np.abs(state.p2[np.abs(grid.wavenumbers) > cutoff]).max() == 0.0
+
+
+class TestStepPlan:
+    def test_fixed_step_plan_is_yielded_lazily(self):
+        config = RunConfig(n_modes=8, dt=1e-5, t_end=1.0)
+        tracemalloc.start()
+        try:
+            count = sum(1 for _ in integrator._step_plan(config))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count == 100_000
+        # a list of the plan would hold about 8 MiB
+        assert peak < 64 * 2**10
 
 
 class TestRunConfigValidation:
