@@ -63,18 +63,65 @@ class LiftedContour:
         return 1.0 + 1j * self.sign * self.h_prime
 
 
+def half_angle_parts(re: NDArray, im: NDArray, rows: slice) -> tuple[NDArray, ...]:
+    """sin a, cos a, sinh b and cosh b over a block, a + ib = (w_i - w_j)/2, w = re + i im.
+
+    Over i in ``rows`` and j >= rows.start, one block of
+    :meth:`SpectralGrid.pair_quadrature`.  A complex half-angle term is
+    assembled from these four real arrays, whose float64 ufuncs are
+    vectorized where the complex ones are not: sin(a + ib) =
+    sin a cosh b + i cos a sinh b, cos(a + ib) = cos a cosh b - i sin a sinh b,
+    and with the arguments swapped, sinh(b + ia) = sinh b cos a + i cosh b sin a.
+    sin and sinh are exactly odd, cos and cosh exactly even, so the mirror
+    pair's parts are the same up to sign.
+    """
+    cols = slice(rows.start, None)
+    a = re[rows, None] - re[None, cols]
+    b = im[rows, None] - im[None, cols]
+    a *= 0.5
+    b *= 0.5
+    sin_a, sinh_b = np.sin(a), np.sinh(b)
+    return sin_a, np.cos(a, out=a), sinh_b, np.cosh(b, out=b)
+
+
+def _flat_cot(sin_a: NDArray, cos_a: NDArray) -> NDArray:
+    """cot a = cos a / sin a, diagonal 0; overwrites the diagonal of sin_a."""
+    np.fill_diagonal(sin_a, 1.0)
+    out = cos_a / sin_a
+    np.fill_diagonal(out, 0.0)
+    return out
+
+
+def _lifted_cot(sin_a: NDArray, cos_a: NDArray, sinh_b: NDArray, cosh_b: NDArray) -> NDArray:
+    """cot(a + ib) = (sin a cos a - i sinh b cosh b) / (sin^2 a + sinh^2 b), diagonal 0.
+
+    Both identities are exact, so nothing cancels; the denominator's
+    diagonal, where a = b = 0, is set to 1 before the division.  Overwrites
+    sinh_b and cosh_b.
+    """
+    out = np.empty(sin_a.shape, dtype=complex)
+    np.multiply(sin_a, cos_a, out=out.real)
+    np.multiply(sinh_b, cosh_b, out=out.imag)
+    den = np.square(sinh_b, out=sinh_b)
+    den += np.square(sin_a, out=cosh_b)
+    np.fill_diagonal(den, 1.0)
+    out.real /= den
+    out.imag /= den
+    np.negative(out.imag, out=out.imag)
+    return out
+
+
 def pairwise_cot(zeta: NDArray, rows: slice) -> NDArray:
     """cot((zeta_i - zeta_j)/2) with a zero diagonal and no 0/0 formed.
 
     Over i in ``rows`` and j >= rows.start, one block of
-    :meth:`SpectralGrid.pair_quadrature`; cot is exactly odd, so its mirror is -cot.
+    :meth:`SpectralGrid.pair_quadrature`; cot is exactly odd, so its mirror
+    is -cot.  Complex nodes take the real closed form of :func:`_lifted_cot`.
     """
+    if np.iscomplexobj(zeta):
+        return _lifted_cot(*half_angle_parts(zeta.real, zeta.imag, rows))
     half = (zeta[rows, None] - zeta[None, rows.start:]) / 2.0
-    sin_half = np.sin(half)
-    np.fill_diagonal(sin_half, 1.0)
-    out = np.cos(half) / sin_half
-    np.fill_diagonal(out, 0.0)
-    return out
+    return _flat_cot(np.sin(half), np.cos(half))
 
 
 def pv_cot_integral(grid: SpectralGrid, contour: LiftedContour | None = None) -> NDArray:
@@ -94,11 +141,14 @@ def pv_cot_integral(grid: SpectralGrid, contour: LiftedContour | None = None) ->
         return grid.pair_quadrature(flat_sums, float)[0]
 
     jac = contour.jacobian()
-    zeta = contour.complex_nodes(grid)
     diag = -1j * contour.sign * contour.h_second / jac
 
     def sums(rows: slice):
-        flat, lifted = pairwise_cot(grid.nodes, rows), pairwise_cot(zeta, rows)
+        # the lifted nodes' real parts are the grid nodes, so sin a and cos a
+        # are the flat cotangent's own
+        sin_a, cos_a, sinh_b, cosh_b = half_angle_parts(grid.nodes, contour.sign * contour.h, rows)
+        lifted = _lifted_cot(sin_a, cos_a, sinh_b, cosh_b)
+        flat = _flat_cot(sin_a, cos_a)
         return [block_sums(lifted * jac[None, rows.start:] - flat,
                            flat - lifted * jac[rows, None], diag[rows])]
 

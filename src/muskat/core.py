@@ -34,6 +34,11 @@ kernel-difference integral sum_j K_ij (a_i - a_j) is a_i (K 1)_i - (K a)_i,
 so each block reduces it by two matrix products.  The principal-value
 integral cancels K's pole against a cotangent's and keeps both in the
 half-angle form of the node differences, whose rounding cancels with them.
+On a lifted contour each complex half-angle term is assembled from the
+real sin, cos, sinh and cosh of the differences' real and imaginary parts
+(:func:`muskat.contour_ops.half_angle_parts`), so no pair takes a complex
+transcendental.  A lifted sample takes its phases e^{ikx_j} from a cached
+table of the N-th roots of unity and one real exponential per entry.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from numpy.typing import NDArray
 
-from .contour_ops import LiftedContour, pairwise_cot
+from .contour_ops import LiftedContour, half_angle_parts, pairwise_cot
 from .errors import DegenerateGeometryError
 from .grid import _BLOCK_BYTES, SpectralGrid, block_sums, conjugate_symmetrize
 from .grid import is_conjugate_symmetric
@@ -124,16 +129,34 @@ def evaluate_on_contour(
     """Evaluate a band-limited Fourier series at the contour nodes x + i*s*h(x).
 
     e^{ik(x + i s h)} = e^{ikx} e^{-k s h}; legitimate for band-limited
-    coefficient arrays, which is how states are stored.  A stack (m, N) is
-    evaluated row by row through one phase matrix over the modes live in
-    any row.
+    coefficient arrays, which is how states are stored.  At x_j = 2 pi j/N
+    the phase e^{ikx_j} is the root of unity e^{2 pi i m/N}, m = jk mod N,
+    read from a table, so it carries no rounding of k x_j and each entry
+    takes one real exponential.  A stack (m, N) is evaluated row by row
+    through one phase matrix over the modes live in any row.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
     grid._check_length(coeffs, stacked=True)
-    k = grid.wavenumbers
-    live = (np.abs(coeffs) > 0.0).reshape(-1, grid.n_modes).any(axis=0)
-    phases = np.exp(1j * np.outer(grid.nodes + 1j * contour.sign * contour.h, k[live]))
+    n = grid.n_modes
+    live = (np.abs(coeffs) > 0.0).reshape(-1, n).any(axis=0)
+    k = grid.wavenumbers[live]
+    # N is a power of two, so & (N - 1) is the residue mod N, also for k < 0
+    index = np.outer(np.arange(n), k)
+    index &= n - 1
+    phases = _roots_of_unity(n)[index]
+    del index  # before the decay matrix: a 6-row stack at N=1024 peaks at 32 MiB, not 40
+    decay = np.exp(np.outer(-contour.sign * contour.h, k))
+    phases.real *= decay
+    phases.imag *= decay
     return (phases @ coeffs[..., live].T).T
+
+
+@functools.lru_cache(maxsize=8)
+def _roots_of_unity(n_modes: int) -> NDArray[np.complexfloating]:
+    """Read-only e^{2 pi i m/N}, m = 0..N-1: an O(N) table."""
+    roots = np.exp(1j * SpectralGrid(n_modes).nodes)
+    roots.flags.writeable = False
+    return roots
 
 
 @dataclass
@@ -465,6 +488,45 @@ def kernel_difference_sums(
     return sums
 
 
+def _half_angle_kernel(ws: KernelWorkspace, rows: slice) -> NDArray:
+    """K = sin(dz1) / (2 (sin^2(dz1/2) + sinh^2(dz2/2))) over a block, diagonal 0.
+
+    K in the half-angle form of dz1, dz2, like the cotangent: the PV
+    integrand cancels their poles and with them the rounding of the node
+    differences.  Against an mpmath trapezoid of the same samples at
+    N = 128 this form is 5.9e-15 off on the flat grid; the exp-map K with a
+    table cotangent is 1.0e-13 off (2.2e-14 against 1.9e-13 at N = 256).
+    On a lifted contour, with s, c = sin, cos(dz1/2) and sh = sinh(dz2/2)
+    assembled from real parts (:func:`half_angle_parts`),
+    K = s c / (s^2 + sh^2).
+    """
+    cols = slice(rows.start, None)
+    if np.isrealobj(ws.z1):
+        dz1 = ws.z1[rows, None] - ws.z1[None, cols]
+        dz2 = ws.z2[rows, None] - ws.z2[None, cols]
+        den = 2.0 * (np.sin(dz1 / 2.0) ** 2 + np.sinh(dz2 / 2.0) ** 2)
+        np.fill_diagonal(den, 1.0)
+        return np.sin(dz1) / den
+    sin_a, cos_a, sinh_b, cosh_b = half_angle_parts(ws.z1.real, ws.z1.imag, rows)
+    s, c = np.empty(sin_a.shape, complex), np.empty(sin_a.shape, complex)
+    np.multiply(sin_a, cosh_b, out=s.real)
+    np.multiply(cos_a, sinh_b, out=s.imag)
+    np.multiply(cos_a, cosh_b, out=c.real)
+    np.multiply(sin_a, sinh_b, out=c.imag)
+    np.negative(c.imag, out=c.imag)
+    kern = s * c
+    # sinh(dz2/2) for dz2/2 = p + ir takes sin r, cos r, sinh p and cosh p
+    sin_r, cos_r, sinh_p, cosh_p = half_angle_parts(ws.z2.imag, ws.z2.real, rows)
+    sh = c  # c's array is free once kern = s c is formed
+    np.multiply(sinh_p, cos_r, out=sh.real)
+    np.multiply(cosh_p, sin_r, out=sh.imag)
+    den = np.square(s, out=s)
+    den += np.square(sh, out=sh)
+    np.fill_diagonal(den, 1.0)
+    kern /= den
+    return kern
+
+
 def kernel_pv_integral(
     ws: KernelWorkspace, grid: SpectralGrid, floor: float | None
 ) -> NDArray:
@@ -489,17 +551,8 @@ def kernel_pv_integral(
     diag = diag * ws.jac
 
     def sums(block: PairBlock):
-        # K in the half-angle form of dz1, dz2, like the cotangent: a cancels
-        # their poles and with them the rounding of the node differences.
-        # Against an mpmath trapezoid of the same samples at N = 128 this
-        # form is 5.9e-15 off on the flat grid; the exp-map K with a table
-        # cotangent is 1.0e-13 off (2.2e-14 against 1.9e-13 at N = 256)
         rows, cols = block.rows, block.cols
-        dz1 = ws.z1[rows, None] - ws.z1[None, cols]
-        dz2 = ws.z2[rows, None] - ws.z2[None, cols]
-        den = 2.0 * (np.sin(dz1 / 2.0) ** 2 + np.sinh(dz2 / 2.0) ** 2)
-        np.fill_diagonal(den, 1.0)
-        kern = np.sin(dz1) / den
+        kern = _half_angle_kernel(ws, rows)
         cot = pairwise_cot(ws.zeta, rows)
         values = (kern - ratio[rows, None] * cot) * ws.jac[None, cols]
         mirror = (ratio[None, cols] * cot - kern) * ws.jac[rows, None]

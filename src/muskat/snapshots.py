@@ -8,6 +8,7 @@ state bit for bit while the files stay human-diffable.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -68,6 +69,10 @@ def save_snapshot(
     config_digest: str = "",
     diagnostics: dict | None = None,
 ) -> None:
+    """Write ``state`` as strict JSON; a non-finite float diagnostic is written as null."""
+    if diagnostics is not None:
+        diagnostics = {name: None if isinstance(value, float) and not math.isfinite(value)
+                       else value for name, value in diagnostics.items()}
     payload = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
@@ -78,7 +83,7 @@ def save_snapshot(
         "config_digest": config_digest,
         "diagnostics": diagnostics,
     }
-    atomic_write_text(path, json.dumps(payload, indent=1))
+    atomic_write_text(path, json.dumps(payload, indent=1, allow_nan=False))
 
 
 def load_snapshot(path: str) -> Snapshot:

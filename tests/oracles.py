@@ -33,11 +33,22 @@ def row_quadrature(grid: SpectralGrid, integrand: np.ndarray, diag) -> np.ndarra
 
 
 def full_cot(zeta: np.ndarray) -> np.ndarray:
-    """cot((zeta_i - zeta_j)/2) over all node pairs, diagonal 0, in the half-angle form."""
+    """cot((zeta_i - zeta_j)/2) over all node pairs, diagonal 0, in the half-angle form.
+
+    For complex nodes, with (zeta_i - zeta_j)/2 = a + ib, the closed form
+    cot(a + ib) = (sin a cos a - i sinh b cosh b) / (sin^2 a + sinh^2 b)
+    of ``pairwise_cot``, which ``TestPairwiseCot`` pins against mpmath.
+    """
     half = (zeta[:, None] - zeta[None, :]) / 2.0
-    sin_half = np.sin(half)
-    np.fill_diagonal(sin_half, 1.0)
-    out = np.cos(half) / sin_half
+    if np.isrealobj(zeta):
+        sin_half = np.sin(half)
+        np.fill_diagonal(sin_half, 1.0)
+        out = np.cos(half) / sin_half
+    else:
+        a, b = half.real, half.imag
+        den = np.sin(a) ** 2 + np.sinh(b) ** 2
+        np.fill_diagonal(den, 1.0)
+        out = np.sin(a) * np.cos(a) / den - 1j * (np.sinh(b) * np.cosh(b) / den)
     np.fill_diagonal(out, 0.0)
     return out
 

@@ -218,6 +218,20 @@ class TestScenarios:
                      "plot_data.json", "report.json"):
             assert (tmp_path / name).exists()
 
+    def test_every_json_file_is_strict(self, tmp_path):
+        # at 32 modes the analyticity fit band is empty and the radius is
+        # inf: the snapshots write it as null, trajectory.csv keeps inf
+        out = tmp_path / "flat"
+        assert main(["flat", "--modes", "32", "--out", str(out)]) == 0
+        written = sorted(out.glob("*.json"))
+        assert {path.name for path in written} >= {"snapshot_initial.json", "snapshot_final.json"}
+        for path in written:
+            strict_json(path.read_text())
+        for name in ("snapshot_initial.json", "snapshot_final.json"):
+            assert load_snapshot(str(out / name)).diagnostics["analyticity_radius"] is None
+        header, rows = read_csv(out / "trajectory.csv")
+        assert rows[0][header.index("analyticity_radius")] == "inf"
+
     def test_no_nan_rows_guard(self, tmp_path):
         # any NaN would abort the writer before producing a file
         from muskat.scenarios import _write_csv

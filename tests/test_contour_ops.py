@@ -1,7 +1,9 @@
+import mpmath
 import numpy as np
 import pytest
 
 from muskat import LiftedContour, SpectralGrid, garding_form, lambda_gamma, pv_cot_integral
+from muskat.contour_ops import pairwise_cot
 from muskat.errors import InvalidContourError, SizeMismatchError
 
 from oracles import full_lambda_gamma, full_pv_cot_integral
@@ -111,6 +113,37 @@ class TestLambdaGamma:
         main_terms = np.array(main_terms)
         assert np.all(residuals / residuals[0] <= 10.0)
         assert main_terms[-1] / main_terms[0] > 16.0  # ~k growth
+
+
+class TestPairwiseCot:
+    # rows of the sweep's blocks: all of N = 64, and at N = 512 two blocks
+    # whose rows meet every offset j - i from 0 to N - 1
+    @pytest.mark.parametrize("n_modes, blocks", [
+        (64, [slice(0, 64)]), (512, [slice(0, 8), slice(256, 272)]),
+    ], ids=["64", "512"])
+    @pytest.mark.parametrize("label", [None, "cosine"])
+    def test_matches_mpmath_cot_elementwise(self, n_modes, blocks, label):
+        # mpmath's cot of the same float64 half-differences: an accuracy pin,
+        # independent of the oracle's formula.  Measured 2.2e-16 flat and
+        # 4.3e-16 lifted (complex sin and cos gave 2.2e-16 and 4.5e-16)
+        grid = SpectralGrid(n_modes)
+        zeta = grid.nodes if label is None else make_contour(grid, label).complex_nodes(grid)
+        for rows in blocks:
+            got = pairwise_cot(zeta, rows)
+            half = (zeta[rows, None] - zeta[None, rows.start:]) / 2.0
+            off_diagonal = half != 0.0
+            with mpmath.workdps(30):
+                want = np.array([complex(mpmath.cot(mpmath.mpmathify(complex(v))))
+                                 for v in half[off_diagonal]])
+            assert np.abs(got[~off_diagonal]).max() == 0.0
+            assert (np.abs(got[off_diagonal] - want) / np.abs(want)).max() <= 1e-15
+
+    @pytest.mark.parametrize("label", ["constant", "cosine"])
+    def test_lifted_is_exactly_odd(self, label):
+        # the sweep takes the mirror -cot from the pair
+        grid = SpectralGrid(64)
+        full = pairwise_cot(make_contour(grid, label).complex_nodes(grid), slice(0, 64))
+        assert np.array_equal(full, -full.T)
 
 
 class TestMatchesFullMatrix:

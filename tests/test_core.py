@@ -2,6 +2,7 @@ import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -23,6 +24,7 @@ from muskat import (
 from muskat.core import (
     DEFAULT_CHORD_ARC_FLOOR,
     _distance_sq,
+    _half_angle_kernel,
     _node_distance,
     build_workspace,
     pair_sweep,
@@ -295,7 +297,8 @@ class TestKernelWorkspace:
 
     def test_transcendentals_have_exact_parity(self):
         # the sweep takes each pair's mirror from the pair: sin and sinh must
-        # be exactly odd and cos exactly even, for real and complex arguments
+        # be exactly odd and cos and cosh exactly even, for real and complex
+        # arguments
         rng = np.random.default_rng(2012)
         real = rng.uniform(-12.0, 12.0, 10**6)
         values = (real, real + 1j * rng.uniform(-2.0, 2.0, 10**6))
@@ -303,6 +306,16 @@ class TestKernelWorkspace:
             assert np.array_equal(np.sin(-x), -np.sin(x))
             assert np.array_equal(np.sinh(-x), -np.sinh(x))
             assert np.array_equal(np.cos(-x), np.cos(x))
+            assert np.array_equal(np.cosh(-x), np.cosh(x))
+
+    def test_lifted_half_angle_kernel_is_exactly_odd(self):
+        # the PV integral takes the mirror -K from the pair; on a lifted
+        # contour K is assembled from real sin, cos, sinh and cosh
+        grid = SpectralGrid(64)
+        contour = LiftedContour.from_height(grid, 0.15 + 0.03 * np.cos(grid.nodes))
+        ws = build_workspace(gentle_state(grid), grid, contour, 1)
+        full = _half_angle_kernel(ws, slice(0, 64))
+        assert np.array_equal(full, -full.T)
 
     @pytest.mark.parametrize("n_modes", [64, 128, 256, 512])
     def test_rhs_matches_full_matrix(self, n_modes):
@@ -559,6 +572,23 @@ class TestContourEvaluation:
         values = evaluate_on_contour(coeffs, grid256, contour)
         zeta = contour.complex_nodes(grid256)
         assert np.abs(values - np.exp(5j * zeta)).max() < 1e-12
+
+    @pytest.mark.parametrize("n_modes", [256, 1024])
+    def test_phase_is_exact(self, n_modes):
+        # e^{ik(x_j + ih)} at the exact nodes 2 pi j/N, k = N/2 - 1: the phase
+        # table carries no rounding of k x_j, which cost 1.4e-13 (N = 256)
+        # and 5.6e-13 (N = 1024) with the phase taken from the float nodes
+        grid = SpectralGrid(n_modes)
+        k = n_modes // 2 - 1
+        contour = LiftedContour.from_height(grid, np.full(n_modes, 0.01))
+        coeffs = np.zeros(n_modes, dtype=complex)
+        coeffs[k] = 1.0
+        values = evaluate_on_contour(coeffs, grid, contour)
+        with mpmath.workdps(30):
+            want = np.array([complex(mpmath.exp(1j * k * (2 * mpmath.pi * j / n_modes
+                                                          + 1j * mpmath.mpf(0.01))))
+                             for j in range(n_modes)])
+        assert np.abs(values - want).max() <= 1e-14 * np.abs(want).max()
 
     def test_stack_matches_row_by_row(self, grid256):
         # rows with different live modes share one phase matrix over their union
