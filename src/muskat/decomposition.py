@@ -51,11 +51,6 @@ class D4Decomposition:
     easy: ComponentPair
     d4_rhs: ComponentPair
 
-    def reassembled(self) -> ComponentPair:
-        d1 = self.dangerous.d1 + sum(s.d1 for s in self.safe) + self.easy.d1
-        d2 = self.dangerous.d2 + sum(s.d2 for s in self.safe) + self.easy.d2
-        return ComponentPair(d1, d2)
-
 
 def rhs_d4_decomposition(
     state: InterfaceState,

@@ -30,7 +30,7 @@ from .contour_ops import LiftedContour
 from .core import DEFAULT_CHORD_ARC_FLOOR, InterfaceState, chord_arc_constant, rhs
 from .errors import BlowupError, ConfigError, DegenerateGeometryError, UndefinedRadiusError
 from .grid import SpectralGrid, conjugate_symmetrize
-from .schedules import HeightSchedule, h_of, h_t_of, hbar_of, hbar_t_of
+from .schedules import HeightSchedule
 from .stability import h4_distance, rt_generalized, rt_unperturbed, turnover_indicator
 
 STOP_CONDITIONS = frozenset({"chord_arc_floor", "rt_sign", "blowup_norm"})
@@ -218,19 +218,11 @@ def _schedule_at(config: RunConfig, t: float, grid: SpectralGrid):
     None when the run has no schedule, t lies outside the schedule's
     [-tau^2, tau] domain, or the height is not positive at t.
     """
-    s = config.schedule
-    if s is None:
+    scheduled = None if config.schedule is None else config.schedule.at(grid.nodes, t)
+    if scheduled is None or scheduled[0].min() <= 0.0:
         return None
-    if s.tau**2 <= t <= s.tau:
-        height, rate = h_of, h_t_of
-    elif -s.tau**2 <= t <= s.tau**2:
-        height, rate = hbar_of, hbar_t_of
-    else:
-        return None
-    heights = height(grid.nodes, t, s)
-    if heights.min() <= 0.0:
-        return None
-    return LiftedContour.from_height(grid, heights), rate(grid.nodes, t, s)
+    heights, rate = scheduled
+    return LiftedContour.from_height(grid, heights), rate
 
 
 def diagnostics_for(
@@ -253,26 +245,22 @@ def diagnostics_for(
 def _rt_sign_violated(state: InterfaceState, grid: SpectralGrid, config: RunConfig) -> bool:
     """Sign bookkeeping of the rt_sign stop.
 
-    Under the "sigma" convention forward runs need the flat Rayleigh-Taylor
-    function negative everywhere (a graph) and backward runs the reverse.
-    Under "generalized" the contour monitor must stay positive for backward
-    runs on the shrinking strip (the direction the analysis solves) and
-    negative for forward ones; it falls back to "sigma" off the schedule's
-    time domain.
+    The monitor is the generalized Rayleigh-Taylor function on the
+    schedule's contour under the "generalized" convention, while the
+    schedule covers the state's time, and the flat sigma otherwise.
+    Backward runs need it positive everywhere (on the shrinking strip, the
+    direction the analysis solves) and forward runs negative (a graph).
     """
+    scheduled = None
     if config.rt_convention == "generalized":
         scheduled = _schedule_at(config, state.time, grid)
-        if scheduled is not None:
-            contour, h_t = scheduled
-            monitor = rt_generalized(state, grid, contour, h_t,
-                                     floor=config.chord_arc_floor)
-            if config.direction == "backward":
-                return bool(monitor.min() <= 0.0)
-            return bool(monitor.max() >= 0.0)
-    sigma = rt_unperturbed(state, grid)
-    if config.direction == "forward":
-        return bool(sigma.max() >= 0.0)
-    return bool(sigma.min() <= 0.0)
+    if scheduled is None:
+        monitor = rt_unperturbed(state, grid)
+    else:
+        monitor = rt_generalized(state, grid, *scheduled, floor=config.chord_arc_floor)
+    if config.direction == "backward":
+        return bool(monitor.min() <= 0.0)
+    return bool(monitor.max() >= 0.0)
 
 
 def _check_stops(state: InterfaceState, grid: SpectralGrid, config: RunConfig) -> str | None:

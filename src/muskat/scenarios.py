@@ -3,8 +3,10 @@
 Every scenario writes into an output directory: a trajectory CSV with one
 row per recorded step, initial/final snapshots, a plot-data JSON with curve
 samples at selected times, and a report JSON with scenario-specific
-summaries.  Writes are atomic (temp file + rename) and rows containing
-non-finite values are refused, so a consumer never sees NaN output.
+summaries.  Writes are atomic (temp file + rename).  A CSV row containing
+NaN is refused, while an infinite value is written as ``inf``; the JSON
+files write every non-finite number as null.  So a consumer never sees NaN
+output.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .grid import SpectralGrid, block_sums
 from .initial_data import f_kappa, log_datum, make_turnover_state, perturb
 from .integrator import DiagnosticsRecord, Trajectory, run, two_solution_monitor
 from .schedules import rt_coupled_margins, schedule_margins
-from .snapshots import atomic_write_text, save_snapshot
+from .snapshots import atomic_write_text, finite_or_null, save_snapshot
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -39,7 +41,8 @@ EXIT_IO = 4
 
 
 def _write_json(path: str, payload: dict) -> None:
-    atomic_write_text(path, json.dumps(payload, indent=1, sort_keys=True))
+    atomic_write_text(path, json.dumps(finite_or_null(payload), indent=1, sort_keys=True,
+                                       allow_nan=False))
 
 
 def _write_report(out_dir: str, cfg: ScenarioConfig, fields: dict) -> None:

@@ -6,7 +6,10 @@ Two closed-form height functions cover the two time regimes: h(x, t) on
 (positivity, time-derivative bounds, ordering at the handover) hold when A
 is large and tau is small enough relative to A; schedule_margins evaluates
 them numerically and reports minima without failing, so callers can probe
-any admissible parameter tuple.
+any admissible parameter tuple.  The evaluators take a scalar time or a
+column of times that broadcasts against the nodes; every time must lie in
+the function's domain.  HeightSchedule.at picks the function that owns a
+time.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.typing import NDArray
 
 from .errors import ScheduleDomainError
 from .grid import SpectralGrid
@@ -54,48 +56,54 @@ class HeightSchedule:
         if self.kappa >= self.tau**2:
             raise ValueError(f"require kappa < tau^2, got kappa={self.kappa}")
 
-    def _check_h_domain(self, t: float) -> None:
-        if not self.tau**2 - DOMAIN_TOL <= t <= self.tau + DOMAIN_TOL:
-            raise ScheduleDomainError(
-                f"t={t} outside [tau^2, tau] = [{self.tau**2}, {self.tau}]"
-            )
+    def at(self, x, t: float):
+        """(height, dheight/dt) at time t, or None outside [-tau^2, tau].
 
-    def _check_hbar_domain(self, t: float) -> None:
-        if not -self.tau**2 - DOMAIN_TOL <= t <= self.tau**2 + DOMAIN_TOL:
-            raise ScheduleDomainError(
-                f"t={t} outside [-tau^2, tau^2] = [{-self.tau**2}, {self.tau**2}]"
-            )
+        h owns [tau^2, tau] and hbar the times below tau^2.
+        """
+        if self.tau**2 <= t <= self.tau:
+            return h_of(x, t, self), h_t_of(x, t, self)
+        if -self.tau**2 <= t <= self.tau**2:
+            return hbar_of(x, t, self), hbar_t_of(x, t, self)
+        return None
 
 
-def h_of(x, t: float, s: HeightSchedule):
+def _check_domain(t, lo: float, hi: float) -> None:
+    if not np.all((lo - DOMAIN_TOL <= t) & (t <= hi + DOMAIN_TOL)):
+        raise ScheduleDomainError(f"t={t} outside [{lo}, {hi}]")
+
+
+def h_of(x, t, s: HeightSchedule):
     """h(x,t) = A^-1 (tau^2 - t^2) + (A^-1 - A (tau - t)) sin^2(x/2) + kappa."""
-    s._check_h_domain(t)
+    _check_domain(t, s.tau**2, s.tau)
     x = np.asarray(x, dtype=float)
+    # t * t, not t**2: a float's ** calls pow, which rounds differently from
+    # the product an array's ** takes, and the two must agree
     return (
-        (s.tau**2 - t**2) / s.A
+        (s.tau**2 - t * t) / s.A
         + (1.0 / s.A - s.A * (s.tau - t)) * np.sin(x / 2.0) ** 2
         + s.kappa
     )
 
 
-def h_t_of(x, t: float, s: HeightSchedule):
+def h_t_of(x, t, s: HeightSchedule):
     """Time derivative of h: -2 A^-1 t + A sin^2(x/2)."""
-    s._check_h_domain(t)
+    _check_domain(t, s.tau**2, s.tau)
     x = np.asarray(x, dtype=float)
     return -2.0 * t / s.A + s.A * np.sin(x / 2.0) ** 2
 
 
-def hbar_of(x, t: float, s: HeightSchedule):
+def hbar_of(x, t, s: HeightSchedule):
     """hbar(x,t) = (A^-1 tau^2 + A^-1 sin^2(x/2))/4 + A^-2 tau t + A t sin^2(x/2)."""
-    s._check_hbar_domain(t)
+    _check_domain(t, -s.tau**2, s.tau**2)
     x = np.asarray(x, dtype=float)
     sin_sq = np.sin(x / 2.0) ** 2
     return 0.25 * (s.tau**2 / s.A + sin_sq / s.A) + s.tau * t / s.A**2 + s.A * t * sin_sq
 
 
-def hbar_t_of(x, t: float, s: HeightSchedule):
+def hbar_t_of(x, t, s: HeightSchedule):
     """Time derivative of hbar: A^-2 tau + A sin^2(x/2)."""
-    s._check_hbar_domain(t)
+    _check_domain(t, -s.tau**2, s.tau**2)
     x = np.asarray(x, dtype=float)
     return s.tau / s.A**2 + s.A * np.sin(x / 2.0) ** 2
 
@@ -119,37 +127,32 @@ class ScheduleMargins:
         return min(self.h_positive, self.h_t_bound, self.handover, self.hbar_t_bound) >= 0.0
 
 
+def _sampled_times(lo: float, hi: float):
+    """_T_SAMPLES times spanning [lo, hi], as a column against the nodes."""
+    return np.linspace(lo, hi, _T_SAMPLES)[:, None]
+
+
 def schedule_margins(s: HeightSchedule, grid: SpectralGrid) -> ScheduleMargins:
     """Evaluate the four testable schedule inequalities on an (x, t) box.
 
     Margins are reported, never raised on: a pinched schedule legitimately
-    returns a zero or negative margin.
+    returns a zero or negative margin, and the h_t bound is +inf when no
+    sampled (x, t) lies in its outer region.
     """
     x = grid.nodes
     wrapped = np.abs(np.mod(x + np.pi, 2.0 * np.pi) - np.pi)
-
-    h_min = np.inf
-    bound_min = np.inf
-    for t in np.linspace(s.tau**2, s.tau, _T_SAMPLES):
-        h = h_of(x, t, s)
-        h_min = min(h_min, h.min())
-        outer = wrapped >= 10.0 / s.A * np.sqrt(t)
-        if outer.any():
-            margin = 6.0 * s.A**2 * h[outer] - np.abs(h_t_of(x, t, s)[outer])
-            bound_min = min(bound_min, margin.min())
-
-    handover = (h_of(x, s.tau**2, s) - hbar_of(x, s.tau**2, s)).min()
-
-    hbar_bound_min = np.inf
-    for t in np.linspace(-s.tau**2, s.tau**2, _T_SAMPLES):
-        margin = _C0 / s.tau * hbar_of(x, t, s) - np.abs(hbar_t_of(x, t, s))
-        hbar_bound_min = min(hbar_bound_min, margin.min())
-
+    t = _sampled_times(s.tau**2, s.tau)
+    h = h_of(x, t, s)
+    outer = wrapped >= 10.0 / s.A * np.sqrt(t)
+    h_t_margin = np.where(outer, 6.0 * s.A**2 * h - np.abs(h_t_of(x, t, s)), np.inf)
+    handover = h_of(x, s.tau**2, s) - hbar_of(x, s.tau**2, s)
+    t = _sampled_times(-s.tau**2, s.tau**2)
+    hbar_t_margin = _C0 / s.tau * hbar_of(x, t, s) - np.abs(hbar_t_of(x, t, s))
     return ScheduleMargins(
-        h_positive=float(h_min),
-        h_t_bound=float(bound_min),
-        handover=float(handover),
-        hbar_t_bound=float(hbar_bound_min),
+        h_positive=float(h.min()),
+        h_t_bound=float(h_t_margin.min()),
+        handover=float(handover.min()),
+        hbar_t_bound=float(hbar_t_margin.min()),
     )
 
 
@@ -169,13 +172,8 @@ def rt_coupled_margins(s: HeightSchedule, grid: SpectralGrid) -> tuple[float, fl
     [tau^2, tau], margin on [-tau^2, tau^2]).
     """
     x = grid.nodes
-    sqrt_a = np.sqrt(s.A)
-    first = min(
-        (_model_rt_profile(x, t) + h_t_of(x, t, s) - sqrt_a * h_of(x, t, s)).min()
-        for t in np.linspace(s.tau**2, s.tau, _T_SAMPLES)
+    return tuple(
+        float((_model_rt_profile(x, t) + rate(x, t, s) - np.sqrt(s.A) * height(x, t, s)).min())
+        for height, rate, t in ((h_of, h_t_of, _sampled_times(s.tau**2, s.tau)),
+                                (hbar_of, hbar_t_of, _sampled_times(-s.tau**2, s.tau**2)))
     )
-    second = min(
-        (_model_rt_profile(x, t) + hbar_t_of(x, t, s) - sqrt_a * hbar_of(x, t, s)).min()
-        for t in np.linspace(-s.tau**2, s.tau**2, _T_SAMPLES)
-    )
-    return float(first), float(second)

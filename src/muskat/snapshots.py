@@ -49,6 +49,16 @@ class Snapshot:
         return InterfaceState(self.p1, self.p2, self.time)
 
 
+def finite_or_null(value):
+    """``value`` with every non-finite float in it, at any depth of dicts,
+    lists and tuples, replaced by None: JSON has no NaN or Infinity."""
+    if isinstance(value, dict):
+        return {key: finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [finite_or_null(item) for item in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def atomic_write_text(path: str, text: str) -> None:
     """Write via a sibling temp file and rename, so readers never see a torn file."""
     directory = os.path.dirname(os.path.abspath(path))
@@ -70,9 +80,6 @@ def save_snapshot(
     diagnostics: dict | None = None,
 ) -> None:
     """Write ``state`` as strict JSON; a non-finite float diagnostic is written as null."""
-    if diagnostics is not None:
-        diagnostics = {name: None if isinstance(value, float) and not math.isfinite(value)
-                       else value for name, value in diagnostics.items()}
     payload = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
@@ -81,7 +88,7 @@ def save_snapshot(
         "p1": _interleave(state.p1),
         "p2": _interleave(state.p2),
         "config_digest": config_digest,
-        "diagnostics": diagnostics,
+        "diagnostics": finite_or_null(diagnostics),
     }
     atomic_write_text(path, json.dumps(payload, indent=1, allow_nan=False))
 

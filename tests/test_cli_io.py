@@ -293,14 +293,21 @@ class TestScenarios:
         report = strict_json((out / "report.json").read_text())
         assert math.isfinite(report["fourth_derivative_vs_log_datum_max_error"])
 
-    def test_schedule_check_reports_margins(self, tmp_path):
-        cfg = load_config_text(
-            "[run]\nscenario = schedule_check\n[schedule]\na = 10\ntau = 0.005\n"
-        )
+    @pytest.mark.parametrize("schedule", ["a = 10\ntau = 0.005\n", "a = 1.2\ntau = 0.5\n"],
+                             ids=["in_regime", "vacuous_h_t_bound"])
+    def test_schedule_check_reports_margins(self, tmp_path, schedule):
+        cfg = load_config_text(f"[run]\nscenario = schedule_check\n[schedule]\n{schedule}")
         status = run_scenario("schedule_check", cfg, str(tmp_path))
         assert status == 0
-        report = json.loads((tmp_path / "report.json").read_text())
-        assert report["all_nonnegative"] is True
+        report = strict_json((tmp_path / "report.json").read_text())
+        if cfg.schedule.A == 10.0:
+            assert report["all_nonnegative"] is True
+        else:
+            # no node lies in the h_t bound's outer region at any sampled
+            # time: the bound is vacuous (+inf), written as null
+            assert report["margins"]["h_t_bound"] is None
+            assert report["margins"]["hbar_t_bound"] == pytest.approx(-3.5694444444444438)
+            assert report["all_nonnegative"] is False
 
     def test_operator_suite_reports_small_errors(self, tmp_path):
         cfg = load_config_text("[run]\nscenario = operator_suite\n")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from muskat import InterfaceState, SpectralGrid, core, decomposition, rhs, rhs_d4_decomposition
-from muskat.decomposition import SAFE_COEFFICIENTS
+from muskat.decomposition import SAFE_COEFFICIENTS, ComponentPair, D4Decomposition
 
 import symbolic_assembly as sym
 from oracles import full_matrix_decomposition
@@ -17,6 +17,13 @@ def frozen_test_state(grid: SpectralGrid) -> InterfaceState:
     )
 
 
+def reassembled(parts: D4Decomposition) -> ComponentPair:
+    """Dangerous + safe + easy, per component."""
+    d1 = parts.dangerous.d1 + sum(s.d1 for s in parts.safe) + parts.easy.d1
+    d2 = parts.dangerous.d2 + sum(s.d2 for s in parts.safe) + parts.easy.d2
+    return ComponentPair(d1, d2)
+
+
 class TestDecompositionBasics:
     def test_flat_state_all_parts_zero(self, grid256):
         parts = rhs_d4_decomposition(InterfaceState.flat(grid256), grid256)
@@ -26,7 +33,7 @@ class TestDecompositionBasics:
 
     def test_reassembly_is_exact_by_construction(self, grid256):
         parts = rhs_d4_decomposition(frozen_test_state(grid256), grid256)
-        total = parts.reassembled()
+        total = reassembled(parts)
         assert np.abs(total.d1 - parts.d4_rhs.d1).max() < 1e-9
         assert np.abs(total.d2 - parts.d4_rhs.d2).max() < 1e-9
 

@@ -474,3 +474,31 @@ class TestRtConventions:
         )
         trajectory = run(initial, config)
         assert trajectory.termination == "reached_t_end"
+
+    def test_generalized_runs_leave_the_strip_at_tau(self):
+        # h4_norm is measured on the schedule's contour while the time lies
+        # in [-tau^2, tau], and on the torus after it
+        from muskat import HeightSchedule
+
+        schedule = HeightSchedule()
+        grid = SpectralGrid(32)
+        initial = InterfaceState(
+            np.zeros(32, dtype=complex), grid.to_spectral(0.01 * np.cos(grid.nodes))
+        )
+        runs = {
+            convention: run(initial, RunConfig(
+                n_modes=32, dt=1e-3, t_end=0.01, record_every=1, rt_convention=convention,
+                schedule=schedule if convention == "generalized" else None,
+            )).diagnostics()
+            for convention in ("generalized", "sigma")
+        }
+        inside = outside = 0
+        for lifted, flat in zip(runs["generalized"], runs["sigma"]):
+            assert lifted.time == flat.time
+            if 0.0 < lifted.time < schedule.tau:
+                inside += 1
+                assert lifted.h4_norm != flat.h4_norm
+            elif lifted.time > schedule.tau:
+                outside += 1
+                assert lifted.h4_norm == flat.h4_norm
+        assert (inside, outside) == (4, 5)

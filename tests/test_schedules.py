@@ -3,6 +3,7 @@ import pytest
 
 from muskat import (
     HeightSchedule,
+    ScheduleMargins,
     SpectralGrid,
     h_of,
     h_t_of,
@@ -143,3 +144,87 @@ class TestMargins:
         first, second = rt_coupled_margins(VALID, grid)
         assert first > 0.0
         assert second > 0.0
+
+
+H_DOMAIN = (VALID.tau**2, VALID.tau)
+HBAR_DOMAIN = (-VALID.tau**2, VALID.tau**2)
+EVALUATORS = [(h_of, H_DOMAIN), (h_t_of, H_DOMAIN), (hbar_of, HBAR_DOMAIN),
+              (hbar_t_of, HBAR_DOMAIN)]
+
+
+class TestArrayTimes:
+    X = np.linspace(0.0, 2.0 * np.pi, 33)
+
+    @pytest.mark.parametrize("func,domain", EVALUATORS)
+    def test_column_of_times_matches_scalar_calls(self, func, domain):
+        times = np.linspace(*domain, 9)
+        # hbar_t does not depend on t: its one row broadcasts over the times
+        column = np.broadcast_to(func(self.X, times[:, None], VALID),
+                                 (len(times), len(self.X)))
+        for row, t in zip(column, times.tolist()):
+            assert np.array_equal(row, func(self.X, t, VALID))
+
+    @pytest.mark.parametrize("func,domain", EVALUATORS)
+    def test_one_time_outside_the_domain_raises(self, func, domain):
+        lo, hi = domain
+        for stray in (lo - 1e-9, hi + 1e-9):
+            with pytest.raises(ScheduleDomainError):
+                func(self.X, np.array([[lo], [stray], [hi]]), VALID)
+
+
+def looped_margins(s: HeightSchedule, grid: SpectralGrid):
+    """schedule_margins and rt_coupled_margins one sampled time at a time."""
+    x = grid.nodes
+    wrapped = np.abs(np.mod(x + np.pi, 2.0 * np.pi) - np.pi)
+    h_min = bound_min = hbar_bound_min = first = second = np.inf
+    for t in np.linspace(s.tau**2, s.tau, 64).tolist():
+        h = h_of(x, t, s)
+        h_min = min(h_min, h.min())
+        outer = wrapped >= 10.0 / s.A * np.sqrt(t)
+        if outer.any():
+            margin = 6.0 * s.A**2 * h[outer] - np.abs(h_t_of(x, t, s)[outer])
+            bound_min = min(bound_min, margin.min())
+        sigma = t - 0.5 * np.sin(x / 2.0) ** 2
+        first = min(first, (sigma + h_t_of(x, t, s) - np.sqrt(s.A) * h).min())
+    for t in np.linspace(-s.tau**2, s.tau**2, 64).tolist():
+        hbar, hbar_t = hbar_of(x, t, s), hbar_t_of(x, t, s)
+        hbar_bound_min = min(hbar_bound_min, (8.0 / s.tau * hbar - np.abs(hbar_t)).min())
+        sigma = t - 0.5 * np.sin(x / 2.0) ** 2
+        second = min(second, (sigma + hbar_t - np.sqrt(s.A) * hbar).min())
+    handover = (h_of(x, s.tau**2, s) - hbar_of(x, s.tau**2, s)).min()
+    return ScheduleMargins(float(h_min), float(bound_min), float(handover),
+                           float(hbar_bound_min)), (float(first), float(second))
+
+
+class TestArrayMargins:
+    @pytest.mark.parametrize("a,tau", [(10.0, 0.005), (10.0, 0.05), (4.0, 0.01),
+                                       (1.2, 0.5), (20.0, 0.002)])
+    def test_equal_to_the_per_time_loop(self, a, tau):
+        # (1.2, 0.5): no sampled point lies in the h_t bound's outer region
+        s = HeightSchedule(A=a, tau=tau)
+        grid = SpectralGrid(64)
+        margins, coupled = looped_margins(s, grid)
+        assert schedule_margins(s, grid) == margins
+        assert rt_coupled_margins(s, grid) == coupled
+        assert (margins.h_t_bound == np.inf) == (a == 1.2)
+
+
+class TestAt:
+    X = np.linspace(0.0, 2.0 * np.pi, 17)
+
+    @pytest.mark.parametrize("t", H_DOMAIN)
+    def test_h_owns_tau_squared_to_tau(self, t):
+        heights, rates = VALID.at(self.X, t)
+        assert np.array_equal(heights, h_of(self.X, t, VALID))
+        assert np.array_equal(rates, h_t_of(self.X, t, VALID))
+
+    def test_hbar_owns_the_times_below_tau_squared(self):
+        t = np.nextafter(VALID.tau**2, 0.0)
+        heights, rates = VALID.at(self.X, t)
+        assert np.array_equal(heights, hbar_of(self.X, t, VALID))
+        assert np.array_equal(rates, hbar_t_of(self.X, t, VALID))
+
+    @pytest.mark.parametrize("t", [np.nextafter(-VALID.tau**2, -1.0), -1.0,
+                                   np.nextafter(VALID.tau, 1.0), 0.5])
+    def test_none_outside_the_schedule(self, t):
+        assert VALID.at(self.X, t) is None
