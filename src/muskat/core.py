@@ -54,8 +54,7 @@ from numpy.typing import NDArray
 
 from .contour_ops import LiftedContour, half_angle_parts, pairwise_cot
 from .errors import DegenerateGeometryError
-from .grid import _BLOCK_BYTES, SpectralGrid, block_sums, conjugate_symmetrize
-from .grid import is_conjugate_symmetric
+from .grid import _BLOCK_BYTES, SpectralGrid, block_sums, is_conjugate_symmetric
 
 DEFAULT_CHORD_ARC_FLOOR = 1e-4
 
@@ -105,23 +104,6 @@ class InterfaceState:
     def is_real(self, tol: float = 1e-10) -> bool:
         return all(is_conjugate_symmetric(row, tol) for row in self.coeffs)
 
-    def symmetrized(self) -> "InterfaceState":
-        """Project onto real-valued curves (conjugate-symmetric coefficients)."""
-        return InterfaceState(*conjugate_symmetrize(self.coeffs), self.time)
-
-    def values(self, grid: SpectralGrid) -> NDArray[np.complexfloating]:
-        """(z1, z2) at the grid nodes as a (2, N) array, identity part included."""
-        values = grid.from_spectral(self.coeffs)
-        values[0] += grid.nodes
-        return values
-
-    def derivative_values(self, grid: SpectralGrid, order: int = 1) -> NDArray[np.complexfloating]:
-        """(d^k z1, d^k z2) at the nodes as a (2, N) array; order 1 includes the identity slope."""
-        values = grid.from_spectral(grid.derivative(self.coeffs, order))
-        if order == 1:
-            values[0] += 1.0
-        return values
-
 
 def evaluate_on_contour(
     coeffs: NDArray, grid: SpectralGrid, contour: LiftedContour
@@ -168,20 +150,26 @@ class KernelWorkspace:
     :func:`pair_sweep` and never held as N x N arrays.
 
     zeta: node positions (real grid nodes, or complex lifted-contour nodes).
-    z1, z2: the curve at those positions.
     jac: dw/du weights (ones on the flat torus).
-    der: per-node derivative values d^k z_mu, orders 1..max_order.
+    der: node samples, shape (max_order + 1, 2, N): der[k] = (d^k z1, d^k z2),
+        identity parts included, so der[0] is the curve and der[1, 0] = z1'.
     """
 
     zeta: NDArray
-    z1: NDArray
-    z2: NDArray
     jac: NDArray
-    der: dict = field(repr=False, default_factory=dict)
+    der: NDArray = field(repr=False)
+
+    @property
+    def z1(self) -> NDArray:
+        return self.der[0, 0]
+
+    @property
+    def z2(self) -> NDArray:
+        return self.der[0, 1]
 
     @property
     def tangent_sq(self) -> NDArray:
-        return self.der[(1, 1)] ** 2 + self.der[(2, 1)] ** 2
+        return self.der[1, 0] ** 2 + self.der[1, 1] ** 2
 
     @functools.cached_property
     def exp_map(self) -> tuple[NDArray, NDArray, NDArray]:
@@ -206,7 +194,7 @@ def build_workspace(
     contour: LiftedContour | None = None,
     max_order: int = 2,
 ) -> KernelWorkspace:
-    """Node samples and derivatives of a state, up to ``max_order``.
+    """Node samples of a state and its derivatives up to ``max_order``: the one sampler.
 
     With ``contour=None`` the workspace is real: the curve is real (the
     integrator symmetrizes every state), so taking ``.real`` of the sampled
@@ -217,15 +205,16 @@ def build_workspace(
     stack = np.concatenate([pair] + [grid.derivative(pair, k) for k in range(1, max_order + 1)])
     if contour is None:
         zeta, jac = grid.nodes, np.ones(grid.n_modes)
-        # a copy, so the views below do not keep the complex transform alive
+        # a copy, so the workspace does not keep the complex transform alive
         samples = grid.from_spectral(stack).real.copy()
     else:
         zeta, jac = contour.complex_nodes(grid), contour.jacobian()
         samples = evaluate_on_contour(stack, grid, contour)
-    der = {(mu, order): samples[2 * order + mu - 1]
-           for order in range(1, max_order + 1) for mu in (1, 2)}
-    der[(1, 1)] = der[(1, 1)] + 1.0
-    return KernelWorkspace(zeta=zeta, z1=zeta + samples[0], z2=samples[1], jac=jac, der=der)
+    der = samples.reshape(max_order + 1, 2, grid.n_modes)
+    # z1's identity part: the node position at order 0, slope 1 at order 1 (none if max_order = 0)
+    der[0, 0] += zeta
+    der[1:2, 0] += 1.0
+    return KernelWorkspace(zeta=zeta, jac=jac, der=der)
 
 
 @functools.lru_cache(maxsize=8)
@@ -329,7 +318,7 @@ class PairBlock:
         """d^k z_mu(x_i) - d^k z_mu(x_j) over the block, formed once per block."""
         key = (mu, order)
         if key not in self._differences:
-            values = self.ws.der[key]
+            values = self.ws.der[order, mu - 1]
             out = _block_array(f"d{order}z{mu}", self.q.shape, values.dtype)
             self._differences[key] = np.subtract(values[self.rows, None],
                                                  values[None, self.cols], out=out)
@@ -473,9 +462,8 @@ def kernel_difference_sums(
     The row sums add the diagonal limit 2 z1' d^{k+1} z_mu / T,
     T = (z1')^2 + (z2')^2.
     """
-    columns = np.column_stack([np.ones_like(ws.z1), ws.der[(1, order)], ws.der[(2, order)]])
-    diagonals = np.column_stack([2.0 * ws.der[(1, 1)] * ws.der[(mu, order + 1)] / ws.tangent_sq
-                                 for mu in (1, 2)])
+    columns = np.column_stack([np.ones_like(ws.z1), *ws.der[order]])
+    diagonals = (2.0 * ws.der[1, 0] * ws.der[order + 1] / ws.tangent_sq).T
 
     def sums(block: PairBlock) -> list[tuple[NDArray, NDArray]]:
         rows = block.rows
@@ -545,9 +533,10 @@ def kernel_pv_integral(
         DegenerateGeometryError: chord-arc constant below the floor.
     """
     tangent_sq = ws.tangent_sq
-    ratio = ws.der[(1, 1)] / tangent_sq
-    slope_sum = ws.der[(1, 1)] * ws.der[(1, 2)] + ws.der[(2, 1)] * ws.der[(2, 2)]
-    diag = 2.0 * ws.der[(1, 1)] * slope_sum / tangent_sq**2 - ws.der[(1, 2)] / tangent_sq
+    (d1z1, d1z2), (d2z1, d2z2) = ws.der[1:3]
+    ratio = d1z1 / tangent_sq
+    slope_sum = d1z1 * d2z1 + d1z2 * d2z2
+    diag = 2.0 * d1z1 * slope_sum / tangent_sq**2 - d2z1 / tangent_sq
     diag = diag * ws.jac
 
     def sums(block: PairBlock):

@@ -76,14 +76,14 @@ def rhs_d4_decomposition(
     # so safe term j has the diagonal value c_j (d^2 z_a) weight (d^5 z_b)
     weights = (
         2.0 / tangent_sq,
-        4.0 * der[(1, 1)] * der[(2, 1)] / tangent_sq**2,
-        4.0 * der[(1, 1)] ** 2 / tangent_sq**2,
+        4.0 * der[1, 0] * der[1, 1] / tangent_sq**2,
+        4.0 * der[1, 0] ** 2 / tangent_sq**2,
     )
     # (coefficient, first-difference component, fragment, fourth-difference
     # component) of the twelve safe integrands, term by term, mu = 1, 2
     safe_terms = [(c, first or mu, f, fourth or mu)
                   for c, (first, f, fourth) in zip(SAFE_COEFFICIENTS, SAFE_TERMS) for mu in (1, 2)]
-    safe_diagonals = [c * der[(a, 2)] * weights[f] * der[(b, 5)] for c, a, f, b in safe_terms]
+    safe_diagonals = [c * der[2, a - 1] * weights[f] * der[5, b - 1] for c, a, f, b in safe_terms]
     dangerous_sums, rhs_sums = kernel_difference_sums(ws, 5), kernel_difference_sums(ws, 1)
     u, v, _ = ws.exp_map
     w_sq = np.exp(-2.0 * ws.z2)

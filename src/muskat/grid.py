@@ -61,7 +61,7 @@ class SpectralGrid:
     # -- transform pair -------------------------------------------------
 
     def to_spectral(self, values: NDArray) -> NDArray[np.complexfloating]:
-        """Return coefficients c_k with values(x_j) = sum_k c_k e^{ikx_j}."""
+        """Return coefficients c_k with values[j] = sum_k c_k e^{ikx_j}."""
         values = np.asarray(values, dtype=complex)
         self._check_length(values, stacked=True)
         return np.fft.fft(values) / self.n_modes

@@ -9,7 +9,7 @@ interface, is integrated exactly when e^{L dt} decays (L = 0 otherwise, so no
 step multiplies by a growing factor), and the last stage
 evaluated at the new state is the next step's first (FSAL), so an attempted
 step costs 4 rhs calls.  Every stage is re-projected (the quotient
-nonlinearity aliases badly) and the result is reality-symmetrized, so
+nonlinearity aliases badly) and the result is made conjugate-symmetric, so
 band-limitation and conjugate symmetry are preserved exactly along a run.
 
 Runs carry the monitors the analysis is built on: the graph indicator
@@ -26,12 +26,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import core
 from .contour_ops import LiftedContour
-from .core import DEFAULT_CHORD_ARC_FLOOR, InterfaceState, chord_arc_constant, rhs
+from .core import DEFAULT_CHORD_ARC_FLOOR, InterfaceState, pair_sweep, rhs
 from .errors import BlowupError, ConfigError, DegenerateGeometryError, UndefinedRadiusError
 from .grid import SpectralGrid, conjugate_symmetrize
 from .schedules import HeightSchedule
-from .stability import h4_distance, rt_generalized, rt_unperturbed, turnover_indicator
+from .stability import h4_distance, rt_generalized, rt_sigma, rt_unperturbed
 
 STOP_CONDITIONS = frozenset({"chord_arc_floor", "rt_sign", "blowup_norm"})
 
@@ -164,8 +165,8 @@ def step(
 ) -> InterfaceState:
     """One classical RK4 step of the Galerkin ODE (dt may be negative).
 
-    Stages are projected to the cutoff; the result is projected and
-    reality-symmetrized, so real band-limited states stay exactly so.
+    Stages are projected to the cutoff; the result is projected and made
+    conjugate-symmetric, so real band-limited states stay exactly so.
     """
     f = _galerkin_field(grid, cutoff, floor, density_jump_over_2pi)
     u_next, _ = _lawson_rk4(state.coeffs, f(state.coeffs), dt, f, 1.0, 1.0)
@@ -173,7 +174,7 @@ def step(
 
 
 def _finished(u: np.ndarray, grid: SpectralGrid, cutoff: int, time: float) -> InterfaceState:
-    """The projected, reality-symmetrized state of coefficients u."""
+    """The projected, conjugate-symmetric state of coefficients u."""
     return InterfaceState(*conjugate_symmetrize(grid.project_modes(u, cutoff)), time)
 
 
@@ -232,11 +233,15 @@ def diagnostics_for(
     reference: InterfaceState,
 ) -> DiagnosticsRecord:
     contour, _ = _schedule_at(config, state.time, grid) or (None, None)
+    # one sampling for min z1', the chord-arc constant and min sigma, built
+    # through ``core`` so that a wrapper of core.build_workspace sees it
+    ws = core.build_workspace(state, grid, None, 1)
+    _, (chord_arc, _) = pair_sweep(ws, grid)
     return DiagnosticsRecord(
         time=state.time,
-        min_dz1=turnover_indicator(state, grid),
-        chord_arc=chord_arc_constant(state, grid),
-        rt_min=float(rt_unperturbed(state, grid).min()),
+        min_dz1=float(ws.der[1, 0].min()),
+        chord_arc=chord_arc,
+        rt_min=float(rt_sigma(ws).min()),
         h4_norm=h4_distance(state, reference, grid, contour),
         analyticity_radius=_radius_estimate(state, grid),
     )

@@ -12,12 +12,12 @@ output.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 import os
 
 import numpy as np
 
+from . import core
 from .config import ScenarioConfig
 from .contour_ops import LiftedContour, garding_form, lambda_gamma, pairwise_cot, pv_cot_integral
 from .core import InterfaceState
@@ -32,7 +32,7 @@ from .grid import SpectralGrid, block_sums
 from .initial_data import f_kappa, log_datum, make_turnover_state, perturb
 from .integrator import DiagnosticsRecord, Trajectory, run, two_solution_monitor
 from .schedules import rt_coupled_margins, schedule_margins
-from .snapshots import atomic_write_text, finite_or_null, save_snapshot
+from .snapshots import atomic_write_text, save_snapshot, write_json
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -40,15 +40,10 @@ EXIT_NUMERIC = 3
 EXIT_IO = 4
 
 
-def _write_json(path: str, payload: dict) -> None:
-    atomic_write_text(path, json.dumps(finite_or_null(payload), indent=1, sort_keys=True,
-                                       allow_nan=False))
-
-
 def _write_report(out_dir: str, cfg: ScenarioConfig, fields: dict) -> None:
     """report.json: the scenario name and config digest, then ``fields``."""
-    _write_json(os.path.join(out_dir, "report.json"),
-                {"scenario": cfg.scenario, "config_digest": cfg.digest(), **fields})
+    write_json(os.path.join(out_dir, "report.json"),
+               {"scenario": cfg.scenario, "config_digest": cfg.digest(), **fields})
 
 
 def _write_csv(path: str, header: tuple[str, ...], rows: list[tuple]) -> None:
@@ -77,14 +72,9 @@ def _write_plot_data(path: str, trajectory: Trajectory, grid: SpectralGrid,
     curves = []
     for i in picks:
         t, state, _ = trajectory.records[i]
-        z1, z2 = state.values(grid)
-        curves.append({
-            "time": t,
-            "x": grid.nodes.tolist(),
-            "z1": z1.real.tolist(),
-            "z2": z2.real.tolist(),
-        })
-    _write_json(path, {"curves": curves, "termination": trajectory.termination})
+        z1, z2 = core.build_workspace(state, grid, None, 0).der[0]
+        curves.append({"time": t, "x": grid.nodes.tolist(), "z1": z1.tolist(), "z2": z2.tolist()})
+    write_json(path, {"curves": curves, "termination": trajectory.termination})
 
 
 def _emit_trajectory(out_dir: str, cfg: ScenarioConfig, trajectory: Trajectory,
@@ -125,17 +115,18 @@ def _scenario_linear_decay(cfg: ScenarioConfig, out_dir: str) -> int:
         grid.to_spectral(0.01 * np.cos(grid.nodes)),
     )
     trajectory = run(initial, cfg.run)
-    times = np.array(trajectory.times())
-    amplitudes = np.array(
-        [np.abs(state.values(grid)[1].real).max() for _, state, _ in trajectory.records]
-    )
-    slope, _ = np.polyfit(times, np.log(amplitudes), 1)
-    fitted_rate = float(-slope)
-    extra = {"fitted_decay_rate": [fitted_rate] * len(trajectory.records)}
     # the linear rate of mode 1 around the flat interface
     expected = 2.0 * math.pi * cfg.run.density_jump_over_2pi
-    report = {"fitted_decay_rate": fitted_rate, "expected_rate": expected,
-              "relative_error": abs(fitted_rate - expected) / abs(expected) if expected else None}
+    report = {"fitted_decay_rate": None, "expected_rate": expected, "relative_error": None}
+    extra = None
+    if len(trajectory.records) > 1:  # a run stopped at its first step leaves no decay to fit
+        amplitudes = [np.abs(core.build_workspace(state, grid, None, 0).z2).max()
+                      for _, state, _ in trajectory.records]
+        fitted_rate = float(-np.polyfit(trajectory.times(), np.log(amplitudes), 1)[0])
+        extra = {"fitted_decay_rate": [fitted_rate] * len(trajectory.records)}
+        report["fitted_decay_rate"] = fitted_rate
+        if expected:
+            report["relative_error"] = abs(fitted_rate - expected) / abs(expected)
     return _emit_trajectory(out_dir, cfg, trajectory, grid, extra, report)
 
 

@@ -1,8 +1,9 @@
-"""Lossless JSON snapshots of interface states.
+"""Lossless JSON snapshots of interface states, and the package's JSON writer.
 
 Coefficients are stored as real/imag interleaved float lists; Python's JSON
 round-trips doubles through repr exactly, so load(save(s)) reproduces the
-state bit for bit while the files stay human-diffable.
+state bit for bit while the files stay human-diffable: :func:`write_json`
+puts one element per line.
 """
 
 from __future__ import annotations
@@ -73,6 +74,16 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
+def write_json(path: str, payload: dict) -> None:
+    """Write ``payload`` atomically as strict JSON (non-finite floats as null), keys sorted.
+
+    The separators put one element per line; ``indent`` would send CPython's
+    ``json`` to its pure-Python encoder.
+    """
+    atomic_write_text(path, json.dumps(finite_or_null(payload), allow_nan=False,
+                                       sort_keys=True, separators=(",\n", ": ")))
+
+
 def save_snapshot(
     state: InterfaceState,
     path: str,
@@ -88,9 +99,9 @@ def save_snapshot(
         "p1": _interleave(state.p1),
         "p2": _interleave(state.p2),
         "config_digest": config_digest,
-        "diagnostics": finite_or_null(diagnostics),
+        "diagnostics": diagnostics,
     }
-    atomic_write_text(path, json.dumps(payload, indent=1, allow_nan=False))
+    write_json(path, payload)
 
 
 def load_snapshot(path: str) -> Snapshot:

@@ -16,6 +16,7 @@ from .contour_ops import LiftedContour
 from .core import (
     DEFAULT_CHORD_ARC_FLOOR,
     InterfaceState,
+    KernelWorkspace,
     build_workspace,
     evaluate_on_contour,
     kernel_pv_integral,
@@ -26,23 +27,23 @@ from .grid import SpectralGrid
 TANGENT_FLOOR = 1e-12
 
 
+def rt_sigma(ws: KernelWorkspace) -> NDArray:
+    """-2*pi*z1' / ((z1')^2 + (z2')^2) from a workspace's slopes; complex on a lifted contour."""
+    tangent_sq = ws.tangent_sq
+    smallest = np.abs(tangent_sq).min()
+    if smallest < TANGENT_FLOOR:
+        raise DegenerateParametrizationError(f"tangent norm vanishes (min {smallest:.3e})")
+    return -2.0 * np.pi * ws.der[1, 0] / tangent_sq
+
+
 def rt_unperturbed(state: InterfaceState, grid: SpectralGrid) -> NDArray[np.floating]:
     """sigma(x) = -2*pi*z1'(x) / ((z1'(x))^2 + (z2'(x))^2) on the real grid."""
-    d1, d2 = state.derivative_values(grid)
-    d1 = d1.real
-    d2 = d2.real
-    tangent_sq = d1**2 + d2**2
-    if tangent_sq.min() < TANGENT_FLOOR:
-        raise DegenerateParametrizationError(
-            f"tangent norm vanishes (min {tangent_sq.min():.3e})"
-        )
-    return -2.0 * np.pi * d1 / tangent_sq
+    return rt_sigma(build_workspace(state, grid, None, 1))
 
 
 def turnover_indicator(state: InterfaceState, grid: SpectralGrid) -> float:
     """min over nodes of z1'; positive iff the sampled interface is a graph."""
-    d1, _ = state.derivative_values(grid)
-    return float(d1.real.min())
+    return float(build_workspace(state, grid, None, 1).der[1, 0].min())
 
 
 def rt_generalized(
@@ -65,12 +66,10 @@ def rt_generalized(
     if contour.sign != +1:
         raise ValueError("the generalized RT monitor is defined on the upper contour")
     ws = build_workspace(state, grid, contour, 2)
-    tangent_sq = ws.tangent_sq
-    if np.abs(tangent_sq).min() < TANGENT_FLOOR:
-        raise DegenerateParametrizationError("complex tangent norm vanishes on contour")
+    sigma = rt_sigma(ws)
     inv_jac = 1.0 / ws.jac
     pv_kernel = kernel_pv_integral(ws, grid, floor)
-    first = (-2.0 * np.pi * ws.der[(1, 1)] / tangent_sq * inv_jac).real
+    first = (sigma * inv_jac).real
     second = ((pv_kernel + 1j * np.asarray(h_t)) * inv_jac).imag
     return first + second
 

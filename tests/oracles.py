@@ -22,6 +22,22 @@ from muskat.decomposition import SAFE_COEFFICIENTS, SAFE_TERMS, ComponentPair, D
 from muskat.errors import DegenerateGeometryError
 
 
+def sampled(state: InterfaceState, grid: SpectralGrid, order: int) -> np.ndarray:
+    """(d^k z1, d^k z2) at the grid nodes as a real (2, N) array, k = ``order``.
+
+    The real part of the transform, plus z1's identity part at order 0 and
+    its slope 1 at order 1.  It does not call ``build_workspace``, so the
+    oracles stay independent of the sampler they check.
+    """
+    coeffs = state.coeffs if order == 0 else grid.derivative(state.coeffs, order)
+    values = grid.from_spectral(coeffs).real
+    if order == 0:
+        values[0] += grid.nodes
+    elif order == 1:
+        values[0] += 1.0
+    return values
+
+
 def row_quadrature(grid: SpectralGrid, integrand: np.ndarray, diag) -> np.ndarray:
     """Trapezoid rule along each row of a pairwise N x N integrand.
 
@@ -123,9 +139,9 @@ def _difference(values: np.ndarray) -> np.ndarray:
 def _full_kernel_difference(pairs: FullPairs, grid: SpectralGrid, order: int) -> list:
     der = pairs.ws.der
     return [
-        row_quadrature(grid, pairs.kern * _difference(der[(mu, order)]),
-                       2.0 * der[(1, 1)] * der[(mu, order + 1)] / pairs.ws.tangent_sq)
-        for mu in (1, 2)
+        row_quadrature(grid, pairs.kern * _difference(der[order, mu]),
+                       2.0 * der[1, 0] * der[order + 1, mu] / pairs.ws.tangent_sq)
+        for mu in (0, 1)
     ]
 
 
@@ -146,9 +162,9 @@ def full_kernel_pv_integral(
     pairs = full_pairs(ws, floor)
     der = ws.der
     tangent_sq = ws.tangent_sq
-    integrand = pairs.kern - (der[(1, 1)] / tangent_sq)[:, None] * full_cot(ws.zeta)
-    slope_sum = der[(1, 1)] * der[(1, 2)] + der[(2, 1)] * der[(2, 2)]
-    diag = 2.0 * der[(1, 1)] * slope_sum / tangent_sq**2 - der[(1, 2)] / tangent_sq
+    integrand = pairs.kern - (der[1, 0] / tangent_sq)[:, None] * full_cot(ws.zeta)
+    slope_sum = der[1, 0] * der[2, 0] + der[1, 1] * der[2, 1]
+    diag = 2.0 * der[1, 0] * slope_sum / tangent_sq**2 - der[2, 0] / tangent_sq
     return row_quadrature(grid, integrand * ws.jac[None, :], diag * ws.jac)
 
 
@@ -160,8 +176,8 @@ def full_matrix_decomposition(state: InterfaceState, grid: SpectralGrid) -> D4De
     fragments = (
         (np.cos(pairs.dz1) / pairs.den, 2.0 / tangent_sq),
         (pairs.kern * np.sinh(pairs.dz2) / pairs.den,
-         4.0 * der[(1, 1)] * der[(2, 1)] / tangent_sq**2),
-        (pairs.kern**2, 4.0 * der[(1, 1)] ** 2 / tangent_sq**2),
+         4.0 * der[1, 0] * der[1, 1] / tangent_sq**2),
+        (pairs.kern**2, 4.0 * der[1, 0] ** 2 / tangent_sq**2),
     )
     safe = []
     for c, (first, f, fourth) in zip(SAFE_COEFFICIENTS, SAFE_TERMS):
@@ -169,9 +185,9 @@ def full_matrix_decomposition(state: InterfaceState, grid: SpectralGrid) -> D4De
         safe.append(ComponentPair(*(
             row_quadrature(
                 grid,
-                c * _difference(der[(first or mu, 1)]) * fragment
-                * _difference(der[(fourth or mu, 4)]),
-                c * der[(first or mu, 2)] * weight * der[(fourth or mu, 5)])
+                c * _difference(der[1, (first or mu) - 1]) * fragment
+                * _difference(der[4, (fourth or mu) - 1]),
+                c * der[2, (first or mu) - 1] * weight * der[5, (fourth or mu) - 1])
             for mu in (1, 2)
         )))
     dangerous = ComponentPair(*_full_kernel_difference(pairs, grid, 5))
@@ -196,7 +212,7 @@ def kernel(
     """
     if i == j:
         raise ValueError("the diagonal kernel value is removable; use rhs()")
-    z1, z2 = state.values(grid)
+    z1, z2 = sampled(state, grid, 0)
     d1 = z1[i] - z1[j]
     d2 = z2[i] - z2[j]
     den = np.cosh(d2) - np.cos(d1)
@@ -224,7 +240,7 @@ def alternating_rhs(
     parity = (np.arange(n)[:, None] + np.arange(n)[None, :]) % 2 == 1
     out = []
     for mu in (1, 2):
-        integ = pairs.kern * _difference(pairs.ws.der[(mu, 1)]) * parity
+        integ = pairs.kern * _difference(pairs.ws.der[1, mu - 1]) * parity
         out.append(integ.sum(axis=1) * 2.0 * grid.dx)
     return grid.to_spectral(np.stack(out))
 
@@ -237,9 +253,7 @@ def mpmath_rhs(state: InterfaceState, grid: SpectralGrid, dps: int = 40) -> np.n
     every sum is then evaluated in mpmath, so the only float64 error left is
     that of the samples and of the final rounding.
     """
-    z = [v.real for v in state.values(grid)]
-    d1 = [v.real for v in state.derivative_values(grid, 1)]
-    d2 = [v.real for v in state.derivative_values(grid, 2)]
+    z, d1, d2 = (sampled(state, grid, order) for order in range(3))
     n = grid.n_modes
     out = np.empty((2, n))
     with mpmath.workdps(dps):
@@ -273,8 +287,7 @@ def mpmath_pv_integral(ws: KernelWorkspace, grid: SpectralGrid, dps: int = 30) -
     with mpmath.workdps(dps):
         zeta, z1, z2, jac, d1z1, d1z2, d2z1, d2z2 = (
             [mpmath.mpmathify(complex(v)) for v in values]
-            for values in (ws.zeta, ws.z1, ws.z2, ws.jac, ws.der[(1, 1)], ws.der[(2, 1)],
-                           ws.der[(1, 2)], ws.der[(2, 2)]))
+            for values in (ws.zeta, ws.z1, ws.z2, ws.jac, *ws.der[1], *ws.der[2]))
         dx = 2 * mpmath.pi / n
         for i in range(n):
             tangent_sq = d1z1[i] ** 2 + d1z2[i] ** 2

@@ -25,6 +25,8 @@ import sympy as sp
 
 from muskat import InterfaceState, SpectralGrid
 
+from oracles import sampled
+
 _X = sp.Symbol("x")
 _Z1 = sp.Function("Z1")(_X)
 _Z2 = sp.Function("Z2")(_X)
@@ -83,7 +85,7 @@ def evaluate_terms(terms: list[sp.Expr], state: InterfaceState, grid: SpectralGr
     diffs = {(1, 0): z1[:, None] - z1[None, :], (2, 0): z2[:, None] - z2[None, :]}
     point = {}
     for order in range(1, 7):
-        d1, d2 = (d.real for d in state.derivative_values(grid, order))
+        d1, d2 = sampled(state, grid, order)
         diffs[(1, order)] = d1[:, None] - d1[None, :]
         diffs[(2, order)] = d2[:, None] - d2[None, :]
         point[(1, order)] = d1

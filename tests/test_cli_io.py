@@ -19,7 +19,7 @@ from muskat.initial_data import GraphFamilyParams
 from muskat.integrator import RunConfig
 from muskat.scenarios import run_scenario
 from muskat.schedules import HeightSchedule
-from muskat.snapshots import load_snapshot, save_snapshot
+from muskat.snapshots import load_snapshot, save_snapshot, write_json
 
 from conftest import run_with_blas_threads
 
@@ -136,6 +136,11 @@ class TestSnapshots:
         assert np.array_equal(loaded.p2, state.p2)
         assert loaded.config_digest == "abc"
 
+    def test_json_is_sorted_strict_and_one_element_per_line(self, tmp_path):
+        path = tmp_path / "out.json"
+        write_json(str(path), {"b": [1.5, math.inf], "a": {"c": (2, -math.nan)}})
+        assert path.read_text() == '{"a": {"c": [2,\nnull]},\n"b": [1.5,\nnull]}'
+
     def test_corrupt_header_raises_cleanly(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"format": "something-else", "version": 1}')
@@ -251,6 +256,18 @@ class TestScenarios:
         assert abs(report["fitted_decay_rate"] - 2 * np.pi) <= 0.05 * 2 * np.pi
         header, _ = read_csv(tmp_path / "trajectory.csv")
         assert header[-1] == "fitted_decay_rate"
+
+    def test_linear_decay_stopped_at_its_first_step_fits_nothing(self, tmp_path, capsys):
+        # the floor lies above the flat interface's own chord-arc constant
+        path = tmp_path / "cfg.ini"
+        path.write_text("[run]\nscenario = linear_decay\nn_modes = 8\nt_end = 0.01\n"
+                        "stop_on = chord_arc_floor\nchord_arc_floor = 0.5\n")
+        assert main(["linear_decay", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+        assert "Traceback" not in capsys.readouterr().err
+        report = json.loads((tmp_path / "o" / "report.json").read_text())
+        assert report["termination"] == "chord_arc_floor"
+        assert report["records"] == 1
+        assert report["fitted_decay_rate"] is None and report["relative_error"] is None
 
     @pytest.mark.parametrize("run_keys, expected_rate", [
         ("n_modes = 32\ndensity_jump_over_2pi = 0.5\n", np.pi),
@@ -506,6 +523,14 @@ class TestCli:
         assert "Traceback" not in capsys.readouterr().err
         report = json.loads((out / "report.json").read_text())
         assert "COEFF_FLOOR" in report["error"]
+
+    def test_unwritable_output_directory_exits_four(self, tmp_path, capsys):
+        blocker = tmp_path / "afile"
+        blocker.write_text("")
+        assert main(["flat", "--modes", "32", "--out", str(blocker / "sub")]) == 4
+        err = capsys.readouterr().err
+        assert "i/o error" in err
+        assert "Traceback" not in err
 
     def test_degenerate_parametrization_exits_three(self, tmp_path, monkeypatch):
         def degenerate(cfg, out_dir):

@@ -42,6 +42,7 @@ from oracles import (
     kernel,
     mpmath_pv_integral,
     mpmath_rhs,
+    sampled,
 )
 
 FLAT_TORUS_CHORD_ARC = 2.0 / np.pi**2
@@ -193,9 +194,17 @@ class TestRhsOracles:
 class TestKernelWorkspace:
     def test_flat_workspace_is_real(self, grid256):
         ws = build_workspace(gentle_state(grid256), grid256, max_order=6)
-        for array in (ws.zeta, ws.z1, ws.z2, *ws.der.values()):
+        for array in (ws.zeta, ws.z1, ws.z2, *ws.der.reshape(-1, grid256.n_modes)):
             assert array.dtype == np.float64
             assert array.shape == (grid256.n_modes,)
+
+    def test_samples_are_the_transform_with_the_identity_parts(self, grid256):
+        # der[k] = (d^k z1, d^k z2): z1's identity part at order 0, its slope at order 1
+        state = gentle_state(grid256)
+        der = build_workspace(state, grid256, max_order=6).der
+        assert der.shape == (7, 2, grid256.n_modes)
+        for k in range(7):
+            assert np.array_equal(der[k], sampled(state, grid256, k))
 
     def test_flat_jacobian_is_ones(self, grid256):
         ws = build_workspace(gentle_state(grid256), grid256, max_order=1)

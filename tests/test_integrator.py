@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -8,16 +9,21 @@ from muskat import (
     InterfaceState,
     RunConfig,
     SpectralGrid,
+    chord_arc_constant,
     f_kappa,
     galerkin_rhs,
     make_turnover_state,
     perturb,
+    rt_unperturbed,
     run,
     step,
+    turnover_indicator,
     two_solution_monitor,
 )
-from muskat import integrator
+from muskat import core, integrator, stability
 from muskat.errors import ConfigError, DegenerateGeometryError
+
+from oracles import sampled
 
 
 def decay_state(grid):
@@ -162,7 +168,7 @@ class TestRun:
         trajectory = run(initial, config)
         times = np.array(trajectory.times())
         amps = np.array(
-            [np.abs(s.values(grid)[1].real).max() for _, s, _ in trajectory.records]
+            [np.abs(sampled(s, grid, 0)[1]).max() for _, s, _ in trajectory.records]
         )
         rate = -np.polyfit(times, np.log(amps), 1)[0]
         assert abs(rate - 2.0 * np.pi) <= 0.05 * 2.0 * np.pi
@@ -252,6 +258,11 @@ class TestRun:
         i, j = trajectory.chord_arc_pair
         assert i != j and 0 <= min(i, j) and max(i, j) < grid.n_modes
         assert 0.0 <= trajectory.chord_arc_ratio < config.chord_arc_floor
+        # without the stop requested, the same floor violation propagates
+        with pytest.raises(DegenerateGeometryError) as raised:
+            run(pinched, dataclasses.replace(config, stop_on=frozenset()))
+        assert raised.value.pair == trajectory.chord_arc_pair
+        assert raised.value.ratio == trajectory.chord_arc_ratio
 
     @pytest.mark.parametrize("adaptive, stepper", [(False, "step"), (True, "_adaptive_step")])
     def test_check_stops_runs_once_per_accepted_step(self, monkeypatch, adaptive, stepper):
@@ -275,6 +286,34 @@ class TestRun:
         run(initial, RunConfig(n_modes=64, dt=1e-3, t_end=0.0105, adaptive=adaptive))
         assert counts["steps"] > 0
         assert counts["checks"] == counts["steps"]
+
+    def test_diagnostics_sample_a_record_once(self, monkeypatch):
+        # min z1', sigma and the chord-arc constant from one workspace and one sweep
+        grid = SpectralGrid(64)
+        state = make_turnover_state(GraphFamilyParams(), grid)
+        expected = (turnover_indicator(state, grid), chord_arc_constant(state, grid),
+                    float(rt_unperturbed(state, grid).min()))
+        calls = {"build_workspace": 0, "pair_sweep": 0, "from_spectral": 0}
+
+        def counted(owner, name):
+            inner = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("build_workspace", "pair_sweep"):
+            wrapper = counted(core, name)
+            for module in (core, integrator, stability):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, wrapper)
+        monkeypatch.setattr(SpectralGrid, "from_spectral", counted(SpectralGrid, "from_spectral"))
+        record = integrator.diagnostics_for(state, grid, RunConfig(n_modes=64), state)
+        # one transform samples the state, the other the H4 distance's difference
+        assert calls == {"build_workspace": 1, "pair_sweep": 1, "from_spectral": 2}
+        assert (record.min_dz1, record.chord_arc, record.rt_min) == expected
 
     def test_blowup_norm_stop_fires(self):
         grid = SpectralGrid(64)
