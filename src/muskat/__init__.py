@@ -9,7 +9,7 @@ from .core import (
     rhs,
 )
 from .decomposition import SAFE_COEFFICIENTS, D4Decomposition, rhs_d4_decomposition
-from .grid import SpectralGrid, conjugate_symmetrize, is_conjugate_symmetric
+from .grid import SpectralGrid, conjugate_symmetrize
 from .initial_data import GraphFamilyParams, f_kappa, log_datum, make_turnover_state, perturb
 from .integrator import (
     DiagnosticsRecord,
@@ -31,7 +31,7 @@ from .schedules import (
     rt_coupled_margins,
     schedule_margins,
 )
-from .stability import h4_distance, h4_norm, rt_generalized, rt_unperturbed, turnover_indicator
+from .stability import h4_distance, rt_generalized, rt_unperturbed, turnover_indicator
 
 __all__ = [
     "D4Decomposition",
@@ -54,12 +54,10 @@ __all__ = [
     "galerkin_rhs",
     "garding_form",
     "h4_distance",
-    "h4_norm",
     "h_of",
     "h_t_of",
     "hbar_of",
     "hbar_t_of",
-    "is_conjugate_symmetric",
     "lambda_gamma",
     "log_datum",
     "make_turnover_state",

@@ -20,7 +20,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import InvalidContourError
-from .grid import SpectralGrid, block_sums
+from .grid import Block, SpectralGrid
 
 
 @dataclass
@@ -63,21 +63,18 @@ class LiftedContour:
         return 1.0 + 1j * self.sign * self.h_prime
 
 
-def half_angle_parts(re: NDArray, im: NDArray, rows: slice) -> tuple[NDArray, ...]:
+def half_angle_parts(re: NDArray, im: NDArray, block: Block) -> tuple[NDArray, ...]:
     """sin a, cos a, sinh b and cosh b over a block, a + ib = (w_i - w_j)/2, w = re + i im.
 
-    Over i in ``rows`` and j >= rows.start, one block of
-    :meth:`SpectralGrid.pair_quadrature`.  A complex half-angle term is
-    assembled from these four real arrays, whose float64 ufuncs are
-    vectorized where the complex ones are not: sin(a + ib) =
-    sin a cosh b + i cos a sinh b, cos(a + ib) = cos a cosh b - i sin a sinh b,
-    and with the arguments swapped, sinh(b + ia) = sinh b cos a + i cosh b sin a.
+    A complex half-angle term is assembled from these four real arrays,
+    whose float64 ufuncs are vectorized where the complex ones are not:
+    sin(a + ib) = sin a cosh b + i cos a sinh b,
+    cos(a + ib) = cos a cosh b - i sin a sinh b, and with the arguments
+    swapped, sinh(b + ia) = sinh b cos a + i cosh b sin a.
     sin and sinh are exactly odd, cos and cosh exactly even, so the mirror
     pair's parts are the same up to sign.
     """
-    cols = slice(rows.start, None)
-    a = re[rows, None] - re[None, cols]
-    b = im[rows, None] - im[None, cols]
+    a, b = block.diff(re), block.diff(im)
     a *= 0.5
     b *= 0.5
     sin_a, sinh_b = np.sin(a), np.sinh(b)
@@ -111,16 +108,15 @@ def _lifted_cot(sin_a: NDArray, cos_a: NDArray, sinh_b: NDArray, cosh_b: NDArray
     return out
 
 
-def pairwise_cot(zeta: NDArray, rows: slice) -> NDArray:
-    """cot((zeta_i - zeta_j)/2) with a zero diagonal and no 0/0 formed.
+def pairwise_cot(zeta: NDArray, block: Block) -> NDArray:
+    """cot((zeta_i - zeta_j)/2) over a block, with a zero diagonal and no 0/0 formed.
 
-    Over i in ``rows`` and j >= rows.start, one block of
-    :meth:`SpectralGrid.pair_quadrature`; cot is exactly odd, so its mirror
-    is -cot.  Complex nodes take the real closed form of :func:`_lifted_cot`.
+    cot is exactly odd, so its mirror is -cot.  Complex nodes take the real
+    closed form of :func:`_lifted_cot`.
     """
     if np.iscomplexobj(zeta):
-        return _lifted_cot(*half_angle_parts(zeta.real, zeta.imag, rows))
-    half = (zeta[rows, None] - zeta[None, rows.start:]) / 2.0
+        return _lifted_cot(*half_angle_parts(zeta.real, zeta.imag, block))
+    half = block.diff(zeta) / 2.0
     return _flat_cot(np.sin(half), np.cos(half))
 
 
@@ -134,23 +130,23 @@ def pv_cot_integral(grid: SpectralGrid, contour: LiftedContour | None = None) ->
     The result should vanish to quadrature accuracy.
     """
     if contour is None:
-        def flat_sums(rows: slice):
-            cot = pairwise_cot(grid.nodes, rows)
-            return [block_sums(cot, -cot, 0.0)]
+        def flat_sums(block: Block):
+            cot = pairwise_cot(grid.nodes, block)
+            return [block.sums(cot, -cot, 0.0)]
 
         return grid.pair_quadrature(flat_sums, float)[0]
 
     jac = contour.jacobian()
     diag = -1j * contour.sign * contour.h_second / jac
 
-    def sums(rows: slice):
+    def sums(block: Block):
         # the lifted nodes' real parts are the grid nodes, so sin a and cos a
         # are the flat cotangent's own
-        sin_a, cos_a, sinh_b, cosh_b = half_angle_parts(grid.nodes, contour.sign * contour.h, rows)
+        sin_a, cos_a, sinh_b, cosh_b = half_angle_parts(grid.nodes, contour.sign * contour.h, block)
         lifted = _lifted_cot(sin_a, cos_a, sinh_b, cosh_b)
         flat = _flat_cot(sin_a, cos_a)
-        return [block_sums(lifted * jac[None, rows.start:] - flat,
-                           flat - lifted * jac[rows, None], diag[rows])]
+        return [block.sums(lifted * jac[None, block.cols] - flat,
+                           flat - lifted * jac[block.rows, None], diag[block.rows])]
 
     return grid.pair_quadrature(sums, complex)[0]
 
@@ -183,10 +179,11 @@ def lambda_gamma(
     fpp = grid.from_spectral(grid.derivative(grid.to_spectral(fp))) / jac
     diag = 2.0 * fpp * jac
 
-    def sums(rows: slice):
+    def sums(block: Block):
         # cot and the F' difference are both odd, so their product is even
-        even = pairwise_cot(zeta, rows) * (fp[rows, None] - fp[None, rows.start:])
-        return [block_sums(even * jac[None, rows.start:], even * jac[rows, None], diag[rows])]
+        even = pairwise_cot(zeta, block) * block.diff(fp)
+        rows, cols = block.rows, block.cols
+        return [block.sums(even * jac[None, cols], even * jac[rows, None], diag[rows])]
 
     return -(1.0 / (2.0 * np.pi)) * grid.pair_quadrature(sums, complex)[0]
 

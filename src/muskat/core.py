@@ -44,7 +44,6 @@ table of the N-th roots of unity and one real exponential per entry.
 from __future__ import annotations
 
 import functools
-import threading
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
@@ -54,7 +53,7 @@ from numpy.typing import NDArray
 
 from .contour_ops import LiftedContour, half_angle_parts, pairwise_cot
 from .errors import DegenerateGeometryError
-from .grid import _BLOCK_BYTES, SpectralGrid, block_sums, is_conjugate_symmetric
+from .grid import Block, SpectralGrid
 
 DEFAULT_CHORD_ARC_FLOOR = 1e-4
 
@@ -100,9 +99,6 @@ class InterfaceState:
 
     def copy(self) -> "InterfaceState":
         return InterfaceState(*self.coeffs, self.time)
-
-    def is_real(self, tol: float = 1e-10) -> bool:
-        return all(is_conjugate_symmetric(row, tol) for row in self.coeffs)
 
 
 def evaluate_on_contour(
@@ -231,53 +227,22 @@ def _node_distance(n_modes: int) -> NDArray:
     return sliding_window_view(np.stack([dist, dist**2]), n_modes, axis=1)[:, ::-1]
 
 
-def _distance_sq(zeta: NDArray, rows: slice) -> NDArray:
+def _distance_sq(zeta: NDArray, block: Block) -> NDArray:
     """(||Re(zi - zj)|| + |Im(zi - zj)|)^2 over a block's pairs, diagonal 1.
 
     ``zeta`` is the grid, or the grid lifted by i*sign*h; its real parts
     are the nodes, so their wrapped distance is read from the cached view.
     """
-    dist, dist_sq = _node_distance(len(zeta))[:, rows, rows.start:]
+    dist, dist_sq = _node_distance(len(zeta))[:, block.rows, block.cols]
     if np.isrealobj(zeta):
         return dist_sq
-    return (dist + np.abs(zeta.imag[rows, None] - zeta.imag[None, rows.start:])) ** 2
+    return (dist + np.abs(block.diff(zeta.imag))) ** 2
 
 
-class _BlockBuffers(threading.local):
-    """The calling thread's block arrays, kept from one sweep to the next.
+class PairBlock(Block):
+    """A :class:`~muskat.grid.Block` of a workspace's exp-map pair geometry.
 
-    Each is allocated once, at the full block budget, and every block of
-    every sweep reuses it.  Block arrays allocated afresh and freed with
-    each sweep left a heap top that glibc returned to the system and
-    faulted back in on the next call, about 110 minor page faults per
-    ``rhs`` at N=128.  The contents never outlive a block, so sweeps must
-    not nest.
-    """
-
-    def __init__(self):
-        self.arrays: dict = {}
-
-
-_BUFFERS = _BlockBuffers()
-
-
-def _block_array(name: str, shape: tuple[int, int], dtype) -> NDArray:
-    """A block-shaped view of the calling thread's buffer ``name``."""
-    dtype = np.dtype(dtype)
-    key = (name, dtype.char)
-    if key not in _BUFFERS.arrays:
-        _BUFFERS.arrays[key] = np.empty(_BLOCK_BYTES // dtype.itemsize, dtype)
-    return _BUFFERS.arrays[key][:shape[0] * shape[1]].reshape(shape)
-
-
-@dataclass
-class PairBlock:
-    """Rows r0:r1 of the pairwise geometry against the columns r0:N.
-
-    Column c holds node j = r0 + c, so the pair (r0 + k, r0 + k) sits at
-    (k, k).  The first r1 - r0 columns are the diagonal sub-block, the pairs
-    among the block's rows in both orders; the rest are pairs i < j.  The
-    arrays are views of reused buffers, valid until the next block.  It
+    The arrays are views of reused buffers, valid until the next block.  It
     carries the exp-map geometry only: a consumer that needs the node
     differences themselves, as the half-angle PV integrand does, forms
     them from ``ws``.
@@ -287,14 +252,10 @@ class PairBlock:
         cosh(dz2) - cos(dz1) = q_ij c_i c_j.
     """
 
-    ws: KernelWorkspace
-    rows: slice
-    q: NDArray
-    _differences: dict = field(default_factory=dict, repr=False)
-
-    @property
-    def cols(self) -> slice:
-        return slice(self.rows.start, None)
+    def __init__(self, rows: slice, ws: KernelWorkspace, q: NDArray):
+        super().__init__(rows, len(ws.zeta))
+        self.ws, self.q = ws, q
+        self._differences: dict = {}
 
     @functools.cached_property
     def kern(self) -> NDArray:
@@ -306,11 +267,11 @@ class PairBlock:
         if np.iscomplexobj(self.q):
             raise NotImplementedError("the exp-map kernel is formed on the flat grid only")
         u, v, _ = self.ws.exp_map
-        rows, cols = self.rows, self.cols
-        kern = np.multiply(2.0 * v[rows, None], u[None, cols],
-                           out=_block_array("kern", self.q.shape, self.q.dtype))
-        kern -= np.multiply(2.0 * u[rows, None], v[None, cols],
-                            out=_block_array("scratch", self.q.shape, self.q.dtype))
+        # the factor 2 scales the block's rows only, not all N nodes
+        kern = np.multiply(2.0 * v[self.rows, None], u[None, self.cols],
+                           out=self.buffer("kern", self.q.dtype))
+        kern -= np.multiply(2.0 * u[self.rows, None], v[None, self.cols],
+                            out=self.buffer("scratch", self.q.dtype))
         kern /= self.q
         return kern
 
@@ -319,24 +280,22 @@ class PairBlock:
         key = (mu, order)
         if key not in self._differences:
             values = self.ws.der[order, mu - 1]
-            out = _block_array(f"d{order}z{mu}", self.q.shape, values.dtype)
-            self._differences[key] = np.subtract(values[self.rows, None],
-                                                 values[None, self.cols], out=out)
+            out = self.buffer(f"d{order}z{mu}", values.dtype)
+            self._differences[key] = self.diff(values, out=out)
         return self._differences[key]
 
 
-def _block_geometry(ws: KernelWorkspace, rows: slice, shape: tuple[int, int]):
+def _block_geometry(ws: KernelWorkspace, block: Block):
     """q and the chord-arc ratio |den| / distance^2 of one block, no transcendental per pair.
 
     |den| = |q| |c_i| |c_j| with the outer product formed first, so the
     ratio is exactly symmetric, as q is.
     """
     a, b, c = ws.exp_map
-    cols = slice(rows.start, None)
-    q, scratch = (_block_array(name, shape, ws.z1.dtype) for name in ("q", "scratch"))
-    ratio = _block_array("ratio", shape, np.float64)
-    np.subtract(a[rows, None], a[None, cols], out=q)
-    np.subtract(b[rows, None], b[None, cols], out=scratch)
+    q, scratch = (block.buffer(name, ws.z1.dtype) for name in ("q", "scratch"))
+    ratio = block.buffer("ratio", np.float64)
+    block.diff(a, out=q)
+    block.diff(b, out=scratch)
     if np.isrealobj(q):
         np.square(q, out=q)
         q += np.square(scratch, out=scratch)
@@ -344,9 +303,9 @@ def _block_geometry(ws: KernelWorkspace, rows: slice, shape: tuple[int, int]):
     else:
         q *= scratch
         modulus, scale = np.abs(q, out=scratch.real), np.abs(c)
-    np.multiply(scale[rows, None], scale[None, cols], out=ratio)
+    block.outer(scale, scale, out=ratio)
     ratio *= modulus
-    ratio /= _distance_sq(ws.zeta, rows)
+    ratio /= _distance_sq(ws.zeta, block)
     np.fill_diagonal(q, 1.0)
     np.fill_diagonal(ratio, np.inf)
     return q, ratio
@@ -385,24 +344,22 @@ def pair_sweep(
             the floor on, no integrand is built; the sweep finishes the
             minimum on the geometry alone.
     """
-    n = len(ws.zeta)
     minima, pairs = [], []
     degenerate = False
 
-    def block_sums(rows: slice):
+    def sweep(block: Block):
         # eager, not a generator: with no integrands nothing would run it
         nonlocal degenerate
-        r0 = rows.start
-        q, ratio = _block_geometry(ws, rows, (rows.stop - r0, n - r0))
-        k = int(np.argmin(ratio))
+        q, ratio = _block_geometry(ws, block)
+        k = np.argmin(ratio)
         minima.append(ratio.flat[k])
-        pairs.append((r0 + k // (n - r0), r0 + k % (n - r0)))
+        pairs.append(block.pair(k))
         degenerate = degenerate or (floor is not None and minima[-1] < floor)
         if sums is None or degenerate:
             return ()
-        return sums(PairBlock(ws, rows, q))
+        return sums(PairBlock(block.rows, ws, q))
 
-    totals = grid.pair_quadrature(block_sums, ws.z1.dtype)
+    totals = grid.pair_quadrature(sweep, ws.z1.dtype)
     best = int(np.argmin(minima))
     chord_arc, pair = float(minima[best]), pairs[best]
     if degenerate:
@@ -468,15 +425,15 @@ def kernel_difference_sums(
     def sums(block: PairBlock) -> list[tuple[NDArray, NDArray]]:
         rows = block.rows
         by_row = block.kern @ columns[block.cols]
-        by_column = block.kern[:, rows.stop - rows.start:].T @ columns[rows]
+        by_column = block.kern[:, block.width:].T @ columns[rows]
         by_row = columns[rows, 1:] * by_row[:, :1] - by_row[:, 1:] + diagonals[rows]
-        by_column = by_column[:, 1:] - columns[rows.stop:, 1:] * by_column[:, :1]
+        by_column = by_column[:, 1:] - columns[block.tail, 1:] * by_column[:, :1]
         return [(by_row[:, 0], by_column[:, 0]), (by_row[:, 1], by_column[:, 1])]
 
     return sums
 
 
-def _half_angle_kernel(ws: KernelWorkspace, rows: slice) -> NDArray:
+def _half_angle_kernel(ws: KernelWorkspace, block: Block) -> NDArray:
     """K = sin(dz1) / (2 (sin^2(dz1/2) + sinh^2(dz2/2))) over a block, diagonal 0.
 
     K in the half-angle form of dz1, dz2, like the cotangent: the PV
@@ -488,14 +445,12 @@ def _half_angle_kernel(ws: KernelWorkspace, rows: slice) -> NDArray:
     assembled from real parts (:func:`half_angle_parts`),
     K = s c / (s^2 + sh^2).
     """
-    cols = slice(rows.start, None)
     if np.isrealobj(ws.z1):
-        dz1 = ws.z1[rows, None] - ws.z1[None, cols]
-        dz2 = ws.z2[rows, None] - ws.z2[None, cols]
+        dz1, dz2 = block.diff(ws.z1), block.diff(ws.z2)
         den = 2.0 * (np.sin(dz1 / 2.0) ** 2 + np.sinh(dz2 / 2.0) ** 2)
         np.fill_diagonal(den, 1.0)
         return np.sin(dz1) / den
-    sin_a, cos_a, sinh_b, cosh_b = half_angle_parts(ws.z1.real, ws.z1.imag, rows)
+    sin_a, cos_a, sinh_b, cosh_b = half_angle_parts(ws.z1.real, ws.z1.imag, block)
     s, c = np.empty(sin_a.shape, complex), np.empty(sin_a.shape, complex)
     np.multiply(sin_a, cosh_b, out=s.real)
     np.multiply(cos_a, sinh_b, out=s.imag)
@@ -504,7 +459,7 @@ def _half_angle_kernel(ws: KernelWorkspace, rows: slice) -> NDArray:
     np.negative(c.imag, out=c.imag)
     kern = s * c
     # sinh(dz2/2) for dz2/2 = p + ir takes sin r, cos r, sinh p and cosh p
-    sin_r, cos_r, sinh_p, cosh_p = half_angle_parts(ws.z2.imag, ws.z2.real, rows)
+    sin_r, cos_r, sinh_p, cosh_p = half_angle_parts(ws.z2.imag, ws.z2.real, block)
     sh = c  # c's array is free once kern = s c is formed
     np.multiply(sinh_p, cos_r, out=sh.real)
     np.multiply(cosh_p, sin_r, out=sh.imag)
@@ -541,11 +496,11 @@ def kernel_pv_integral(
 
     def sums(block: PairBlock):
         rows, cols = block.rows, block.cols
-        kern = _half_angle_kernel(ws, rows)
-        cot = pairwise_cot(ws.zeta, rows)
+        kern = _half_angle_kernel(ws, block)
+        cot = pairwise_cot(ws.zeta, block)
         values = (kern - ratio[rows, None] * cot) * ws.jac[None, cols]
         mirror = (ratio[None, cols] * cot - kern) * ws.jac[rows, None]
-        yield block_sums(values, mirror, diag[rows])
+        yield block.sums(values, mirror, diag[rows])
 
     (total,), _ = pair_sweep(ws, grid, sums, floor)
     return total

@@ -24,7 +24,7 @@ from numpy.typing import NDArray
 
 from .core import DEFAULT_CHORD_ARC_FLOOR, InterfaceState, PairBlock, build_workspace
 from .core import kernel_difference_sums, pair_sweep
-from .grid import SpectralGrid, block_sums
+from .grid import SpectralGrid
 
 #: Leibniz coefficients of the six safe terms, in expansion order.
 SAFE_COEFFICIENTS = (4.0, -4.0, -4.0, 1.0, -1.0, -1.0)
@@ -94,14 +94,15 @@ def rhs_d4_decomposition(
         # 2 (u_i u_j + v_i v_j)/q and sinh(dz2)/den is (|w_j|^2 - |w_i|^2)/q.
         # All three fragments are symmetric and the two differences
         # antisymmetric: every safe integrand is its own mirror
-        rows, cols = block.rows, block.cols
-        cos_frag = np.multiply(u[rows, None], u[None, cols])
+        cos_frag = block.outer(u, u)
         # the product is then reused for each safe integrand in turn
-        values = np.multiply(v[rows, None], v[None, cols])
+        values = block.outer(v, v)
         cos_frag += values
         cos_frag *= 2.0
         cos_frag /= block.q
-        sinh_frag = np.subtract(w_sq[None, cols], w_sq[rows, None])
+        sinh_frag = block.diff(w_sq)
+        # negation is exact: w_sq_j - w_sq_i bit for bit
+        np.negative(sinh_frag, out=sinh_frag)
         sinh_frag /= block.q
         sinh_frag *= block.kern
         fragments = (cos_frag, sinh_frag, np.square(block.kern))
@@ -109,7 +110,7 @@ def rhs_d4_decomposition(
             np.multiply(block.difference(a, 1), fragments[f], out=values)
             values *= block.difference(b, 4)
             values *= c
-            yield block_sums(values, values, diag[rows])
+            yield block.sums(values, values, diag[block.rows])
         yield from rhs_sums(block)
 
     sums, _ = pair_sweep(ws, grid, integrands, floor)

@@ -12,6 +12,7 @@ and :func:`conjugate_symmetrize` also act row by row on a stack of shape
 
 from __future__ import annotations
 
+import threading
 from collections.abc import Callable, Iterable
 
 import numpy as np
@@ -129,19 +130,14 @@ class SpectralGrid:
         return values.sum() * self.dx
 
     def pair_quadrature(
-        self, sums: Callable[[slice], Iterable[tuple[NDArray, NDArray]]], dtype,
+        self, sums: Callable[[Block], Iterable[tuple[NDArray, NDArray]]], dtype,
     ) -> list[NDArray]:
         """Trapezoid rule along the rows of pairwise integrands, in one triangle sweep.
 
-        The pairs are tiled in row blocks rows = [r0, r1) against the columns
-        [r0, N), of at most ``_BLOCK_BYTES`` per ``dtype`` array, so the pair
-        (r0 + k, r0 + k) sits at (k, k).  For each integrand F, ``sums(rows)``
-        yields one pair: F's row sums over the block, its removable diagonal
-        taken at the analytic limit, and the column sums beyond the diagonal
-        sub-block, [r1, N), of its mirror M(x_i, x_j) = F(x_j, x_i).  The
-        diagonal sub-block enters through the row sums only; a pair i < j
-        beyond it enters row i through F and row j through M.  A consumer
-        reduces its block by :func:`block_sums` or by a matrix product.
+        The pairs are tiled in blocks (:class:`Block`) of at most
+        ``_BLOCK_BYTES`` per ``dtype`` array.  For each integrand,
+        ``sums(block)`` yields one pair, its row sums over the block and its
+        mirror's column sums over the block's tail, which this adds up.
 
         The first block that yields anything sets the number of integrands;
         a later block that yields a different number raises ValueError, and
@@ -152,15 +148,14 @@ class SpectralGrid:
         per_block = _BLOCK_BYTES // np.dtype(dtype).itemsize
         r0 = 0
         while r0 < n:
-            r1 = min(n, r0 + max(1, per_block // (n - r0)))
-            rows = slice(r0, r1)
-            pairs = list(sums(rows))
+            block = Block(slice(r0, min(n, r0 + max(1, per_block // (n - r0)))), n)
+            pairs = list(sums(block))
             if pairs:
                 totals = totals or [np.zeros(n, dtype=dtype) for _ in pairs]
                 for total, (by_row, by_column) in zip(totals, pairs, strict=True):
-                    total[rows] += by_row
-                    total[r1:] += by_column
-            r0 = r1
+                    total[block.rows] += by_row
+                    total[block.tail] += by_column
+            r0 = block.rows.stop
         return [total * self.dx for total in totals]
 
     def norm_l2(self, values: NDArray) -> float:
@@ -205,16 +200,79 @@ class SpectralGrid:
         return float(max(sol[2], 0.0))
 
 
-def block_sums(values: NDArray, mirror: NDArray, diag) -> tuple[NDArray, NDArray]:
-    """One :meth:`SpectralGrid.pair_quadrature` block of an elementwise integrand.
+class _BlockBuffers(threading.local):
+    """The calling thread's block arrays, kept from one sweep to the next.
 
-    ``values`` is F over the block and ``mirror`` its mirror M; a symmetric
-    F is passed twice.  F's diagonal is overwritten with ``diag``, the
-    analytic limit at the block's rows.  Returns F's row sums and M's column
-    sums beyond the diagonal sub-block.
+    Each is allocated once, at the full block budget, and every block of
+    every sweep reuses it.  Block arrays allocated afresh and freed with
+    each sweep left a heap top that glibc returned to the system and
+    faulted back in on the next call, about 110 minor page faults per
+    ``rhs`` at N=128.  The contents never outlive a block, so sweeps must
+    not nest.
     """
-    np.fill_diagonal(values, diag)
-    return values.sum(axis=1), mirror[:, len(mirror):].sum(axis=0)
+
+    def __init__(self):
+        self.arrays: dict = {}
+
+
+_BUFFERS = _BlockBuffers()
+
+
+class Block:
+    """One block of :meth:`SpectralGrid.pair_quadrature`: rows r0:r1 against the columns r0:N.
+
+    Column c holds node j = r0 + c, so the pair (r0 + k, r0 + k) sits at
+    (k, k).  The first ``width`` = r1 - r0 columns are the diagonal
+    sub-block, the pairs among the block's rows in both orders; the rest
+    are the pairs i < j with j in ``tail`` = r1:N.  For an integrand F
+    with mirror M(x_i, x_j) = F(x_j, x_i), the diagonal sub-block enters
+    through F's row sums only, and a pair i < j beyond it enters row i
+    through F and row j through M, as M's column sums over the tail.
+
+    The layout is set once, as plain attributes: ``rows`` (r0:r1), ``cols``
+    (r0:), ``tail`` (r1:), ``width`` and ``shape``.  A consumer forms its
+    pairwise arrays and reductions through the methods, and takes scratch
+    arrays from :meth:`buffer`.
+    """
+
+    def __init__(self, rows: slice, n: int):
+        self.rows = rows
+        self.cols = slice(rows.start, None)
+        self.tail = slice(rows.stop, None)
+        self.width = rows.stop - rows.start
+        self.shape = (self.width, n - rows.start)
+
+    def diff(self, x: NDArray, out: NDArray | None = None) -> NDArray:
+        """x_i - x_j over the block."""
+        return np.subtract(x[self.rows, None], x[None, self.cols], out=out)
+
+    def outer(self, a: NDArray, b: NDArray, out: NDArray | None = None) -> NDArray:
+        """a_i b_j over the block."""
+        return np.multiply(a[self.rows, None], b[None, self.cols], out=out)
+
+    def sums(self, values: NDArray, mirror: NDArray, diag) -> tuple[NDArray, NDArray]:
+        """The block's pair for an elementwise integrand F with mirror M.
+
+        ``values`` is F over the block and ``mirror`` M; a symmetric F is
+        passed twice.  F's diagonal is overwritten with ``diag``, the
+        analytic limit at the block's rows.  Returns F's row sums and M's
+        column sums over the tail.
+        """
+        np.fill_diagonal(values, diag)
+        return values.sum(axis=1), mirror[:, self.width:].sum(axis=0)
+
+    def pair(self, k: int) -> tuple[int, int]:
+        """The node pair (i, j) at flat index k of a block array."""
+        i, j = divmod(int(k), self.shape[1])
+        return self.rows.start + i, self.rows.start + j
+
+    def buffer(self, name: str, dtype) -> NDArray:
+        """A block-shaped view of the calling thread's buffer ``name``, valid for this block."""
+        dtype = np.dtype(dtype)
+        key = (name, dtype.char)
+        if key not in _BUFFERS.arrays:
+            _BUFFERS.arrays[key] = np.empty(_BLOCK_BYTES // dtype.itemsize, dtype)
+        return _BUFFERS.arrays[key][:self.shape[0] * self.shape[1]].reshape(self.shape)
 
 
 def conjugate_symmetrize(coeffs: NDArray) -> NDArray:
@@ -223,10 +281,3 @@ def conjugate_symmetrize(coeffs: NDArray) -> NDArray:
     n = coeffs.shape[-1]
     reflected = np.conj(coeffs[..., np.mod(-np.arange(n), n)])
     return 0.5 * (coeffs + reflected)
-
-
-def is_conjugate_symmetric(coeffs: NDArray, tol: float = 1e-12) -> bool:
-    """True if the coefficients describe a real grid function within tol."""
-    coeffs = np.asarray(coeffs, dtype=complex)
-    scale = max(np.abs(coeffs).max(), 1.0)
-    return bool(np.abs(coeffs - conjugate_symmetrize(coeffs)).max() <= tol * scale)

@@ -28,7 +28,7 @@ from .errors import (
     DegenerateParametrizationError,
     UndefinedRadiusError,
 )
-from .grid import SpectralGrid, block_sums
+from .grid import Block, SpectralGrid
 from .initial_data import f_kappa, log_datum, make_turnover_state, perturb
 from .integrator import DiagnosticsRecord, Trajectory, run, two_solution_monitor
 from .schedules import rt_coupled_margins, schedule_margins
@@ -248,10 +248,9 @@ def _scenario_operator_suite(cfg: ScenarioConfig, out_dir: str) -> int:
     # diagonal limit 4 |f'(x)|^2; symmetric, so its own mirror
     diag = 4.0 * np.sin(x) ** 2
 
-    def sums(rows: slice):
-        df = f[rows, None] - f[None, rows.start:]
-        values = np.abs(df) ** 2 * (1.0 + pairwise_cot(x, rows) ** 2)
-        return [block_sums(values, values, diag[rows])]
+    def sums(block: Block):
+        values = np.abs(block.diff(f)) ** 2 * (1.0 + pairwise_cot(x, block) ** 2)
+        return [block.sums(values, values, diag[block.rows])]
 
     (row_sums,) = grid.pair_quadrature(sums, float)
     rhs_side = row_sums.sum() * grid.dx / (8.0 * np.pi)

@@ -1,9 +1,10 @@
 """Lossless JSON snapshots of interface states, and the package's JSON writer.
 
-Coefficients are stored as real/imag interleaved float lists; Python's JSON
-round-trips doubles through repr exactly, so load(save(s)) reproduces the
-state bit for bit while the files stay human-diffable: :func:`write_json`
-puts one element per line.
+Each coefficient row is stored as its real/imag interleaved float list, the
+float64 view of the complex row; Python's JSON round-trips doubles through
+repr exactly, signed zeros included, so load(save(s)) reproduces the state
+bit for bit while the files stay human-diffable: :func:`write_json` puts one
+element per line.  A non-finite coefficient or time is refused on load.
 """
 
 from __future__ import annotations
@@ -23,31 +24,29 @@ FORMAT_NAME = "muskat-snapshot"
 FORMAT_VERSION = 1
 
 
-def _interleave(coeffs: np.ndarray) -> list[float]:
-    out = np.empty(2 * len(coeffs), dtype=float)
-    out[0::2] = coeffs.real
-    out[1::2] = coeffs.imag
-    return out.tolist()
-
-
-def _deinterleave(values: list[float]) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1 or len(arr) % 2 != 0:
-        raise SnapshotError("interleaved coefficient array has odd length")
-    return arr[0::2] + 1j * arr[1::2]
-
-
 @dataclass
 class Snapshot:
+    """A loaded snapshot: the state's (2, N) ``coeffs`` and time, and the header."""
+
     time: float
-    n_modes: int
-    p1: np.ndarray
-    p2: np.ndarray
+    coeffs: np.ndarray
     config_digest: str
     diagnostics: dict | None = None
 
+    @property
+    def p1(self) -> np.ndarray:
+        return self.coeffs[0]
+
+    @property
+    def p2(self) -> np.ndarray:
+        return self.coeffs[1]
+
+    @property
+    def n_modes(self) -> int:
+        return self.coeffs.shape[1]
+
     def state(self) -> InterfaceState:
-        return InterfaceState(self.p1, self.p2, self.time)
+        return InterfaceState(*self.coeffs, self.time)
 
 
 def finite_or_null(value):
@@ -96,8 +95,8 @@ def save_snapshot(
         "version": FORMAT_VERSION,
         "time": state.time,
         "n_modes": state.n_modes,
-        "p1": _interleave(state.p1),
-        "p2": _interleave(state.p2),
+        "p1": state.p1.view(np.float64).tolist(),
+        "p2": state.p2.view(np.float64).tolist(),
         "config_digest": config_digest,
         "diagnostics": diagnostics,
     }
@@ -118,19 +117,19 @@ def load_snapshot(path: str) -> Snapshot:
             f"snapshot version {payload.get('version')} != supported {FORMAT_VERSION}"
         )
     try:
-        p1 = _deinterleave(payload["p1"])
-        p2 = _deinterleave(payload["p2"])
+        # rows of different lengths raise ValueError
+        interleaved = np.array([payload["p1"], payload["p2"]], np.float64)
         n_modes = int(payload["n_modes"])
         time = float(payload["time"])
     except (KeyError, TypeError, ValueError) as exc:
-        raise SnapshotError(f"snapshot {path} is missing fields: {exc}") from exc
-    if len(p1) != n_modes or len(p2) != n_modes:
+        raise SnapshotError(f"snapshot {path} has missing or malformed fields: {exc}") from exc
+    if interleaved.shape != (2, 2 * n_modes):
         raise SnapshotError(f"snapshot {path} truncated: arrays do not match n_modes")
+    if not (np.isfinite(interleaved).all() and math.isfinite(time)):
+        raise SnapshotError(f"snapshot {path} holds a non-finite coefficient or time")
     return Snapshot(
         time=time,
-        n_modes=n_modes,
-        p1=p1,
-        p2=p2,
+        coeffs=interleaved.view(complex),
         config_digest=payload.get("config_digest", ""),
         diagnostics=payload.get("diagnostics"),
     )

@@ -107,11 +107,3 @@ def h4_distance(
     """
     return float(np.sqrt(_h4_norm_sq_of_difference(s1.coeffs - s2.coeffs, grid, contour)))
 
-
-def h4_norm(
-    state: InterfaceState,
-    grid: SpectralGrid,
-    contour: LiftedContour | None = None,
-) -> float:
-    """H4 size of the periodic parts (distance to the flat interface)."""
-    return h4_distance(state, InterfaceState.flat(grid), grid, contour)

@@ -16,10 +16,22 @@ from dataclasses import dataclass
 import mpmath
 import numpy as np
 
-from muskat import InterfaceState, LiftedContour, SpectralGrid
+from muskat import InterfaceState, LiftedContour, SpectralGrid, conjugate_symmetrize
 from muskat.core import DEFAULT_CHORD_ARC_FLOOR, KernelWorkspace, build_workspace
 from muskat.decomposition import SAFE_COEFFICIENTS, SAFE_TERMS, ComponentPair, D4Decomposition
 from muskat.errors import DegenerateGeometryError
+
+
+def is_conjugate_symmetric(coeffs: np.ndarray, tol: float = 1e-12) -> bool:
+    """True if the coefficients describe a real grid function within tol."""
+    coeffs = np.asarray(coeffs, dtype=complex)
+    scale = max(np.abs(coeffs).max(), 1.0)
+    return bool(np.abs(coeffs - conjugate_symmetrize(coeffs)).max() <= tol * scale)
+
+
+def is_real(state: InterfaceState, tol: float = 1e-10) -> bool:
+    """True if both coefficient rows of ``state`` describe real curves within tol."""
+    return all(is_conjugate_symmetric(row, tol) for row in state.coeffs)
 
 
 def sampled(state: InterfaceState, grid: SpectralGrid, order: int) -> np.ndarray:

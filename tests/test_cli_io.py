@@ -128,13 +128,35 @@ class TestSnapshots:
             rng.normal(size=64) + 1j * rng.normal(size=64),
             time=0.1234567890123456,
         )
+        # signed zeros, which compare equal to 0.0: only the bits tell them apart
+        state.p1[3] = complex(1.5, -0.0)
+        state.p2[5] = complex(-0.0, 0.0)
         path = str(tmp_path / "snap.json")
         save_snapshot(state, path, config_digest="abc")
         loaded = load_snapshot(path)
         assert loaded.time == state.time
-        assert np.array_equal(loaded.p1, state.p1)
-        assert np.array_equal(loaded.p2, state.p2)
+        assert loaded.n_modes == 64
+        assert np.array_equal(loaded.p1.view(np.uint64), state.p1.view(np.uint64))
+        assert np.array_equal(loaded.p2.view(np.uint64), state.p2.view(np.uint64))
+        assert np.array_equal(loaded.state().coeffs.view(np.uint64), state.coeffs.view(np.uint64))
         assert loaded.config_digest == "abc"
+
+    @pytest.mark.parametrize("key, index, value", [
+        ("p1", 4, math.nan), ("p2", 7, math.inf), ("time", None, math.nan),
+    ], ids=["nan-p1", "inf-p2", "nan-time"])
+    def test_non_finite_values_are_refused(self, tmp_path, key, index, value):
+        grid = SpectralGrid(64)
+        path = str(tmp_path / "snap.json")
+        save_snapshot(InterfaceState.flat(grid), path)
+        payload = json.loads(open(path).read())
+        if index is None:
+            payload[key] = value
+        else:
+            payload[key][index] = value
+        # json writes NaN and Infinity tokens, which json.load accepts
+        open(path, "w").write(json.dumps(payload))
+        with pytest.raises(SnapshotError):
+            load_snapshot(path)
 
     def test_json_is_sorted_strict_and_one_element_per_line(self, tmp_path):
         path = tmp_path / "out.json"

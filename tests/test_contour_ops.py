@@ -5,6 +5,7 @@ import pytest
 from muskat import LiftedContour, SpectralGrid, garding_form, lambda_gamma, pv_cot_integral
 from muskat.contour_ops import pairwise_cot
 from muskat.errors import InvalidContourError, SizeMismatchError
+from muskat.grid import Block
 
 from oracles import full_lambda_gamma, full_pv_cot_integral
 
@@ -129,7 +130,7 @@ class TestPairwiseCot:
         grid = SpectralGrid(n_modes)
         zeta = grid.nodes if label is None else make_contour(grid, label).complex_nodes(grid)
         for rows in blocks:
-            got = pairwise_cot(zeta, rows)
+            got = pairwise_cot(zeta, Block(rows, n_modes))
             half = (zeta[rows, None] - zeta[None, rows.start:]) / 2.0
             off_diagonal = half != 0.0
             with mpmath.workdps(30):
@@ -142,7 +143,7 @@ class TestPairwiseCot:
     def test_lifted_is_exactly_odd(self, label):
         # the sweep takes the mirror -cot from the pair
         grid = SpectralGrid(64)
-        full = pairwise_cot(make_contour(grid, label).complex_nodes(grid), slice(0, 64))
+        full = pairwise_cot(make_contour(grid, label).complex_nodes(grid), Block(slice(0, 64), 64))
         assert np.array_equal(full, -full.T)
 
 

@@ -30,6 +30,7 @@ from muskat.core import (
     pair_sweep,
 )
 from muskat.errors import DegenerateGeometryError
+from muskat.grid import Block
 from muskat.initial_data import GraphFamilyParams, make_turnover_state
 
 from conftest import gentle_state, run_with_blas_threads, strip_state
@@ -239,7 +240,7 @@ class TestKernelWorkspace:
             offset = np.abs(i - j)
             want = (grid.dx * np.minimum(offset, n - offset) + np.abs(heights[i] - heights[j])) ** 2
             want[i == j] = 1.0
-            assert np.array_equal(_distance_sq(ws.zeta, block.rows), want)
+            assert np.array_equal(_distance_sq(ws.zeta, block), want)
             blocks.append(block.rows)
             return ()
 
@@ -323,7 +324,7 @@ class TestKernelWorkspace:
         grid = SpectralGrid(64)
         contour = LiftedContour.from_height(grid, 0.15 + 0.03 * np.cos(grid.nodes))
         ws = build_workspace(gentle_state(grid), grid, contour, 1)
-        full = _half_angle_kernel(ws, slice(0, 64))
+        full = _half_angle_kernel(ws, Block(slice(0, 64), 64))
         assert np.array_equal(full, -full.T)
 
     @pytest.mark.parametrize("n_modes", [64, 128, 256, 512])

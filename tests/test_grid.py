@@ -1,11 +1,15 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from muskat import SpectralGrid, is_conjugate_symmetric
-from muskat.grid import block_sums
+from muskat import SpectralGrid
+from muskat.grid import Block
 from muskat.errors import InvalidCutoffError, SizeMismatchError, UndefinedRadiusError
+
+from oracles import is_conjugate_symmetric
 
 
 def random_real(grid, seed=0, band=20, decay=0.2):
@@ -222,15 +226,15 @@ class TestQuadraticFormIdentity:
 class TestPairQuadrature:
     @staticmethod
     def ones_sums(grid, per_block):
-        """Block sums of the constant integrand 1, ``per_block(rows)`` times."""
-        def sums(rows):
-            values = np.ones((rows.stop - rows.start, grid.n_modes - rows.start))
-            return [block_sums(values, values, 1.0)] * per_block(rows)
+        """Block sums of the constant integrand 1, ``per_block(block)`` times."""
+        def sums(block):
+            values = np.ones(block.shape)
+            return [block.sums(values, values, 1.0)] * per_block(block)
         return sums
 
     def test_the_consumer_sets_the_number_of_integrands(self):
         grid = SpectralGrid(128)
-        totals = grid.pair_quadrature(self.ones_sums(grid, lambda rows: 2), float)
+        totals = grid.pair_quadrature(self.ones_sums(grid, lambda block: 2), float)
         assert len(totals) == 2
         for total in totals:
             assert np.allclose(total, 2.0 * np.pi, rtol=1e-14, atol=0.0)
@@ -241,9 +245,9 @@ class TestPairQuadrature:
         grid = SpectralGrid(128)
         stops = []
 
-        def first_block_only(rows):
-            stops.append(rows.stop)
-            return int(rows.start == 0)
+        def first_block_only(block):
+            stops.append(block.rows.stop)
+            return int(block.rows.start == 0)
 
         (total,) = grid.pair_quadrature(self.ones_sums(grid, first_block_only), float)
         r1 = stops[0]
@@ -253,9 +257,74 @@ class TestPairQuadrature:
 
     def test_a_block_yielding_another_number_of_integrands_raises(self):
         grid = SpectralGrid(128)
-        sums = self.ones_sums(grid, lambda rows: 2 if rows.start == 0 else 1)
+        sums = self.ones_sums(grid, lambda block: 2 if block.rows.start == 0 else 1)
         with pytest.raises(ValueError):
             grid.pair_quadrature(sums, float)
+
+
+class TestBlock:
+    # rows 3:7 against the columns 3:12, so the block starts off the origin
+    N = 12
+
+    @staticmethod
+    def samples(dtype, seed):
+        # small integers, so every sum below is exact in any order
+        rng = np.random.default_rng(seed)
+        x = rng.integers(-9, 10, size=TestBlock.N).astype(dtype)
+        if dtype is complex:
+            x += 1j * rng.integers(-9, 10, size=TestBlock.N)
+        return x
+
+    def test_layout(self):
+        block = Block(slice(3, 7), self.N)
+        assert block.width == 4 and block.shape == (4, 9)
+        nodes = np.arange(self.N)
+        assert list(nodes[block.rows]) == [3, 4, 5, 6]
+        assert list(nodes[block.cols]) == list(range(3, 12))
+        assert list(nodes[block.tail]) == list(range(7, 12))
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_diff_and_outer_match_index_loops(self, dtype):
+        block = Block(slice(3, 7), self.N)
+        x, y = self.samples(dtype, 1), self.samples(dtype, 2)
+        diff, outer = block.diff(x), block.outer(x, y)
+        for i in range(3, 7):
+            for j in range(3, self.N):
+                assert diff[i - 3, j - 3] == x[i] - x[j]
+                assert outer[i - 3, j - 3] == x[i] * y[j]
+        out = np.empty(block.shape, dtype)
+        assert block.diff(x, out=out) is out and np.array_equal(out, diff)
+        assert block.outer(x, y, out=out) is out and np.array_equal(out, outer)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_sums_match_index_loops(self, dtype):
+        block = Block(slice(3, 7), self.N)
+        rng = np.random.default_rng(3)
+        values = rng.integers(-9, 10, size=block.shape).astype(dtype)
+        mirror = rng.integers(-9, 10, size=block.shape).astype(dtype)
+        diag = self.samples(dtype, 4)[block.rows]
+        by_row, by_column = block.sums(values.copy(), mirror, diag)
+        for i in range(3, 7):
+            want = diag[i - 3] + sum(values[i - 3, j - 3] for j in range(3, self.N) if j != i)
+            assert by_row[i - 3] == want
+        assert by_column.shape == (self.N - 7,)
+        for j in range(7, self.N):
+            assert by_column[j - 7] == sum(mirror[i - 3, j - 3] for i in range(3, 7))
+
+    def test_pair_matches_index_loop_and_serialises(self):
+        block = Block(slice(3, 7), self.N)
+        for k in range(block.shape[0] * block.shape[1]):
+            i, j = block.pair(np.int64(k))
+            assert (i, j) == (3 + k // 9, 3 + k % 9)
+            assert type(i) is int and type(j) is int
+        assert json.loads(json.dumps(block.pair(np.int64(10)))) == [4, 4]
+
+    def test_buffers_take_the_block_shape_and_are_reused(self):
+        first, second = Block(slice(0, 2), self.N), Block(slice(2, 5), self.N)
+        a, b = first.buffer("test", float), second.buffer("test", float)
+        assert a.shape == first.shape and b.shape == second.shape
+        assert np.shares_memory(a, b)
+        assert not np.shares_memory(a, first.buffer("test", complex))
 
 
 class TestAnalyticityRadius:
