@@ -56,14 +56,9 @@ def _load(args) -> ScenarioConfig:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        cfg = _load(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     out_dir = args.out or f"out-{args.scenario}"
     try:
-        status = run_scenario(args.scenario, cfg, out_dir)
+        status = run_scenario(_load(args), out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

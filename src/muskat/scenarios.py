@@ -1,12 +1,15 @@
 """Named scenarios and their artifact files.
 
-Every scenario writes into an output directory: a trajectory CSV with one
-row per recorded step, initial/final snapshots, a plot-data JSON with curve
-samples at selected times, and a report JSON with scenario-specific
-summaries.  Writes are atomic (temp file + rename).  A CSV row containing
-NaN is refused, while an infinite value is written as ``inf``; the JSON
-files write every non-finite number as null.  So a consumer never sees NaN
-output.
+Every scenario writes its artifacts into an output directory and returns
+the fields of its report.  ``flat``, ``linear_decay`` and ``turnover``
+write a trajectory CSV with one row per recorded step, initial/final
+snapshots and a plot-data JSON with curve samples at selected times;
+``perturbed_pair`` and ``f_kappa_build`` write their own CSV.
+:func:`run_scenario` writes the report, ``report.json``, last and maps the
+run's ending to the exit status.  Writes are atomic (temp file + rename).
+A CSV row containing NaN is refused, while an infinite value is written as
+``inf``; the JSON files write every non-finite number as null.  So a
+consumer never sees NaN output.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import os
 import numpy as np
 
 from . import core
-from .config import ScenarioConfig
+from .config import SCENARIOS, ScenarioConfig
 from .contour_ops import LiftedContour, garding_form, lambda_gamma, pairwise_cot, pv_cot_integral
 from .core import InterfaceState
 from .errors import (
@@ -78,8 +81,8 @@ def _write_plot_data(path: str, trajectory: Trajectory, grid: SpectralGrid,
 
 
 def _emit_trajectory(out_dir: str, cfg: ScenarioConfig, trajectory: Trajectory,
-                     grid: SpectralGrid, extra_columns: dict[str, list] | None = None,
-                     report: dict | None = None) -> int:
+                     grid: SpectralGrid, extra_columns: dict[str, list] | None = None) -> dict:
+    """Write the trajectory's artifacts; returns the report fields of how the run went."""
     header, rows = _trajectory_rows(trajectory, extra_columns)
     _write_csv(os.path.join(out_dir, "trajectory.csv"), header, rows)
     digest = cfg.digest()
@@ -94,21 +97,18 @@ def _emit_trajectory(out_dir: str, cfg: ScenarioConfig, trajectory: Trajectory,
     if trajectory.chord_arc_pair is not None:
         stop = {"chord_arc_pair": list(trajectory.chord_arc_pair),
                 "chord_arc_ratio": trajectory.chord_arc_ratio}
-    _write_report(out_dir, cfg, {"termination": trajectory.termination,
-                                 "records": len(trajectory.records),
-                                 "rhs_calls": trajectory.rhs_calls,
-                                 "rejected_steps": trajectory.rejected_steps,
-                                 **stop, **(report or {})})
-    return EXIT_OK if trajectory.termination == "reached_t_end" else EXIT_NUMERIC
+    return {"termination": trajectory.termination, "records": len(trajectory.records),
+            "rhs_calls": trajectory.rhs_calls, "rejected_steps": trajectory.rejected_steps,
+            **stop}
 
 
-def _scenario_flat(cfg: ScenarioConfig, out_dir: str) -> int:
+def _scenario_flat(cfg: ScenarioConfig, out_dir: str) -> dict:
     grid = SpectralGrid(cfg.run.n_modes)
     trajectory = run(InterfaceState.flat(grid), cfg.run)
     return _emit_trajectory(out_dir, cfg, trajectory, grid)
 
 
-def _scenario_linear_decay(cfg: ScenarioConfig, out_dir: str) -> int:
+def _scenario_linear_decay(cfg: ScenarioConfig, out_dir: str) -> dict:
     grid = SpectralGrid(cfg.run.n_modes)
     initial = InterfaceState(
         np.zeros(grid.n_modes, dtype=complex),
@@ -127,31 +127,26 @@ def _scenario_linear_decay(cfg: ScenarioConfig, out_dir: str) -> int:
         report["fitted_decay_rate"] = fitted_rate
         if expected:
             report["relative_error"] = abs(fitted_rate - expected) / abs(expected)
-    return _emit_trajectory(out_dir, cfg, trajectory, grid, extra, report)
+    return {**_emit_trajectory(out_dir, cfg, trajectory, grid, extra), **report}
 
 
-def _scenario_turnover(cfg: ScenarioConfig, out_dir: str) -> int:
+def _scenario_turnover(cfg: ScenarioConfig, out_dir: str) -> dict:
     grid = SpectralGrid(cfg.run.n_modes)
     initial = make_turnover_state(cfg.family, grid)
     trajectory = run(initial, cfg.run)
     minima = [diag.min_dz1 for diag in trajectory.diagnostics()]
     crossed = any(m < 0.0 for m in minima) and minima[0] > 0.0
     first_cross = next((t for t, m in zip(trajectory.times(), minima) if m < 0.0), None)
-    report = {
+    return {
+        **_emit_trajectory(out_dir, cfg, trajectory, grid),
         "turnover_detected": bool(crossed),
         "first_negative_time": first_cross,
         "min_over_run": min(minima),
-        "family": {
-            "slope_amplitude": cfg.family.slope_amplitude,
-            "steepening_rate": cfg.family.steepening_rate,
-            "mode_count": cfg.family.mode_count,
-            "vertical_amplitudes": list(cfg.family.vertical_amplitudes),
-        },
+        "family": dataclasses.asdict(cfg.family),
     }
-    return _emit_trajectory(out_dir, cfg, trajectory, grid, report=report)
 
 
-def _scenario_perturbed_pair(cfg: ScenarioConfig, out_dir: str) -> int:
+def _scenario_perturbed_pair(cfg: ScenarioConfig, out_dir: str) -> dict:
     grid = SpectralGrid(cfg.run.n_modes)
     base = InterfaceState(
         np.zeros(grid.n_modes, dtype=complex),
@@ -169,7 +164,7 @@ def _scenario_perturbed_pair(cfg: ScenarioConfig, out_dir: str) -> int:
         )
     rows = list(zip(monitor.times, monitor.distances))
     _write_csv(os.path.join(out_dir, "pair_distances.csv"), ("time", "h4_distance"), rows)
-    _write_report(out_dir, cfg, {
+    return {
         "termination": monitor.termination,
         "initial_distance": initial_distance,
         "max_ratio": max(monitor.distances) / initial_distance,
@@ -177,29 +172,22 @@ def _scenario_perturbed_pair(cfg: ScenarioConfig, out_dir: str) -> int:
         "min_quotient_of_squared_distance": monitor.min_quotient,
         "lambda": cfg.perturbation_lambda,
         "kappa": cfg.perturbation_kappa,
-    })
-    return EXIT_OK if monitor.termination == "reached_t_end" else EXIT_NUMERIC
+    }
 
 
-def _scenario_schedule_check(cfg: ScenarioConfig, out_dir: str) -> int:
+def _scenario_schedule_check(cfg: ScenarioConfig, out_dir: str) -> dict:
     grid = SpectralGrid(cfg.run.n_modes)
     margins = schedule_margins(cfg.schedule, grid)
     coupled = rt_coupled_margins(cfg.schedule, grid)
-    _write_report(out_dir, cfg, {
-        "schedule": {"A": cfg.schedule.A, "tau": cfg.schedule.tau, "kappa": cfg.schedule.kappa},
-        "margins": {
-            "h_positive": margins.h_positive,
-            "h_t_bound": margins.h_t_bound,
-            "handover": margins.handover,
-            "hbar_t_bound": margins.hbar_t_bound,
-        },
+    return {
+        "schedule": dataclasses.asdict(cfg.schedule),
+        "margins": dataclasses.asdict(margins),
         "rt_coupled_margins": {"h_domain": coupled[0], "hbar_domain": coupled[1]},
         "all_nonnegative": margins.all_nonnegative(),
-    })
-    return EXIT_OK
+    }
 
 
-def _scenario_operator_suite(cfg: ScenarioConfig, out_dir: str) -> int:
+def _scenario_operator_suite(cfg: ScenarioConfig, out_dir: str) -> dict:
     grid = SpectralGrid(512)
     rng = np.random.default_rng(cfg.seed)
     x = grid.nodes
@@ -256,22 +244,21 @@ def _scenario_operator_suite(cfg: ScenarioConfig, out_dir: str) -> int:
     rhs_side = row_sums.sum() * grid.dx / (8.0 * np.pi)
     quadratic_form_err = abs(lhs - rhs_side) / abs(lhs)
 
-    _write_report(out_dir, cfg, {
+    return {
         "lambda_multiplier_max_error": multiplier_err,
         "lambda_equals_hilbert_derivative_max_error": composition_err,
         "pv_cot_max_abs": pv_errs,
         "constant_height_reduction_max_error": reduction_err,
         "garding_sample_value": garding_value,
         "quadratic_form_relative_error": quadratic_form_err,
-    })
-    return EXIT_OK
+    }
 
 
 #: coefficient band of the f_kappa analyticity-radius fit
 _F_KAPPA_FIT_BAND = (8, 40)
 
 
-def _scenario_f_kappa_build(cfg: ScenarioConfig, out_dir: str) -> int:
+def _scenario_f_kappa_build(cfg: ScenarioConfig, out_dir: str) -> dict:
     if cfg.run.n_modes // 2 < _F_KAPPA_FIT_BAND[1]:
         raise ConfigError(
             f"[run] n_modes: f_kappa_build fits wavenumbers {_F_KAPPA_FIT_BAND}, "
@@ -294,13 +281,12 @@ def _scenario_f_kappa_build(cfg: ScenarioConfig, out_dir: str) -> int:
         datum = log_datum(kappa, grid)
     finite = np.isfinite(datum)
     datum_err = float(np.abs(d4[finite] - datum[finite]).max())
-    _write_report(out_dir, cfg, {
+    return {
         "kappa": kappa,
         "max_coefficient_deviation": float(deviation.max()),
         "fourth_derivative_vs_log_datum_max_error": datum_err,
         "analyticity_radius": grid.analyticity_radius(coeffs, _F_KAPPA_FIT_BAND),
-    })
-    return EXIT_OK
+    }
 
 
 _SCENARIO_TABLE = {
@@ -314,22 +300,31 @@ _SCENARIO_TABLE = {
 }
 
 
-def run_scenario(name: str, cfg: ScenarioConfig, out_dir: str) -> int:
-    """Execute a scenario, writing its artifacts; returns the exit status."""
-    if name not in _SCENARIO_TABLE:
-        raise ConfigError(f"unknown scenario {name!r}")
+# a name in SCENARIOS with no function behind it would be a KeyError traceback
+assert set(_SCENARIO_TABLE) == set(SCENARIOS)
+
+
+def run_scenario(cfg: ScenarioConfig, out_dir: str) -> int:
+    """Execute ``cfg``'s scenario and write its ``report.json`` last; returns the exit status.
+
+    The one exit rule: a numeric error, or a ``termination`` other than
+    ``reached_t_end``, is exit 3; a scenario that does not step in time
+    reports no termination and exits 0.  A ``ConfigError`` raised by the
+    scenario is reported in the output directory and re-raised.
+    """
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise OSError(f"cannot create output directory {out_dir}: {exc}") from exc
     try:
-        return _SCENARIO_TABLE[name](cfg, out_dir)
+        report = _SCENARIO_TABLE[cfg.scenario](cfg, out_dir)
     except ConfigError as exc:
-        # report the rejected config in the directory already created, then
-        # let the caller exit 2
-        _write_report(out_dir, cfg, {"scenario": name, "error": str(exc)})
+        _write_report(out_dir, cfg, {"error": str(exc)})
         raise
     except (DegenerateGeometryError, DegenerateParametrizationError, BlowupError,
             UndefinedRadiusError) as exc:
-        _write_report(out_dir, cfg, {"scenario": name, "error": str(exc)})
+        _write_report(out_dir, cfg, {"error": str(exc)})
         return EXIT_NUMERIC
+    _write_report(out_dir, cfg, report)
+    ended = report.get("termination", "reached_t_end")
+    return EXIT_OK if ended == "reached_t_end" else EXIT_NUMERIC

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,9 +59,15 @@ def finite_or_null(value):
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write via a sibling temp file and rename, so readers never see a torn file."""
+    """Write via a sibling temp file and rename, so readers never see a torn file.
+
+    The file gets the mode a plain ``open(path, "w")`` gives, 0o666 less the
+    umask, which the kernel applies to ``os.open``; ``tempfile.mkstemp``
+    would make every artifact 0o600.
+    """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}.part")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import stat
 import tempfile
 
 import numpy as np
@@ -19,7 +20,7 @@ from muskat.initial_data import GraphFamilyParams
 from muskat.integrator import RunConfig
 from muskat.scenarios import run_scenario
 from muskat.schedules import HeightSchedule
-from muskat.snapshots import load_snapshot, save_snapshot, write_json
+from muskat.snapshots import atomic_write_text, load_snapshot, save_snapshot, write_json
 
 from conftest import run_with_blas_threads
 
@@ -163,6 +164,25 @@ class TestSnapshots:
         write_json(str(path), {"b": [1.5, math.inf], "a": {"c": (2, -math.nan)}})
         assert path.read_text() == '{"a": {"c": [2,\nnull]},\n"b": [1.5,\nnull]}'
 
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                             ids=["umask_022", "umask_077"])
+    def test_written_file_mode_follows_the_umask(self, tmp_path, umask, mode):
+        # the mode open(path, "w") gives, so plot_data.json is readable by others
+        path = tmp_path / "out.json"
+        old = os.umask(umask)
+        try:
+            write_json(str(path), {"a": 1})
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(path.stat().st_mode) == mode
+        assert os.listdir(tmp_path) == ["out.json"]
+
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        # a lone surrogate cannot be encoded as UTF-8
+        with pytest.raises(UnicodeEncodeError):
+            atomic_write_text(str(tmp_path / "out.txt"), "\ud800")
+        assert os.listdir(tmp_path) == []
+
     def test_corrupt_header_raises_cleanly(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"format": "something-else", "version": 1}')
@@ -232,7 +252,7 @@ class TestScenarios:
         cfg = load_config_text(
             "[run]\nscenario = flat\nn_modes = 64\ndt = 0.05\nt_end = 0.5\n"
         )
-        status = run_scenario("flat", cfg, str(tmp_path))
+        status = run_scenario(cfg, str(tmp_path))
         assert status == 0
         header, rows = read_csv(tmp_path / "trajectory.csv")
         assert header[:6] == [
@@ -272,7 +292,7 @@ class TestScenarios:
         cfg = load_config_text(
             "[run]\nscenario = linear_decay\nn_modes = 128\nrecord_every = 25\n"
         )
-        status = run_scenario("linear_decay", cfg, str(tmp_path))
+        status = run_scenario(cfg, str(tmp_path))
         assert status == 0
         report = json.loads((tmp_path / "report.json").read_text())
         assert abs(report["fitted_decay_rate"] - 2 * np.pi) <= 0.05 * 2 * np.pi
@@ -311,7 +331,7 @@ class TestScenarios:
 
     def test_f_kappa_build_emits_deviation(self, tmp_path):
         cfg = load_config_text("[run]\nscenario = f_kappa_build\nn_modes = 256\n")
-        status = run_scenario("f_kappa_build", cfg, str(tmp_path))
+        status = run_scenario(cfg, str(tmp_path))
         assert status == 0
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["max_coefficient_deviation"] <= 1e-10
@@ -336,7 +356,7 @@ class TestScenarios:
                              ids=["in_regime", "vacuous_h_t_bound"])
     def test_schedule_check_reports_margins(self, tmp_path, schedule):
         cfg = load_config_text(f"[run]\nscenario = schedule_check\n[schedule]\n{schedule}")
-        status = run_scenario("schedule_check", cfg, str(tmp_path))
+        status = run_scenario(cfg, str(tmp_path))
         assert status == 0
         report = strict_json((tmp_path / "report.json").read_text())
         if cfg.schedule.A == 10.0:
@@ -350,7 +370,7 @@ class TestScenarios:
 
     def test_operator_suite_reports_small_errors(self, tmp_path):
         cfg = load_config_text("[run]\nscenario = operator_suite\n")
-        status = run_scenario("operator_suite", cfg, str(tmp_path))
+        status = run_scenario(cfg, str(tmp_path))
         assert status == 0
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["lambda_multiplier_max_error"] < 1e-8
@@ -363,7 +383,7 @@ class TestScenarios:
         cfg = load_config_text(
             "[run]\nscenario = turnover\nn_modes = 128\nt_end = 0.02\nrecord_every = 4\n"
         )
-        status = run_scenario("turnover", cfg, str(tmp_path))
+        status = run_scenario(cfg, str(tmp_path))
         assert status == 0
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["turnover_detected"] is True
@@ -375,7 +395,7 @@ class TestScenarios:
         cfg = load_config_text(
             "[run]\nscenario = perturbed_pair\nn_modes = 128\nt_end = 0.05\n"
         )
-        status = run_scenario("perturbed_pair", cfg, str(tmp_path))
+        status = run_scenario(cfg, str(tmp_path))
         assert status == 0
         report = json.loads((tmp_path / "report.json").read_text())
         assert 0.0 < report["max_ratio"] <= 1.5
@@ -390,7 +410,7 @@ class TestScenarios:
             "[run]\nscenario = turnover\nn_modes = 128\nt_end = 0.02\n"
             "chord_arc_floor = 0.5\nstop_on = chord_arc_floor\n"
         )
-        status = run_scenario("turnover", cfg, str(tmp_path))
+        status = run_scenario(cfg, str(tmp_path))
         assert status == 3
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["termination"] == "chord_arc_floor"
@@ -560,9 +580,22 @@ class TestCli:
 
         monkeypatch.setitem(scenarios._SCENARIO_TABLE, "flat", degenerate)
         cfg = load_config_text("[run]\nscenario = flat\n")
-        assert run_scenario("flat", cfg, str(tmp_path)) == 3
+        assert run_scenario(cfg, str(tmp_path)) == 3
         report = json.loads((tmp_path / "report.json").read_text())
         assert "tangent norm vanishes" in report["error"]
+
+    @pytest.mark.parametrize("fields, status", [
+        ({"kappa": 0.2}, 0),
+        ({"termination": "reached_t_end"}, 0),
+        ({"termination": "rt_sign", "records": 1}, 3),
+    ], ids=["no_termination", "reached_t_end", "stopped"])
+    def test_run_scenario_writes_the_report_and_maps_the_termination(
+            self, tmp_path, monkeypatch, fields, status):
+        monkeypatch.setitem(scenarios._SCENARIO_TABLE, "flat", lambda cfg, out_dir: fields)
+        cfg = load_config_text("[run]\nscenario = flat\n")
+        assert run_scenario(cfg, str(tmp_path)) == status
+        report = strict_json((tmp_path / "report.json").read_text())
+        assert report == {"scenario": "flat", "config_digest": cfg.digest(), **fields}
 
 
 class TestCliDirections:
@@ -608,6 +641,31 @@ _FUZZ_KEYS = {
 }
 _FUZZ_ALWAYS = (("run", "n_modes"), ("run", "dt"), ("run", "t_end"))
 
+#: per command-line flag: values that parse, then bad tokens.  Never more
+#: than 128 modes or a step below 1e-3: over |t_end| = 0.02 a run takes at
+#: most 20 steps
+_FUZZ_FLAGS = {
+    "modes": (["8", "16", "32", "64", "128"], ["4", "100", "0", "-1", "abc", "", "nan"]),
+    "cutoff": (["1", "2", "5", ""], ["0", "-1", "100", "abc", "nan"]),
+    "dt": (["1e-3", "4e-3", "1e-2"], ["0", "-1e-3", "nan", "inf", "abc", ""]),
+    "direction": (["fwd", "bwd", "forward", "backward"], ["sideways", ""]),
+}
+
+
+@st.composite
+def fuzz_flags(draw, scenario: str) -> tuple[list[str], str]:
+    """(argv, INI text): any of the flags at values that parse, then at most
+    one at a bad token, over a file whose t_end lies in the drawn direction."""
+    flags = {flag: draw(st.sampled_from(good)) for flag, (good, _) in _FUZZ_FLAGS.items()
+             if draw(st.booleans())}
+    t_end = -0.02 if flags.get("direction") in ("bwd", "backward") else 0.02
+    for flag in draw(st.lists(st.sampled_from(list(_FUZZ_FLAGS)), max_size=1)):
+        flags[flag] = draw(st.sampled_from(_FUZZ_FLAGS[flag][1]))
+    n_modes = 128 if scenario == "f_kappa_build" else 32
+    text = f"[run]\nscenario = {scenario}\nn_modes = {n_modes}\ndt = 1e-3\nt_end = {t_end}\n"
+    # --flag=value: argparse would take a value such as -1e-3 for an option
+    return [scenario, *(f"--{flag}={value}" for flag, value in flags.items())], text
+
 
 @st.composite
 def fuzz_config(draw, scenario: str) -> str:
@@ -644,6 +702,31 @@ class TestExitCodeContract:
             assert status in (0, 2, 3, 4)
             assert "Traceback" not in err.getvalue()
             report = os.path.join(out, "report.json")
+            if os.path.exists(report):
+                with open(report, encoding="utf-8") as handle:
+                    strict_json(handle.read())
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_any_flags_exit_with_a_contract_code(self, scenario, data):
+        argv, text = data.draw(fuzz_flags(scenario), label="flags")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "cfg.ini")
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            out = os.path.join(tmp, "o")
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                try:
+                    status = main([*argv, "--config", path, "--out", out])
+                except SystemExit as exc:  # argparse refuses a --direction choice
+                    status = exc.code
+            assert status in (0, 2, 3, 4)
+            assert "Traceback" not in err.getvalue()
+            report = os.path.join(out, "report.json")
+            if status in (0, 3):
+                assert os.path.exists(report)
             if os.path.exists(report):
                 with open(report, encoding="utf-8") as handle:
                     strict_json(handle.read())
