@@ -26,12 +26,18 @@ q = |w_i - w_j|^2,
     K = 2 (v_i u_j - u_i v_j) / q,   cosh(dz2) - cos(dz1) = q e^{z2_i} e^{z2_j} / 2;
 
 on a lifted contour the denominator is the same product of
-W+-_i - W+-_j, W+- = e^{i(z1 +- i z2)}.  q is exactly symmetric and the
-cross product exactly antisymmetric, because IEEE products commute, so
-each pair's mirror is free.  The chord-arc check is taken in the same pass,
+W+-_i - W+-_j, W+- = e^{i(z1 +- i z2)}.  On the flat grid a block forms
+u_i - u_j, v_i - v_j, c_i c_j and the cross product as BLAS products of
+O(N) factor tables (:attr:`KernelWorkspace.exp_factors`); the first three
+have exact products, so q and the chord-arc ratio are the broadcast forms
+bit for bit, exactly symmetric.  The cross product may round K_ij and K_ji
+apart where BLAS fuses a multiply-add, so no sum relies on K's exact
+antisymmetry: each mirror is -K_ij by construction, as the column sums
+read the same block.  The chord-arc check is taken in the same pass,
 against the grid-only wrapped distance, a view of an O(N) table.  A
 kernel-difference integral sum_j K_ij (a_i - a_j) is a_i (K 1)_i - (K a)_i,
-so each block reduces it by two matrix products.  The principal-value
+linear in K, so each block adds two matrix products to one (N, 3) sum,
+combined once after the sweep.  The principal-value
 integral cancels K's pole against a cotangent's and keeps both in the
 half-angle form of the node differences, whose rounding cancels with them.
 On a lifted contour each complex half-angle term is assembled from the
@@ -53,7 +59,7 @@ from numpy.typing import NDArray
 
 from .contour_ops import LiftedContour, half_angle_parts, pairwise_cot
 from .errors import DegenerateGeometryError
-from .grid import Block, SpectralGrid
+from .grid import Block, SpectralGrid, factor_tables
 
 DEFAULT_CHORD_ARC_FLOOR = 1e-4
 
@@ -149,11 +155,16 @@ class KernelWorkspace:
     jac: dw/du weights (ones on the flat torus).
     der: node samples, shape (max_order + 1, 2, N): der[k] = (d^k z1, d^k z2),
         identity parts included, so der[0] is the curve and der[1, 0] = z1'.
+    flat: whether the samples are real (the flat grid), set from ``der``.
     """
 
     zeta: NDArray
     jac: NDArray
     der: NDArray = field(repr=False)
+    flat: bool = field(init=False)
+
+    def __post_init__(self):
+        self.flat = not np.iscomplexobj(self.der)
 
     @property
     def z1(self) -> NDArray:
@@ -177,11 +188,27 @@ class KernelWorkspace:
         W+- = e^{i(z1 +- i z2)}, q = (W+_i - W+_j)(W-_i - W-_j), and
         c = i e^{-i z1} / sqrt(2).  O(N) transcendentals, taken once.
         """
-        if np.isrealobj(self.z1):
+        if self.flat:
             scale = np.exp(-self.z2)
             return scale * np.cos(self.z1), scale * np.sin(self.z1), np.sqrt(0.5) / scale
         return (np.exp(1j * self.z1 - self.z2), np.exp(1j * self.z1 + self.z2),
                 1j * np.sqrt(0.5) * np.exp(-1j * self.z1))
+
+    @functools.cached_property
+    def exp_factors(self) -> tuple[NDArray, NDArray]:
+        """Flat grid: factor tables of the pair geometry, for :meth:`Block.product`.
+
+        Four rank-2 entries (:func:`factor_tables`): u_i - u_j and v_i - v_j,
+        the broadcast differences bit for bit up to a zero's sign, which q
+        squares away; c_i c_j, the broadcast outer product bit for bit
+        (c > 0) and about 2.5x faster; and 2 (v_i u_j - u_i v_j), K's cross
+        product, where a fused multiply-add may round once where the
+        broadcast form rounds twice.  O(N), formed once.
+        """
+        u, v, c = self.exp_map
+        one, zero = np.ones_like(u), np.zeros_like(u)
+        return factor_tables(([u, one], [one, -u]), ([v, one], [one, -v]),
+                             ([c, zero], [c, zero]), ([2.0 * v, -2.0 * u], [u, v]))
 
 
 def build_workspace(
@@ -227,88 +254,76 @@ def _node_distance(n_modes: int) -> NDArray:
     return sliding_window_view(np.stack([dist, dist**2]), n_modes, axis=1)[:, ::-1]
 
 
-def _distance_sq(zeta: NDArray, block: Block) -> NDArray:
+def _distance_sq(ws: KernelWorkspace, block: Block) -> NDArray:
     """(||Re(zi - zj)|| + |Im(zi - zj)|)^2 over a block's pairs, diagonal 1.
 
-    ``zeta`` is the grid, or the grid lifted by i*sign*h; its real parts
+    ``ws.zeta`` is the grid, or the grid lifted by i*sign*h; its real parts
     are the nodes, so their wrapped distance is read from the cached view.
     """
-    dist, dist_sq = _node_distance(len(zeta))[:, block.rows, block.cols]
-    if np.isrealobj(zeta):
+    dist, dist_sq = _node_distance(len(ws.zeta))[:, block.rows, block.cols]
+    if ws.flat:
         return dist_sq
-    return (dist + np.abs(block.diff(zeta.imag))) ** 2
+    return (dist + np.abs(block.diff(ws.zeta.imag))) ** 2
 
 
 class PairBlock(Block):
-    """A :class:`~muskat.grid.Block` of a workspace's exp-map pair geometry.
+    """A :class:`~muskat.grid.Block` of :func:`pair_sweep`, with its exp-map pair geometry.
 
-    The arrays are views of reused buffers, valid until the next block.  It
-    carries the exp-map geometry only: a consumer that needs the node
-    differences themselves, as the half-angle PV integrand does, forms
-    them from ``ws``.
+    The geometry is formed on construction, once per block, into reused
+    buffers valid until the next block.  It is the exp-map geometry only: a
+    consumer that needs the node differences themselves, as the half-angle
+    PV integrand does, forms them from ``ws``.
 
     q: |w_i - w_j|^2 on the flat grid, (W+_i - W+_j)(W-_i - W-_j) on a
         lifted contour (see :attr:`KernelWorkspace.exp_map`); diagonal 1.
         cosh(dz2) - cos(dz1) = q_ij c_i c_j.
+    ratio: the chord-arc ratio |q| |c_i| |c_j| / distance^2, diagonal inf,
+        with distance = ||Re(zeta_i - zeta_j)|| + |Im(zeta_i - zeta_j)|.
+        The outer product is formed first, so the ratio is exactly
+        symmetric, as q is.
     """
 
-    def __init__(self, rows: slice, ws: KernelWorkspace, q: NDArray):
-        super().__init__(rows, len(ws.zeta))
-        self.ws, self.q = ws, q
-        self._differences: dict = {}
+    def __init__(self, rows: slice, n: int, ws: KernelWorkspace):
+        super().__init__(rows, n)
+        self.ws = ws
+        if ws.flat:
+            # Delta u, Delta v and c_i c_j in one product; Delta v's array
+            # is free once q is formed, and K takes it over
+            stack = self.buffers("geometry", 3)
+            self.q, self._scratch, self.ratio = stack
+            left, right = ws.exp_factors
+            self.product(left[:3], right[:3], out=stack)
+            np.square(stack[:2], out=stack[:2])
+            self.q += self._scratch
+            self.ratio *= self.q
+        else:
+            a, b, c = ws.exp_map
+            self.q, scratch = self.buffers("lifted geometry", 2, np.complex128)
+            self.ratio = self.buffers("geometry", 3)[2]
+            self.diff(a, out=self.q)
+            self.q *= self.diff(b, out=scratch)
+            scale = np.abs(c)
+            self.outer(scale, scale, out=self.ratio)
+            self.ratio *= np.abs(self.q, out=scratch.real)
+        self.ratio /= _distance_sq(ws, self)
+        self.fill_diagonal(self.q, 1.0)
+        self.fill_diagonal(self.ratio, np.inf)
 
     @functools.cached_property
     def kern(self) -> NDArray:
         """K(x_i, x_j) = 2 (v_i u_j - u_i v_j) / q on the flat grid, zero on the diagonal.
 
-        The cross product is exactly antisymmetric and vanishes on the
-        diagonal, where q = 1.
+        The cross product vanishes on the diagonal, where q = 1.  Its BLAS
+        product may round K_ij and K_ji apart by an ulp; the sums take each
+        pair's mirror from the pair, as -K_ij, so they do not rely on the
+        cross product's antisymmetry.
         """
-        if np.iscomplexobj(self.q):
+        if not self.ws.flat:
             raise NotImplementedError("the exp-map kernel is formed on the flat grid only")
-        u, v, _ = self.ws.exp_map
-        # the factor 2 scales the block's rows only, not all N nodes
-        kern = np.multiply(2.0 * v[self.rows, None], u[None, self.cols],
-                           out=self.buffer("kern", self.q.dtype))
-        kern -= np.multiply(2.0 * u[self.rows, None], v[None, self.cols],
-                            out=self.buffer("scratch", self.q.dtype))
+        left, right = self.ws.exp_factors
+        kern = self.product(left[3], right[3], out=self._scratch)
         kern /= self.q
         return kern
-
-    def difference(self, mu: int, order: int) -> NDArray:
-        """d^k z_mu(x_i) - d^k z_mu(x_j) over the block, formed once per block."""
-        key = (mu, order)
-        if key not in self._differences:
-            values = self.ws.der[order, mu - 1]
-            out = self.buffer(f"d{order}z{mu}", values.dtype)
-            self._differences[key] = self.diff(values, out=out)
-        return self._differences[key]
-
-
-def _block_geometry(ws: KernelWorkspace, block: Block):
-    """q and the chord-arc ratio |den| / distance^2 of one block, no transcendental per pair.
-
-    |den| = |q| |c_i| |c_j| with the outer product formed first, so the
-    ratio is exactly symmetric, as q is.
-    """
-    a, b, c = ws.exp_map
-    q, scratch = (block.buffer(name, ws.z1.dtype) for name in ("q", "scratch"))
-    ratio = block.buffer("ratio", np.float64)
-    block.diff(a, out=q)
-    block.diff(b, out=scratch)
-    if np.isrealobj(q):
-        np.square(q, out=q)
-        q += np.square(scratch, out=scratch)
-        modulus, scale = q, c
-    else:
-        q *= scratch
-        modulus, scale = np.abs(q, out=scratch.real), np.abs(c)
-    block.outer(scale, scale, out=ratio)
-    ratio *= modulus
-    ratio /= _distance_sq(ws.zeta, block)
-    np.fill_diagonal(q, 1.0)
-    np.fill_diagonal(ratio, np.inf)
-    return q, ratio
 
 
 def pair_sweep(
@@ -319,14 +334,14 @@ def pair_sweep(
 ) -> tuple[list[NDArray], tuple[float, tuple[int, int]]]:
     """Row quadratures of kernel integrands and the chord-arc constant, in one sweep.
 
-    For each row block of :meth:`SpectralGrid.pair_quadrature` this forms a
-    :class:`PairBlock` (q once) and takes its chord-arc minimum
-    |den| / distance^2, den = q_ij c_i c_j, before anything divides by q.
-    ``sums(block)`` then yields the block's row sums and mirror column sums
-    of each integrand, the same number for every block, which
-    ``pair_quadrature`` adds up.  The block's arrays are reused by the next
-    block and sweep on the same thread, so ``sums`` must not start another
-    sweep.
+    Each row block of :meth:`SpectralGrid.pair_quadrature` is a
+    :class:`PairBlock` (q once), whose chord-arc minimum
+    |den| / distance^2, den = q_ij c_i c_j, is taken before anything
+    divides by q.  ``sums(block)`` then yields the block's row sums and
+    mirror column sums of each integrand, the same number for every block,
+    which ``pair_quadrature`` adds up.  The block's arrays are reused by
+    the next block and sweep on the same thread, so ``sums`` must not start
+    another sweep.
 
     Args:
         ws: Node samples.
@@ -344,24 +359,23 @@ def pair_sweep(
             the floor on, no integrand is built; the sweep finishes the
             minimum on the geometry alone.
     """
-    minima, pairs = [], []
+    minima, where = [], []
     degenerate = False
 
-    def sweep(block: Block):
+    def sweep(block: PairBlock):
         # eager, not a generator: with no integrands nothing would run it
         nonlocal degenerate
-        q, ratio = _block_geometry(ws, block)
-        k = np.argmin(ratio)
-        minima.append(ratio.flat[k])
-        pairs.append(block.pair(k))
+        k = block.ratio.argmin()
+        minima.append(block.ratio.flat[k])
+        where.append((block, k))
         degenerate = degenerate or (floor is not None and minima[-1] < floor)
         if sums is None or degenerate:
             return ()
-        return sums(PairBlock(block.rows, ws, q))
+        return sums(block)
 
-    totals = grid.pair_quadrature(sweep, ws.z1.dtype)
+    totals = grid.pair_quadrature(sweep, ws.der.dtype, functools.partial(PairBlock, ws=ws))
     best = int(np.argmin(minima))
-    chord_arc, pair = float(minima[best]), pairs[best]
+    chord_arc, pair = float(minima[best]), where[best][0].pair(where[best][1])
     if degenerate:
         raise DegenerateGeometryError(
             f"chord-arc constant {chord_arc:.3e} below floor {floor:.3e} at pair {pair}",
@@ -401,36 +415,39 @@ def rhs(
         DegenerateGeometryError: chord-arc constant below the floor.
     """
     ws = build_workspace(state, grid, None, 2)
-    values, _ = pair_sweep(ws, grid, kernel_difference_sums(ws, 1), floor)
-    return grid.to_spectral(np.stack(values))
+    sums, finish = kernel_difference_sums(ws, grid, 1)
+    (total,), _ = pair_sweep(ws, grid, sums, floor)
+    return grid.to_spectral(np.stack(finish(total)))
 
 
 def kernel_difference_sums(
-    ws: KernelWorkspace, order: int
-) -> Callable[[PairBlock], list[tuple[NDArray, NDArray]]]:
-    """Block sums of K(x, u) (d^k z_mu(x) - d^k z_mu(u)), mu = 1, 2, on the flat grid.
+    ws: KernelWorkspace, grid: SpectralGrid, order: int
+) -> tuple[Callable[[PairBlock], list[tuple[NDArray, NDArray]]],
+           Callable[[NDArray], list[NDArray]]]:
+    """Block sums of K(x, u) (d^k z_mu(x) - d^k z_mu(u)), mu = 1, 2, on the flat grid, and their finish.
 
     ``ws`` holds derivatives up to k + 1.  Order 1 is the right-hand side in
     physical space, order 5 the dangerous term of its fourth derivative.
     With A = [1, d^k z1, d^k z2] (N x 3), sum_j K_ij (a_i - a_j) is
-    a_i (K 1)_i - (K a)_i, so a block takes one matrix product for its rows
-    and one for the columns beyond its diagonal sub-block; K and the
-    difference are both antisymmetric, so the integrand is its own mirror.
-    The row sums add the diagonal limit 2 z1' d^{k+1} z_mu / T,
-    T = (z1')^2 + (z2')^2.
+    a_i (K 1)_i - (K a)_i, linear in K.  So the sweep adds up one (N, 3)
+    integrand: K A over each block, and for the mirror -K_ij of each pair
+    beyond the diagonal sub-block, -K^T A over the tail, two matrix
+    products per block and no other arithmetic.  ``finish`` turns that
+    quadrature into the two row quadratures, with the diagonal limit
+    2 z1' d^{k+1} z_mu / T, T = (z1')^2 + (z2')^2.
     """
     columns = np.column_stack([np.ones_like(ws.z1), *ws.der[order]])
-    diagonals = (2.0 * ws.der[1, 0] * ws.der[order + 1] / ws.tangent_sq).T
+    negated = -columns
+    diagonals = 2.0 * ws.der[1, 0] * ws.der[order + 1] / ws.tangent_sq
 
     def sums(block: PairBlock) -> list[tuple[NDArray, NDArray]]:
-        rows = block.rows
-        by_row = block.kern @ columns[block.cols]
-        by_column = block.kern[:, block.width:].T @ columns[rows]
-        by_row = columns[rows, 1:] * by_row[:, :1] - by_row[:, 1:] + diagonals[rows]
-        by_column = by_column[:, 1:] - columns[block.tail, 1:] * by_column[:, :1]
-        return [(by_row[:, 0], by_column[:, 0]), (by_row[:, 1], by_column[:, 1])]
+        kern = block.kern
+        return [(kern @ columns[block.cols], kern[:, block.width:].T @ negated[block.rows])]
 
-    return sums
+    def finish(total: NDArray) -> list[NDArray]:
+        return list(columns[:, 1:].T * total[:, 0] - total[:, 1:].T + grid.dx * diagonals)
+
+    return sums, finish
 
 
 def _half_angle_kernel(ws: KernelWorkspace, block: Block) -> NDArray:

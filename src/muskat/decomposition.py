@@ -24,7 +24,7 @@ from numpy.typing import NDArray
 
 from .core import DEFAULT_CHORD_ARC_FLOOR, InterfaceState, PairBlock, build_workspace
 from .core import kernel_difference_sums, pair_sweep
-from .grid import SpectralGrid
+from .grid import SpectralGrid, factor_tables
 
 #: Leibniz coefficients of the six safe terms, in expansion order.
 SAFE_COEFFICIENTS = (4.0, -4.0, -4.0, 1.0, -1.0, -1.0)
@@ -84,41 +84,48 @@ def rhs_d4_decomposition(
     safe_terms = [(c, first or mu, f, fourth or mu)
                   for c, (first, f, fourth) in zip(SAFE_COEFFICIENTS, SAFE_TERMS) for mu in (1, 2)]
     safe_diagonals = [c * der[2, a - 1] * weights[f] * der[5, b - 1] for c, a, f, b in safe_terms]
-    dangerous_sums, rhs_sums = kernel_difference_sums(ws, 5), kernel_difference_sums(ws, 1)
+    (dangerous_sums, dangerous_finish), (rhs_sums, rhs_finish) = (
+        kernel_difference_sums(ws, grid, order) for order in (5, 1))
     u, v, _ = ws.exp_map
-    w_sq = np.exp(-2.0 * ws.z2)
+    one = np.ones_like(u)
+    # factor tables of the block arrays the safe terms take, all six formed
+    # by one product per block: the differences of d z_mu and d^4 z_mu
+    # (slots 0-3), |w_j|^2 - |w_i|^2 = (-|w_i|^2) - (-|w_j|^2) (slot 4),
+    # and 2 (u_i u_j + v_i v_j) (slot 5)
+    differences = (*der[1], *der[4], -np.exp(-2.0 * ws.z2))
+    left, right = factor_tables(*(([x, one], [one, -x]) for x in differences),
+                                ([2.0 * u, 2.0 * v], [u, v]))
 
     def integrands(block: PairBlock):
         yield from dangerous_sums(block)
+        yield from rhs_sums(block)
         # rational in w = u + iv, with q = |w_i - w_j|^2: cos(dz1)/den is
         # 2 (u_i u_j + v_i v_j)/q and sinh(dz2)/den is (|w_j|^2 - |w_i|^2)/q.
         # All three fragments are symmetric and the two differences
-        # antisymmetric: every safe integrand is its own mirror
-        cos_frag = block.outer(u, u)
-        # the product is then reused for each safe integrand in turn
-        values = block.outer(v, v)
-        cos_frag += values
-        cos_frag *= 2.0
+        # antisymmetric: every safe integrand is its own mirror, taken from
+        # the pair (K_ij and K_ji may round apart by an ulp)
+        stack = block.buffers("decomposition", 7)
+        products, values = stack[:6], stack[6]
+        block.product(left, right, out=products)
+        cos_frag, sinh_frag = products[5], products[4]
         cos_frag /= block.q
-        sinh_frag = block.diff(w_sq)
-        # negation is exact: w_sq_j - w_sq_i bit for bit
-        np.negative(sinh_frag, out=sinh_frag)
         sinh_frag /= block.q
         sinh_frag *= block.kern
-        fragments = (cos_frag, sinh_frag, np.square(block.kern))
+        # the kernel sums are taken, so K^2 may overwrite K
+        fragments = (cos_frag, sinh_frag, np.square(block.kern, out=block.kern))
         for (c, a, f, b), diag in zip(safe_terms, safe_diagonals):
-            np.multiply(block.difference(a, 1), fragments[f], out=values)
-            values *= block.difference(b, 4)
+            # slot a - 1 holds the difference of d z_a, slot b + 1 that of d^4 z_b
+            np.multiply(products[a - 1], fragments[f], out=values)
+            values *= products[b + 1]
             values *= c
             yield block.sums(values, values, diag[block.rows])
-        yield from rhs_sums(block)
 
     sums, _ = pair_sweep(ws, grid, integrands, floor)
-    dangerous = ComponentPair(*sums[:2])
+    dangerous = ComponentPair(*dangerous_finish(sums[0]))
     safe = tuple(ComponentPair(*sums[2 + 2 * j:4 + 2 * j]) for j in range(len(SAFE_TERMS)))
     # order 1 of the kernel difference is the right-hand side in physical space
     d4 = ComponentPair(*(grid.from_spectral(grid.derivative(grid.to_spectral(values), 4))
-                         for values in sums[-2:]))
+                         for values in rhs_finish(sums[1])))
     easy = ComponentPair(
         d4.d1 - dangerous.d1 - sum(s.d1 for s in safe),
         d4.d2 - dangerous.d2 - sum(s.d2 for s in safe),

@@ -130,32 +130,41 @@ class SpectralGrid:
         return values.sum() * self.dx
 
     def pair_quadrature(
-        self, sums: Callable[[Block], Iterable[tuple[NDArray, NDArray]]], dtype,
+        self,
+        sums: Callable[[Block], Iterable[tuple[NDArray, NDArray]]],
+        dtype,
+        block: Callable[[slice, int], Block] | None = None,
     ) -> list[NDArray]:
         """Trapezoid rule along the rows of pairwise integrands, in one triangle sweep.
 
-        The pairs are tiled in blocks (:class:`Block`) of at most
-        ``_BLOCK_BYTES`` per ``dtype`` array.  For each integrand,
-        ``sums(block)`` yields one pair, its row sums over the block and its
-        mirror's column sums over the block's tail, which this adds up.
+        The pairs are tiled in blocks of at most ``_BLOCK_BYTES`` per
+        ``dtype`` array, each described by one :class:`Block`, or by
+        ``block(rows, N)`` for a caller that carries more per block.  For
+        each integrand, ``sums(block)`` yields one pair, its row sums over
+        the block and its mirror's column sums over the block's tail, which
+        this adds up.
 
-        The first block that yields anything sets the number of integrands;
+        An integrand's pair may carry trailing axes, (width, ...) and
+        (N - r1, ...), for several quadratures summed at once.  The first
+        block that yields anything sets the number of integrands;
         a later block that yields a different number raises ValueError, and
         one that yields nothing (a sweep stopped by its caller) is skipped.
         """
         n = self.n_modes
+        block = block or Block
         totals: list[NDArray] = []
         per_block = _BLOCK_BYTES // np.dtype(dtype).itemsize
         r0 = 0
         while r0 < n:
-            block = Block(slice(r0, min(n, r0 + max(1, per_block // (n - r0)))), n)
-            pairs = list(sums(block))
+            current = block(slice(r0, min(n, r0 + max(1, per_block // (n - r0)))), n)
+            pairs = list(sums(current))
             if pairs:
-                totals = totals or [np.zeros(n, dtype=dtype) for _ in pairs]
+                totals = totals or [np.zeros((n, *by_row.shape[1:]), dtype)
+                                    for by_row, _ in pairs]
                 for total, (by_row, by_column) in zip(totals, pairs, strict=True):
-                    total[block.rows] += by_row
-                    total[block.tail] += by_column
-            r0 = block.rows.stop
+                    total[current.rows] += by_row
+                    total[current.tail] += by_column
+            r0 = current.rows.stop
         return [total * self.dx for total in totals]
 
     def norm_l2(self, values: NDArray) -> float:
@@ -232,7 +241,7 @@ class Block:
     The layout is set once, as plain attributes: ``rows`` (r0:r1), ``cols``
     (r0:), ``tail`` (r1:), ``width`` and ``shape``.  A consumer forms its
     pairwise arrays and reductions through the methods, and takes scratch
-    arrays from :meth:`buffer`.
+    arrays from :meth:`buffers`.
     """
 
     def __init__(self, rows: slice, n: int):
@@ -250,6 +259,21 @@ class Block:
         """a_i b_j over the block."""
         return np.multiply(a[self.rows, None], b[None, self.cols], out=out)
 
+    def product(self, left: NDArray, right: NDArray, out: NDArray | None = None) -> NDArray:
+        """sum_m left[i, m] right[m, j] over the block: one BLAS product of factor tables.
+
+        ``left`` is (..., N, k) and ``right`` (..., k, N); a stack of tables
+        gives the stack of block arrays in one call.  A broadcast over a
+        block runs about 3x slower than a contiguous ufunc, a rank-2
+        product about as fast; :func:`factor_tables` makes the tables.
+        """
+        return np.matmul(left[..., self.rows, :], right[..., self.cols], out=out)
+
+    def fill_diagonal(self, values: NDArray, diag) -> None:
+        """Overwrite the pairs (k, k) of a block array with ``diag``."""
+        # the stride shape[1] + 1 meets exactly ``width`` entries, as shape[1] >= width
+        values.flat[::self.shape[1] + 1] = diag
+
     def sums(self, values: NDArray, mirror: NDArray, diag) -> tuple[NDArray, NDArray]:
         """The block's pair for an elementwise integrand F with mirror M.
 
@@ -258,7 +282,7 @@ class Block:
         analytic limit at the block's rows.  Returns F's row sums and M's
         column sums over the tail.
         """
-        np.fill_diagonal(values, diag)
+        self.fill_diagonal(values, diag)
         return values.sum(axis=1), mirror[:, self.width:].sum(axis=0)
 
     def pair(self, k: int) -> tuple[int, int]:
@@ -266,13 +290,36 @@ class Block:
         i, j = divmod(int(k), self.shape[1])
         return self.rows.start + i, self.rows.start + j
 
-    def buffer(self, name: str, dtype) -> NDArray:
-        """A block-shaped view of the calling thread's buffer ``name``, valid for this block."""
-        dtype = np.dtype(dtype)
-        key = (name, dtype.char)
-        if key not in _BUFFERS.arrays:
-            _BUFFERS.arrays[key] = np.empty(_BLOCK_BYTES // dtype.itemsize, dtype)
-        return _BUFFERS.arrays[key][:self.shape[0] * self.shape[1]].reshape(self.shape)
+    def buffers(self, name: str, count: int, dtype=np.float64) -> NDArray:
+        """``count`` block arrays as one (count, *shape) view of the calling thread's buffer ``name``.
+
+        One lookup serves all of a consumer's scratch for the block; the
+        view is valid until the next block.
+        """
+        key = (name, count, dtype)
+        array = _BUFFERS.arrays.get(key)
+        if array is None:
+            array = np.empty(count * (_BLOCK_BYTES // np.dtype(dtype).itemsize), dtype)
+            _BUFFERS.arrays[key] = array
+        return array[:count * self.shape[0] * self.shape[1]].reshape(count, *self.shape)
+
+
+def factor_tables(*terms: tuple[list[NDArray], list[NDArray]]) -> tuple[NDArray, NDArray]:
+    """Stacked factor tables for :meth:`Block.product`, one entry per term.
+
+    A term (a, b) lists k left and k right node arrays; its entry forms
+    sum_m a[m]_i b[m]_j over a block.  Returns left (terms, N, k), a
+    transposed view, and right (terms, k, N).
+
+    The difference x_i - x_j is the term ([x, 1], [1, -x]).  Both of its
+    products are exact, so the one rounding of the sum gives the broadcast
+    difference bit for bit, with or without a fused multiply-add, except
+    for a zero's sign: BLAS accumulates from +0.0, so -0.0 - (+0.0) comes
+    out +0.0.  Likewise ([a, 0], [b, 0]) is the outer product a_i b_j bit
+    for bit, for a and b of one sign.
+    """
+    left = np.array([a for a, _ in terms]).transpose(0, 2, 1)
+    return left, np.array([b for _, b in terms])
 
 
 def conjugate_symmetrize(coeffs: NDArray) -> NDArray:

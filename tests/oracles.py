@@ -144,6 +144,32 @@ def full_pairs(ws: KernelWorkspace, floor: float = DEFAULT_CHORD_ARC_FLOOR) -> F
     return FullPairs(ws, dz1, dz2, den, kern)
 
 
+def broadcast_geometry(ws: KernelWorkspace, rows: slice) -> tuple[np.ndarray, np.ndarray]:
+    """q and the chord-arc ratio of the flat block ``rows`` x ``rows.start:``, formed by broadcasts.
+
+    The same operations, in the same order, as the sweep formed them
+    before it took its pair arrays from BLAS products: u_i - u_j and
+    v_i - v_j, q = (u_i - u_j)^2 + (v_i - v_j)^2 with diagonal 1, and
+    ratio = (c_i c_j) q / d^2 with diagonal inf, where d is the wrapped
+    node distance dx min(|i - j|, N - |i - j|), computed from the indices.
+    """
+    u, v, c = ws.exp_map
+    n = len(u)
+    cols = slice(rows.start, None)
+    q = np.square(u[rows, None] - u[None, cols])
+    q += np.square(v[rows, None] - v[None, cols])
+    offset = np.abs(np.arange(rows.start, rows.stop)[:, None] - np.arange(rows.start, n)[None, :])
+    dist_sq = (2.0 * np.pi / n * np.minimum(offset, n - offset)) ** 2
+    ratio = c[rows, None] * c[None, cols]
+    ratio *= q
+    diagonal = offset == 0
+    dist_sq[diagonal] = 1.0
+    ratio /= dist_sq
+    q[diagonal] = 1.0
+    ratio[diagonal] = np.inf
+    return q, ratio
+
+
 def _difference(values: np.ndarray) -> np.ndarray:
     return values[:, None] - values[None, :]
 

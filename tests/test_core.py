@@ -36,6 +36,7 @@ from muskat.initial_data import GraphFamilyParams, make_turnover_state
 from conftest import gentle_state, run_with_blas_threads, strip_state
 from oracles import (
     alternating_rhs,
+    broadcast_geometry,
     full_kernel_pv_integral,
     full_matrix_decomposition,
     full_matrix_rhs,
@@ -240,7 +241,7 @@ class TestKernelWorkspace:
             offset = np.abs(i - j)
             want = (grid.dx * np.minimum(offset, n - offset) + np.abs(heights[i] - heights[j])) ** 2
             want[i == j] = 1.0
-            assert np.array_equal(_distance_sq(ws.zeta, block), want)
+            assert np.array_equal(_distance_sq(ws, block), want)
             blocks.append(block.rows)
             return ()
 
@@ -463,16 +464,22 @@ class TestRhsSymmetries:
             assert err.value.ratio == ratio < 1e-2
 
     def test_blas_thread_count_invariance(self):
-        # rerun in fresh processes with one and two BLAS threads: identical bytes
+        # rerun in fresh processes with one and two BLAS threads: identical
+        # bytes of rhs, of the decomposition's dangerous part and of the
+        # chord-arc constant with its pair, all formed by BLAS products
         script = (
-            "import sys; from muskat import SpectralGrid, rhs; "
-            "from conftest import gentle_state; g = SpectralGrid(256); "
-            "t = rhs(gentle_state(g), g); "
-            "sys.stdout.write((t[0].tobytes() + t[1].tobytes()).hex())"
+            "import sys; import numpy as np; "
+            "from muskat import SpectralGrid, rhs, rhs_d4_decomposition; "
+            "from muskat.core import build_workspace, pair_sweep; "
+            "from conftest import gentle_state; g = SpectralGrid(256); s = gentle_state(g); "
+            "t = rhs(s, g); d = rhs_d4_decomposition(s, g).dangerous; "
+            "_, (ratio, pair) = pair_sweep(build_workspace(s, g, None, 1), g); "
+            "sys.stdout.write(b''.join([t.tobytes(), d.d1.tobytes(), d.d2.tobytes(), "
+            "np.float64(ratio).tobytes(), np.array(pair).tobytes()]).hex())"
         )
         one = run_with_blas_threads(["-c", script], 1).stdout
         two = run_with_blas_threads(["-c", script], 2).stdout
-        assert len(one) == 2 * 2 * 16 * 256
+        assert len(one) == 2 * (2 * 16 * 256 + 2 * 8 * 256 + 8 + 2 * 8)
         assert one == two
 
 
@@ -567,6 +574,29 @@ class TestChordArc:
         value = chord_arc_constant(InterfaceState.flat(grid256), grid256, contour)
         assert value > 0.0
         assert value <= FLAT_TORUS_CHORD_ARC * (1.0 + 1e-2)
+
+    @pytest.mark.parametrize("n_modes", [64, 128, 256, 512, 1024])
+    @pytest.mark.parametrize("slope", [0.98, 3.35], ids=["turnover", "near_floor"])
+    def test_guard_matches_the_broadcast_oracle_bitwise(self, n_modes, slope):
+        # q and the ratio come from BLAS products of exact factor tables;
+        # on every block they are the broadcast forms bit for bit, and so
+        # are the minimum and its pair (slope 3.35 is TestNearChordArcFloor's state)
+        grid = SpectralGrid(n_modes)
+        state = make_turnover_state(GraphFamilyParams(slope_amplitude=slope), grid)
+        ws = build_workspace(state, grid, None, 1)
+        minima = []
+
+        def check(block):
+            q, ratio = broadcast_geometry(ws, block.rows)
+            assert np.array_equal(block.q, q) and np.array_equal(block.ratio, ratio)
+            k = np.argmin(ratio)
+            minima.append((ratio.flat[k], block.pair(k)))
+            return ()
+
+        _, (chord_arc, pair) = pair_sweep(ws, grid, check)
+        assert len(minima) > 1 or n_modes == 64
+        want = minima[int(np.argmin([value for value, _ in minima]))]
+        assert (chord_arc, pair) == (want[0], want[1])
 
     def test_cached_distance_keeps_values_across_grid_sizes(self):
         grids = [SpectralGrid(n) for n in (64, 128, 64)]

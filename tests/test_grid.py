@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from muskat import SpectralGrid
-from muskat.grid import Block
+from muskat.grid import Block, factor_tables
 from muskat.errors import InvalidCutoffError, SizeMismatchError, UndefinedRadiusError
 
 from oracles import is_conjugate_symmetric
@@ -296,6 +296,30 @@ class TestBlock:
         assert block.diff(x, out=out) is out and np.array_equal(out, diff)
         assert block.outer(x, y, out=out) is out and np.array_equal(out, outer)
 
+    def test_products_of_factor_tables_match_the_broadcasts_bitwise(self):
+        # random float64 over all exponents, subnormals, +-0.0 and repeats;
+        # the one difference is a zero's sign: BLAS sums from +0.0, so the
+        # broadcast's -0.0 - (+0.0) = -0.0 comes out +0.0
+        n = 300
+        rng = np.random.default_rng(5)
+        x = rng.choice([-1.0, 1.0], n) * rng.uniform(1.0, 2.0, n) * 2.0 ** rng.integers(-1070, 1020, n)
+        x[rng.choice(n, 40, replace=False)] = rng.choice([0.0, -0.0, 1.5, -1.5, 5e-324], 40)
+        # positive factors whose products neither overflow nor all stay normal
+        a, b = rng.uniform(1.0, 2.0, (2, n)) * 2.0 ** rng.integers(-537, 511, (2, n))
+        one, zero = np.ones(n), np.zeros(n)
+        left, right = factor_tables(([x, one], [one, -x]), ([a, zero], [b, zero]))
+        for rows in (slice(0, 13), slice(101, 140), slice(250, 300)):
+            block = Block(rows, n)
+            diff, outer = block.product(left, right)
+            want = block.diff(x)
+            signed_zero = (x[rows, None] == 0) & (x[None, block.cols] == 0)
+            assert np.array_equal(diff, want)
+            assert diff[~signed_zero].tobytes() == want[~signed_zero].tobytes()
+            assert not np.signbit(diff[signed_zero]).any()
+            assert outer.tobytes() == block.outer(a, b).tobytes()
+            out = np.empty((2, *block.shape))
+            assert block.product(left, right, out=out) is out
+
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_sums_match_index_loops(self, dtype):
         block = Block(slice(3, 7), self.N)
@@ -321,10 +345,11 @@ class TestBlock:
 
     def test_buffers_take_the_block_shape_and_are_reused(self):
         first, second = Block(slice(0, 2), self.N), Block(slice(2, 5), self.N)
-        a, b = first.buffer("test", float), second.buffer("test", float)
-        assert a.shape == first.shape and b.shape == second.shape
+        a, b = first.buffers("test", 3, float), second.buffers("test", 3, float)
+        assert a.shape == (3, *first.shape) and b.shape == (3, *second.shape)
         assert np.shares_memory(a, b)
-        assert not np.shares_memory(a, first.buffer("test", complex))
+        assert not any(np.shares_memory(a[k], a[m]) for k in range(3) for m in range(k))
+        assert not np.shares_memory(a, first.buffers("test", 3, complex))
 
 
 class TestAnalyticityRadius:
