@@ -280,7 +280,8 @@ class PairBlock(Block):
     ratio: the chord-arc ratio |q| |c_i| |c_j| / distance^2, diagonal inf,
         with distance = ||Re(zeta_i - zeta_j)|| + |Im(zeta_i - zeta_j)|.
         The outer product is formed first, so the ratio is exactly
-        symmetric, as q is.
+        symmetric, as q is.  :func:`pair_sweep` takes its minimum before
+        the block's sums run, which may then use the array as scratch.
     """
 
     def __init__(self, rows: slice, n: int, ws: KernelWorkspace):
@@ -299,7 +300,7 @@ class PairBlock(Block):
         else:
             a, b, c = ws.exp_map
             self.q, scratch = self.buffers("lifted geometry", 2, np.complex128)
-            self.ratio = self.buffers("geometry", 3)[2]
+            self.ratio = self.buffers("geometry", 3)[2]  # the flat ratio's slot
             self.diff(a, out=self.q)
             self.q *= self.diff(b, out=scratch)
             scale = np.abs(c)
@@ -359,7 +360,7 @@ def pair_sweep(
             the floor on, no integrand is built; the sweep finishes the
             minimum on the geometry alone.
     """
-    minima, where = [], []
+    minima, pairs = [], []
     degenerate = False
 
     def sweep(block: PairBlock):
@@ -367,7 +368,7 @@ def pair_sweep(
         nonlocal degenerate
         k = block.ratio.argmin()
         minima.append(block.ratio.flat[k])
-        where.append((block, k))
+        pairs.append(block.pair(k))
         degenerate = degenerate or (floor is not None and minima[-1] < floor)
         if sums is None or degenerate:
             return ()
@@ -375,7 +376,7 @@ def pair_sweep(
 
     totals = grid.pair_quadrature(sweep, ws.der.dtype, functools.partial(PairBlock, ws=ws))
     best = int(np.argmin(minima))
-    chord_arc, pair = float(minima[best]), where[best][0].pair(where[best][1])
+    chord_arc, pair = float(minima[best]), pairs[best]
     if degenerate:
         raise DegenerateGeometryError(
             f"chord-arc constant {chord_arc:.3e} below floor {floor:.3e} at pair {pair}",

@@ -104,8 +104,9 @@ def rhs_d4_decomposition(
         # All three fragments are symmetric and the two differences
         # antisymmetric: every safe integrand is its own mirror, taken from
         # the pair (K_ij and K_ji may round apart by an ulp)
-        stack = block.buffers("decomposition", 7)
-        products, values = stack[:6], stack[6]
+        # the sweep has taken its chord-arc minimum, so the ratio's array
+        # is free to hold each safe integrand in turn
+        products, values = block.buffers("decomposition", 6), block.ratio
         block.product(left, right, out=products)
         cos_frag, sinh_frag = products[5], products[4]
         cos_frag /= block.q

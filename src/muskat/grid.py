@@ -25,8 +25,8 @@ from .errors import InvalidCutoffError, SizeMismatchError, UndefinedRadiusError
 COEFF_FLOOR = 1e-14
 
 #: Size of one pairwise array of a pair-quadrature block: 8192 real or 4096
-#: complex pairs.  It keeps every block array cache-sized and every buffer
-#: below glibc's default mmap threshold (128 KiB).
+#: complex pairs.  It keeps every block array cache-sized, and a temporary
+#: one below glibc's default mmap threshold (128 KiB).
 _BLOCK_BYTES = 64 * 1024
 
 
@@ -316,7 +316,7 @@ def factor_tables(*terms: tuple[list[NDArray], list[NDArray]]) -> tuple[NDArray,
     difference bit for bit, with or without a fused multiply-add, except
     for a zero's sign: BLAS accumulates from +0.0, so -0.0 - (+0.0) comes
     out +0.0.  Likewise ([a, 0], [b, 0]) is the outer product a_i b_j bit
-    for bit, for a and b of one sign.
+    for bit, up to the sign of a zero product.
     """
     left = np.array([a for a, _ in terms]).transpose(0, 2, 1)
     return left, np.array([b for _, b in terms])
