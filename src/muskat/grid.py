@@ -213,10 +213,10 @@ class _BlockBuffers(threading.local):
     """The calling thread's block arrays, kept from one sweep to the next.
 
     Each is allocated once, at the full block budget per array of its
-    stack, and every block of every sweep reuses it.  Block arrays allocated afresh and freed with
-    each sweep left a heap top that glibc returned to the system and
-    faulted back in on the next call, about 110 minor page faults per
-    ``rhs`` at N=128.  The contents never outlive a block, so sweeps must
+    stack, and every block of every sweep reuses it.  Block arrays
+    allocated afresh and freed with each sweep left a heap top that glibc
+    returned to the system and faulted back in on the next call, about
+    110 minor page faults per ``rhs`` at N=128.  The contents never outlive a block, so sweeps must
     not nest.
     """
 
