@@ -18,33 +18,41 @@ converge spectrally for analytic interfaces.
 A :class:`KernelWorkspace` holds the node samples, real float64 on the flat
 grid (the curve is real).  Every pairwise quantity is formed by
 :func:`pair_sweep`, one pass of :meth:`SpectralGrid.pair_quadrature` over
-the upper triangle of node pairs in cache-sized row blocks.  The pair
-geometry comes from w = e^{iZ}, Z = z1 + i z2, taken once per node, so the
-sweep takes no transcendental per pair.  On the flat grid, with w = u + iv and
-q = |w_i - w_j|^2,
+the upper triangle of node pairs in cache-sized row blocks, each checked
+against the chord-arc floor before any integrand is formed.
 
-    K = 2 (v_i u_j - u_i v_j) / q,   cosh(dz2) - cos(dz1) = q e^{z2_i} e^{z2_j} / 2;
+The flat sweep of the right-hand side takes its pair geometry from
+w = e^{iZ}, Z = z1 + i z2, taken once per node, so it takes no
+transcendental per pair.  With w = u + iv and q = |w_i - w_j|^2,
 
-on a lifted contour the denominator is the same product of
-W+-_i - W+-_j, W+- = e^{i(z1 +- i z2)}.  On the flat grid a block forms
-u_i - u_j, v_i - v_j, c_i c_j and the cross product as BLAS products of
-O(N) factor tables (:attr:`KernelWorkspace.exp_factors`); the first three
-have exact products, so q and the chord-arc ratio are the broadcast forms
-bit for bit, exactly symmetric.  The cross product may round K_ij and K_ji
-apart where BLAS fuses a multiply-add, so no sum relies on K's exact
-antisymmetry: each mirror is -K_ij by construction, as the column sums
-read the same block.  The chord-arc check is taken in the same pass,
-against the grid-only wrapped distance, a view of an O(N) table.  A
-kernel-difference integral sum_j K_ij (a_i - a_j) is a_i (K 1)_i - (K a)_i,
-linear in K, so each block adds two matrix products to one (N, 3) sum,
-combined once after the sweep.  The principal-value
-integral cancels K's pole against a cotangent's and keeps both in the
-half-angle form of the node differences, whose rounding cancels with them.
-On a lifted contour each complex half-angle term is assembled from the
-real sin, cos, sinh and cosh of the differences' real and imaginary parts
-(:func:`muskat.contour_ops.half_angle_parts`), so no pair takes a complex
-transcendental.  A lifted sample takes its phases e^{ikx_j} from a cached
-table of the N-th roots of unity and one real exponential per entry.
+    K = 2 (v_i u_j - u_i v_j) / q,   cosh(dz2) - cos(dz1) = q e^{z2_i} e^{z2_j} / 2.
+
+A block forms u_i - u_j, v_i - v_j, c_i c_j and the cross product as BLAS
+products of O(N) factor tables (:attr:`KernelWorkspace.exp_factors`); the
+first three have exact products, so q and the chord-arc ratio are the
+broadcast forms bit for bit, exactly symmetric.  The cross product may
+round K_ij and K_ji apart where BLAS fuses a multiply-add, so no sum relies
+on K's exact antisymmetry: each mirror is -K_ij by construction, as the
+column sums read the same block.  The chord-arc check is taken against the
+grid-only wrapped distance, a view of an O(N) table.  A kernel-difference
+integral sum_j K_ij (a_i - a_j) is a_i (K 1)_i - (K a)_i, linear in K, so
+each block adds two matrix products to one (N, 3) sum, combined once after
+the sweep.
+
+The principal-value integral cancels K's pole against a cotangent's and
+keeps both in the half-angle form of the node differences, whose rounding
+cancels with them: with s, c = sin, cos(dz1/2) and sh = sinh(dz2/2),
+
+    K = s c / (s^2 + sh^2),   cosh(dz2) - cos(dz1) = 2 (s^2 + sh^2),
+
+one expression on both grids.  On a lifted contour a block forms these
+terms when it is built and takes its chord-arc ratio from the same
+denominator that K divides by.  Each complex half-angle term is assembled
+from the real sin, cos, sinh and cosh of the differences' real and
+imaginary parts (:func:`muskat.contour_ops.half_angle_parts`), so no pair
+takes a complex transcendental.  A lifted sample takes its phases e^{ikx_j}
+from a cached table of the N-th roots of unity and one real exponential
+per entry.
 """
 
 from __future__ import annotations
@@ -180,19 +188,14 @@ class KernelWorkspace:
 
     @functools.cached_property
     def exp_map(self) -> tuple[NDArray, NDArray, NDArray]:
-        """Per-node factors of the pair geometry, from w = e^{iZ}, Z = z1 + i z2.
+        """Flat grid: per-node factors of the pair geometry, from w = e^{iZ}, Z = z1 + i z2.
 
-        Returns (a, b, c) with den_ij = cosh(dz2) - cos(dz1) = q_ij c_i c_j.
-        Flat grid: a + ib = w, so q = |w_i - w_j|^2, and c = e^{z2} / sqrt(2).
-        Lifted contour, where z1 and z2 are complex: a, b = W+, W- with
-        W+- = e^{i(z1 +- i z2)}, q = (W+_i - W+_j)(W-_i - W-_j), and
-        c = i e^{-i z1} / sqrt(2).  O(N) transcendentals, taken once.
+        Returns (u, v, c) with u + iv = w and c = e^{z2} / sqrt(2), so that
+        den_ij = cosh(dz2) - cos(dz1) = q_ij c_i c_j, q = |w_i - w_j|^2.
+        O(N) transcendentals, taken once.
         """
-        if self.flat:
-            scale = np.exp(-self.z2)
-            return scale * np.cos(self.z1), scale * np.sin(self.z1), np.sqrt(0.5) / scale
-        return (np.exp(1j * self.z1 - self.z2), np.exp(1j * self.z1 + self.z2),
-                1j * np.sqrt(0.5) * np.exp(-1j * self.z1))
+        scale = np.exp(-self.z2)
+        return scale * np.cos(self.z1), scale * np.sin(self.z1), np.sqrt(0.5) / scale
 
     @functools.cached_property
     def exp_factors(self) -> tuple[NDArray, NDArray]:
@@ -266,22 +269,62 @@ def _distance_sq(ws: KernelWorkspace, block: Block) -> NDArray:
     return (dist + np.abs(block.diff(ws.zeta.imag))) ** 2
 
 
+def _half_angle_terms(ws: KernelWorkspace, block: Block) -> tuple[NDArray, NDArray]:
+    """The numerator s c and denominator den = s^2 + sh^2 of the half-angle K over a block.
+
+    K = s c / den with s, c = sin, cos(dz1/2) and sh = sinh(dz2/2), taken
+    from :func:`half_angle_parts`; den's diagonal is 1, where s = 0, so K's
+    is 0, and cosh(dz2) - cos(dz1) = 2 den.  In this form, like the
+    cotangent, the PV integrand cancels their poles and with them the
+    rounding of the node differences: against an mpmath trapezoid of the
+    same samples at N = 128 it is 5.9e-15 off on the flat grid, where the
+    exp-map K with a table cotangent is 1.0e-13 off (2.2e-14 against
+    1.9e-13 at N = 256).  On a lifted contour dz1 and dz2 are complex and
+    each term is assembled from the real parts of its argument, s and c in
+    the calling thread's block buffers; sinh(dz2/2) for dz2/2 = p + ir
+    takes sin r, cos r, sinh p and cosh p.  s and sh are exactly odd and
+    c exactly even, so s c is exactly odd and den exactly even.
+    """
+    if ws.flat:
+        s, c, sh, _ = half_angle_parts(ws.z1, ws.z2, block)
+    else:
+        s, c = block.buffers("half angles", 2, np.complex128)
+        sh = np.empty(block.shape, np.complex128)
+        sin_a, cos_a, sinh_b, cosh_b = half_angle_parts(ws.z1.real, ws.z1.imag, block)
+        np.multiply(sin_a, cosh_b, out=s.real)
+        np.multiply(cos_a, sinh_b, out=s.imag)
+        np.multiply(cos_a, cosh_b, out=c.real)
+        np.multiply(sin_a, sinh_b, out=c.imag)
+        np.negative(c.imag, out=c.imag)
+        sin_r, cos_r, sinh_p, cosh_p = half_angle_parts(ws.z2.imag, ws.z2.real, block)
+        np.multiply(sinh_p, cos_r, out=sh.real)
+        np.multiply(cosh_p, sin_r, out=sh.imag)
+    numerator = np.multiply(s, c, out=c)
+    den = np.square(s, out=s)
+    den += np.square(sh, out=sh)
+    block.fill_diagonal(den, 1.0)
+    return numerator, den
+
+
 class PairBlock(Block):
-    """A :class:`~muskat.grid.Block` of :func:`pair_sweep`, with its exp-map pair geometry.
+    """A :class:`~muskat.grid.Block` of :func:`pair_sweep`, with its pair geometry.
 
-    The geometry is formed on construction, once per block, into reused
-    buffers valid until the next block.  It is the exp-map geometry only: a
-    consumer that needs the node differences themselves, as the half-angle
-    PV integrand does, forms them from ``ws``.
+    The geometry is formed on construction, once per block, into the
+    calling thread's block buffers, valid until the next block.
 
-    q: |w_i - w_j|^2 on the flat grid, (W+_i - W+_j)(W-_i - W-_j) on a
-        lifted contour (see :attr:`KernelWorkspace.exp_map`); diagonal 1.
-        cosh(dz2) - cos(dz1) = q_ij c_i c_j.
-    ratio: the chord-arc ratio |q| |c_i| |c_j| / distance^2, diagonal inf,
-        with distance = ||Re(zeta_i - zeta_j)|| + |Im(zeta_i - zeta_j)|.
-        The outer product is formed first, so the ratio is exactly
-        symmetric, as q is.  :func:`pair_sweep` takes its minimum before
-        the block's sums run, which may then use the array as scratch.
+    On the flat grid it is the exp-map geometry
+    (:attr:`KernelWorkspace.exp_map`):
+    q: |w_i - w_j|^2, diagonal 1; cosh(dz2) - cos(dz1) = q_ij c_i c_j.
+    ratio: the chord-arc ratio (c_i c_j) q / distance^2.
+
+    On a lifted contour it is the half-angle geometry, :attr:`half_angles`
+    (which a flat block forms on first use, for the PV integrand):
+    ratio: 2 |den| / distance^2, from the denominator K divides by.
+
+    distance = ||Re(zeta_i - zeta_j)|| + |Im(zeta_i - zeta_j)|.  Either
+    ratio is exactly symmetric, diagonal inf.  :func:`pair_sweep` takes its
+    minimum before the block's sums run, which may then use the array as
+    scratch.
     """
 
     def __init__(self, rows: slice, n: int, ws: KernelWorkspace):
@@ -297,30 +340,32 @@ class PairBlock(Block):
             np.square(stack[:2], out=stack[:2])
             self.q += self._scratch
             self.ratio *= self.q
+            self.fill_diagonal(self.q, 1.0)
         else:
-            a, b, c = ws.exp_map
-            self.q, scratch = self.buffers("lifted geometry", 2, np.complex128)
-            self.ratio = self.buffers("geometry", 3)[2]  # the flat ratio's slot
-            self.diff(a, out=self.q)
-            self.q *= self.diff(b, out=scratch)
-            scale = np.abs(c)
-            self.outer(scale, scale, out=self.ratio)
-            self.ratio *= np.abs(self.q, out=scratch.real)
+            # the flat ratio's slot
+            self.ratio = np.abs(self.half_angles[1], out=self.buffers("geometry", 3)[2])
+            self.ratio *= 2.0
         self.ratio /= _distance_sq(ws, self)
-        self.fill_diagonal(self.q, 1.0)
         self.fill_diagonal(self.ratio, np.inf)
 
     @functools.cached_property
-    def kern(self) -> NDArray:
-        """K(x_i, x_j) = 2 (v_i u_j - u_i v_j) / q on the flat grid, zero on the diagonal.
+    def half_angles(self) -> tuple[NDArray, NDArray]:
+        """s c and den over the block (:func:`_half_angle_terms`): K = s c / den."""
+        return _half_angle_terms(self.ws, self)
 
-        The cross product vanishes on the diagonal, where q = 1.  Its BLAS
+    @functools.cached_property
+    def kern(self) -> NDArray:
+        """K(x_i, x_j) over the block, zero on the diagonal.
+
+        On the flat grid the exp-map form 2 (v_i u_j - u_i v_j) / q: the
+        cross product vanishes on the diagonal, where q = 1.  Its BLAS
         product may round K_ij and K_ji apart by an ulp; the sums take each
         pair's mirror from the pair, as -K_ij, so they do not rely on the
-        cross product's antisymmetry.
+        cross product's antisymmetry.  On a lifted contour the half-angle
+        form s c / den of :attr:`half_angles`.
         """
         if not self.ws.flat:
-            raise NotImplementedError("the exp-map kernel is formed on the flat grid only")
+            return np.divide(*self.half_angles)
         left, right = self.ws.exp_factors
         kern = self.product(left[3], right[3], out=self._scratch)
         kern /= self.q
@@ -451,43 +496,6 @@ def kernel_difference_sums(
     return sums, finish
 
 
-def _half_angle_kernel(ws: KernelWorkspace, block: Block) -> NDArray:
-    """K = sin(dz1) / (2 (sin^2(dz1/2) + sinh^2(dz2/2))) over a block, diagonal 0.
-
-    K in the half-angle form of dz1, dz2, like the cotangent: the PV
-    integrand cancels their poles and with them the rounding of the node
-    differences.  Against an mpmath trapezoid of the same samples at
-    N = 128 this form is 5.9e-15 off on the flat grid; the exp-map K with a
-    table cotangent is 1.0e-13 off (2.2e-14 against 1.9e-13 at N = 256).
-    On a lifted contour, with s, c = sin, cos(dz1/2) and sh = sinh(dz2/2)
-    assembled from real parts (:func:`half_angle_parts`),
-    K = s c / (s^2 + sh^2).
-    """
-    if np.isrealobj(ws.z1):
-        dz1, dz2 = block.diff(ws.z1), block.diff(ws.z2)
-        den = 2.0 * (np.sin(dz1 / 2.0) ** 2 + np.sinh(dz2 / 2.0) ** 2)
-        np.fill_diagonal(den, 1.0)
-        return np.sin(dz1) / den
-    sin_a, cos_a, sinh_b, cosh_b = half_angle_parts(ws.z1.real, ws.z1.imag, block)
-    s, c = np.empty(sin_a.shape, complex), np.empty(sin_a.shape, complex)
-    np.multiply(sin_a, cosh_b, out=s.real)
-    np.multiply(cos_a, sinh_b, out=s.imag)
-    np.multiply(cos_a, cosh_b, out=c.real)
-    np.multiply(sin_a, sinh_b, out=c.imag)
-    np.negative(c.imag, out=c.imag)
-    kern = s * c
-    # sinh(dz2/2) for dz2/2 = p + ir takes sin r, cos r, sinh p and cosh p
-    sin_r, cos_r, sinh_p, cosh_p = half_angle_parts(ws.z2.imag, ws.z2.real, block)
-    sh = c  # c's array is free once kern = s c is formed
-    np.multiply(sinh_p, cos_r, out=sh.real)
-    np.multiply(cosh_p, sin_r, out=sh.imag)
-    den = np.square(s, out=s)
-    den += np.square(sh, out=sh)
-    np.fill_diagonal(den, 1.0)
-    kern /= den
-    return kern
-
-
 def kernel_pv_integral(
     ws: KernelWorkspace, grid: SpectralGrid, floor: float | None
 ) -> NDArray:
@@ -514,7 +522,7 @@ def kernel_pv_integral(
 
     def sums(block: PairBlock):
         rows, cols = block.rows, block.cols
-        kern = _half_angle_kernel(ws, block)
+        kern = np.divide(*block.half_angles)  # the half-angle K on both grids
         cot = pairwise_cot(ws.zeta, block)
         values = (kern - ratio[rows, None] * cot) * ws.jac[None, cols]
         mirror = (ratio[None, cols] * cot - kern) * ws.jac[rows, None]

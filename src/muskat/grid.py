@@ -251,13 +251,9 @@ class Block:
         self.width = rows.stop - rows.start
         self.shape = (self.width, n - rows.start)
 
-    def diff(self, x: NDArray, out: NDArray | None = None) -> NDArray:
+    def diff(self, x: NDArray) -> NDArray:
         """x_i - x_j over the block."""
-        return np.subtract(x[self.rows, None], x[None, self.cols], out=out)
-
-    def outer(self, a: NDArray, b: NDArray, out: NDArray | None = None) -> NDArray:
-        """a_i b_j over the block."""
-        return np.multiply(a[self.rows, None], b[None, self.cols], out=out)
+        return x[self.rows, None] - x[None, self.cols]
 
     def product(self, left: NDArray, right: NDArray, out: NDArray | None = None) -> NDArray:
         """sum_m left[i, m] right[m, j] over the block: one BLAS product of factor tables.

@@ -170,6 +170,29 @@ def broadcast_geometry(ws: KernelWorkspace, rows: slice) -> tuple[np.ndarray, np
     return q, ratio
 
 
+def exp_map_lifted_ratio(ws: KernelWorkspace, rows: slice) -> np.ndarray:
+    """The lifted chord-arc ratio of rows x all nodes in the W+- exp-map form, diagonal inf.
+
+    W+- = e^{i(z1 +- i z2)} and c = i e^{-i z1} / sqrt(2), O(N) complex
+    transcendentals, give cosh(dz2) - cos(dz1) = q c_i c_j with
+    q = (W+_i - W+_j)(W-_i - W-_j); the ratio is |c_i| |c_j| |q| / d^2,
+    d = ||x_i - x_j|| + |Im(zeta_i - zeta_j)|.  The form the lifted sweep
+    took before it read the half-angle denominator that K divides by.
+    """
+    w_plus, w_minus = np.exp(1j * ws.z1 - ws.z2), np.exp(1j * ws.z1 + ws.z2)
+    scale = np.abs(1j * np.sqrt(0.5) * np.exp(-1j * ws.z1))
+    q = (w_plus[rows, None] - w_plus[None, :]) * (w_minus[rows, None] - w_minus[None, :])
+    n = len(w_plus)
+    offset = np.abs(np.arange(rows.start, rows.stop)[:, None] - np.arange(n)[None, :])
+    dist = 2.0 * np.pi / n * np.minimum(offset, n - offset)
+    dist += np.abs(_difference(ws.zeta.imag)[rows])
+    diagonal = offset == 0
+    dist[diagonal] = 1.0
+    ratio = scale[rows, None] * scale[None, :] * np.abs(q) / dist**2
+    ratio[diagonal] = np.inf
+    return ratio
+
+
 def _difference(values: np.ndarray) -> np.ndarray:
     return values[:, None] - values[None, :]
 

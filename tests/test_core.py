@@ -1,3 +1,4 @@
+import functools
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -24,7 +25,7 @@ from muskat import (
 from muskat.core import (
     DEFAULT_CHORD_ARC_FLOOR,
     _distance_sq,
-    _half_angle_kernel,
+    _half_angle_terms,
     _node_distance,
     build_workspace,
     pair_sweep,
@@ -32,11 +33,13 @@ from muskat.core import (
 from muskat.errors import DegenerateGeometryError
 from muskat.grid import Block
 from muskat.initial_data import GraphFamilyParams, make_turnover_state
+from muskat.schedules import HeightSchedule, h_of
 
 from conftest import gentle_state, run_with_blas_threads, strip_state
 from oracles import (
     alternating_rhs,
     broadcast_geometry,
+    exp_map_lifted_ratio,
     full_kernel_pv_integral,
     full_matrix_decomposition,
     full_matrix_rhs,
@@ -54,6 +57,44 @@ def shift_state(state: InterfaceState, grid: SpectralGrid, s: float) -> Interfac
     """Translate alpha -> alpha + s, z1 -> z1 + s (reparametrized translation)."""
     phase = np.exp(1j * grid.wavenumbers * s)
     return InterfaceState(state.p1 * phase, state.p2 * phase, state.time)
+
+
+def assert_thread_invariant(calls):
+    """Run each call on a thread of its own, five times, and match its serial result bitwise.
+
+    The switch interval is short, so threads that shared their block
+    arrays would clobber each other's.
+    """
+    serial = [call() for call in calls]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=len(calls)) as pool:
+            futures = [pool.submit(lambda call: [call() for _ in range(5)], call) for call in calls]
+            results = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for want, runs in zip(serial, results):
+        for got in runs:
+            assert got.tobytes() == want.tobytes()
+
+
+def pool_like(grid: SpectralGrid, seed: int) -> tuple[InterfaceState, LiftedContour]:
+    """A band-limited analytic state and the upper contour of a schedule time, from ``seed``.
+
+    Coefficients are complex normals times 0.02 e^{-|k|/2} for
+    1 <= |k| <= N/3, conjugate-symmetric; the contour height is
+    :func:`muskat.schedules.h_of` at a time drawn from [tau^2, tau].
+    """
+    rng = np.random.default_rng([seed, 2012])
+    k = np.arange(1, grid.n_modes // 3 + 1)
+    coeffs = np.zeros((2, grid.n_modes), dtype=complex)
+    for row in coeffs:
+        row[k] = 0.02 * np.exp(-0.5 * k) * (rng.normal(size=len(k)) + 1j * rng.normal(size=len(k)))
+        row[-k] = np.conj(row[k])
+    schedule = HeightSchedule()
+    t = rng.uniform(schedule.tau**2, schedule.tau)
+    return InterfaceState(*coeffs), LiftedContour.from_height(grid, h_of(grid.nodes, t, schedule))
 
 
 class TestInterfaceState:
@@ -256,7 +297,7 @@ class TestKernelWorkspace:
         covered = np.zeros((grid.n_modes, grid.n_modes), dtype=int)
 
         def record(block):
-            assert block.q.nbytes <= 64 * 1024
+            assert (block.half_angles[1] if lifted else block.q).nbytes <= 64 * 1024
             covered[block.rows, block.cols] += 1
             return ()
 
@@ -270,7 +311,6 @@ class TestKernelWorkspace:
         grid = SpectralGrid(128)
         contour = LiftedContour.from_height(grid, 0.15 + 0.03 * np.cos(grid.nodes))
         ws = build_workspace(gentle_state(grid), grid, contour, max_order=1)
-        c = ws.exp_map[2]
         blocks = []
 
         def check(block):
@@ -278,7 +318,7 @@ class TestKernelWorkspace:
             dz1 = ws.z1[rows, None] - ws.z1[None, cols]
             dz2 = ws.z2[rows, None] - ws.z2[None, cols]
             direct = np.cosh(dz2) - np.cos(dz1)
-            den = block.q * np.multiply(c[rows, None], c[None, cols])
+            den = 2.0 * block.half_angles[1]
             off = ~np.eye(*direct.shape, dtype=bool)
             assert (np.abs(den - direct)[off] <= 1e-12 * np.abs(direct[off])).all()
             blocks.append(block.rows)
@@ -292,19 +332,17 @@ class TestKernelWorkspace:
         # with a short switch interval would clobber shared ones
         grids = [SpectralGrid(n) for n in (128, 256, 512) for _ in range(2)]
         states = [strip_state(g, width) for g, width in zip(grids, (0.2, 0.3) * 3)]
-        serial = [rhs(state, g) for state, g in zip(states, grids)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            with ThreadPoolExecutor(max_workers=len(grids)) as pool:
-                futures = [pool.submit(lambda s, g: [rhs(s, g) for _ in range(5)], state, g)
-                           for state, g in zip(states, grids)]
-                results = [future.result(timeout=120) for future in futures]
-        finally:
-            sys.setswitchinterval(interval)
-        for want, runs in zip(serial, results):
-            for got in runs:
-                assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert_thread_invariant([functools.partial(rhs, s, g) for s, g in zip(states, grids)])
+
+    def test_threads_keep_their_own_lifted_block_buffers(self):
+        # a lifted block keeps its half-angle terms in the thread's buffers
+        # while its sums run
+        grids = [SpectralGrid(n) for n in (128, 256, 512) for _ in range(2)]
+        calls = []
+        for g, sign in zip(grids, (1, -1) * 3):
+            contour = LiftedContour.from_height(g, 0.15 + 0.03 * np.cos(g.nodes), sign)
+            calls.append(functools.partial(a_tilde, gentle_state(g), g, contour))
+        assert_thread_invariant(calls)
 
     def test_transcendentals_have_exact_parity(self):
         # the sweep takes each pair's mirror from the pair: sin and sinh must
@@ -319,13 +357,16 @@ class TestKernelWorkspace:
             assert np.array_equal(np.cos(-x), np.cos(x))
             assert np.array_equal(np.cosh(-x), np.cosh(x))
 
-    def test_lifted_half_angle_kernel_is_exactly_odd(self):
-        # the PV integral takes the mirror -K from the pair; on a lifted
-        # contour K is assembled from real sin, cos, sinh and cosh
+    @pytest.mark.parametrize("lifted", [False, True], ids=["flat", "lifted"])
+    def test_half_angle_kernel_is_exactly_odd(self, lifted):
+        # the PV integral takes the mirror -K from the pair; K = s c / (s^2 +
+        # sh^2) on both grids, on a lifted contour assembled from real sin,
+        # cos, sinh and cosh
         grid = SpectralGrid(64)
-        contour = LiftedContour.from_height(grid, 0.15 + 0.03 * np.cos(grid.nodes))
+        contour = (LiftedContour.from_height(grid, 0.15 + 0.03 * np.cos(grid.nodes))
+                   if lifted else None)
         ws = build_workspace(gentle_state(grid), grid, contour, 1)
-        full = _half_angle_kernel(ws, Block(slice(0, 64), 64))
+        full = np.divide(*_half_angle_terms(ws, Block(slice(0, 64), 64)))
         assert np.array_equal(full, -full.T)
 
     @pytest.mark.parametrize("n_modes", [64, 128, 256, 512])
@@ -526,9 +567,10 @@ class TestATilde:
     def test_matches_mpmath_trapezoid(self, lifted, bound):
         # the same trapezoid summed at 30 digits from the same float64
         # samples: an accuracy pin, not agreement with a float64 oracle of
-        # the same formula.  The half-angle K and cotangent measure 5.9e-15
-        # (flat) and 2.4e-14 (upper); the exp-map K with a table or W-form
-        # cotangent 1.0e-13 and 6.7e-14
+        # the same formula.  The half-angle K = s c / (s^2 + sh^2) and the
+        # cotangent measure 5.89e-15 (flat; 5.85e-15 with sin(dz1) in the
+        # numerator) and 2.5e-14 (upper); the exp-map K with a table or
+        # W-form cotangent 1.0e-13 and 6.7e-14
         grid = SpectralGrid(128)
         contour = (LiftedContour.from_height(grid, 0.15 + 0.03 * np.cos(grid.nodes))
                    if lifted else None)
@@ -574,6 +616,35 @@ class TestChordArc:
         value = chord_arc_constant(InterfaceState.flat(grid256), grid256, contour)
         assert value > 0.0
         assert value <= FLAT_TORUS_CHORD_ARC * (1.0 + 1e-2)
+
+    @pytest.mark.parametrize("n_modes", [64, 128, 256, 512, 1024])
+    def test_lifted_matches_the_exp_map_oracle(self, n_modes):
+        # the lifted ratio 2 |s^2 + sh^2| / d^2 reads the denominator that
+        # K divides by; against the W+- exp-map form it replaced it measures
+        # at most 7.3e-16 relative on these states (N = 64, seed 1), bound 2e-15
+        grid = SpectralGrid(n_modes)
+        for seed in range(3):
+            state, contour = pool_like(grid, seed)
+            for sign in (1, -1):
+                lifted = LiftedContour(contour.h, sign)
+                ws = build_workspace(state, grid, lifted, 1)
+                want = min(exp_map_lifted_ratio(ws, slice(r0, r0 + 64)).min()
+                           for r0 in range(0, n_modes, 64))
+                assert abs(chord_arc_constant(state, grid, lifted) - want) <= 2e-15 * want
+
+    def test_lifted_ratio_is_exactly_symmetric(self):
+        # s and sh are exactly odd, so den = s^2 + sh^2 is exactly even
+        grid = SpectralGrid(64)
+        state, contour = pool_like(grid, 0)
+        ratios = []
+
+        def record(block):
+            ratios.append(block.ratio.copy())
+            return ()
+
+        pair_sweep(build_workspace(state, grid, contour, 1), grid, record)
+        (ratio,) = ratios
+        assert ratio.shape == (64, 64) and ratio.tobytes() == ratio.T.tobytes()
 
     @pytest.mark.parametrize("n_modes", [64, 128, 256, 512, 1024])
     @pytest.mark.parametrize("slope", [0.98, 3.35], ids=["turnover", "near_floor"])

@@ -285,16 +285,15 @@ class TestBlock:
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_diff_and_outer_match_index_loops(self, dtype):
+        # the outer product a_i b_j is the factor-table term ([a, 0], [b, 0])
         block = Block(slice(3, 7), self.N)
         x, y = self.samples(dtype, 1), self.samples(dtype, 2)
-        diff, outer = block.diff(x), block.outer(x, y)
+        zero = np.zeros_like(x)
+        diff, (outer,) = block.diff(x), block.product(*factor_tables(([x, zero], [y, zero])))
         for i in range(3, 7):
             for j in range(3, self.N):
                 assert diff[i - 3, j - 3] == x[i] - x[j]
                 assert outer[i - 3, j - 3] == x[i] * y[j]
-        out = np.empty(block.shape, dtype)
-        assert block.diff(x, out=out) is out and np.array_equal(out, diff)
-        assert block.outer(x, y, out=out) is out and np.array_equal(out, outer)
 
     def test_products_of_factor_tables_match_the_broadcasts_bitwise(self):
         # random float64 over all exponents, subnormals, +-0.0 and repeats;
@@ -316,7 +315,7 @@ class TestBlock:
             assert np.array_equal(diff, want)
             assert diff[~signed_zero].tobytes() == want[~signed_zero].tobytes()
             assert not np.signbit(diff[signed_zero]).any()
-            assert outer.tobytes() == block.outer(a, b).tobytes()
+            assert outer.tobytes() == (a[rows, None] * b[None, block.cols]).tobytes()
             out = np.empty((2, *block.shape))
             assert block.product(left, right, out=out) is out
 
