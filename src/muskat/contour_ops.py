@@ -66,43 +66,70 @@ class LiftedContour:
 def half_angle_parts(re: NDArray, im: NDArray, block: Block) -> tuple[NDArray, ...]:
     """sin a, cos a, sinh b and cosh b over a block, a + ib = (w_i - w_j)/2, w = re + i im.
 
-    A complex half-angle term is assembled from these four real arrays,
-    whose float64 ufuncs are vectorized where the complex ones are not:
+    A complex half-angle term is assembled from these four real arrays:
     sin(a + ib) = sin a cosh b + i cos a sinh b,
     cos(a + ib) = cos a cosh b - i sin a sinh b, and with the arguments
-    swapped, sinh(b + ia) = sinh b cos a + i cosh b sin a.
-    sin and sinh are exactly odd, cos and cosh exactly even, so the mirror
-    pair's parts are the same up to sign.
+    swapped, sinh(b + ia) = sinh b cos a + i cosh b sin a.  numpy's float64
+    sin and cos run scalar loops, 4-7x slower than its vectorized tan, sinh
+    and cosh, so with t = tan(a/2) the circular pair is
+    sin a = 2t / (1 + t^2) and cos a = (1 - t^2) / (1 + t^2): relative
+    accuracy for sin a, absolute for cos a where it crosses zero.  tan,
+    sinh and the quotients are exactly odd, the squares exactly even, so
+    the mirror pair's parts are the same up to sign.
     """
-    a, b = block.diff(re), block.diff(im)
-    a *= 0.5
-    b *= 0.5
-    sin_a, sinh_b = np.sin(a), np.sinh(b)
-    return sin_a, np.cos(a, out=a), sinh_b, np.cosh(b, out=b)
+    t, b = block.diff(re), _half_diff(im, block)
+    t *= 0.25
+    np.tan(t, out=t)
+    t_sq = np.square(t)
+    scale = 1.0 + t_sq
+    cos_a = np.subtract(1.0, t_sq, out=t_sq)
+    cos_a /= scale
+    sin_a = np.multiply(t, 2.0, out=t)
+    sin_a /= scale
+    sinh_b = np.sinh(b)
+    return sin_a, cos_a, sinh_b, np.cosh(b, out=b)
 
 
-def _flat_cot(sin_a: NDArray, cos_a: NDArray) -> NDArray:
-    """cot a = cos a / sin a, diagonal 0; overwrites the diagonal of sin_a."""
-    np.fill_diagonal(sin_a, 1.0)
-    out = cos_a / sin_a
-    np.fill_diagonal(out, 0.0)
-    return out
+def _half_diff(x: NDArray, block: Block) -> NDArray:
+    """(x_i - x_j)/2 over a block."""
+    half = block.diff(x)
+    half *= 0.5
+    return half
 
 
-def _lifted_cot(sin_a: NDArray, cos_a: NDArray, sinh_b: NDArray, cosh_b: NDArray) -> NDArray:
-    """cot(a + ib) = (sin a cos a - i sinh b cosh b) / (sin^2 a + sinh^2 b), diagonal 0.
+def _tan_half(re: NDArray, block: Block) -> NDArray:
+    """T = tan a over a block, a = (re_i - re_j)/2: the circular part of :func:`_cot`."""
+    a = _half_diff(re, block)
+    return np.tan(a, out=a)
 
-    Both identities are exact, so nothing cancels; the denominator's
-    diagonal, where a = b = 0, is set to 1 before the division.  Overwrites
-    sinh_b and cosh_b.
+
+def _cot(tan_a: NDArray, b: NDArray | None, block: Block) -> NDArray:
+    """cot(a + ib) over a block from T = tan a and b, diagonal 0, where a = b = 0.
+
+    b = None is the flat cotangent 1/T; it overwrites ``tan_a``, so a caller
+    that wants both forms takes the lifted one first.  Dividing
+    cot(a + ib) = (sin a cos a - i sinh b cosh b) / (sin^2 a + sinh^2 b)
+    by cos^2 a = 1/(1 + T^2) gives
+
+        cot(a + ib) = (T - i sinh b cosh b (1 + T^2)) / (T^2 + sinh^2 b (1 + T^2)),
+
+    which takes T^2 as formed, never fl(1 + T^2) - 1, and cancels nothing.
+    Both forms are exactly odd, so the mirror pair's value is -cot.
     """
-    out = np.empty(sin_a.shape, dtype=complex)
-    np.multiply(sin_a, cos_a, out=out.real)
-    np.multiply(sinh_b, cosh_b, out=out.imag)
+    if b is None:
+        block.fill_diagonal(tan_a, np.inf)
+        return np.reciprocal(tan_a, out=tan_a)
+    t_sq = np.square(tan_a)
+    scale = 1.0 + t_sq
+    sinh_b = np.sinh(b)
+    out = np.empty(tan_a.shape, dtype=complex)
+    np.multiply(sinh_b, np.cosh(b), out=out.imag)
+    out.imag *= scale
     den = np.square(sinh_b, out=sinh_b)
-    den += np.square(sin_a, out=cosh_b)
-    np.fill_diagonal(den, 1.0)
-    out.real /= den
+    den *= scale
+    den += t_sq
+    block.fill_diagonal(den, 1.0)
+    np.divide(tan_a, den, out=out.real)
     out.imag /= den
     np.negative(out.imag, out=out.imag)
     return out
@@ -111,13 +138,12 @@ def _lifted_cot(sin_a: NDArray, cos_a: NDArray, sinh_b: NDArray, cosh_b: NDArray
 def pairwise_cot(zeta: NDArray, block: Block) -> NDArray:
     """cot((zeta_i - zeta_j)/2) over a block, with a zero diagonal and no 0/0 formed.
 
-    cot is exactly odd, so its mirror is -cot.  Complex nodes take the real
-    closed form of :func:`_lifted_cot`.
+    One tan per pair, of the real half difference, and on complex nodes
+    sinh and cosh of the imaginary one (:func:`_cot`); no sin or cos.  cot
+    is exactly odd, so its mirror is -cot.
     """
-    if np.iscomplexobj(zeta):
-        return _lifted_cot(*half_angle_parts(zeta.real, zeta.imag, block))
-    half = block.diff(zeta) / 2.0
-    return _flat_cot(np.sin(half), np.cos(half))
+    b = _half_diff(zeta.imag, block) if np.iscomplexobj(zeta) else None
+    return _cot(_tan_half(zeta.real, block), b, block)
 
 
 def pv_cot_integral(grid: SpectralGrid, contour: LiftedContour | None = None) -> NDArray:
@@ -138,13 +164,14 @@ def pv_cot_integral(grid: SpectralGrid, contour: LiftedContour | None = None) ->
 
     jac = contour.jacobian()
     diag = -1j * contour.sign * contour.h_second / jac
+    heights = contour.sign * contour.h
 
     def sums(block: Block):
-        # the lifted nodes' real parts are the grid nodes, so sin a and cos a
-        # are the flat cotangent's own
-        sin_a, cos_a, sinh_b, cosh_b = half_angle_parts(grid.nodes, contour.sign * contour.h, block)
-        lifted = _lifted_cot(sin_a, cos_a, sinh_b, cosh_b)
-        flat = _flat_cot(sin_a, cos_a)
+        # the lifted nodes' real parts are the grid nodes, so T = tan a is
+        # the flat cotangent's own
+        tan_a = _tan_half(grid.nodes, block)
+        lifted = _cot(tan_a, _half_diff(heights, block), block)
+        flat = _cot(tan_a, None, block)
         return [block.sums(lifted * jac[None, block.cols] - flat,
                            flat - lifted * jac[block.rows, None], diag[block.rows])]
 

@@ -48,11 +48,13 @@ cancels with them: with s, c = sin, cos(dz1/2) and sh = sinh(dz2/2),
 one expression on both grids.  On a lifted contour a block forms these
 terms when it is built and takes its chord-arc ratio from the same
 denominator that K divides by.  Each complex half-angle term is assembled
-from the real sin, cos, sinh and cosh of the differences' real and
-imaginary parts (:func:`muskat.contour_ops.half_angle_parts`), so no pair
-takes a complex transcendental.  A lifted sample takes its phases e^{ikx_j}
-from a cached table of the N-th roots of unity and one real exponential
-per entry.
+from real parts of the differences (:func:`muskat.contour_ops.half_angle_parts`):
+sin and cos of a real half difference from one tan of its half, sinh and
+cosh of an imaginary one directly.  So no pair takes a complex
+transcendental, nor numpy's float64 sin or cos, which run scalar loops
+4-7x slower than its vectorized tan, sinh and cosh.  A lifted sample takes
+its phases e^{ikx_j} from a cached table of the N-th roots of unity and
+one real exponential per entry, in blocks of nodes.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ from numpy.typing import NDArray
 
 from .contour_ops import LiftedContour, half_angle_parts, pairwise_cot
 from .errors import DegenerateGeometryError
-from .grid import Block, SpectralGrid, factor_tables
+from .grid import _BLOCK_BYTES, Block, SpectralGrid, factor_tables
 
 DEFAULT_CHORD_ARC_FLOOR = 1e-4
 
@@ -125,22 +127,35 @@ def evaluate_on_contour(
     the phase e^{ikx_j} is the root of unity e^{2 pi i m/N}, m = jk mod N,
     read from a table, so it carries no rounding of k x_j and each entry
     takes one real exponential.  A stack (m, N) is evaluated row by row
-    through one phase matrix over the modes live in any row.
+    over the modes live in any row, in blocks of nodes, each written by one
+    matrix product.  A block's index, phase and decay arrays stay within
+    ``_BLOCK_BYTES`` up to 682 live modes; its node count is a multiple of
+    six, the tile in which Haswell's zgemm takes them, so each sample is
+    bitwise the one-matrix product's at one BLAS thread on every OpenBLAS
+    kernel (at most 96 KiB of phases a block, below glibc's mmap
+    threshold).  A block's product is small enough that BLAS keeps it on
+    one thread, so the samples do not depend on the thread count either.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
     grid._check_length(coeffs, stacked=True)
     n = grid.n_modes
     live = (np.abs(coeffs) > 0.0).reshape(-1, n).any(axis=0)
     k = grid.wavenumbers[live]
-    # N is a power of two, so & (N - 1) is the residue mod N, also for k < 0
-    index = np.outer(np.arange(n), k)
-    index &= n - 1
-    phases = _roots_of_unity(n)[index]
-    del index  # before the decay matrix: a 6-row stack at N=1024 peaks at 32 MiB, not 40
-    decay = np.exp(np.outer(-contour.sign * contour.h, k))
-    phases.real *= decay
-    phases.imag *= decay
-    return (phases @ coeffs[..., live].T).T
+    columns = coeffs[..., live].T
+    heights = -contour.sign * contour.h
+    out = np.empty((n, *coeffs.shape[:-1]), dtype=complex)
+    step = 6 * max(1, _BLOCK_BYTES // (6 * 16 * max(len(k), 1)))
+    for start in range(0, n, step):
+        nodes = slice(start, start + step)
+        # N is a power of two, so & (N - 1) is the residue mod N, also for k < 0
+        index = np.outer(np.arange(n)[nodes], k)
+        index &= n - 1
+        phases = _roots_of_unity(n)[index]
+        decay = np.exp(np.outer(heights[nodes], k))
+        phases.real *= decay
+        phases.imag *= decay
+        np.matmul(phases, columns, out=out[nodes])
+    return out.T
 
 
 @functools.lru_cache(maxsize=8)
@@ -277,13 +292,14 @@ def _half_angle_terms(ws: KernelWorkspace, block: Block) -> tuple[NDArray, NDArr
     is 0, and cosh(dz2) - cos(dz1) = 2 den.  In this form, like the
     cotangent, the PV integrand cancels their poles and with them the
     rounding of the node differences: against an mpmath trapezoid of the
-    same samples at N = 128 it is 5.9e-15 off on the flat grid, where the
-    exp-map K with a table cotangent is 1.0e-13 off (2.2e-14 against
+    same samples at N = 128 it is 5.3e-15 off on the flat grid, where the
+    exp-map K with a table cotangent is 1.0e-13 off (2.1e-14 against
     1.9e-13 at N = 256).  On a lifted contour dz1 and dz2 are complex and
     each term is assembled from the real parts of its argument, s and c in
     the calling thread's block buffers; sinh(dz2/2) for dz2/2 = p + ir
-    takes sin r, cos r, sinh p and cosh p.  s and sh are exactly odd and
-    c exactly even, so s c is exactly odd and den exactly even.
+    takes sin r, cos r, sinh p and cosh p.  Every sin and cos comes from a
+    tan (:func:`half_angle_parts`).  s and sh are exactly odd and c exactly
+    even, so s c is exactly odd and den exactly even.
     """
     if ws.flat:
         s, c, sh, _ = half_angle_parts(ws.z1, ws.z2, block)

@@ -5,7 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from muskat import InterfaceState, SpectralGrid
+from muskat import InterfaceState, LiftedContour, SpectralGrid
+from muskat.schedules import HeightSchedule, h_of
 
 
 @pytest.fixture
@@ -44,6 +45,24 @@ def strip_state(grid: SpectralGrid, width: float = 0.3) -> InterfaceState:
         c2[m] = -0.5j * s2 * np.exp(-width * m)
         c2[-m] = np.conj(c2[m])
     return InterfaceState(c1, c2)
+
+
+def pool_like(grid: SpectralGrid, seed: int) -> tuple[InterfaceState, LiftedContour]:
+    """A band-limited analytic state and the upper contour of a schedule time, from ``seed``.
+
+    Coefficients are complex normals times 0.02 e^{-|k|/2} for
+    1 <= |k| <= N/3, conjugate-symmetric; the contour height is
+    :func:`muskat.schedules.h_of` at a time drawn from [tau^2, tau].
+    """
+    rng = np.random.default_rng([seed, 2012])
+    k = np.arange(1, grid.n_modes // 3 + 1)
+    coeffs = np.zeros((2, grid.n_modes), dtype=complex)
+    for row in coeffs:
+        row[k] = 0.02 * np.exp(-0.5 * k) * (rng.normal(size=len(k)) + 1j * rng.normal(size=len(k)))
+        row[-k] = np.conj(row[k])
+    schedule = HeightSchedule()
+    t = rng.uniform(schedule.tau**2, schedule.tau)
+    return InterfaceState(*coeffs), LiftedContour.from_height(grid, h_of(grid.nodes, t, schedule))
 
 
 def run_with_blas_threads(args: list[str], threads: int) -> subprocess.CompletedProcess:

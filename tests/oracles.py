@@ -6,7 +6,8 @@ the diagonal instead of assigning it its analytic limit, the right-hand
 side and the principal-value integral summed in extended precision, and
 the full-matrix quadratures, which hold every pairwise array as one N x N
 matrix and sum each row in one reduction, as the quadratures did before
-the triangle sweep.
+the triangle sweep, and the contour sampler through one phase matrix, as
+it was before it took its nodes in blocks.
 """
 
 from __future__ import annotations
@@ -61,24 +62,24 @@ def row_quadrature(grid: SpectralGrid, integrand: np.ndarray, diag) -> np.ndarra
 
 
 def full_cot(zeta: np.ndarray) -> np.ndarray:
-    """cot((zeta_i - zeta_j)/2) over all node pairs, diagonal 0, in the half-angle form.
+    """cot((zeta_i - zeta_j)/2) over all node pairs, diagonal 0, from T = tan a.
 
-    For complex nodes, with (zeta_i - zeta_j)/2 = a + ib, the closed form
-    cot(a + ib) = (sin a cos a - i sinh b cosh b) / (sin^2 a + sinh^2 b)
-    of ``pairwise_cot``, which ``TestPairwiseCot`` pins against mpmath.
+    With (zeta_i - zeta_j)/2 = a + ib, the forms of ``pairwise_cot``: 1/T
+    for real nodes, and for complex ones
+    cot(a + ib) = (T - i sinh b cosh b (1 + T^2)) / (T^2 + sinh^2 b (1 + T^2)),
+    which ``TestPairwiseCot`` pins against mpmath.
     """
     half = (zeta[:, None] - zeta[None, :]) / 2.0
+    tan_a = np.tan(half.real)
     if np.isrealobj(zeta):
-        sin_half = np.sin(half)
-        np.fill_diagonal(sin_half, 1.0)
-        out = np.cos(half) / sin_half
-    else:
-        a, b = half.real, half.imag
-        den = np.sin(a) ** 2 + np.sinh(b) ** 2
-        np.fill_diagonal(den, 1.0)
-        out = np.sin(a) * np.cos(a) / den - 1j * (np.sinh(b) * np.cosh(b) / den)
-    np.fill_diagonal(out, 0.0)
-    return out
+        np.fill_diagonal(tan_a, np.inf)
+        return 1.0 / tan_a
+    t_sq = tan_a**2
+    scale = 1.0 + t_sq
+    sinh_b = np.sinh(half.imag)
+    den = sinh_b**2 * scale + t_sq
+    np.fill_diagonal(den, 1.0)
+    return tan_a / den - 1j * (sinh_b * np.cosh(half.imag) * scale / den)
 
 
 def full_pv_cot_integral(grid: SpectralGrid, contour: LiftedContour | None = None) -> np.ndarray:
@@ -104,6 +105,27 @@ def full_lambda_gamma(
     integrand = full_cot(contour.complex_nodes(grid)) * dfp * jac[None, :]
     fpp = grid.from_spectral(grid.derivative(grid.to_spectral(f_prime_samples))) / jac
     return -(1.0 / (2.0 * np.pi)) * row_quadrature(grid, integrand, 2.0 * fpp * jac)
+
+
+def one_matrix_evaluate_on_contour(
+    coeffs: np.ndarray, grid: SpectralGrid, contour: LiftedContour
+) -> np.ndarray:
+    """``evaluate_on_contour`` through one N x live phase matrix and one matrix product.
+
+    The same phases, e^{2 pi i m/N} at m = jk mod N times e^{-s k h_j}, for
+    all nodes at once, as the sampler formed them before it took its nodes
+    in blocks.
+    """
+    coeffs = np.asarray(coeffs, dtype=complex)
+    n = grid.n_modes
+    live = (np.abs(coeffs) > 0.0).reshape(-1, n).any(axis=0)
+    k = grid.wavenumbers[live]
+    roots = np.exp(1j * SpectralGrid(n).nodes)
+    phases = roots[np.outer(np.arange(n), k) & (n - 1)]
+    decay = np.exp(np.outer(-contour.sign * contour.h, k))
+    phases.real *= decay
+    phases.imag *= decay
+    return (phases @ coeffs[..., live].T).T
 
 
 @dataclass

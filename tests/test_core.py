@@ -15,6 +15,7 @@ from muskat import (
     chord_arc_constant,
     evaluate_on_contour,
     galerkin_rhs,
+    h4_distance,
     lambda_gamma,
     pv_cot_integral,
     rhs,
@@ -27,15 +28,15 @@ from muskat.core import (
     _distance_sq,
     _half_angle_terms,
     _node_distance,
+    _roots_of_unity,
     build_workspace,
     pair_sweep,
 )
 from muskat.errors import DegenerateGeometryError
 from muskat.grid import Block
 from muskat.initial_data import GraphFamilyParams, make_turnover_state
-from muskat.schedules import HeightSchedule, h_of
 
-from conftest import gentle_state, run_with_blas_threads, strip_state
+from conftest import gentle_state, pool_like, run_with_blas_threads, strip_state
 from oracles import (
     alternating_rhs,
     broadcast_geometry,
@@ -77,24 +78,6 @@ def assert_thread_invariant(calls):
     for want, runs in zip(serial, results):
         for got in runs:
             assert got.tobytes() == want.tobytes()
-
-
-def pool_like(grid: SpectralGrid, seed: int) -> tuple[InterfaceState, LiftedContour]:
-    """A band-limited analytic state and the upper contour of a schedule time, from ``seed``.
-
-    Coefficients are complex normals times 0.02 e^{-|k|/2} for
-    1 <= |k| <= N/3, conjugate-symmetric; the contour height is
-    :func:`muskat.schedules.h_of` at a time drawn from [tau^2, tau].
-    """
-    rng = np.random.default_rng([seed, 2012])
-    k = np.arange(1, grid.n_modes // 3 + 1)
-    coeffs = np.zeros((2, grid.n_modes), dtype=complex)
-    for row in coeffs:
-        row[k] = 0.02 * np.exp(-0.5 * k) * (rng.normal(size=len(k)) + 1j * rng.normal(size=len(k)))
-        row[-k] = np.conj(row[k])
-    schedule = HeightSchedule()
-    t = rng.uniform(schedule.tau**2, schedule.tau)
-    return InterfaceState(*coeffs), LiftedContour.from_height(grid, h_of(grid.nodes, t, schedule))
 
 
 class TestInterfaceState:
@@ -345,13 +328,14 @@ class TestKernelWorkspace:
         assert_thread_invariant(calls)
 
     def test_transcendentals_have_exact_parity(self):
-        # the sweep takes each pair's mirror from the pair: sin and sinh must
-        # be exactly odd and cos and cosh exactly even, for real and complex
-        # arguments
+        # the sweep takes each pair's mirror from the pair: sin, sinh and
+        # tan must be exactly odd and cos and cosh exactly even, for real and
+        # complex arguments
         rng = np.random.default_rng(2012)
         real = rng.uniform(-12.0, 12.0, 10**6)
         values = (real, real + 1j * rng.uniform(-2.0, 2.0, 10**6))
         for x in values:
+            assert np.array_equal(np.tan(-x), -np.tan(x))
             assert np.array_equal(np.sin(-x), -np.sin(x))
             assert np.array_equal(np.sinh(-x), -np.sinh(x))
             assert np.array_equal(np.cos(-x), np.cos(x))
@@ -360,8 +344,8 @@ class TestKernelWorkspace:
     @pytest.mark.parametrize("lifted", [False, True], ids=["flat", "lifted"])
     def test_half_angle_kernel_is_exactly_odd(self, lifted):
         # the PV integral takes the mirror -K from the pair; K = s c / (s^2 +
-        # sh^2) on both grids, on a lifted contour assembled from real sin,
-        # cos, sinh and cosh
+        # sh^2) on both grids, on a lifted contour assembled from real tan,
+        # sinh and cosh
         grid = SpectralGrid(64)
         contour = (LiftedContour.from_height(grid, 0.15 + 0.03 * np.cos(grid.nodes))
                    if lifted else None)
@@ -429,15 +413,33 @@ class TestNearChordArcFloor:
         assert swept.value.ratio == pytest.approx(full.value.ratio, rel=1e-12)
 
 
+def _lifted_pool(grid: SpectralGrid):
+    state, contour = pool_like(grid, 0)
+    return state, grid, contour
+
+
 def _lifted_mode(grid: SpectralGrid):
     contour = LiftedContour.from_height(grid, np.full(grid.n_modes, 0.5))
     mode = np.exp(4j * contour.complex_nodes(grid))
     return mode, 4j * mode, contour, grid
 
 
+def _traced_peak(evaluate) -> int:
+    """Peak traced memory of ``evaluate()``, in bytes."""
+    tracemalloc.start()
+    try:
+        evaluate()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
 class TestPairQuadratureMemory:
     # one N x N complex array at N = 1024 is 16 MiB; every pair sum keeps
-    # its arrays block-sized, and the distance cache is O(N)
+    # its arrays block-sized, the distance cache is O(N), and a lifted
+    # workspace samples its nodes in blocks.  The lifted calls take the
+    # band-limited pool-like state, whose samples stay finite at N = 1024
     @pytest.mark.parametrize("evaluate", [
         lambda grid: rhs(gentle_state(grid), grid),
         lambda grid: chord_arc_constant(gentle_state(grid), grid),
@@ -446,18 +448,33 @@ class TestPairQuadratureMemory:
         lambda grid: pv_cot_integral(grid),
         lambda grid: pv_cot_integral(grid, _lifted_mode(grid)[2]),
         lambda grid: lambda_gamma(*_lifted_mode(grid)),
+        lambda grid: a_tilde(*_lifted_pool(grid)),
+        lambda grid: rt_generalized(*_lifted_pool(grid), np.zeros(grid.n_modes)),
+        lambda grid: chord_arc_constant(*_lifted_pool(grid)),
+        lambda grid: h4_distance(_lifted_pool(grid)[0], InterfaceState.flat(grid), grid,
+                                 _lifted_pool(grid)[2]),
     ], ids=["rhs", "chord_arc", "a_tilde", "decomposition", "pv_flat", "pv_lifted",
-            "lambda_gamma"])
+            "lambda_gamma", "a_tilde_lifted", "rt_generalized", "chord_arc_lifted",
+            "h4_distance_lifted"])
     def test_first_call_peak_below_two_mib_at_n1024(self, evaluate):
         grid = SpectralGrid(1024)
+        # the pool-like state's first random draw imports numpy.random
+        # (0.7 MiB of module objects), which is not the call's memory
+        pool_like(grid, 0)
         _node_distance.cache_clear()
-        tracemalloc.start()
-        try:
-            evaluate(grid)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * 2**20
+        assert _traced_peak(lambda: evaluate(grid)) < 2 * 2**20
+
+    def test_six_row_stack_sample_peak_below_two_mib_at_n1024(self):
+        # every mode live, where a phase matrix over all nodes is N x N
+        # (16 MiB); in blocks of nodes the call peaks at 0.56 MiB
+        grid = SpectralGrid(1024)
+        rng = np.random.default_rng(1024)
+        stack = (rng.normal(size=(6, 1024)) + 1j * rng.normal(size=(6, 1024))
+                 ) * np.exp(-0.2 * np.abs(grid.wavenumbers))
+        assert (stack != 0.0).all()
+        contour = LiftedContour.from_height(grid, np.full(1024, 0.1))
+        _roots_of_unity.cache_clear()
+        assert _traced_peak(lambda: evaluate_on_contour(stack, grid, contour)) < 2 * 2**20
 
 
 class TestRhsSymmetries:
@@ -567,10 +584,11 @@ class TestATilde:
     def test_matches_mpmath_trapezoid(self, lifted, bound):
         # the same trapezoid summed at 30 digits from the same float64
         # samples: an accuracy pin, not agreement with a float64 oracle of
-        # the same formula.  The half-angle K = s c / (s^2 + sh^2) and the
-        # cotangent measure 5.89e-15 (flat; 5.85e-15 with sin(dz1) in the
-        # numerator) and 2.5e-14 (upper); the exp-map K with a table or
-        # W-form cotangent 1.0e-13 and 6.7e-14
+        # the same formula.  The half-angle K = s c / (s^2 + sh^2), its sin
+        # and cos from tan(a/2), and the cotangent from T = tan a measure
+        # 5.25e-15 (flat) and 2.56e-14 (upper); with sin and cos 5.89e-15
+        # (5.85e-15 with sin(dz1) in the numerator) and 2.5e-14; the
+        # exp-map K with a table or W-form cotangent 1.0e-13 and 6.7e-14
         grid = SpectralGrid(128)
         contour = (LiftedContour.from_height(grid, 0.15 + 0.03 * np.cos(grid.nodes))
                    if lifted else None)
@@ -712,6 +730,51 @@ class TestContourEvaluation:
         for row, values in zip(stack, together):
             alone = evaluate_on_contour(row, grid256, contour)
             assert np.abs(values - alone).max() <= 1e-14 * np.abs(alone).max()
+
+    def test_blocked_matches_the_one_matrix_oracle_bitwise(self):
+        # at one BLAS thread each node's sample is the same arithmetic in a
+        # block as in one product over all nodes: a block's node count is a
+        # multiple of six, the tile of Haswell's zgemm.  1-D and stacked, the
+        # pool-like state's sampling stack and an all-live one; in a process
+        # of its own, as a product over all nodes may split across threads
+        script = (
+            "import sys; import numpy as np; "
+            "from muskat import LiftedContour, SpectralGrid, evaluate_on_contour; "
+            "from conftest import pool_like; "
+            "from oracles import one_matrix_evaluate_on_contour as oracle; "
+            "failed = []\n"
+            "for n in (64, 256, 1024):\n"
+            "    g = SpectralGrid(n); state, upper = pool_like(g, 1); c = state.coeffs\n"
+            "    rng = np.random.default_rng(n)\n"
+            "    dense = (rng.normal(size=(6, n)) + 1j * rng.normal(size=(6, n))"
+            " ) * np.exp(-0.2 * np.abs(g.wavenumbers))\n"
+            "    stack = np.concatenate([c, g.derivative(c, 1), g.derivative(c, 2)])\n"
+            "    for contour in (upper, LiftedContour(upper.h, -1)):\n"
+            "        for label, coeffs in (('row', stack[1]), ('stack', stack),"
+            " ('dense row', dense[0]), ('dense', dense)):\n"
+            "            got, want = evaluate_on_contour(coeffs, g, contour), oracle(coeffs, g, contour)\n"
+            "            if got.shape != want.shape or got.tobytes() != want.tobytes():\n"
+            "                failed.append(f'{label} N={n} sign={contour.sign}')\n"
+            "sys.stdout.write(repr(failed))"
+        )
+        assert run_with_blas_threads(["-c", script], 1).stdout.decode() == "[]"
+
+    def test_lifted_samples_blas_thread_count_invariance(self):
+        # fresh processes with one and two BLAS threads: identical bytes of
+        # the lifted samples of a pool-like state on both contours.  A
+        # product over all nodes splits across two threads and moves them
+        # by 1.5e-16 relative; a block's product stays on one thread
+        script = (
+            "import sys; from muskat import LiftedContour, SpectralGrid; "
+            "from muskat.core import build_workspace; from conftest import pool_like; "
+            "g = SpectralGrid(256); s, c = pool_like(g, 0); "
+            "sys.stdout.write(b''.join(build_workspace(s, g, lifted, 2).der.tobytes() "
+            "for lifted in (c, LiftedContour(c.h, -1))).hex())"
+        )
+        one = run_with_blas_threads(["-c", script], 1).stdout
+        two = run_with_blas_threads(["-c", script], 2).stdout
+        assert len(one) == 2 * 2 * 6 * 16 * 256
+        assert one == two
 
 
 class TestDensityPrefactor:
