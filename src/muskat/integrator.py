@@ -16,6 +16,12 @@ Runs carry the monitors the analysis is built on: the graph indicator
 min z1', the chord-arc constant, Rayleigh-Taylor minima, H4 distance to a
 reference state, and the analyticity-radius estimate.  Stop conditions are
 normal outcomes recorded in the trajectory, not errors.
+
+One driver, ``_advance``, steps a single state (``run``) and a perturbed
+pair (``two_solution_monitor``) alike: it projects the initial states,
+refuses one that violates a requested rt_sign stop, checks the stop
+conditions on every accepted state, keeps the record cadence and writes
+the termination and the counts.  The callers only say what a record is.
 """
 
 from __future__ import annotations
@@ -120,6 +126,13 @@ class DiagnosticsRecord:
 
 @dataclass
 class Trajectory:
+    """The outcome of a run: its records, termination and step counts.
+
+    ``run`` records (time, state, diagnostics) triples.  For a pair,
+    ``two_solution_monitor`` keeps its own records, and the counts add up
+    the steps of both states.
+    """
+
     records: list[tuple[float, InterfaceState, DiagnosticsRecord]] = field(default_factory=list)
     termination: str = "unterminated"
     #: node pair and ratio of the chord-arc stop, None on other terminations
@@ -286,55 +299,47 @@ def run(initial: InterfaceState, config: RunConfig) -> Trajectory:
     that fired.  Chord-arc failure terminates normally when
     "chord_arc_floor" is among the stop conditions and propagates as
     DegenerateGeometryError otherwise.  Non-finite coefficients always
-    raise BlowupError.  The last accepted state is always recorded.
+    raise BlowupError.  The last accepted state is always recorded, and the
+    H4 distance is measured from the first recorded state.
     """
     grid = SpectralGrid(config.n_modes)
-    state = _projected(initial, grid, config)
-    if "rt_sign" in config.stop_on and _check_stops(state, grid, config) == "rt_sign":
-        raise ConfigError(
-            "initial state violates the Rayleigh-Taylor sign for this run direction"
-        )
-    reference = state.copy()
     trajectory = Trajectory()
 
-    def record(s: InterfaceState) -> None:
-        trajectory.records.append(
-            (s.time, s.copy(), diagnostics_for(s, grid, config, reference))
-        )
+    def record(states) -> None:
+        (state,) = states
+        reference = trajectory.records[0][1] if trajectory.records else state
+        diagnostics = diagnostics_for(state, grid, config, reference)
+        trajectory.records.append((state.time, state.copy(), diagnostics))
 
-    trajectory.termination, degenerate = _advance(
-        state, _accepted_states(state, grid, config, trajectory), config,
-        lambda s: _check_stops(s, grid, config), record,
-    )
-    if degenerate is not None:
-        trajectory.chord_arc_pair = degenerate.pair
-        trajectory.chord_arc_ratio = degenerate.ratio
+    _advance((initial,), grid, config, record, trajectory)
     return trajectory
 
 
-def _projected(initial: InterfaceState, grid: SpectralGrid, config: RunConfig) -> InterfaceState:
-    return InterfaceState(*grid.project_modes(initial.coeffs, config.galerkin_cutoff),
-                          config.t_start)
+def _advance(initials, grid: SpectralGrid, config: RunConfig, record, outcome: Trajectory) -> None:
+    """Step ``initials`` together from t_start with identical steps: the one run loop.
 
-
-def _advance(
-    first, states, config: RunConfig, check, record
-) -> tuple[str, DegenerateGeometryError | None]:
-    """Record ``first``, then step through ``states``.
-
-    Records every record_every-th state and always the last accepted one.
-    A run ends at the end of ``states`` ("reached_t_end"), when ``check``
-    names a stop condition, or on a DegenerateGeometryError, which ends it
-    as "chord_arc_floor" if that stop is requested and propagates otherwise.
-    Returns the termination and the DegenerateGeometryError that ended the
-    run, if one did.
+    Projects each initial state to the cutoff at t_start and raises
+    ConfigError when one violates a requested rt_sign stop.  Calls
+    ``record`` with the tuple of states at the start, at every
+    record_every-th accepted step and always at the last accepted one.  The
+    run ends at t_end ("reached_t_end"), when a state meets a stop
+    condition, or on a DegenerateGeometryError, which ends it as
+    "chord_arc_floor" if that stop is requested and propagates otherwise.
+    Writes the termination, the chord-arc stop's node pair and ratio, and
+    the rhs calls and rejected steps of all the states into ``outcome``.
     """
-    record(first)
-    last, recorded, reason, degenerate = first, True, None, None
+    states = tuple(InterfaceState(*grid.project_modes(s.coeffs, config.galerkin_cutoff),
+                                  config.t_start) for s in initials)
+    if "rt_sign" in config.stop_on and any(_check_stops(s, grid, config) == "rt_sign"
+                                           for s in states):
+        raise ConfigError("initial state violates the Rayleigh-Taylor sign for this run direction")
+    record(states)
+    last, recorded, reason = states, True, None
+    steps = zip(*(_accepted_states(s, grid, config, outcome) for s in states))
     try:
-        for count, last in enumerate(states, start=1):
+        for count, last in enumerate(steps, start=1):
             recorded = False
-            reason = check(last)
+            reason = next(filter(None, (_check_stops(s, grid, config) for s in last)), None)
             if reason is not None:
                 break
             if count % config.record_every == 0:
@@ -343,10 +348,11 @@ def _advance(
     except DegenerateGeometryError as exc:
         if "chord_arc_floor" not in config.stop_on:
             raise
-        reason, degenerate = "chord_arc_floor", exc
+        reason = "chord_arc_floor"
+        outcome.chord_arc_pair, outcome.chord_arc_ratio = exc.pair, exc.ratio
     if not recorded:
         record(last)
-    return reason or "reached_t_end", degenerate
+    outcome.termination = reason or "reached_t_end"
 
 
 def _step_plan(config: RunConfig) -> Iterator[tuple[float, float]]:
@@ -368,15 +374,14 @@ def _step_plan(config: RunConfig) -> Iterator[tuple[float, float]]:
 
 
 def _accepted_states(state: InterfaceState, grid: SpectralGrid, config: RunConfig,
-                     counts: Trajectory | None = None):
+                     counts: Trajectory):
     """Each accepted state from t_start up to t_end.
 
     Fixed runs follow the step plan with classical RK4; adaptive runs use
     the embedded integrating-factor pair and shorten the last step to land
-    on t_end.  When ``counts`` is given, adds the rhs calls and rejected
-    steps to its ``rhs_calls`` and ``rejected_steps``.
+    on t_end.  Adds the rhs calls and rejected steps to the ``rhs_calls``
+    and ``rejected_steps`` of ``counts``.
     """
-    counts = counts if counts is not None else Trajectory()
     cutoff = config.galerkin_cutoff
     if not config.adaptive:
         for step_dt, target_time in _step_plan(config):
@@ -445,17 +450,16 @@ def two_solution_monitor(
 ) -> PairMonitor:
     """Co-evolve two states with identical steps, tracking their H4 distance.
 
-    Both states step on run's loop and stop for the same reasons.  Reports
-    the most negative one-sided difference quotient of the squared distance
-    over the recorded times (the quantity the perturbation theory bounds
-    from below).  Fixed steps only: two step controllers would pick
+    Both states go through run's loop, so they are projected, refused and
+    stopped by the same rules, and either state's stop ends the pair.
+    Reports the most negative one-sided difference quotient of the squared
+    distance over the recorded times (the quantity the perturbation theory
+    bounds from below).  Fixed steps only: two step controllers would pick
     different steps.
     """
     if config.adaptive:
         raise ConfigError("two_solution_monitor needs fixed steps (adaptive = false)")
     grid = SpectralGrid(config.n_modes)
-    a = _projected(a0, grid, config)
-    b = _projected(b0, grid, config)
     times: list[float] = []
     distances: list[float] = []
 
@@ -465,13 +469,8 @@ def two_solution_monitor(
         times.append(sa.time)
         distances.append(h4_distance(sa, sb, grid, contour))
 
-    termination, _ = _advance(
-        (a, b),
-        zip(_accepted_states(a, grid, config), _accepted_states(b, grid, config)),
-        config,
-        lambda pair: _check_stops(pair[0], grid, config) or _check_stops(pair[1], grid, config),
-        record,
-    )
+    outcome = Trajectory()
+    _advance((a0, b0), grid, config, record, outcome)
     quotients = [
         (distances[i + 1] ** 2 - distances[i] ** 2) / (times[i + 1] - times[i])
         for i in range(len(times) - 1)
@@ -480,5 +479,5 @@ def two_solution_monitor(
         times=times,
         distances=distances,
         min_quotient=min(quotients) if quotients else 0.0,
-        termination=termination,
+        termination=outcome.termination,
     )

@@ -4,7 +4,10 @@ Each coefficient row is stored as its real/imag interleaved float list, the
 float64 view of the complex row; Python's JSON round-trips doubles through
 repr exactly, signed zeros included, so load(save(s)) reproduces the state
 bit for bit while the files stay human-diffable: :func:`write_json` puts one
-element per line.  A non-finite coefficient or time is refused on load.
+element per line.  A non-finite coefficient or time is refused on load.  A
+loaded :class:`Snapshot` is an :class:`~muskat.core.InterfaceState` that also
+carries the header's config digest and diagnostics, so a run resumes from it
+as it is.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,29 +25,15 @@ FORMAT_NAME = "muskat-snapshot"
 FORMAT_VERSION = 1
 
 
-@dataclass
-class Snapshot:
-    """A loaded snapshot: the state's (2, N) ``coeffs`` and time, and the header."""
+class Snapshot(InterfaceState):
+    """A loaded snapshot: the state, which ``run`` takes as it is, and the header's
+    ``config_digest`` and ``diagnostics``."""
 
-    time: float
-    coeffs: np.ndarray
-    config_digest: str
-    diagnostics: dict | None = None
-
-    @property
-    def p1(self) -> np.ndarray:
-        return self.coeffs[0]
-
-    @property
-    def p2(self) -> np.ndarray:
-        return self.coeffs[1]
-
-    @property
-    def n_modes(self) -> int:
-        return self.coeffs.shape[1]
-
-    def state(self) -> InterfaceState:
-        return InterfaceState(*self.coeffs, self.time)
+    def __init__(self, p1, p2, time: float, config_digest: str = "",
+                 diagnostics: dict | None = None):
+        super().__init__(p1, p2, time)
+        self.config_digest = config_digest
+        self.diagnostics = diagnostics
 
 
 def finite_or_null(value):
@@ -132,9 +120,5 @@ def load_snapshot(path: str) -> Snapshot:
         raise SnapshotError(f"snapshot {path} truncated: arrays do not match n_modes")
     if not (np.isfinite(interleaved).all() and math.isfinite(time)):
         raise SnapshotError(f"snapshot {path} holds a non-finite coefficient or time")
-    return Snapshot(
-        time=time,
-        coeffs=interleaved.view(complex),
-        config_digest=payload.get("config_digest", ""),
-        diagnostics=payload.get("diagnostics"),
-    )
+    return Snapshot(*interleaved.view(complex), time, payload.get("config_digest", ""),
+                    payload.get("diagnostics"))

@@ -139,7 +139,8 @@ class TestSnapshots:
         assert loaded.n_modes == 64
         assert np.array_equal(loaded.p1.view(np.uint64), state.p1.view(np.uint64))
         assert np.array_equal(loaded.p2.view(np.uint64), state.p2.view(np.uint64))
-        assert np.array_equal(loaded.state().coeffs.view(np.uint64), state.coeffs.view(np.uint64))
+        assert isinstance(loaded, InterfaceState)
+        assert np.array_equal(loaded.coeffs.view(np.uint64), state.coeffs.view(np.uint64))
         assert loaded.config_digest == "abc"
 
     @pytest.mark.parametrize("key, index, value", [
@@ -220,7 +221,7 @@ class TestSnapshots:
         half = run(initial, RunConfig(n_modes=64, dt=1e-3, t_end=0.02, record_every=10))
         path = str(tmp_path / "mid.json")
         save_snapshot(half.final_state(), path)
-        middle = load_snapshot(path).state()
+        middle = load_snapshot(path)
         resumed = run(
             middle,
             RunConfig(n_modes=64, dt=1e-3, t_start=middle.time, t_end=0.04, record_every=10),
@@ -539,7 +540,10 @@ class TestCli:
         ("perturbed_pair", "n_modes = 64\nadaptive = true\n"),
         # a vanishing perturbation leaves no distance to take ratios of
         ("perturbed_pair", "n_modes = 32\n[perturbation]\nlambda = 0.0\n"),
-    ], ids=["rt_sign_at_start", "adaptive_pair", "zero_perturbation"])
+        # a pair whose states already violate the requested generalized rt_sign
+        ("perturbed_pair", "n_modes = 32\ndt = 1e-5\nt_end = 0.004\n"
+                           "rt_convention = generalized\nstop_on = rt_sign\n"),
+    ], ids=["rt_sign_at_start", "adaptive_pair", "zero_perturbation", "rt_sign_pair_at_start"])
     def test_invalid_config_exits_two_without_traceback(self, tmp_path, capsys, scenario,
                                                         run_keys):
         path = tmp_path / "cfg.ini"

@@ -34,6 +34,18 @@ def decay_state(grid):
     return InterfaceState(np.zeros(grid.n_modes, dtype=complex), grid.to_spectral(z2))
 
 
+def pinched_state(grid):
+    """A state 20 fixed steps into a tightening neck, set back to t = 0."""
+    x = grid.nodes
+    tight = InterfaceState(
+        grid.to_spectral(-1.3 * np.sin(x) + 0.15 * np.sin(2 * x)),
+        grid.to_spectral(-0.5 * np.sin(x) + np.sin(2 * x)),
+    )
+    pinched = run(tight, RunConfig(n_modes=grid.n_modes, dt=5e-4, t_end=0.01)).final_state()
+    pinched.time = 0.0
+    return pinched
+
+
 def eps_mode_state(grid, k=1, eps=1e-6):
     c2 = np.zeros(grid.n_modes, dtype=complex)
     c2[k] = eps / 2.0
@@ -240,13 +252,7 @@ class TestRun:
 
     def test_chord_arc_stop_records_last_accepted_state(self):
         grid = SpectralGrid(128)
-        x = grid.nodes
-        tight = InterfaceState(
-            grid.to_spectral(-1.3 * np.sin(x) + 0.15 * np.sin(2 * x)),
-            grid.to_spectral(-0.5 * np.sin(x) + np.sin(2 * x)),
-        )
-        pinched = run(tight, RunConfig(n_modes=128, dt=5e-4, t_end=0.01)).final_state()
-        pinched.time = 0.0
+        pinched = pinched_state(grid)
         config = RunConfig(
             n_modes=128, dt=5e-4, t_end=0.05, record_every=10,
             chord_arc_floor=1.9e-3, stop_on=frozenset({"chord_arc_floor"}),
@@ -484,6 +490,50 @@ class TestTwoSolutionMonitor:
         with pytest.raises(ConfigError, match="fixed steps"):
             two_solution_monitor(state, state.copy(), config)
 
+    def test_initial_rt_sign_violation_rejected(self):
+        # the perturbed_pair scenario's pair at N = 32 already fails the
+        # generalized monitor on the default schedule's contour at t = 0
+        from muskat import HeightSchedule
+
+        grid = SpectralGrid(32)
+        base = InterfaceState(
+            np.zeros(grid.n_modes, dtype=complex),
+            grid.to_spectral(0.05 * np.cos(grid.nodes)),
+        )
+        config = RunConfig(
+            n_modes=32, dt=1e-5, t_end=0.004, stop_on=frozenset({"rt_sign"}),
+            rt_convention="generalized", schedule=HeightSchedule(),
+        )
+        with pytest.raises(ConfigError, match="Rayleigh-Taylor sign"):
+            two_solution_monitor(base, perturb(base, 1e-5, f_kappa(0.2, grid)), config)
+
+    @pytest.mark.parametrize("termination", ["reached_t_end", "blowup_norm", "chord_arc_floor"])
+    def test_pair_ends_and_records_as_run_does(self, termination):
+        # a state and its copy: the pair must stop and record where run does
+        if termination == "chord_arc_floor":
+            state = pinched_state(SpectralGrid(128))
+            config = RunConfig(
+                n_modes=128, dt=5e-4, t_end=0.05, record_every=10,
+                chord_arc_floor=1.9e-3, stop_on=frozenset({"chord_arc_floor"}),
+            )
+        else:
+            grid = SpectralGrid(64)
+            state = InterfaceState(
+                np.zeros(grid.n_modes, dtype=complex),
+                grid.to_spectral(0.01 * np.cos(grid.nodes)),
+            )
+            # ten full steps and a tail step off the record cadence
+            config = RunConfig(n_modes=64, dt=1e-3, t_end=0.0105, record_every=4)
+            if termination == "blowup_norm":
+                config = dataclasses.replace(
+                    config, stop_on=frozenset({"blowup_norm"}), blowup_norm=1e-9
+                )
+        trajectory = run(state, config)
+        monitor = two_solution_monitor(state, state.copy(), config)
+        assert trajectory.termination == termination
+        assert monitor.termination == trajectory.termination
+        assert monitor.times == trajectory.times()
+
 
 class TestRtConventions:
     def test_generalized_requires_positive_rt_backward(self):
@@ -500,6 +550,23 @@ class TestRtConventions:
         # flat data cannot satisfy RT > 0 near the strip's slow point
         with pytest.raises(ValueError):
             run(InterfaceState.flat(grid), config)
+
+    def test_generalized_stop_after_the_handover(self):
+        # this graph passes the generalized monitor on hbar's contour at t = 0
+        # and fails it on h's higher contour once t passes tau^2 = 1.9e-4
+        from muskat import HeightSchedule
+
+        grid = SpectralGrid(32)
+        initial = make_turnover_state(GraphFamilyParams(
+            slope_amplitude=0.06, steepening_rate=0.43, vertical_amplitudes=(0.29, 0.22),
+        ), grid)
+        config = RunConfig(
+            n_modes=32, dt=1e-5, t_end=0.004, stop_on=frozenset({"rt_sign"}),
+            schedule=HeightSchedule(A=2.0, tau=0.0138), rt_convention="generalized",
+        )
+        trajectory = run(initial, config)
+        assert trajectory.termination == "rt_sign"
+        assert trajectory.times() == pytest.approx([0.0, 1e-4, 2e-4], abs=1e-15)
 
     def test_generalized_without_schedule_falls_back_to_sigma(self):
         config = RunConfig(
