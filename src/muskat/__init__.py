@@ -31,7 +31,7 @@ from .schedules import (
     rt_coupled_margins,
     schedule_margins,
 )
-from .stability import h4_distance, rt_generalized, rt_unperturbed, turnover_indicator
+from .stability import h4_distance, rt_generalized, rt_unperturbed
 
 __all__ = [
     "D4Decomposition",
@@ -71,7 +71,6 @@ __all__ = [
     "run",
     "schedule_margins",
     "step",
-    "turnover_indicator",
     "two_solution_monitor",
 ]
 

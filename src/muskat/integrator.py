@@ -19,9 +19,10 @@ normal outcomes recorded in the trajectory, not errors.
 
 One driver, ``_advance``, steps a single state (``run``) and a perturbed
 pair (``two_solution_monitor``) alike: it projects the initial states,
-refuses one that violates a requested rt_sign stop, checks the stop
-conditions on every accepted state, keeps the record cadence and writes
-the termination and the counts.  The callers only say what a record is.
+refuses one that violates a requested rt_sign stop, draws every attempted
+step from ``_attempts``, counts the rhs calls and rejected attempts, checks
+the stop conditions on every accepted state, keeps the record cadence and
+writes the termination.  The callers only say what a record is.
 """
 
 from __future__ import annotations
@@ -130,7 +131,8 @@ class Trajectory:
 
     ``run`` records (time, state, diagnostics) triples.  For a pair,
     ``two_solution_monitor`` keeps its own records, and the counts add up
-    the steps of both states.
+    the attempts of both states.  Only ``_advance`` writes the ending and
+    the counts.
     """
 
     records: list[tuple[float, InterfaceState, DiagnosticsRecord]] = field(default_factory=list)
@@ -138,8 +140,9 @@ class Trajectory:
     #: node pair and ratio of the chord-arc stop, None on other terminations
     chord_arc_pair: tuple[int, int] | None = None
     chord_arc_ratio: float | None = None
-    #: rhs evaluations the steps asked for (a step cut short by a geometry
-    #: stop counts in full) and adaptive steps rejected by the error control
+    #: rhs evaluations the attempts asked for (an adaptive run's first stage,
+    #: then 4 per attempt, one cut short by a geometry stop included) and
+    #: adaptive attempts rejected by the error control
     rhs_calls: int = 0
     rejected_steps: int = 0
 
@@ -229,10 +232,13 @@ def _radius_estimate(state: InterfaceState, grid: SpectralGrid) -> float:
 def _schedule_at(config: RunConfig, t: float, grid: SpectralGrid):
     """The schedule's contour and height rate h_t at time t, or None.
 
-    None when the run has no schedule, t lies outside the schedule's
-    [-tau^2, tau] domain, or the height is not positive at t.
+    None when the run is not a "generalized" one with a schedule (sigma
+    runs ignore it), when t lies outside the schedule's [-tau^2, tau]
+    domain, or when the height is not positive at t.
     """
-    scheduled = None if config.schedule is None else config.schedule.at(grid.nodes, t)
+    scheduled = None
+    if config.rt_convention == "generalized" and config.schedule is not None:
+        scheduled = config.schedule.at(grid.nodes, t)
     if scheduled is None or scheduled[0].min() <= 0.0:
         return None
     heights, rate = scheduled
@@ -269,9 +275,7 @@ def _rt_sign_violated(state: InterfaceState, grid: SpectralGrid, config: RunConf
     Backward runs need it positive everywhere (on the shrinking strip, the
     direction the analysis solves) and forward runs negative (a graph).
     """
-    scheduled = None
-    if config.rt_convention == "generalized":
-        scheduled = _schedule_at(config, state.time, grid)
+    scheduled = _schedule_at(config, state.time, grid)
     if scheduled is None:
         monitor = rt_unperturbed(state, grid)
     else:
@@ -325,8 +329,11 @@ def _advance(initials, grid: SpectralGrid, config: RunConfig, record, outcome: T
     run ends at t_end ("reached_t_end"), when a state meets a stop
     condition, or on a DegenerateGeometryError, which ends it as
     "chord_arc_floor" if that stop is requested and propagates otherwise.
-    Writes the termination, the chord-arc stop's node pair and ratio, and
-    the rhs calls and rejected steps of all the states into ``outcome``.
+    The only writer of ``outcome``'s ending and counts: per state, an
+    adaptive run's first stage is 1 rhs call and each attempt 4, the
+    attempt cut short by a geometry stop included, so a run that reaches
+    t_end has rhs_calls = (1 if adaptive) + 4 (accepted + rejected) per
+    state.
     """
     states = tuple(InterfaceState(*grid.project_modes(s.coeffs, config.galerkin_cutoff),
                                   config.t_start) for s in initials)
@@ -334,20 +341,27 @@ def _advance(initials, grid: SpectralGrid, config: RunConfig, record, outcome: T
                                            for s in states):
         raise ConfigError("initial state violates the Rayleigh-Taylor sign for this run direction")
     record(states)
-    last, recorded, reason = states, True, None
-    steps = zip(*(_accepted_states(s, grid, config, outcome) for s in states))
+    last, recorded, reason, accepted_steps = states, True, None, 0
+    outcome.rhs_calls = len(states) if config.adaptive else 0
     try:
-        for count, last in enumerate(steps, start=1):
-            recorded = False
+        for attempt in zip(*(_attempts(s, grid, config) for s in states)):
+            outcome.rhs_calls += 4 * len(states)
+            rejected = sum(not accepted for _, accepted in attempt)
+            if rejected:
+                outcome.rejected_steps += rejected
+                continue
+            last, recorded = tuple(s for s, _ in attempt), False
+            accepted_steps += 1
             reason = next(filter(None, (_check_stops(s, grid, config) for s in last)), None)
             if reason is not None:
                 break
-            if count % config.record_every == 0:
+            if accepted_steps % config.record_every == 0:
                 record(last)
                 recorded = True
     except DegenerateGeometryError as exc:
         if "chord_arc_floor" not in config.stop_on:
             raise
+        outcome.rhs_calls += 4 * len(states)  # the attempt cut short
         reason = "chord_arc_floor"
         outcome.chord_arc_pair, outcome.chord_arc_ratio = exc.pair, exc.ratio
     if not recorded:
@@ -373,23 +387,26 @@ def _step_plan(config: RunConfig) -> Iterator[tuple[float, float]]:
         yield tail, config.t_end
 
 
-def _accepted_states(state: InterfaceState, grid: SpectralGrid, config: RunConfig,
-                     counts: Trajectory):
-    """Each accepted state from t_start up to t_end.
+def _attempts(state: InterfaceState, grid: SpectralGrid, config: RunConfig):
+    """(state, accepted) for each attempted step from t_start up to t_end.
 
-    Fixed runs follow the step plan with classical RK4; adaptive runs use
-    the embedded integrating-factor pair and shorten the last step to land
-    on t_end.  Adds the rhs calls and rejected steps to the ``rhs_calls``
-    and ``rejected_steps`` of ``counts``.
+    Fixed runs follow the step plan with classical RK4, and every step is
+    accepted.  Adaptive runs evaluate the first stage k1 = N(state), then
+    take steps of the embedded integrating-factor RK4 pair: the embedded
+    third-order solution swaps k4 for k5 = N(new state), so the error
+    estimate is |dt|/6 max|k4 - k5|.  An attempt is accepted when that is
+    within adaptive_tol |dt|, and its k5 is the next step's k1 (FSAL); dt
+    then doubles when the error is below 1/16 of the budget.  A rejected
+    attempt yields the state it retries from, at half the dt.  The last
+    step is shortened to land on t_end.  Counts nothing: ``_advance`` does.
     """
     cutoff = config.galerkin_cutoff
     if not config.adaptive:
         for step_dt, target_time in _step_plan(config):
-            counts.rhs_calls += 4
             state = step(state, grid, step_dt, cutoff, config.chord_arc_floor,
                          config.density_jump_over_2pi)
             state.time = target_time
-            yield state
+            yield state, True
         return
     density = config.density_jump_over_2pi
     f = _galerkin_field(grid, cutoff, config.chord_arc_floor, density)
@@ -400,49 +417,41 @@ def _accepted_states(state: InterfaceState, grid: SpectralGrid, config: RunConfi
 
         def nonlinear(u):
             return f(u) - lin * u
-    counts.rhs_calls += 1
     k1 = nonlinear(state.coeffs)
     dt = config.signed_dt
     while (config.t_end - state.time) * np.sign(config.signed_dt) > 1e-15:
         remaining = config.t_end - state.time
         this_dt = dt if abs(remaining) >= abs(dt) else remaining
-        state, k1, dt = _adaptive_step(state, k1, this_dt, nonlinear, lin, grid, config, counts)
-        yield state
-
-
-def _adaptive_step(state, k1, dt, nonlinear, lin, grid, config, counts):
-    """One accepted step of the embedded integrating-factor RK4 pair.
-
-    k1 = N(state).  The embedded third-order solution swaps k4 for
-    k5 = N(new state), so the error estimate is |dt|/6 max|k4 - k5|.  A step
-    is accepted when that is within adaptive_tol |dt|; a rejected dt is
-    halved and retried.  Returns the accepted state, its k5 (the next
-    step's k1) and the next dt, doubled when the error is below 1/16 of the
-    budget.
-    """
-    u = state.coeffs
-    while True:
-        counts.rhs_calls += 4
-        e_half, e_full = np.exp(lin * (dt / 2.0)), np.exp(lin * dt)
-        u_next, k4 = _lawson_rk4(u, k1, dt, nonlinear, e_half, e_full)
-        candidate = _finished(u_next, grid, config.galerkin_cutoff, state.time + dt)
+        e_half, e_full = np.exp(lin * (this_dt / 2.0)), np.exp(lin * this_dt)
+        u_next, k4 = _lawson_rk4(state.coeffs, k1, this_dt, nonlinear, e_half, e_full)
+        candidate = _finished(u_next, grid, cutoff, state.time + this_dt)
         k5 = nonlinear(candidate.coeffs)
-        err = abs(dt) / 6.0 * np.abs(k4 - k5).max()
-        budget = config.adaptive_tol * abs(dt)
-        if err <= budget:
-            return candidate, k5, dt * (2.0 if err < budget / 16.0 else 1.0)
-        counts.rejected_steps += 1
-        dt = dt / 2.0
-        if abs(dt) < 1e-12:
-            raise BlowupError("adaptive step collapsed below 1e-12")
+        err = abs(this_dt) / 6.0 * np.abs(k4 - k5).max()
+        budget = config.adaptive_tol * abs(this_dt)
+        accepted = bool(err <= budget)
+        if accepted:
+            state, k1 = candidate, k5
+            dt = this_dt * (2.0 if err < budget / 16.0 else 1.0)
+        else:
+            dt = this_dt / 2.0
+            if abs(dt) < 1e-12:
+                raise BlowupError("adaptive step collapsed below 1e-12")
+        yield state, accepted
 
 
 @dataclass
 class PairMonitor:
+    """The pair's recorded times and H4 distances, and the driver's ``outcome``.
+
+    ``outcome`` is the ``Trajectory`` that ``_advance`` wrote: its
+    termination, chord-arc stop and the counts of both states, with no
+    records of its own.
+    """
+
     times: list[float]
     distances: list[float]
     min_quotient: float
-    termination: str
+    outcome: Trajectory
 
 
 def two_solution_monitor(
@@ -475,9 +484,4 @@ def two_solution_monitor(
         (distances[i + 1] ** 2 - distances[i] ** 2) / (times[i + 1] - times[i])
         for i in range(len(times) - 1)
     ]
-    return PairMonitor(
-        times=times,
-        distances=distances,
-        min_quotient=min(quotients) if quotients else 0.0,
-        termination=outcome.termination,
-    )
+    return PairMonitor(times, distances, min(quotients) if quotients else 0.0, outcome)

@@ -80,6 +80,16 @@ def _write_plot_data(path: str, trajectory: Trajectory, grid: SpectralGrid,
     write_json(path, {"curves": curves, "termination": trajectory.termination})
 
 
+def _ending(outcome: Trajectory, records: int) -> dict:
+    """The report fields of how a time-stepping run went, from the driver's ``outcome``."""
+    stop = {}
+    if outcome.chord_arc_pair is not None:
+        stop = {"chord_arc_pair": list(outcome.chord_arc_pair),
+                "chord_arc_ratio": outcome.chord_arc_ratio}
+    return {"termination": outcome.termination, "records": records,
+            "rhs_calls": outcome.rhs_calls, "rejected_steps": outcome.rejected_steps, **stop}
+
+
 def _emit_trajectory(out_dir: str, cfg: ScenarioConfig, trajectory: Trajectory,
                      grid: SpectralGrid, extra_columns: dict[str, list] | None = None) -> dict:
     """Write the trajectory's artifacts; returns the report fields of how the run went."""
@@ -93,13 +103,7 @@ def _emit_trajectory(out_dir: str, cfg: ScenarioConfig, trajectory: Trajectory,
     save_snapshot(last[1], os.path.join(out_dir, "snapshot_final.json"), digest,
                   dataclasses.asdict(last[2]))
     _write_plot_data(os.path.join(out_dir, "plot_data.json"), trajectory, grid)
-    stop = {}
-    if trajectory.chord_arc_pair is not None:
-        stop = {"chord_arc_pair": list(trajectory.chord_arc_pair),
-                "chord_arc_ratio": trajectory.chord_arc_ratio}
-    return {"termination": trajectory.termination, "records": len(trajectory.records),
-            "rhs_calls": trajectory.rhs_calls, "rejected_steps": trajectory.rejected_steps,
-            **stop}
+    return _ending(trajectory, len(trajectory.records))
 
 
 def _scenario_flat(cfg: ScenarioConfig, out_dir: str) -> dict:
@@ -165,7 +169,7 @@ def _scenario_perturbed_pair(cfg: ScenarioConfig, out_dir: str) -> dict:
     rows = list(zip(monitor.times, monitor.distances))
     _write_csv(os.path.join(out_dir, "pair_distances.csv"), ("time", "h4_distance"), rows)
     return {
-        "termination": monitor.termination,
+        **_ending(monitor.outcome, len(monitor.times)),
         "initial_distance": initial_distance,
         "max_ratio": max(monitor.distances) / initial_distance,
         "final_ratio": monitor.distances[-1] / initial_distance,

@@ -41,11 +41,6 @@ def rt_unperturbed(state: InterfaceState, grid: SpectralGrid) -> NDArray[np.floa
     return rt_sigma(build_workspace(state, grid, None, 1))
 
 
-def turnover_indicator(state: InterfaceState, grid: SpectralGrid) -> float:
-    """min over nodes of z1'; positive iff the sampled interface is a graph."""
-    return float(build_workspace(state, grid, None, 1).der[1, 0].min())
-
-
 def rt_generalized(
     state: InterfaceState,
     grid: SpectralGrid,

@@ -7,7 +7,10 @@ side and the principal-value integral summed in extended precision, and
 the full-matrix quadratures, which hold every pairwise array as one N x N
 matrix and sum each row in one reduction, as the quadratures did before
 the triangle sweep, and the contour sampler through one phase matrix, as
-it was before it took its nodes in blocks.
+it was before it took its nodes in blocks.  The turnover indicator is the
+exception: it reads min z1' from the production sampler, as the reference
+that a diagnostics record, which shares one workspace among its monitors,
+must reproduce.
 """
 
 from __future__ import annotations
@@ -49,6 +52,11 @@ def sampled(state: InterfaceState, grid: SpectralGrid, order: int) -> np.ndarray
     elif order == 1:
         values[0] += 1.0
     return values
+
+
+def turnover_indicator(state: InterfaceState, grid: SpectralGrid) -> float:
+    """min over nodes of z1'; positive iff the sampled interface is a graph."""
+    return float(build_workspace(state, grid, None, 1).der[1, 0].min())
 
 
 def row_quadrature(grid: SpectralGrid, integrand: np.ndarray, diag) -> np.ndarray:

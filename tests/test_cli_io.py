@@ -405,6 +405,20 @@ class TestScenarios:
         assert header == ["time", "h4_distance"]
         assert len(rows) >= 3
 
+    def test_perturbed_pair_stopped_at_the_floor_reports_its_ending(self, tmp_path):
+        # both states lie below the floor: each one's first attempt is cut short
+        cfg = load_config_text(
+            "[run]\nscenario = perturbed_pair\nn_modes = 8\n"
+            "stop_on = chord_arc_floor\nchord_arc_floor = 0.5\n"
+        )
+        assert run_scenario(cfg, str(tmp_path)) == 3
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["termination"] == "chord_arc_floor"
+        assert (report["records"], report["rhs_calls"], report["rejected_steps"]) == (1, 8, 0)
+        i, j = report["chord_arc_pair"]
+        assert i != j and 0 <= min(i, j) and max(i, j) < 8
+        assert 0.0 <= report["chord_arc_ratio"] < 0.5
+
     def test_numeric_stop_maps_to_exit_three(self, tmp_path):
         # a chord-arc floor far above the flat-torus constant stops at once
         cfg = load_config_text(

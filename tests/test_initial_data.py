@@ -11,11 +11,10 @@ from muskat import (
     log_datum,
     make_turnover_state,
     perturb,
-    turnover_indicator,
 )
 from muskat.errors import InvalidFamilyError
 
-from oracles import is_real, sampled
+from oracles import is_real, sampled, turnover_indicator
 
 
 def point_derivatives(state, grid, orders=(1, 2, 3)):

@@ -17,13 +17,12 @@ from muskat import (
     rt_unperturbed,
     run,
     step,
-    turnover_indicator,
     two_solution_monitor,
 )
 from muskat import core, integrator, stability
 from muskat.errors import ConfigError, DegenerateGeometryError
 
-from oracles import is_real, sampled
+from oracles import is_real, sampled, turnover_indicator
 
 
 def decay_state(grid):
@@ -270,20 +269,26 @@ class TestRun:
         assert raised.value.pair == trajectory.chord_arc_pair
         assert raised.value.ratio == trajectory.chord_arc_ratio
 
-    @pytest.mark.parametrize("adaptive, stepper", [(False, "step"), (True, "_adaptive_step")])
-    def test_check_stops_runs_once_per_accepted_step(self, monkeypatch, adaptive, stepper):
+    @pytest.mark.parametrize("adaptive, counted", [(False, "step"), (True, "_attempts")])
+    def test_check_stops_runs_once_per_accepted_step(self, monkeypatch, adaptive, counted):
         counts = {"checks": 0, "steps": 0}
+        check_stops, stepper = integrator._check_stops, getattr(integrator, counted)
 
-        def counting(name, key):
-            original = getattr(integrator, name)
+        def checking(*args, **kwargs):
+            counts["checks"] += 1
+            return check_stops(*args, **kwargs)
 
-            def wrapper(*args, **kwargs):
-                counts[key] += 1
-                return original(*args, **kwargs)
-            monkeypatch.setattr(integrator, name, wrapper)
+        def stepping(*args, **kwargs):  # a fixed step is always accepted
+            counts["steps"] += 1
+            return stepper(*args, **kwargs)
 
-        counting("_check_stops", "checks")
-        counting(stepper, "steps")
+        def attempting(*args, **kwargs):
+            for state, accepted in stepper(*args, **kwargs):
+                counts["steps"] += accepted
+                yield state, accepted
+
+        monkeypatch.setattr(integrator, "_check_stops", checking)
+        monkeypatch.setattr(integrator, counted, stepping if counted == "step" else attempting)
         grid = SpectralGrid(64)
         initial = InterfaceState(
             np.zeros(grid.n_modes, dtype=complex),
@@ -387,6 +392,20 @@ class TestEmbeddedPair:
         assert trajectory.rhs_calls == 4 * 11
         assert trajectory.rejected_steps == 0
 
+    @pytest.mark.parametrize("adaptive, rhs_calls", [(False, 4), (True, 5)])
+    def test_an_attempt_cut_short_counts_in_full(self, adaptive, rhs_calls):
+        # the initial state lies below the floor, so the first attempt fails;
+        # an adaptive run also counts the first stage it evaluated before it
+        grid = SpectralGrid(8)
+        initial = InterfaceState(np.zeros(grid.n_modes, dtype=complex),
+                                 grid.to_spectral(0.01 * np.cos(grid.nodes)))
+        config = RunConfig(n_modes=8, dt=1e-3, t_end=0.01, adaptive=adaptive,
+                           chord_arc_floor=0.5, stop_on=frozenset({"chord_arc_floor"}))
+        trajectory = run(initial, config)
+        assert trajectory.termination == "chord_arc_floor"
+        assert trajectory.times() == [0.0]
+        assert (trajectory.rhs_calls, trajectory.rejected_steps) == (rhs_calls, 0)
+
     @pytest.mark.parametrize("case", ["decay", "turnover"])
     def test_final_state_matches_fixed_rk4_at_an_eighth_of_dt(self, case):
         grid = SpectralGrid(128)
@@ -480,7 +499,7 @@ class TestTwoSolutionMonitor:
             stop_on=frozenset({"blowup_norm"}), blowup_norm=1e-9,
         )
         monitor = two_solution_monitor(state, perturb(state, 1e-5, f_kappa(0.2, grid)), config)
-        assert monitor.termination == "blowup_norm"
+        assert monitor.outcome.termination == "blowup_norm"
         assert monitor.times == [0.0, 1e-3]
 
     def test_adaptive_rejected(self):
@@ -531,7 +550,7 @@ class TestTwoSolutionMonitor:
         trajectory = run(state, config)
         monitor = two_solution_monitor(state, state.copy(), config)
         assert trajectory.termination == termination
-        assert monitor.termination == trajectory.termination
+        assert monitor.outcome.termination == trajectory.termination
         assert monitor.times == trajectory.times()
 
 
@@ -580,6 +599,23 @@ class TestRtConventions:
         )
         trajectory = run(initial, config)
         assert trajectory.termination == "reached_t_end"
+
+    def test_sigma_runs_ignore_the_schedule(self):
+        # the schedule drives only the generalized convention: a sigma run
+        # measures h4_norm on the torus whether or not it carries one
+        from muskat import HeightSchedule
+
+        grid = SpectralGrid(32)
+        initial = InterfaceState(
+            np.zeros(32, dtype=complex), grid.to_spectral(0.01 * np.cos(grid.nodes))
+        )
+        config = RunConfig(n_modes=32, dt=1e-3, t_end=0.004, record_every=1)
+        scheduled = run(initial, dataclasses.replace(config, schedule=HeightSchedule()))
+        plain = run(initial, config)
+        assert scheduled.times() == plain.times() and len(plain.times()) == 5
+        assert [d.h4_norm for d in scheduled.diagnostics()] == [
+            d.h4_norm for d in plain.diagnostics()
+        ]
 
     def test_generalized_runs_leave_the_strip_at_tau(self):
         # h4_norm is measured on the schedule's contour while the time lies

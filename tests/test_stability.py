@@ -10,12 +10,11 @@ from muskat import (
     h4_distance,
     rt_generalized,
     rt_unperturbed,
-    turnover_indicator,
 )
 from muskat.errors import DegenerateParametrizationError
 
 from conftest import gentle_state
-from oracles import sampled
+from oracles import sampled, turnover_indicator
 
 
 class TestRtUnperturbed:
