@@ -63,33 +63,6 @@ class LiftedContour:
         return 1.0 + 1j * self.sign * self.h_prime
 
 
-def half_angle_parts(re: NDArray, im: NDArray, block: Block) -> tuple[NDArray, ...]:
-    """sin a, cos a, sinh b and cosh b over a block, a + ib = (w_i - w_j)/2, w = re + i im.
-
-    A complex half-angle term is assembled from these four real arrays:
-    sin(a + ib) = sin a cosh b + i cos a sinh b,
-    cos(a + ib) = cos a cosh b - i sin a sinh b, and with the arguments
-    swapped, sinh(b + ia) = sinh b cos a + i cosh b sin a.  numpy's float64
-    sin and cos run scalar loops, 4-7x slower than its vectorized tan, sinh
-    and cosh, so with t = tan(a/2) the circular pair is
-    sin a = 2t / (1 + t^2) and cos a = (1 - t^2) / (1 + t^2): relative
-    accuracy for sin a, absolute for cos a where it crosses zero.  tan,
-    sinh and the quotients are exactly odd, the squares exactly even, so
-    the mirror pair's parts are the same up to sign.
-    """
-    t, b = block.diff(re), _half_diff(im, block)
-    t *= 0.25
-    np.tan(t, out=t)
-    t_sq = np.square(t)
-    scale = 1.0 + t_sq
-    cos_a = np.subtract(1.0, t_sq, out=t_sq)
-    cos_a /= scale
-    sin_a = np.multiply(t, 2.0, out=t)
-    sin_a /= scale
-    sinh_b = np.sinh(b)
-    return sin_a, cos_a, sinh_b, np.cosh(b, out=b)
-
-
 def _half_diff(x: NDArray, block: Block) -> NDArray:
     """(x_i - x_j)/2 over a block."""
     half = block.diff(x)
@@ -103,36 +76,48 @@ def _tan_half(re: NDArray, block: Block) -> NDArray:
     return np.tan(a, out=a)
 
 
-def _cot(tan_a: NDArray, b: NDArray | None, block: Block) -> NDArray:
+def _cot(tan_a: NDArray, b: NDArray | None, block: Block, abs_sin: bool = False):
     """cot(a + ib) over a block from T = tan a and b, diagonal 0, where a = b = 0.
 
     b = None is the flat cotangent 1/T; it overwrites ``tan_a``, so a caller
-    that wants both forms takes the lifted one first.  Dividing
-    cot(a + ib) = (sin a cos a - i sinh b cosh b) / (sin^2 a + sinh^2 b)
+    that wants both forms takes the lifted one first, which overwrites b.
+    Dividing cot(a + ib) = (sin a cos a - i sinh b cosh b) / (sin^2 a + sinh^2 b)
     by cos^2 a = 1/(1 + T^2) gives
 
-        cot(a + ib) = (T - i sinh b cosh b (1 + T^2)) / (T^2 + sinh^2 b (1 + T^2)),
+        cot(a + ib) = (T - i sinh b cosh b (1 + T^2)) / den,   den = T^2 + sinh^2 b (1 + T^2),
 
     which takes T^2 as formed, never fl(1 + T^2) - 1, and cancels nothing.
-    Both forms are exactly odd, so the mirror pair's value is -cot.
+    Both forms are exactly odd, so the mirror pair's value is -cot.  With
+    ``abs_sin`` the lifted form also returns |sin(a + ib)| =
+    sqrt(den / (1 + T^2)), from the same denominator, exactly even and 1
+    on the diagonal.
     """
     if b is None:
         block.fill_diagonal(tan_a, np.inf)
         return np.reciprocal(tan_a, out=tan_a)
+    den, scale, imag = _cot_denominator(tan_a, b, block)
+    imag *= np.cosh(b, out=b)
+    imag *= scale
+    imag /= den
+    out = np.empty(tan_a.shape, dtype=complex)
+    np.divide(tan_a, den, out=out.real)
+    np.negative(imag, out=out.imag)
+    if abs_sin:
+        # |sin(a + ib)|^2 = sin^2 a + sinh^2 b = den cos^2 a
+        return out, np.sqrt(np.divide(den, scale, out=den), out=den)
+    return out
+
+
+def _cot_denominator(tan_a: NDArray, b: NDArray, block: Block) -> tuple[NDArray, ...]:
+    """:func:`_cot`'s den = T^2 + sinh^2 b (1 + T^2), diagonal 1, with 1 + T^2 and sinh b."""
     t_sq = np.square(tan_a)
     scale = 1.0 + t_sq
     sinh_b = np.sinh(b)
-    out = np.empty(tan_a.shape, dtype=complex)
-    np.multiply(sinh_b, np.cosh(b), out=out.imag)
-    out.imag *= scale
-    den = np.square(sinh_b, out=sinh_b)
+    den = np.square(sinh_b)
     den *= scale
     den += t_sq
     block.fill_diagonal(den, 1.0)
-    np.divide(tan_a, den, out=out.real)
-    out.imag /= den
-    np.negative(out.imag, out=out.imag)
-    return out
+    return den, scale, sinh_b
 
 
 def pairwise_cot(zeta: NDArray, block: Block) -> NDArray:
@@ -144,6 +129,26 @@ def pairwise_cot(zeta: NDArray, block: Block) -> NDArray:
     """
     b = _half_diff(zeta.imag, block) if np.iscomplexobj(zeta) else None
     return _cot(_tan_half(zeta.real, block), b, block)
+
+
+def _cot_and_sin_modulus(zeta: NDArray, block: Block) -> tuple[NDArray, NDArray]:
+    """:func:`pairwise_cot` on complex nodes, and |sin((zeta_i - zeta_j)/2)| from its denominator.
+
+    The |sin| is a factor of the lifted chord-arc ratio: exactly even, and
+    1 on the diagonal, where the ratio is not taken.
+    """
+    return _cot(_tan_half(zeta.real, block), _half_diff(zeta.imag, block), block, abs_sin=True)
+
+
+def _cot_real_part(re: NDArray, im: NDArray, block: Block) -> NDArray:
+    """Re cot((w_i - w_j)/2), w = re + i im, over a block in real arithmetic: T / den.
+
+    The real part of ``pairwise_cot(re + 1j*im, block)`` bit for bit, by
+    the same operations, without the imaginary part's cosh; diagonal 0.
+    """
+    tan_a = _tan_half(re, block)
+    den, _, _ = _cot_denominator(tan_a, _half_diff(im, block), block)
+    return np.divide(tan_a, den, out=tan_a)
 
 
 def pv_cot_integral(grid: SpectralGrid, contour: LiftedContour | None = None) -> NDArray:

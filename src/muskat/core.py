@@ -39,22 +39,22 @@ integral sum_j K_ij (a_i - a_j) is a_i (K 1)_i - (K a)_i, linear in K, so
 each block adds two matrix products to one (N, 3) sum, combined once after
 the sweep.
 
-The principal-value integral cancels K's pole against a cotangent's and
-keeps both in the half-angle form of the node differences, whose rounding
-cancels with them: with s, c = sin, cos(dz1/2) and sh = sinh(dz2/2),
+The principal-value integral cancels K's pole against a cotangent's, and
+takes K as cotangents too, so the rounding of the node differences cancels
+with them: with Z+- = z1 +- i z2,
 
-    K = s c / (s^2 + sh^2),   cosh(dz2) - cos(dz1) = 2 (s^2 + sh^2),
+    K = (cot(dZ+/2) + cot(dZ-/2)) / 2,   cosh(dz2) - cos(dz1) = 2 sin(dZ+/2) sin(dZ-/2),
 
-one expression on both grids.  On a lifted contour a block forms these
-terms when it is built and takes its chord-arc ratio from the same
-denominator that K divides by.  Each complex half-angle term is assembled
-from real parts of the differences (:func:`muskat.contour_ops.half_angle_parts`):
-sin and cos of a real half difference from one tan of its half, sinh and
-cosh of an imaginary one directly.  So no pair takes a complex
-transcendental, nor numpy's float64 sin or cos, which run scalar loops
-4-7x slower than its vectorized tan, sinh and cosh.  A lifted sample takes
-its phases e^{ikx_j} from a cached table of the N-th roots of unity and
-one real exponential per entry, in blocks of nodes.
+one primitive, :func:`muskat.contour_ops.pairwise_cot`, on both grids.  On
+the flat grid Z- is the conjugate of Z+, so K = Re cot(dZ+/2), formed in
+real arithmetic.  On a lifted contour a block forms both cotangents when
+it is built and takes its chord-arc ratio from their denominators.  Every
+cotangent takes one tan of its real half difference and sinh and cosh of
+the imaginary one, so no pair takes a complex transcendental, nor numpy's
+float64 sin or cos, which run scalar loops 4-7x slower than its
+vectorized tan, sinh and cosh.  A lifted sample takes its phases
+e^{ikx_j} from a cached table of the N-th roots of unity and one real
+exponential per entry, in blocks of nodes.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from numpy.typing import NDArray
 
-from .contour_ops import LiftedContour, half_angle_parts, pairwise_cot
+from .contour_ops import LiftedContour, _cot_and_sin_modulus, _cot_real_part, pairwise_cot
 from .errors import DegenerateGeometryError
 from .grid import _BLOCK_BYTES, Block, SpectralGrid, factor_tables
 
@@ -284,58 +284,24 @@ def _distance_sq(ws: KernelWorkspace, block: Block) -> NDArray:
     return (dist + np.abs(block.diff(ws.zeta.imag))) ** 2
 
 
-def _half_angle_terms(ws: KernelWorkspace, block: Block) -> tuple[NDArray, NDArray]:
-    """The numerator s c and denominator den = s^2 + sh^2 of the half-angle K over a block.
-
-    K = s c / den with s, c = sin, cos(dz1/2) and sh = sinh(dz2/2), taken
-    from :func:`half_angle_parts`; den's diagonal is 1, where s = 0, so K's
-    is 0, and cosh(dz2) - cos(dz1) = 2 den.  In this form, like the
-    cotangent, the PV integrand cancels their poles and with them the
-    rounding of the node differences: against an mpmath trapezoid of the
-    same samples at N = 128 it is 5.3e-15 off on the flat grid, where the
-    exp-map K with a table cotangent is 1.0e-13 off (2.1e-14 against
-    1.9e-13 at N = 256).  On a lifted contour dz1 and dz2 are complex and
-    each term is assembled from the real parts of its argument, s and c in
-    the calling thread's block buffers; sinh(dz2/2) for dz2/2 = p + ir
-    takes sin r, cos r, sinh p and cosh p.  Every sin and cos comes from a
-    tan (:func:`half_angle_parts`).  s and sh are exactly odd and c exactly
-    even, so s c is exactly odd and den exactly even.
-    """
-    if ws.flat:
-        s, c, sh, _ = half_angle_parts(ws.z1, ws.z2, block)
-    else:
-        s, c = block.buffers("half angles", 2, np.complex128)
-        sh = np.empty(block.shape, np.complex128)
-        sin_a, cos_a, sinh_b, cosh_b = half_angle_parts(ws.z1.real, ws.z1.imag, block)
-        np.multiply(sin_a, cosh_b, out=s.real)
-        np.multiply(cos_a, sinh_b, out=s.imag)
-        np.multiply(cos_a, cosh_b, out=c.real)
-        np.multiply(sin_a, sinh_b, out=c.imag)
-        np.negative(c.imag, out=c.imag)
-        sin_r, cos_r, sinh_p, cosh_p = half_angle_parts(ws.z2.imag, ws.z2.real, block)
-        np.multiply(sinh_p, cos_r, out=sh.real)
-        np.multiply(cosh_p, sin_r, out=sh.imag)
-    numerator = np.multiply(s, c, out=c)
-    den = np.square(s, out=s)
-    den += np.square(sh, out=sh)
-    block.fill_diagonal(den, 1.0)
-    return numerator, den
-
-
 class PairBlock(Block):
     """A :class:`~muskat.grid.Block` of :func:`pair_sweep`, with its pair geometry.
 
-    The geometry is formed on construction, once per block, into the
-    calling thread's block buffers, valid until the next block.
+    The geometry is formed on construction, once per block, valid until
+    the next block.
 
     On the flat grid it is the exp-map geometry
-    (:attr:`KernelWorkspace.exp_map`):
+    (:attr:`KernelWorkspace.exp_map`), in the calling thread's block
+    buffers:
     q: |w_i - w_j|^2, diagonal 1; cosh(dz2) - cos(dz1) = q_ij c_i c_j.
     ratio: the chord-arc ratio (c_i c_j) q / distance^2.
 
-    On a lifted contour it is the half-angle geometry, :attr:`half_angles`
-    (which a flat block forms on first use, for the PV integrand):
-    ratio: 2 |den| / distance^2, from the denominator K divides by.
+    On a lifted contour it is the cotangent geometry of Z+- = z1 +- i z2
+    (:func:`muskat.contour_ops.pairwise_cot`):
+    pv_kern: K = (cot(dZ+/2) + cot(dZ-/2)) / 2, zero on the diagonal.
+    ratio: 2 |sin(dZ+/2)| |sin(dZ-/2)| / distance^2, that is
+        |cosh(dz2) - cos(dz1)| / distance^2, each |sin| read from its
+        cotangent's denominator.
 
     distance = ||Re(zeta_i - zeta_j)|| + |Im(zeta_i - zeta_j)|.  Either
     ratio is exactly symmetric, diagonal inf.  :func:`pair_sweep` takes its
@@ -358,30 +324,35 @@ class PairBlock(Block):
             self.ratio *= self.q
             self.fill_diagonal(self.q, 1.0)
         else:
-            # the flat ratio's slot
-            self.ratio = np.abs(self.half_angles[1], out=self.buffers("geometry", 3)[2])
-            self.ratio *= 2.0
+            cot_plus, sin_plus = _cot_and_sin_modulus(ws.z1 + 1j * ws.z2, self)
+            self.pv_kern, self.ratio = _cot_and_sin_modulus(ws.z1 - 1j * ws.z2, self)
+            self.pv_kern += cot_plus
+            self.pv_kern *= 0.5
+            # |sin| by |sin|: the product of their squares may overflow
+            self.ratio *= 2.0 * sin_plus
         self.ratio /= _distance_sq(ws, self)
         self.fill_diagonal(self.ratio, np.inf)
 
     @functools.cached_property
-    def half_angles(self) -> tuple[NDArray, NDArray]:
-        """s c and den over the block (:func:`_half_angle_terms`): K = s c / den."""
-        return _half_angle_terms(self.ws, self)
+    def pv_kern(self) -> NDArray:
+        """K over the block as a cotangent, zero on the diagonal: the PV integrand's kernel.
+
+        On the flat grid Z- is the conjugate of Z+, so K = Re cot(dZ+/2) =
+        T / den in real arithmetic, formed on first use
+        (:func:`muskat.contour_ops._cot_real_part`); a lifted block forms
+        it on construction.  Exactly odd on both grids.
+        """
+        return _cot_real_part(self.ws.z1, self.ws.z2, self)
 
     @functools.cached_property
     def kern(self) -> NDArray:
-        """K(x_i, x_j) over the block, zero on the diagonal.
+        """Flat grid: K(x_i, x_j) over the block in the exp-map form, zero on the diagonal.
 
-        On the flat grid the exp-map form 2 (v_i u_j - u_i v_j) / q: the
-        cross product vanishes on the diagonal, where q = 1.  Its BLAS
-        product may round K_ij and K_ji apart by an ulp; the sums take each
-        pair's mirror from the pair, as -K_ij, so they do not rely on the
-        cross product's antisymmetry.  On a lifted contour the half-angle
-        form s c / den of :attr:`half_angles`.
+        2 (v_i u_j - u_i v_j) / q: the cross product vanishes on the
+        diagonal, where q = 1.  Its BLAS product may round K_ij and K_ji
+        apart by an ulp; the sums take each pair's mirror from the pair, as
+        -K_ij, so they do not rely on the cross product's antisymmetry.
         """
-        if not self.ws.flat:
-            return np.divide(*self.half_angles)
         left, right = self.ws.exp_factors
         kern = self.product(left[3], right[3], out=self._scratch)
         kern /= self.q
@@ -523,8 +494,11 @@ def kernel_pv_integral(
         2 z1' (z1' z1'' + z2' z2'') / T^2 - z1'' / T,   T = (z1')^2 + (z2')^2.
 
     Because the principal value of the bare cotangent over the full contour
-    vanishes, the integral of a equals PV int K dw.  K and the cotangent are
-    antisymmetric, so the mirror a(w, z) is [z1'/T](w) cot((z - w)/2) - K(z, w).
+    vanishes, the integral of a equals PV int K dw.  K is the cotangent
+    mean :attr:`PairBlock.pv_kern`, so both terms are cotangents of node
+    differences, :func:`muskat.contour_ops.pairwise_cot`, and their poles
+    and rounding cancel.  Both are exactly odd, so the mirror a(w, z) is
+    [z1'/T](w) cot((z - w)/2) - K(z, w).
 
     Raises:
         DegenerateGeometryError: chord-arc constant below the floor.
@@ -538,8 +512,7 @@ def kernel_pv_integral(
 
     def sums(block: PairBlock):
         rows, cols = block.rows, block.cols
-        kern = np.divide(*block.half_angles)  # the half-angle K on both grids
-        cot = pairwise_cot(ws.zeta, block)
+        kern, cot = block.pv_kern, pairwise_cot(ws.zeta, block)
         values = (kern - ratio[rows, None] * cot) * ws.jac[None, cols]
         mirror = (ratio[None, cols] * cot - kern) * ws.jac[rows, None]
         yield block.sums(values, mirror, diag[rows])

@@ -335,8 +335,7 @@ def _advance(initials, grid: SpectralGrid, config: RunConfig, record, outcome: T
     t_end has rhs_calls = (1 if adaptive) + 4 (accepted + rejected) per
     state.
     """
-    states = tuple(InterfaceState(*grid.project_modes(s.coeffs, config.galerkin_cutoff),
-                                  config.t_start) for s in initials)
+    states = _projected(initials, grid, config)
     if "rt_sign" in config.stop_on and any(_check_stops(s, grid, config) == "rt_sign"
                                            for s in states):
         raise ConfigError("initial state violates the Rayleigh-Taylor sign for this run direction")
@@ -367,6 +366,12 @@ def _advance(initials, grid: SpectralGrid, config: RunConfig, record, outcome: T
     if not recorded:
         record(last)
     outcome.termination = reason or "reached_t_end"
+
+
+def _projected(initials, grid: SpectralGrid, config: RunConfig) -> tuple[InterfaceState, ...]:
+    """The initial states projected to the cutoff at t_start: what ``_advance`` steps."""
+    return tuple(InterfaceState(*grid.project_modes(s.coeffs, config.galerkin_cutoff),
+                                config.t_start) for s in initials)
 
 
 def _step_plan(config: RunConfig) -> Iterator[tuple[float, float]]:
@@ -445,13 +450,31 @@ class PairMonitor:
 
     ``outcome`` is the ``Trajectory`` that ``_advance`` wrote: its
     termination, chord-arc stop and the counts of both states, with no
-    records of its own.
+    records of its own.  ``min_quotient`` is None after a single record,
+    which leaves no interval to take a quotient over.
     """
 
     times: list[float]
     distances: list[float]
-    min_quotient: float
+    min_quotient: float | None
     outcome: Trajectory
+
+
+def _pair_distance(pair, grid: SpectralGrid, config: RunConfig) -> float:
+    """The H4 distance of a pair at its time, on the schedule's contour then, or on the torus."""
+    sa, sb = pair
+    contour, _ = _schedule_at(config, sa.time, grid) or (None, None)
+    return h4_distance(sa, sb, grid, contour)
+
+
+def initial_pair_distance(a0: InterfaceState, b0: InterfaceState, config: RunConfig) -> float:
+    """The H4 distance that :func:`two_solution_monitor` records first, measured without a step.
+
+    The pair projected to the cutoff at t_start, on the schedule's contour
+    at t_start, as the run driver hands it to its first record.
+    """
+    grid = SpectralGrid(config.n_modes)
+    return _pair_distance(_projected((a0, b0), grid, config), grid, config)
 
 
 def two_solution_monitor(
@@ -463,8 +486,8 @@ def two_solution_monitor(
     stopped by the same rules, and either state's stop ends the pair.
     Reports the most negative one-sided difference quotient of the squared
     distance over the recorded times (the quantity the perturbation theory
-    bounds from below).  Fixed steps only: two step controllers would pick
-    different steps.
+    bounds from below), None from a single record.  Fixed steps only: two
+    step controllers would pick different steps.
     """
     if config.adaptive:
         raise ConfigError("two_solution_monitor needs fixed steps (adaptive = false)")
@@ -473,15 +496,11 @@ def two_solution_monitor(
     distances: list[float] = []
 
     def record(pair) -> None:
-        sa, sb = pair
-        contour, _ = _schedule_at(config, sa.time, grid) or (None, None)
-        times.append(sa.time)
-        distances.append(h4_distance(sa, sb, grid, contour))
+        times.append(pair[0].time)
+        distances.append(_pair_distance(pair, grid, config))
 
     outcome = Trajectory()
     _advance((a0, b0), grid, config, record, outcome)
-    quotients = [
-        (distances[i + 1] ** 2 - distances[i] ** 2) / (times[i + 1] - times[i])
-        for i in range(len(times) - 1)
-    ]
-    return PairMonitor(times, distances, min(quotients) if quotients else 0.0, outcome)
+    quotients = ((d1**2 - d0**2) / (t1 - t0)
+                 for t0, t1, d0, d1 in zip(times, times[1:], distances, distances[1:]))
+    return PairMonitor(times, distances, min(quotients, default=None), outcome)

@@ -20,7 +20,7 @@ import os
 
 import numpy as np
 
-from . import core
+from . import core, integrator
 from .config import SCENARIOS, ScenarioConfig
 from .contour_ops import LiftedContour, garding_form, lambda_gamma, pairwise_cot, pv_cot_integral
 from .core import InterfaceState
@@ -157,15 +157,16 @@ def _scenario_perturbed_pair(cfg: ScenarioConfig, out_dir: str) -> dict:
         grid.to_spectral(0.05 * np.cos(grid.nodes)),
     )
     other = perturb(base, cfg.perturbation_lambda, f_kappa(cfg.perturbation_kappa, grid))
-    monitor = two_solution_monitor(base, other, cfg.run)
-    initial_distance = monitor.distances[0]
+    initial_distance = integrator.initial_pair_distance(base, other, cfg.run)
     if initial_distance == 0.0:
-        # lambda = 0, or a kappa that underflows f_kappa: the pair is one solution
+        # lambda = 0, or a lambda or kappa that underflows the distance:
+        # the pair is one solution, refused before a step
         raise ConfigError(
             f"[perturbation] lambda: the perturbation lambda * f_kappa has zero H4 norm "
             f"(lambda = {cfg.perturbation_lambda}, kappa = {cfg.perturbation_kappa}), "
             "so the distance ratios are undefined"
         )
+    monitor = two_solution_monitor(base, other, cfg.run)
     rows = list(zip(monitor.times, monitor.distances))
     _write_csv(os.path.join(out_dir, "pair_distances.csv"), ("time", "h4_distance"), rows)
     return {

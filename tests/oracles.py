@@ -249,11 +249,22 @@ def full_matrix_rhs(
 def full_kernel_pv_integral(
     ws: KernelWorkspace, grid: SpectralGrid, floor: float = DEFAULT_CHORD_ARC_FLOOR
 ) -> np.ndarray:
-    """PV int K dw per node, from full N x N matrices (``kernel_pv_integral``'s signature)."""
-    pairs = full_pairs(ws, floor)
+    """PV int K dw per node, from full N x N matrices (``kernel_pv_integral``'s signature).
+
+    K = (cot(dZ+/2) + cot(dZ-/2)) / 2 with Z+- = z1 +- i z2, from
+    :func:`full_cot` as the sweep takes it from ``pairwise_cot``.  The
+    float64 sin(dz1) / (cosh(dz2) - cos(dz1)) of :func:`full_pairs` rounds
+    too coarsely to pin it: at N = 256 on the upper contour of
+    ``test_pv_integral_matches_full_matrix`` it is itself 7.1e-14 off an
+    mpmath trapezoid, against 2.9e-14 for the cotangent K.
+    """
+    full_pairs(ws, floor)  # the chord-arc check
     der = ws.der
     tangent_sq = ws.tangent_sq
-    integrand = pairs.kern - (der[1, 0] / tangent_sq)[:, None] * full_cot(ws.zeta)
+    kern = 0.5 * (full_cot(ws.z1 + 1j * ws.z2) + full_cot(ws.z1 - 1j * ws.z2))
+    if ws.flat:
+        kern = kern.real
+    integrand = kern - (der[1, 0] / tangent_sq)[:, None] * full_cot(ws.zeta)
     slope_sum = der[1, 0] * der[2, 0] + der[1, 1] * der[2, 1]
     diag = 2.0 * der[1, 0] * slope_sum / tangent_sq**2 - der[2, 0] / tangent_sq
     return row_quadrature(grid, integrand * ws.jac[None, :], diag * ws.jac)

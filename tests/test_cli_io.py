@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from muskat import InterfaceState, SpectralGrid, run
 from muskat.cli import _load, build_parser, main
-from muskat import scenarios
+from muskat import core, integrator, scenarios
 from muskat.config import SCENARIOS, load_config, load_config_text, serialize_config
 from muskat.errors import ConfigError, DegenerateParametrizationError, SnapshotError
 from muskat.initial_data import GraphFamilyParams
@@ -418,6 +418,40 @@ class TestScenarios:
         i, j = report["chord_arc_pair"]
         assert i != j and 0 <= min(i, j) and max(i, j) < 8
         assert 0.0 <= report["chord_arc_ratio"] < 0.5
+        # one record spans no interval to take a difference quotient over
+        assert report["min_quotient_of_squared_distance"] is None
+
+    @pytest.mark.parametrize("perturbation", ["lambda = 0.0", "lambda = 1e-200", "kappa = 1e4"],
+                             ids=["lambda_zero", "lambda_underflows", "f_kappa_underflows"])
+    def test_zero_perturbation_is_refused_before_a_step(self, tmp_path, monkeypatch,
+                                                        perturbation):
+        # the pair's first H4 distance is 0, since lambda * f_kappa is zero
+        # or its norm underflows: refused at the defaults without an rhs call
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return core.rhs(*args, **kwargs)
+
+        monkeypatch.setattr(integrator, "rhs", counting)
+        cfg = load_config_text(
+            f"[run]\nscenario = perturbed_pair\n[perturbation]\n{perturbation}\n")
+        with pytest.raises(ConfigError, match="zero H4 norm"):
+            run_scenario(cfg, str(tmp_path))
+        assert calls == []
+        assert not (tmp_path / "pair_distances.csv").exists()
+        assert "zero H4 norm" in json.loads((tmp_path / "report.json").read_text())["error"]
+
+    def test_tiny_perturbation_still_runs(self, tmp_path):
+        # lambda = 1e-160: the squared H4 norm is subnormal, not zero
+        cfg = load_config_text(
+            "[run]\nscenario = perturbed_pair\nn_modes = 32\nt_end = 0.002\n"
+            "[perturbation]\nlambda = 1e-160\n"
+        )
+        assert run_scenario(cfg, str(tmp_path)) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["initial_distance"] == pytest.approx(6.16e-160, rel=1e-3)
+        assert (tmp_path / "pair_distances.csv").exists()
 
     def test_numeric_stop_maps_to_exit_three(self, tmp_path):
         # a chord-arc floor far above the flat-torus constant stops at once

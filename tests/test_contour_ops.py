@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from muskat import LiftedContour, SpectralGrid, garding_form, lambda_gamma, pv_cot_integral
-from muskat.contour_ops import half_angle_parts, pairwise_cot
+from muskat.contour_ops import _cot_and_sin_modulus, pairwise_cot
 from muskat.errors import InvalidContourError, SizeMismatchError
 from muskat.grid import Block
 
@@ -116,41 +116,37 @@ class TestLambdaGamma:
         assert main_terms[-1] / main_terms[0] > 16.0  # ~k growth
 
 
-class TestHalfAngleParts:
-    # a lifted curve's parts: real z1 = x + 0.3 sin x, whose half differences
-    # reach past +-pi/2 and take tan(a/2) through +-1, and an imaginary part
-    # of the size of the schedule's heights
+class TestSinModulus:
+    # the lifted chord-arc guard's |sin(a + ib)| = sqrt(den / (1 + T^2)),
+    # read from the cotangent's denominator, on a lifted curve: real part
+    # x + 0.3 sin x, whose half differences reach past +-pi/2, where T = tan a
+    # crosses its pole, and an imaginary part of the size of the schedule's
+    # heights
     @staticmethod
-    def parts(n_modes: int, rows: slice):
+    def modulus(n_modes: int, rows: slice):
         x = SpectralGrid(n_modes).nodes
-        re, im = x + 0.3 * np.sin(x), 0.4 * np.sin(x) + 0.1 * np.cos(3 * x)
-        return re, im, half_angle_parts(re, im, Block(rows, n_modes))
+        zeta = x + 0.3 * np.sin(x) + 1j * (0.4 * np.sin(x) + 0.1 * np.cos(3 * x))
+        return zeta, _cot_and_sin_modulus(zeta, Block(rows, n_modes))[1]
 
     @pytest.mark.parametrize("n_modes, blocks", [
         (64, [slice(0, 64)]), (512, [slice(0, 8), slice(256, 272)]),
     ], ids=["64", "512"])
     def test_matches_mpmath_elementwise(self, n_modes, blocks):
-        # mpmath's sin, cos, sinh and cosh of the same float64 half
-        # differences a + ib: sin a and cos a come from t = tan(a/2), whose
-        # cos a = (1 - t^2)/(1 + t^2) is accurate only in absolute terms
-        # where it crosses zero.  Measured 2.2e-16 absolute on every part
+        # mpmath's |sin| of the same float64 half differences a + ib.
+        # Measured 2.5e-16 relative
         for rows in blocks:
-            re, im, got = self.parts(n_modes, rows)
-            block = Block(rows, n_modes)
-            a, b = block.diff(re) / 2.0, block.diff(im) / 2.0
+            zeta, got = self.modulus(n_modes, rows)
+            half = (zeta[rows, None] - zeta[None, rows.start:]) / 2.0
+            off_diagonal = half != 0.0
             with mpmath.workdps(30):
-                want = [np.array([[float(f(mpmath.mpf(float(v)))) for v in row] for row in arg])
-                        for f, arg in ((mpmath.sin, a), (mpmath.cos, a),
-                                       (mpmath.sinh, b), (mpmath.cosh, b))]
-            for part, reference in zip(got, want):
-                assert np.abs(part - reference).max() <= 1e-15
+                want = np.array([float(abs(mpmath.sin(mpmath.mpmathify(complex(v)))))
+                                 for v in half[off_diagonal]])
+            assert (np.abs(got[off_diagonal] - want) / want).max() <= 1e-15
 
-    def test_parts_have_exact_parity(self):
-        # the sweep takes each pair's mirror from the pair: sin a and sinh b
-        # exactly odd, cos a and cosh b exactly even
-        sin_a, cos_a, sinh_b, cosh_b = self.parts(64, slice(0, 64))[2]
-        assert np.array_equal(sin_a, -sin_a.T) and np.array_equal(sinh_b, -sinh_b.T)
-        assert np.array_equal(cos_a, cos_a.T) and np.array_equal(cosh_b, cosh_b.T)
+    def test_is_exactly_even(self):
+        # the lifted ratio is exactly symmetric: T^2 and sinh^2 b are even
+        modulus = self.modulus(64, slice(0, 64))[1]
+        assert np.array_equal(modulus, modulus.T)
 
 
 class TestPairwiseCot:

@@ -25,15 +25,15 @@ from muskat import (
 )
 from muskat.core import (
     DEFAULT_CHORD_ARC_FLOOR,
+    PairBlock,
     _distance_sq,
-    _half_angle_terms,
     _node_distance,
     _roots_of_unity,
     build_workspace,
     pair_sweep,
 )
+from muskat.contour_ops import pairwise_cot
 from muskat.errors import DegenerateGeometryError
-from muskat.grid import Block
 from muskat.initial_data import GraphFamilyParams, make_turnover_state
 
 from conftest import gentle_state, pool_like, run_with_blas_threads, strip_state
@@ -280,7 +280,7 @@ class TestKernelWorkspace:
         covered = np.zeros((grid.n_modes, grid.n_modes), dtype=int)
 
         def record(block):
-            assert (block.half_angles[1] if lifted else block.q).nbytes <= 64 * 1024
+            assert (block.pv_kern if lifted else block.q).nbytes <= 64 * 1024
             covered[block.rows, block.cols] += 1
             return ()
 
@@ -300,10 +300,11 @@ class TestKernelWorkspace:
             rows, cols = block.rows, block.cols
             dz1 = ws.z1[rows, None] - ws.z1[None, cols]
             dz2 = ws.z2[rows, None] - ws.z2[None, cols]
-            direct = np.cosh(dz2) - np.cos(dz1)
-            den = 2.0 * block.half_angles[1]
+            direct = np.abs(np.cosh(dz2) - np.cos(dz1))
+            # the ratio is 2 |sin(dZ+/2)| |sin(dZ-/2)| / distance^2
+            den = block.ratio * _distance_sq(ws, block)
             off = ~np.eye(*direct.shape, dtype=bool)
-            assert (np.abs(den - direct)[off] <= 1e-12 * np.abs(direct[off])).all()
+            assert (np.abs(den - direct)[off] <= 1e-12 * direct[off]).all()
             blocks.append(block.rows)
             return ()
 
@@ -318,8 +319,8 @@ class TestKernelWorkspace:
         assert_thread_invariant([functools.partial(rhs, s, g) for s, g in zip(states, grids)])
 
     def test_threads_keep_their_own_lifted_block_buffers(self):
-        # a lifted block keeps its half-angle terms in the thread's buffers
-        # while its sums run
+        # a lifted block's cotangents and ratio live while its sums run,
+        # beside the thread's own sampler and sum arrays
         grids = [SpectralGrid(n) for n in (128, 256, 512) for _ in range(2)]
         calls = []
         for g, sign in zip(grids, (1, -1) * 3):
@@ -343,15 +344,32 @@ class TestKernelWorkspace:
 
     @pytest.mark.parametrize("lifted", [False, True], ids=["flat", "lifted"])
     def test_half_angle_kernel_is_exactly_odd(self, lifted):
-        # the PV integral takes the mirror -K from the pair; K = s c / (s^2 +
-        # sh^2) on both grids, on a lifted contour assembled from real tan,
-        # sinh and cosh
+        # the PV integral takes the mirror -K from the pair; K is the mean of
+        # the cotangents of the half differences of z1 +- i z2, Re cot on
+        # the flat grid, each from real tan, sinh and cosh
         grid = SpectralGrid(64)
         contour = (LiftedContour.from_height(grid, 0.15 + 0.03 * np.cos(grid.nodes))
                    if lifted else None)
         ws = build_workspace(gentle_state(grid), grid, contour, 1)
-        full = np.divide(*_half_angle_terms(ws, Block(slice(0, 64), 64)))
+        full = PairBlock(slice(0, 64), 64, ws).pv_kern
         assert np.array_equal(full, -full.T)
+
+    @pytest.mark.parametrize("n_modes", [64, 128, 256, 512, 1024])
+    def test_flat_kernel_is_the_real_part_of_pairwise_cot(self, n_modes):
+        # the flat K = T / den is formed in real arithmetic by the operations
+        # of pairwise_cot's real part, on every block of the sweep
+        grid = SpectralGrid(n_modes)
+        ws = build_workspace(gentle_state(grid), grid, None, 1)
+        blocks = []
+
+        def check(block):
+            want = pairwise_cot(ws.z1 + 1j * ws.z2, block).real
+            assert block.pv_kern.tobytes() == want.tobytes()
+            blocks.append(block.rows)
+            return ()
+
+        pair_sweep(ws, grid, check)
+        assert blocks[-1].stop == n_modes
 
     @pytest.mark.parametrize("n_modes", [64, 128, 256, 512])
     def test_rhs_matches_full_matrix(self, n_modes):
@@ -584,11 +602,12 @@ class TestATilde:
     def test_matches_mpmath_trapezoid(self, lifted, bound):
         # the same trapezoid summed at 30 digits from the same float64
         # samples: an accuracy pin, not agreement with a float64 oracle of
-        # the same formula.  The half-angle K = s c / (s^2 + sh^2), its sin
-        # and cos from tan(a/2), and the cotangent from T = tan a measure
-        # 5.25e-15 (flat) and 2.56e-14 (upper); with sin and cos 5.89e-15
-        # (5.85e-15 with sin(dz1) in the numerator) and 2.5e-14; the
-        # exp-map K with a table or W-form cotangent 1.0e-13 and 6.7e-14
+        # the same formula.  K as the mean of cot(dZ+-/2), Z+- = z1 +- i z2,
+        # and the cotangent, all from T = tan a, measure 5.87e-15 (flat) and
+        # 2.52e-14 (upper); the half-angle K = s c / (s^2 + sh^2) with sin
+        # and cos from tan(a/2) 5.25e-15 and 2.56e-14; with sin and cos
+        # 5.89e-15 (5.85e-15 with sin(dz1) in the numerator) and 2.5e-14;
+        # the exp-map K with a table or W-form cotangent 1.0e-13 and 6.7e-14
         grid = SpectralGrid(128)
         contour = (LiftedContour.from_height(grid, 0.15 + 0.03 * np.cos(grid.nodes))
                    if lifted else None)
@@ -637,9 +656,10 @@ class TestChordArc:
 
     @pytest.mark.parametrize("n_modes", [64, 128, 256, 512, 1024])
     def test_lifted_matches_the_exp_map_oracle(self, n_modes):
-        # the lifted ratio 2 |s^2 + sh^2| / d^2 reads the denominator that
-        # K divides by; against the W+- exp-map form it replaced it measures
-        # at most 7.3e-16 relative on these states (N = 64, seed 1), bound 2e-15
+        # the lifted ratio 2 |sin(dZ+/2)| |sin(dZ-/2)| / d^2 reads the
+        # denominators of K's cotangents; against the W+- exp-map form it
+        # measures at most 7.2e-16 relative on these states (N = 64, seed 0,
+        # upper), bound 2e-15
         grid = SpectralGrid(n_modes)
         for seed in range(3):
             state, contour = pool_like(grid, seed)
@@ -651,7 +671,7 @@ class TestChordArc:
                 assert abs(chord_arc_constant(state, grid, lifted) - want) <= 2e-15 * want
 
     def test_lifted_ratio_is_exactly_symmetric(self):
-        # s and sh are exactly odd, so den = s^2 + sh^2 is exactly even
+        # each |sin(dZ+-/2)| is exactly even, read from T^2 and sinh^2 b
         grid = SpectralGrid(64)
         state, contour = pool_like(grid, 0)
         ratios = []
