@@ -76,48 +76,68 @@ def _tan_half(re: NDArray, block: Block) -> NDArray:
     return np.tan(a, out=a)
 
 
-def _cot(tan_a: NDArray, b: NDArray | None, block: Block, abs_sin: bool = False):
+def _cot(tan_a: NDArray, b: NDArray | None, block: Block, parts=None, out=None) -> NDArray:
     """cot(a + ib) over a block from T = tan a and b, diagonal 0, where a = b = 0.
 
     b = None is the flat cotangent 1/T; it overwrites ``tan_a``, so a caller
-    that wants both forms takes the lifted one first, which overwrites b.
+    that wants both forms takes the lifted one first.
     Dividing cot(a + ib) = (sin a cos a - i sinh b cosh b) / (sin^2 a + sinh^2 b)
     by cos^2 a = 1/(1 + T^2) gives
 
         cot(a + ib) = (T - i sinh b cosh b (1 + T^2)) / den,   den = T^2 + sinh^2 b (1 + T^2),
 
     which takes T^2 as formed, never fl(1 + T^2) - 1, and cancels nothing.
-    Both forms are exactly odd, so the mirror pair's value is -cot.  With
-    ``abs_sin`` the lifted form also returns |sin(a + ib)| =
-    sqrt(den / (1 + T^2)), from the same denominator, exactly even and 1
-    on the diagonal.
+    Both forms are exactly odd, so the mirror pair's value is -cot.  The
+    lifted form writes its denominator's ``parts`` (:func:`_cot_denominator`)
+    and itself into ``out`` when given, and keeps T and b.
     """
     if b is None:
         block.fill_diagonal(tan_a, np.inf)
         return np.reciprocal(tan_a, out=tan_a)
-    den, scale, imag = _cot_denominator(tan_a, b, block)
-    imag *= np.cosh(b, out=b)
+    return _cot_from_denominator(tan_a, b, _cot_denominator(tan_a, b, block, parts), out)
+
+
+def _cot_denominator(tan_a: NDArray, b: NDArray, block: Block, out=None) -> list[NDArray]:
+    """:func:`_cot`'s den = T^2 + sinh^2 b (1 + T^2), diagonal 1, with 1 + T^2, sinh b and T^2.
+
+    Into the four arrays ``out`` when given, else new ones; T and b may be
+    one block array or a stack of them.
+    """
+    den, scale, sinh_b, t_sq = out if out is not None else [None] * 4
+    t_sq = np.square(tan_a, out=t_sq)
+    scale = np.add(1.0, t_sq, out=scale)
+    sinh_b = np.sinh(b, out=sinh_b)
+    den = np.square(sinh_b, out=den)
+    den *= scale
+    den += t_sq
+    for array in den if den.ndim > 2 else (den,):
+        block.fill_diagonal(array, 1.0)
+    return [den, scale, sinh_b, t_sq]
+
+
+def _cot_from_denominator(tan_a: NDArray, b: NDArray, parts: list[NDArray], out=None) -> NDArray:
+    """:func:`_cot` from T, b and its denominator's parts, into ``out`` or a new complex array.
+
+    cosh b takes the place of the parts' last array, and sinh b becomes
+    the imaginary part's numerator.
+    """
+    den, scale, imag, cosh_b = parts
+    imag *= np.cosh(b, out=cosh_b)
     imag *= scale
     imag /= den
-    out = np.empty(tan_a.shape, dtype=complex)
+    out = np.empty(tan_a.shape, dtype=complex) if out is None else out
     np.divide(tan_a, den, out=out.real)
     np.negative(imag, out=out.imag)
-    if abs_sin:
-        # |sin(a + ib)|^2 = sin^2 a + sinh^2 b = den cos^2 a
-        return out, np.sqrt(np.divide(den, scale, out=den), out=den)
     return out
 
 
-def _cot_denominator(tan_a: NDArray, b: NDArray, block: Block) -> tuple[NDArray, ...]:
-    """:func:`_cot`'s den = T^2 + sinh^2 b (1 + T^2), diagonal 1, with 1 + T^2 and sinh b."""
-    t_sq = np.square(tan_a)
-    scale = 1.0 + t_sq
-    sinh_b = np.sinh(b)
-    den = np.square(sinh_b)
-    den *= scale
-    den += t_sq
-    block.fill_diagonal(den, 1.0)
-    return den, scale, sinh_b
+def _sin_modulus(den: NDArray, scale: NDArray, out: NDArray) -> NDArray:
+    """|sin(a + ib)| = sqrt(den / (1 + T^2)) from :func:`_cot_denominator`, into ``out``.
+
+    |sin(a + ib)|^2 = sin^2 a + sinh^2 b = den cos^2 a: exactly even, and 1
+    on the diagonal.
+    """
+    return np.sqrt(np.divide(den, scale, out=out), out=out)
 
 
 def pairwise_cot(zeta: NDArray, block: Block) -> NDArray:
@@ -131,15 +151,6 @@ def pairwise_cot(zeta: NDArray, block: Block) -> NDArray:
     return _cot(_tan_half(zeta.real, block), b, block)
 
 
-def _cot_and_sin_modulus(zeta: NDArray, block: Block) -> tuple[NDArray, NDArray]:
-    """:func:`pairwise_cot` on complex nodes, and |sin((zeta_i - zeta_j)/2)| from its denominator.
-
-    The |sin| is a factor of the lifted chord-arc ratio: exactly even, and
-    1 on the diagonal, where the ratio is not taken.
-    """
-    return _cot(_tan_half(zeta.real, block), _half_diff(zeta.imag, block), block, abs_sin=True)
-
-
 def _cot_real_part(re: NDArray, im: NDArray, block: Block) -> NDArray:
     """Re cot((w_i - w_j)/2), w = re + i im, over a block in real arithmetic: T / den.
 
@@ -147,7 +158,7 @@ def _cot_real_part(re: NDArray, im: NDArray, block: Block) -> NDArray:
     the same operations, without the imaginary part's cosh; diagonal 0.
     """
     tan_a = _tan_half(re, block)
-    den, _, _ = _cot_denominator(tan_a, _half_diff(im, block), block)
+    den = _cot_denominator(tan_a, _half_diff(im, block), block)[0]
     return np.divide(tan_a, den, out=tan_a)
 
 

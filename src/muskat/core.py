@@ -47,19 +47,25 @@ with them: with Z+- = z1 +- i z2,
 
 one primitive, :func:`muskat.contour_ops.pairwise_cot`, on both grids.  On
 the flat grid Z- is the conjugate of Z+, so K = Re cot(dZ+/2), formed in
-real arithmetic.  On a lifted contour a block forms both cotangents when
-it is built and takes its chord-arc ratio from their denominators.  Every
-cotangent takes one tan of its real half difference and sinh and cosh of
-the imaginary one, so no pair takes a complex transcendental, nor numpy's
-float64 sin or cos, which run scalar loops 4-7x slower than its
-vectorized tan, sinh and cosh.  A lifted sample takes its phases
-e^{ikx_j} from a cached table of the N-th roots of unity and one real
-exponential per entry, in blocks of nodes.
+real arithmetic.  Every cotangent takes one tan of its real half
+difference and sinh and cosh of the imaginary one, so no pair takes a
+complex transcendental, nor numpy's float64 sin or cos, which run scalar
+loops 4-7x slower than its vectorized tan, sinh and cosh.  A lifted block
+takes all six half differences, of Z+, Z- and zeta, from one BLAS product
+of O(N) factor tables (:attr:`KernelWorkspace.half_factors`), exact as
+the flat ones are.  On construction it forms only the two denominators of
+K's cotangents and its chord-arc ratio from them; the cotangents follow
+from the same arrays when an integrand reads them, and the PV sums weight
+and reduce them by matrix-vector products.  A lifted sample writes each
+wavenumber as a baby step plus a giant step, so its phases, read from a
+cached table of the N-th roots of unity, take O(N sqrt K) real
+exponentials for K live modes, not N K.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
@@ -67,7 +73,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from numpy.typing import NDArray
 
-from .contour_ops import LiftedContour, _cot_and_sin_modulus, _cot_real_part, pairwise_cot
+from .contour_ops import (LiftedContour, _cot, _cot_denominator, _cot_from_denominator,
+                          _cot_real_part, _sin_modulus, pairwise_cot)
 from .errors import DegenerateGeometryError
 from .grid import _BLOCK_BYTES, Block, SpectralGrid, factor_tables
 
@@ -123,39 +130,50 @@ def evaluate_on_contour(
     """Evaluate a band-limited Fourier series at the contour nodes x + i*s*h(x).
 
     e^{ik(x + i s h)} = e^{ikx} e^{-k s h}; legitimate for band-limited
-    coefficient arrays, which is how states are stored.  At x_j = 2 pi j/N
-    the phase e^{ikx_j} is the root of unity e^{2 pi i m/N}, m = jk mod N,
-    read from a table, so it carries no rounding of k x_j and each entry
-    takes one real exponential.  A stack (m, N) is evaluated row by row
-    over the modes live in any row, in blocks of nodes, each written by one
-    matrix product.  A block's index, phase and decay arrays stay within
-    ``_BLOCK_BYTES`` up to 682 live modes; its node count is a multiple of
-    six, the tile in which Haswell's zgemm takes them, so each sample is
-    bitwise the one-matrix product's at one BLAS thread on every OpenBLAS
-    kernel (at most 96 KiB of phases a block, below glibc's mmap
-    threshold).  A block's product is small enough that BLAS keeps it on
-    one thread, so the samples do not depend on the thread count either.
+    coefficient arrays, which is how states are stored.  The modes live in
+    any row of a stack (m, N) span some K wavenumbers; each is written
+    k = B a + b, 0 <= b < B ~ sqrt(K), and e^{ik(x + i s h)} is a baby
+    factor e^{ib(x + i s h)} times a giant one e^{iBa(x + i s h)}
+    (baby-step giant-step, Paterson & Stockmeyer 1973), so the two O(N
+    sqrt K) tables take N (B + A) real exponentials, not N K.  At
+    x_j = 2 pi j/N each phase e^{ikx_j} is the root of unity
+    e^{2 pi i m/N}, m = jk mod N, read from a table, so it carries no
+    rounding of k x_j.  A row's samples are the baby table times its
+    (B, A) coefficient table, one matrix product per block of nodes,
+    times the giant table and summed over a.  A block's product stays
+    within ``_BLOCK_BYTES`` and small enough that BLAS keeps it on one
+    thread, so the samples do not depend on the thread count.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
     grid._check_length(coeffs, stacked=True)
     n = grid.n_modes
-    live = (np.abs(coeffs) > 0.0).reshape(-1, n).any(axis=0)
+    rows = coeffs.reshape(-1, n)
+    live = (np.abs(rows) > 0.0).any(axis=0)
+    # an all-zero stack samples mode 0, so every table below has an entry
+    live[0] |= not live.any()
     k = grid.wavenumbers[live]
-    columns = coeffs[..., live].T
-    heights = -contour.sign * contour.h
-    out = np.empty((n, *coeffs.shape[:-1]), dtype=complex)
-    step = 6 * max(1, _BLOCK_BYTES // (6 * 16 * max(len(k), 1)))
+    baby = math.isqrt(k.max() - k.min() + 1)
+    giant, k_baby = np.divmod(k, baby)
+    # the wavenumbers of the baby table's columns, then of the giant table's
+    steps = np.concatenate([np.arange(baby), baby * np.arange(giant.min(), giant.max() + 1)])
+    table = np.zeros((len(rows), baby, len(steps) - baby), dtype=complex)
+    table[:, k_baby, giant - giant.min()] = rows[:, live]
+    out = np.empty_like(rows)
+    step = max(1, _BLOCK_BYTES // (16 * len(steps)))
     for start in range(0, n, step):
         nodes = slice(start, start + step)
         # N is a power of two, so & (N - 1) is the residue mod N, also for k < 0
-        index = np.outer(np.arange(n)[nodes], k)
+        index = np.outer(np.arange(n)[nodes], steps)
         index &= n - 1
         phases = _roots_of_unity(n)[index]
-        decay = np.exp(np.outer(heights[nodes], k))
+        decay = np.exp(np.outer(-contour.sign * contour.h[nodes], steps))
         phases.real *= decay
         phases.imag *= decay
-        np.matmul(phases, columns, out=out[nodes])
-    return out.T
+        for values, coefficients in zip(out, table):
+            samples = phases[:, :baby] @ coefficients
+            samples *= phases[:, baby:]
+            samples.sum(axis=1, out=values[nodes])
+    return out.reshape(coeffs.shape)
 
 
 @functools.lru_cache(maxsize=8)
@@ -228,6 +246,19 @@ class KernelWorkspace:
         return factor_tables(([u, one], [one, -u]), ([v, one], [one, -v]),
                              ([c, zero], [c, zero]), ([2.0 * v, -2.0 * u], [u, v]))
 
+    @functools.cached_property
+    def half_factors(self) -> tuple[NDArray, NDArray]:
+        """Lifted contour: factor tables of the half differences, for :meth:`Block.product`.
+
+        One term ([x/2, 1], [1, -x/2]) (:func:`factor_tables`) for each x
+        in Re Z+, Re Z-, Im Z+, Im Z-, Re zeta and Im zeta, Z+- = z1 +- i z2.
+        Halving is exact, so each entry is the broadcast (x_i - x_j)/2 bit
+        for bit up to a zero's sign.  O(N), formed once.
+        """
+        (plus, minus), one = (self.z1 + 1j * self.z2, self.z1 - 1j * self.z2), np.ones(len(self.zeta))
+        parts = (plus.real, minus.real, plus.imag, minus.imag, self.zeta.real, self.zeta.imag)
+        return factor_tables(*(([0.5 * x, one], [one, -0.5 * x]) for x in parts))
+
 
 def build_workspace(
     state: InterfaceState,
@@ -272,16 +303,19 @@ def _node_distance(n_modes: int) -> NDArray:
     return sliding_window_view(np.stack([dist, dist**2]), n_modes, axis=1)[:, ::-1]
 
 
-def _distance_sq(ws: KernelWorkspace, block: Block) -> NDArray:
+def _distance_sq(ws: KernelWorkspace, block: PairBlock, out: NDArray | None = None) -> NDArray:
     """(||Re(zi - zj)|| + |Im(zi - zj)|)^2 over a block's pairs, diagonal 1.
 
     ``ws.zeta`` is the grid, or the grid lifted by i*sign*h; its real parts
     are the nodes, so their wrapped distance is read from the cached view.
+    On a lifted contour |Im(zi - zj)| is twice the block's half difference,
+    exactly, and the result goes to ``out`` when given.
     """
     dist, dist_sq = _node_distance(len(ws.zeta))[:, block.rows, block.cols]
     if ws.flat:
         return dist_sq
-    return (dist + np.abs(block.diff(ws.zeta.imag))) ** 2
+    out = np.multiply(np.abs(block.halves[5], out=out), 2.0, out=out)
+    return np.square(np.add(out, dist, out=out), out=out)
 
 
 class PairBlock(Block):
@@ -297,11 +331,18 @@ class PairBlock(Block):
     ratio: the chord-arc ratio (c_i c_j) q / distance^2.
 
     On a lifted contour it is the cotangent geometry of Z+- = z1 +- i z2
-    (:func:`muskat.contour_ops.pairwise_cot`):
-    pv_kern: K = (cot(dZ+/2) + cot(dZ-/2)) / 2, zero on the diagonal.
+    (:func:`muskat.contour_ops.pairwise_cot`), from one product of the
+    factor tables :attr:`KernelWorkspace.half_factors`:
+    halves: the half differences of Re Z+, Re Z-, Im Z+, Im Z-, Re zeta and
+        Im zeta, so a, then b, of Z+ and Z- stack; a becomes T = tan a on
+        construction, and the two cotangents' arrays are formed as one stack.
     ratio: 2 |sin(dZ+/2)| |sin(dZ-/2)| / distance^2, that is
         |cosh(dz2) - cos(dz1)| / distance^2, each |sin| read from its
-        cotangent's denominator.
+        cotangent's denominator (:func:`muskat.contour_ops._sin_modulus`).
+    Construction forms only these denominators and the ratio; the
+    cotangents are formed from the same arrays when :attr:`pv_terms` is
+    first read.  Every array lives in the calling thread's block buffers,
+    float arrays two to a complex one.
 
     distance = ||Re(zeta_i - zeta_j)|| + |Im(zeta_i - zeta_j)|.  Either
     ratio is exactly symmetric, diagonal inf.  :func:`pair_sweep` takes its
@@ -323,26 +364,45 @@ class PairBlock(Block):
             self.q += self._scratch
             self.ratio *= self.q
             self.fill_diagonal(self.q, 1.0)
+            self.ratio /= _distance_sq(ws, self)
         else:
-            cot_plus, sin_plus = _cot_and_sin_modulus(ws.z1 + 1j * ws.z2, self)
-            self.pv_kern, self.ratio = _cot_and_sin_modulus(ws.z1 - 1j * ws.z2, self)
-            self.pv_kern += cot_plus
-            self.pv_kern *= 0.5
+            # the flat sweep's buffers, float arrays two to a complex one: the
+            # halves in the geometry's, K, one cotangent and the denominator
+            # parts (den, 1 + T^2, sinh b, |sin|) of Z+ and Z- in the integrands'
+            self.halves = self.buffers("geometry", 3, complex).view(float).reshape(6, *self.shape)
+            self._cotangents = self.buffers("integrands", 6, complex)
+            self._parts = self._cotangents[2:].view(float).reshape(4, 2, *self.shape)
+            self.product(*ws.half_factors, out=self.halves)
+            tan_a = np.tan(self.halves[:2], out=self.halves[:2])
+            _cot_denominator(tan_a, self.halves[2:4], self, self._parts)
+            sin_plus, sin_minus = _sin_modulus(*self._parts[:2], out=self._parts[3])
             # |sin| by |sin|: the product of their squares may overflow
-            self.ratio *= 2.0 * sin_plus
-        self.ratio /= _distance_sq(ws, self)
+            self.ratio = np.multiply(sin_minus, sin_plus, out=sin_minus)
+            self.ratio *= 2.0
+            self.ratio /= _distance_sq(ws, self, out=sin_plus)
         self.fill_diagonal(self.ratio, np.inf)
 
     @functools.cached_property
-    def pv_kern(self) -> NDArray:
-        """K over the block as a cotangent, zero on the diagonal: the PV integrand's kernel.
+    def pv_terms(self) -> tuple[NDArray, NDArray]:
+        """The PV integrand's two terms over the block, formed on first use: K and cot(dzeta/2).
 
-        On the flat grid Z- is the conjugate of Z+, so K = Re cot(dZ+/2) =
-        T / den in real arithmetic, formed on first use
-        (:func:`muskat.contour_ops._cot_real_part`); a lifted block forms
-        it on construction.  Exactly odd on both grids.
+        Both are cotangents, zero on the diagonal and exactly odd.  On the
+        flat grid Z- is the conjugate of Z+, so K = Re cot(dZ+/2) = T / den
+        in real arithmetic (:func:`muskat.contour_ops._cot_real_part`), and
+        the second is :func:`muskat.contour_ops.pairwise_cot` of the nodes.
+        A lifted block forms K = (cot(dZ+/2) + cot(dZ-/2)) / 2 from the T, b
+        and denominators formed on construction (b takes cosh b), then
+        cot(dzeta/2) from its halves of zeta in Z+'s arrays.
         """
-        return _cot_real_part(self.ws.z1, self.ws.z2, self)
+        if self.ws.flat:
+            return _cot_real_part(self.ws.z1, self.ws.z2, self), pairwise_cot(self.ws.zeta, self)
+        kern, cot = self._cotangents[:2]
+        (tan_a, b), (tan_zeta, b_zeta) = self.halves[:4].reshape(2, 2, *self.shape), self.halves[4:]
+        # cot(dZ+/2) in the cotangent's array and cot(dZ-/2) in K's
+        _cot_from_denominator(tan_a, b, [*self._parts[:3], b], out=self._cotangents[1::-1])
+        kern += cot
+        kern *= 0.5
+        return kern, _cot(np.tan(tan_zeta, out=tan_zeta), b_zeta, self, self._parts[:, 0], out=cot)
 
     @functools.cached_property
     def kern(self) -> NDArray:
@@ -495,10 +555,12 @@ def kernel_pv_integral(
 
     Because the principal value of the bare cotangent over the full contour
     vanishes, the integral of a equals PV int K dw.  K is the cotangent
-    mean :attr:`PairBlock.pv_kern`, so both terms are cotangents of node
+    mean in :attr:`PairBlock.pv_terms`, so both terms are cotangents of node
     differences, :func:`muskat.contour_ops.pairwise_cot`, and their poles
     and rounding cancel.  Both are exactly odd, so the mirror a(w, z) is
-    [z1'/T](w) cot((z - w)/2) - K(z, w).
+    [z1'/T](w) cot((z - w)/2) - K(z, w).  a and its mirror are formed
+    elementwise, where the poles cancel; the weights dw/du and the sums are
+    two matrix-vector products per block.
 
     Raises:
         DegenerateGeometryError: chord-arc constant below the floor.
@@ -512,10 +574,12 @@ def kernel_pv_integral(
 
     def sums(block: PairBlock):
         rows, cols = block.rows, block.cols
-        kern, cot = block.pv_kern, pairwise_cot(ws.zeta, block)
-        values = (kern - ratio[rows, None] * cot) * ws.jac[None, cols]
-        mirror = (ratio[None, cols] * cot - kern) * ws.jac[rows, None]
-        yield block.sums(values, mirror, diag[rows])
+        kern, cot = block.pv_terms
+        values = kern - ratio[rows, None] * cot
+        # the mirror, in the cotangent's array; both vanish on the diagonal
+        cot *= ratio[None, cols]
+        cot -= kern
+        yield values @ ws.jac[cols] + diag[rows], ws.jac[rows] @ cot[:, block.width:]
 
     (total,), _ = pair_sweep(ws, grid, sums, floor)
     return total

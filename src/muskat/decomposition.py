@@ -35,6 +35,10 @@ SAFE_COEFFICIENTS = (4.0, -4.0, -4.0, 1.0, -1.0, -1.0)
 #: den = cosh(dz2) - cos(dz1).
 SAFE_TERMS = ((1, 0, None), (2, 1, None), (1, 2, None), (None, 0, 1), (None, 1, 2), (None, 2, 1))
 
+#: The six safe kernels G = (d z_a(x) - d z_a(u)) F_f as (a, f), in the order
+#: a block forms them.
+KERNELS = ((1, 0), (1, 1), (1, 2), (2, 2), (2, 1), (2, 0))
+
 
 @dataclass
 class ComponentPair:
@@ -64,7 +68,8 @@ def rhs_d4_decomposition(
     of the kernel denominator.  Requires the state to resolve six
     derivatives, i.e. its coefficients should decay below round-off well
     before the cutoff.  The dangerous term, the six safe terms and the
-    right-hand side come from one sweep of the node pairs.
+    right-hand side come from one sweep of the node pairs, each a
+    kernel-difference sum taken by matrix products of its kernel blocks.
 
     Raises:
         DegenerateGeometryError: chord-arc constant below the floor.
@@ -72,28 +77,29 @@ def rhs_d4_decomposition(
     ws = build_workspace(state, grid, None, 6)
     der = ws.der
     tangent_sq = ws.tangent_sq
-    # weight of fragment f: the limit of u^2 * fragment as u = x_i - x_j -> 0,
-    # so safe term j has the diagonal value c_j (d^2 z_a) weight (d^5 z_b)
+    # weight of fragment f: the limit of u^2 * fragment as u = x_i - x_j -> 0
     weights = (
         2.0 / tangent_sq,
         4.0 * der[1, 0] * der[1, 1] / tangent_sq**2,
         4.0 * der[1, 0] ** 2 / tangent_sq**2,
     )
-    # (coefficient, first-difference component, fragment, fourth-difference
-    # component) of the twelve safe integrands, term by term, mu = 1, 2
-    safe_terms = [(c, first or mu, f, fourth or mu)
-                  for c, (first, f, fourth) in zip(SAFE_COEFFICIENTS, SAFE_TERMS) for mu in (1, 2)]
-    safe_diagonals = [c * der[2, a - 1] * weights[f] * der[5, b - 1] for c, a, f, b in safe_terms]
+    # each safe integrand c (d z_a(x) - d z_a(u)) F_f (d^4 z_b(x) - d^4 z_b(u)) is
+    # a kernel-difference integral of G_af = (d z_a(x) - d z_a(u)) F_f against
+    # d^4 z_b, like K's; G is antisymmetric and vanishes on the diagonal, so
+    # the six kernels (a, f) take two matrix products per block with
+    # [1, d^4 z1, d^4 z2], and each safe part the diagonal limit
+    # c (d^2 z_a) weight_f (d^5 z_b) once the sweep is done
+    columns = np.column_stack([np.ones_like(ws.z1), *der[4]])
+    negated = -columns
     (dangerous_sums, dangerous_finish), (rhs_sums, rhs_finish) = (
         kernel_difference_sums(ws, grid, order) for order in (5, 1))
     u, v, _ = ws.exp_map
     one = np.ones_like(u)
-    # factor tables of the block arrays the safe terms take, all six formed
-    # by one product per block: the differences of d z_mu and d^4 z_mu
-    # (slots 0-3), |w_j|^2 - |w_i|^2 = (-|w_i|^2) - (-|w_j|^2) (slot 4),
-    # and 2 (u_i u_j + v_i v_j) (slot 5)
-    differences = (*der[1], *der[4], -np.exp(-2.0 * ws.z2))
-    left, right = factor_tables(*(([x, one], [one, -x]) for x in differences),
+    # factor tables of the block arrays the safe kernels take, all four formed
+    # by one product per block: the differences of d z1 and d z2 (slots 0, 1),
+    # |w_j|^2 - |w_i|^2 = (-|w_i|^2) - (-|w_j|^2) (slot 2), and
+    # 2 (u_i u_j + v_i v_j) (slot 3)
+    left, right = factor_tables(*(([x, one], [one, -x]) for x in (*der[1], -np.exp(-2.0 * ws.z2))),
                                 ([2.0 * u, 2.0 * v], [u, v]))
 
     def integrands(block: PairBlock):
@@ -101,29 +107,30 @@ def rhs_d4_decomposition(
         yield from rhs_sums(block)
         # rational in w = u + iv, with q = |w_i - w_j|^2: cos(dz1)/den is
         # 2 (u_i u_j + v_i v_j)/q and sinh(dz2)/den is (|w_j|^2 - |w_i|^2)/q.
-        # All three fragments are symmetric and the two differences
-        # antisymmetric: every safe integrand is its own mirror, taken from
-        # the pair (K_ij and K_ji may round apart by an ulp)
-        # the sweep has taken its chord-arc minimum, so the ratio's array
-        # is free to hold each safe integrand in turn
-        products, values = block.buffers("decomposition", 6), block.ratio
-        block.product(left, right, out=products)
-        cos_frag, sinh_frag = products[5], products[4]
-        cos_frag /= block.q
-        sinh_frag /= block.q
-        sinh_frag *= block.kern
+        # The stack takes (d dz1, d dz2, sinh fragment, cos fragment) and
+        # then, each in place of the last array it reads, the six kernels in
+        # the order of ``KERNELS``
+        stack = block.buffers("integrands", 6)
+        block.product(left, right, out=stack[2:])
+        stack[4:] /= block.q
+        stack[4] *= block.kern
+        np.multiply(stack[2], stack[5:3:-1], out=stack[:2])
+        stack[4:] *= stack[3]
         # the kernel sums are taken, so K^2 may overwrite K
-        fragments = (cos_frag, sinh_frag, np.square(block.kern, out=block.kern))
-        for (c, a, f, b), diag in zip(safe_terms, safe_diagonals):
-            # slot a - 1 holds the difference of d z_a, slot b + 1 that of d^4 z_b
-            np.multiply(products[a - 1], fragments[f], out=values)
-            values *= products[b + 1]
-            values *= c
-            yield block.sums(values, values, diag[block.rows])
+        stack[2:4] *= np.square(block.kern, out=block.kern)
+        pairs = stack.reshape(-1, block.shape[1]) @ columns[block.cols]
+        mirrors = negated[block.rows].T @ stack[:, :, block.width:]
+        yield pairs.reshape(6, block.width, 3).transpose(1, 0, 2), mirrors.transpose(2, 0, 1)
 
     sums, _ = pair_sweep(ws, grid, integrands, floor)
     dangerous = ComponentPair(*dangerous_finish(sums[0]))
-    safe = tuple(ComponentPair(*sums[2 + 2 * j:4 + 2 * j]) for j in range(len(SAFE_TERMS)))
+    # per kernel (a, f), against d^4 z_b for b = 1, 2: d^4 z_b (G 1) - G d^4 z_b
+    # plus the diagonal limit (d^2 z_a) weight_f (d^5 z_b)
+    by_kernel = {(a, f): columns[:, 1:].T * total[:, 0] - total[:, 1:].T
+                 + grid.dx * der[2, a - 1] * weights[f] * der[5]
+                 for (a, f), total in zip(KERNELS, sums[2].transpose(1, 0, 2))}
+    safe = tuple(ComponentPair(*(c * by_kernel[a or mu, f][(b or mu) - 1] for mu in (1, 2)))
+                 for c, (a, f, b) in zip(SAFE_COEFFICIENTS, SAFE_TERMS))
     # order 1 of the kernel difference is the right-hand side in physical space
     d4 = ComponentPair(*(grid.from_spectral(grid.derivative(grid.to_spectral(values), 4))
                          for values in rhs_finish(sums[1])))

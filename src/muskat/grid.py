@@ -212,12 +212,12 @@ class SpectralGrid:
 class _BlockBuffers(threading.local):
     """The calling thread's block arrays, kept from one sweep to the next.
 
-    Each is allocated once, at the full block budget per array of its
-    stack, and every block of every sweep reuses it.  Block arrays
-    allocated afresh and freed with each sweep left a heap top that glibc
-    returned to the system and faulted back in on the next call, about
-    110 minor page faults per ``rhs`` at N=128.  The contents never outlive a block, so sweeps must
-    not nest.
+    Each is raw memory, allocated once at the full block budget per array
+    of its largest request, and every block of every sweep reuses it.
+    Block arrays allocated afresh and freed with each sweep left a heap top
+    that glibc returned to the system and faulted back in on the next call,
+    about 110 minor page faults per ``rhs`` at N=128.  The contents never
+    outlive a block, so sweeps must not nest.
     """
 
     def __init__(self):
@@ -290,14 +290,15 @@ class Block:
         """``count`` block arrays as one (count, *shape) view of the calling thread's buffer ``name``.
 
         One lookup serves all of a consumer's scratch for the block; the
-        view is valid until the next block.
+        view is valid until the next block.  A buffer is ``count`` times
+        ``_BLOCK_BYTES`` of memory whatever the dtype, and every request of
+        one name shares it: sweeps that never run together, such as the
+        flat and the lifted one, take the same bytes.
         """
-        key = (name, count, dtype)
-        array = _BUFFERS.arrays.get(key)
-        if array is None:
-            array = np.empty(count * (_BLOCK_BYTES // np.dtype(dtype).itemsize), dtype)
-            _BUFFERS.arrays[key] = array
-        return array[:count * self.shape[0] * self.shape[1]].reshape(count, *self.shape)
+        array = _BUFFERS.arrays.get(name)
+        if array is None or len(array) < count * _BLOCK_BYTES:
+            array = _BUFFERS.arrays[name] = np.empty(count * _BLOCK_BYTES, np.uint8)
+        return array.view(dtype)[:count * self.shape[0] * self.shape[1]].reshape(count, *self.shape)
 
 
 def factor_tables(*terms: tuple[list[NDArray], list[NDArray]]) -> tuple[NDArray, NDArray]:

@@ -115,25 +115,29 @@ def full_lambda_gamma(
     return -(1.0 / (2.0 * np.pi)) * row_quadrature(grid, integrand, 2.0 * fpp * jac)
 
 
-def one_matrix_evaluate_on_contour(
-    coeffs: np.ndarray, grid: SpectralGrid, contour: LiftedContour
+def mpmath_contour_samples(
+    coeffs: np.ndarray, grid: SpectralGrid, contour: LiftedContour, nodes: np.ndarray
 ) -> np.ndarray:
-    """``evaluate_on_contour`` through one N x live phase matrix and one matrix product.
+    """``evaluate_on_contour`` of a stack (m, N) at the given nodes, summed at 30 digits.
 
-    The same phases, e^{2 pi i m/N} at m = jk mod N times e^{-s k h_j}, for
-    all nodes at once, as the sampler formed them before it took its nodes
-    in blocks.
+    sum_k c_k w^k with w = e^{i(x_j + i s h_j)}, by Horner's rule from the
+    lowest wavenumber, at the exact nodes x_j = 2 pi j/N and the float64
+    heights.
     """
-    coeffs = np.asarray(coeffs, dtype=complex)
-    n = grid.n_modes
-    live = (np.abs(coeffs) > 0.0).reshape(-1, n).any(axis=0)
-    k = grid.wavenumbers[live]
-    roots = np.exp(1j * SpectralGrid(n).nodes)
-    phases = roots[np.outer(np.arange(n), k) & (n - 1)]
-    decay = np.exp(np.outer(-contour.sign * contour.h, k))
-    phases.real *= decay
-    phases.imag *= decay
-    return (phases @ coeffs[..., live].T).T
+    order = np.argsort(grid.wavenumbers)
+    lowest = int(grid.wavenumbers[order[0]])
+    rows = [[mpmath.mpc(complex(c)) for c in row[order]] for row in np.atleast_2d(coeffs)]
+    out = np.empty((len(rows), len(nodes)), dtype=complex)
+    with mpmath.workdps(30):
+        for col, j in enumerate(nodes):
+            w = mpmath.expj(2 * mpmath.pi * int(j) / grid.n_modes
+                            + 1j * contour.sign * mpmath.mpf(contour.h[j]))
+            for r, row in enumerate(rows):
+                total = mpmath.mpc(0)
+                for c in reversed(row):
+                    total = total * w + c
+                out[r, col] = complex(total * w**lowest)
+    return out
 
 
 @dataclass

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from muskat import LiftedContour, SpectralGrid, garding_form, lambda_gamma, pv_cot_integral
-from muskat.contour_ops import _cot_and_sin_modulus, pairwise_cot
+from muskat.contour_ops import _cot_denominator, _half_diff, _sin_modulus, _tan_half, pairwise_cot
 from muskat.errors import InvalidContourError, SizeMismatchError
 from muskat.grid import Block
 
@@ -126,7 +126,10 @@ class TestSinModulus:
     def modulus(n_modes: int, rows: slice):
         x = SpectralGrid(n_modes).nodes
         zeta = x + 0.3 * np.sin(x) + 1j * (0.4 * np.sin(x) + 0.1 * np.cos(3 * x))
-        return zeta, _cot_and_sin_modulus(zeta, Block(rows, n_modes))[1]
+        block = Block(rows, n_modes)
+        den, scale, _, spare = _cot_denominator(_tan_half(zeta.real, block),
+                                                _half_diff(zeta.imag, block), block)
+        return zeta, _sin_modulus(den, scale, out=spare)
 
     @pytest.mark.parametrize("n_modes, blocks", [
         (64, [slice(0, 64)]), (512, [slice(0, 8), slice(256, 272)]),

@@ -32,7 +32,7 @@ from muskat.core import (
     build_workspace,
     pair_sweep,
 )
-from muskat.contour_ops import pairwise_cot
+from muskat.contour_ops import _cot_denominator, _sin_modulus, pairwise_cot
 from muskat.errors import DegenerateGeometryError
 from muskat.initial_data import GraphFamilyParams, make_turnover_state
 
@@ -46,6 +46,7 @@ from oracles import (
     full_matrix_rhs,
     full_pairs,
     kernel,
+    mpmath_contour_samples,
     mpmath_pv_integral,
     mpmath_rhs,
     sampled,
@@ -280,7 +281,7 @@ class TestKernelWorkspace:
         covered = np.zeros((grid.n_modes, grid.n_modes), dtype=int)
 
         def record(block):
-            assert (block.pv_kern if lifted else block.q).nbytes <= 64 * 1024
+            assert (block.pv_terms[0] if lifted else block.q).nbytes <= 64 * 1024
             covered[block.rows, block.cols] += 1
             return ()
 
@@ -351,7 +352,7 @@ class TestKernelWorkspace:
         contour = (LiftedContour.from_height(grid, 0.15 + 0.03 * np.cos(grid.nodes))
                    if lifted else None)
         ws = build_workspace(gentle_state(grid), grid, contour, 1)
-        full = PairBlock(slice(0, 64), 64, ws).pv_kern
+        full = PairBlock(slice(0, 64), 64, ws).pv_terms[0]
         assert np.array_equal(full, -full.T)
 
     @pytest.mark.parametrize("n_modes", [64, 128, 256, 512, 1024])
@@ -364,7 +365,7 @@ class TestKernelWorkspace:
 
         def check(block):
             want = pairwise_cot(ws.z1 + 1j * ws.z2, block).real
-            assert block.pv_kern.tobytes() == want.tobytes()
+            assert block.pv_terms[0].tobytes() == want.tobytes()
             blocks.append(block.rows)
             return ()
 
@@ -484,7 +485,7 @@ class TestPairQuadratureMemory:
 
     def test_six_row_stack_sample_peak_below_two_mib_at_n1024(self):
         # every mode live, where a phase matrix over all nodes is N x N
-        # (16 MiB); in blocks of nodes the call peaks at 0.56 MiB
+        # (16 MiB); in blocks of nodes the call peaks at 0.49 MiB
         grid = SpectralGrid(1024)
         rng = np.random.default_rng(1024)
         stack = (rng.normal(size=(6, 1024)) + 1j * rng.normal(size=(6, 1024))
@@ -541,21 +542,22 @@ class TestRhsSymmetries:
 
     def test_blas_thread_count_invariance(self):
         # rerun in fresh processes with one and two BLAS threads: identical
-        # bytes of rhs, of the decomposition's dangerous part and of the
-        # chord-arc constant with its pair, all formed by BLAS products
+        # bytes of rhs, of the decomposition's dangerous and six safe parts
+        # and of the chord-arc constant with its pair, all formed by BLAS products
         script = (
             "import sys; import numpy as np; "
             "from muskat import SpectralGrid, rhs, rhs_d4_decomposition; "
             "from muskat.core import build_workspace, pair_sweep; "
             "from conftest import gentle_state; g = SpectralGrid(256); s = gentle_state(g); "
-            "t = rhs(s, g); d = rhs_d4_decomposition(s, g).dangerous; "
+            "t = rhs(s, g); d = rhs_d4_decomposition(s, g); "
+            "parts = [v for p in (d.dangerous, *d.safe) for v in (p.d1, p.d2)]; "
             "_, (ratio, pair) = pair_sweep(build_workspace(s, g, None, 1), g); "
-            "sys.stdout.write(b''.join([t.tobytes(), d.d1.tobytes(), d.d2.tobytes(), "
+            "sys.stdout.write(b''.join([t.tobytes(), *(v.tobytes() for v in parts), "
             "np.float64(ratio).tobytes(), np.array(pair).tobytes()]).hex())"
         )
         one = run_with_blas_threads(["-c", script], 1).stdout
         two = run_with_blas_threads(["-c", script], 2).stdout
-        assert len(one) == 2 * (2 * 16 * 256 + 2 * 8 * 256 + 8 + 2 * 8)
+        assert len(one) == 2 * (2 * 16 * 256 + 14 * 8 * 256 + 8 + 2 * 8)
         assert one == two
 
 
@@ -604,7 +606,7 @@ class TestATilde:
         # samples: an accuracy pin, not agreement with a float64 oracle of
         # the same formula.  K as the mean of cot(dZ+-/2), Z+- = z1 +- i z2,
         # and the cotangent, all from T = tan a, measure 5.87e-15 (flat) and
-        # 2.52e-14 (upper); the half-angle K = s c / (s^2 + sh^2) with sin
+        # 2.57e-14 (upper); the half-angle K = s c / (s^2 + sh^2) with sin
         # and cos from tan(a/2) 5.25e-15 and 2.56e-14; with sin and cos
         # 5.89e-15 (5.85e-15 with sin(dz1) in the numerator) and 2.5e-14;
         # the exp-map K with a table or W-form cotangent 1.0e-13 and 6.7e-14
@@ -707,6 +709,43 @@ class TestChordArc:
         want = minima[int(np.argmin([value for value, _ in minima]))]
         assert (chord_arc, pair) == (want[0], want[1])
 
+    @pytest.mark.parametrize("n_modes", [64, 128, 256, 512, 1024])
+    def test_lifted_half_differences_and_guard_match_the_broadcast_bitwise(self, n_modes):
+        # one product of the workspace's factor tables gives a lifted block
+        # every half difference, (x_i - x_j)/2 bit for bit up to a zero's
+        # sign; the guard built on them is the one built on broadcast half
+        # differences, 2 |sin(dZ-/2)| |sin(dZ+/2)| / distance^2, bit for bit,
+        # and so are the chord-arc constant and its pair
+        grid = SpectralGrid(n_modes)
+        state, upper = pool_like(grid, 0)
+        for contour in (upper, LiftedContour(upper.h, -1)):
+            ws = build_workspace(state, grid, contour, 1)
+            plus, minus = ws.z1 + 1j * ws.z2, ws.z1 - 1j * ws.z2
+            parts = (plus.real, minus.real, plus.imag, minus.imag, ws.zeta.real, ws.zeta.imag)
+            minima = []
+
+            def check(block):
+                halves = [(x[block.rows, None] - x[None, block.cols]) * 0.5 for x in parts]
+                for got, want in zip(block.product(*ws.half_factors), halves):
+                    nonzero = want != 0.0
+                    assert np.array_equal(got, want)
+                    assert got[nonzero].tobytes() == want[nonzero].tobytes()
+                sins = []
+                for re, im in ((halves[0], halves[2]), (halves[1], halves[3])):
+                    den, scale, _, spare = _cot_denominator(np.tan(re), im, block)
+                    sins.append(_sin_modulus(den, scale, out=spare))
+                dist = _node_distance(n_modes)[0, block.rows, block.cols]
+                ratio = sins[1] * (2.0 * sins[0]) / (dist + np.abs(2.0 * halves[5])) ** 2
+                block.fill_diagonal(ratio, np.inf)
+                assert block.ratio.tobytes() == ratio.tobytes()
+                k = np.argmin(ratio)
+                minima.append((ratio.flat[k], block.pair(k)))
+                return ()
+
+            _, (chord_arc, pair) = pair_sweep(ws, grid, check)
+            assert len(minima) > 1 or n_modes == 64
+            assert (chord_arc, pair) == min(minima, key=lambda entry: entry[0])
+
     def test_cached_distance_keeps_values_across_grid_sizes(self):
         grids = [SpectralGrid(n) for n in (64, 128, 64)]
         values = [chord_arc_constant(gentle_state(g), g) for g in grids]
@@ -751,33 +790,22 @@ class TestContourEvaluation:
             alone = evaluate_on_contour(row, grid256, contour)
             assert np.abs(values - alone).max() <= 1e-14 * np.abs(alone).max()
 
-    def test_blocked_matches_the_one_matrix_oracle_bitwise(self):
-        # at one BLAS thread each node's sample is the same arithmetic in a
-        # block as in one product over all nodes: a block's node count is a
-        # multiple of six, the tile of Haswell's zgemm.  1-D and stacked, the
-        # pool-like state's sampling stack and an all-live one; in a process
-        # of its own, as a product over all nodes may split across threads
-        script = (
-            "import sys; import numpy as np; "
-            "from muskat import LiftedContour, SpectralGrid, evaluate_on_contour; "
-            "from conftest import pool_like; "
-            "from oracles import one_matrix_evaluate_on_contour as oracle; "
-            "failed = []\n"
-            "for n in (64, 256, 1024):\n"
-            "    g = SpectralGrid(n); state, upper = pool_like(g, 1); c = state.coeffs\n"
-            "    rng = np.random.default_rng(n)\n"
-            "    dense = (rng.normal(size=(6, n)) + 1j * rng.normal(size=(6, n))"
-            " ) * np.exp(-0.2 * np.abs(g.wavenumbers))\n"
-            "    stack = np.concatenate([c, g.derivative(c, 1), g.derivative(c, 2)])\n"
-            "    for contour in (upper, LiftedContour(upper.h, -1)):\n"
-            "        for label, coeffs in (('row', stack[1]), ('stack', stack),"
-            " ('dense row', dense[0]), ('dense', dense)):\n"
-            "            got, want = evaluate_on_contour(coeffs, g, contour), oracle(coeffs, g, contour)\n"
-            "            if got.shape != want.shape or got.tobytes() != want.tobytes():\n"
-            "                failed.append(f'{label} N={n} sign={contour.sign}')\n"
-            "sys.stdout.write(repr(failed))"
-        )
-        assert run_with_blas_threads(["-c", script], 1).stdout.decode() == "[]"
+    @pytest.mark.parametrize("n_modes, stride", [(256, 7), (1024, 61)])
+    @pytest.mark.parametrize("sign", [1, -1], ids=["upper", "lower"])
+    def test_all_live_stack_matches_mpmath(self, n_modes, stride, sign):
+        # six rows with every mode live, against the series summed at 30
+        # digits on every stride-th node; the baby-step giant-step sampler
+        # measured at most 8.2e-16 of a row's largest sample on every node at
+        # N = 256 (1.6e-15 with one exponential per mode and node), bound 2e-15
+        grid = SpectralGrid(n_modes)
+        rng = np.random.default_rng(n_modes)
+        stack = (rng.normal(size=(6, n_modes)) + 1j * rng.normal(size=(6, n_modes))
+                 ) * np.exp(-0.2 * np.abs(grid.wavenumbers))
+        contour = LiftedContour.from_height(grid, 0.1 + 0.03 * np.cos(grid.nodes), sign)
+        nodes = np.arange(1, n_modes, stride)
+        got = evaluate_on_contour(stack, grid, contour)[:, nodes]
+        want = mpmath_contour_samples(stack, grid, contour, nodes)
+        assert (np.abs(got - want).max(axis=1) <= 2e-15 * np.abs(want).max(axis=1)).all()
 
     def test_lifted_samples_blas_thread_count_invariance(self):
         # fresh processes with one and two BLAS threads: identical bytes of

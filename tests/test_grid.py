@@ -348,7 +348,10 @@ class TestBlock:
         assert a.shape == (3, *first.shape) and b.shape == (3, *second.shape)
         assert np.shares_memory(a, b)
         assert not any(np.shares_memory(a[k], a[m]) for k in range(3) for m in range(k))
-        assert not np.shares_memory(a, first.buffers("test", 3, complex))
+        # one name's memory serves either dtype, and another name has its own
+        c = first.buffers("test", 3, complex)
+        assert c.dtype == complex and c.shape == (3, *first.shape) and np.shares_memory(a, c)
+        assert not np.shares_memory(a, first.buffers("other", 3, float))
 
 
 class TestAnalyticityRadius:
