@@ -20,7 +20,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import InvalidContourError
-from .grid import Block, SpectralGrid
+from .grid import Block, SpectralGrid, difference, factor_tables
 
 
 @dataclass
@@ -56,24 +56,13 @@ class LiftedContour:
         return cls(h_values, sign)
 
     def complex_nodes(self, grid: SpectralGrid) -> NDArray[np.complexfloating]:
+        """The nodes x_j + i*sign*h_j; SizeMismatchError unless the contour has the grid's N nodes."""
+        grid._check_length(self.h)
         return grid.nodes + 1j * self.sign * self.h
 
     def jacobian(self) -> NDArray[np.complexfloating]:
         """dw/du along the contour: 1 + i*sign*h'(u)."""
         return 1.0 + 1j * self.sign * self.h_prime
-
-
-def _half_diff(x: NDArray, block: Block) -> NDArray:
-    """(x_i - x_j)/2 over a block."""
-    half = block.diff(x)
-    half *= 0.5
-    return half
-
-
-def _tan_half(re: NDArray, block: Block) -> NDArray:
-    """T = tan a over a block, a = (re_i - re_j)/2: the circular part of :func:`_cot`."""
-    a = _half_diff(re, block)
-    return np.tan(a, out=a)
 
 
 def _cot(tan_a: NDArray, b: NDArray | None, block: Block, parts=None, out=None) -> NDArray:
@@ -140,26 +129,17 @@ def _sin_modulus(den: NDArray, scale: NDArray, out: NDArray) -> NDArray:
     return np.sqrt(np.divide(den, scale, out=out), out=out)
 
 
-def pairwise_cot(zeta: NDArray, block: Block) -> NDArray:
+def pairwise_cot(a: NDArray, b: NDArray | None, block: Block) -> NDArray:
     """cot((zeta_i - zeta_j)/2) over a block, with a zero diagonal and no 0/0 formed.
 
-    One tan per pair, of the real half difference, and on complex nodes
-    sinh and cosh of the imaginary one (:func:`_cot`); no sin or cos.  cot
-    is exactly odd, so its mirror is -cot.
+    a and b are the block's half differences of Re zeta and Im zeta (None
+    on real nodes), from a product of factor tables
+    (:func:`muskat.grid.difference`).  One tan per pair, of a, which a
+    then holds as T = tan a, and on complex nodes sinh and cosh of b
+    (:func:`_cot`); no sin or cos.  cot is exactly odd, so its mirror is
+    -cot.
     """
-    b = _half_diff(zeta.imag, block) if np.iscomplexobj(zeta) else None
-    return _cot(_tan_half(zeta.real, block), b, block)
-
-
-def _cot_real_part(re: NDArray, im: NDArray, block: Block) -> NDArray:
-    """Re cot((w_i - w_j)/2), w = re + i im, over a block in real arithmetic: T / den.
-
-    The real part of ``pairwise_cot(re + 1j*im, block)`` bit for bit, by
-    the same operations, without the imaginary part's cosh; diagonal 0.
-    """
-    tan_a = _tan_half(re, block)
-    den = _cot_denominator(tan_a, _half_diff(im, block), block)[0]
-    return np.divide(tan_a, den, out=tan_a)
+    return _cot(np.tan(a, out=a), b, block)
 
 
 def pv_cot_integral(grid: SpectralGrid, contour: LiftedContour | None = None) -> NDArray:
@@ -172,22 +152,25 @@ def pv_cot_integral(grid: SpectralGrid, contour: LiftedContour | None = None) ->
     The result should vanish to quadrature accuracy.
     """
     if contour is None:
+        tables = factor_tables(difference(0.5 * grid.nodes))
+
         def flat_sums(block: Block):
-            cot = pairwise_cot(grid.nodes, block)
+            cot = pairwise_cot(block.product(*tables)[0], None, block)
             return [block.sums(cot, -cot, 0.0)]
 
         return grid.pair_quadrature(flat_sums, float)[0]
 
+    zeta = contour.complex_nodes(grid)
     jac = contour.jacobian()
     diag = -1j * contour.sign * contour.h_second / jac
-    heights = contour.sign * contour.h
+    tables = factor_tables(difference(0.5 * zeta.real), difference(0.5 * zeta.imag))
 
     def sums(block: Block):
-        # the lifted nodes' real parts are the grid nodes, so T = tan a is
-        # the flat cotangent's own
-        tan_a = _tan_half(grid.nodes, block)
-        lifted = _cot(tan_a, _half_diff(heights, block), block)
-        flat = _cot(tan_a, None, block)
+        a, b = block.product(*tables, out=block.buffers("integrands", 2))
+        lifted = pairwise_cot(a, b, block)
+        # a holds T = tan a, and the lifted nodes' real parts are the grid
+        # nodes, so T is the flat cotangent's own
+        flat = _cot(a, None, block)
         return [block.sums(lifted * jac[None, block.cols] - flat,
                            flat - lifted * jac[block.rows, None], diag[block.rows])]
 
@@ -216,15 +199,21 @@ def lambda_gamma(
     """
     fp = np.asarray(f_prime_samples, dtype=complex)
     grid._check_length(fp)
-    jac = contour.jacobian()
     zeta = contour.complex_nodes(grid)
+    jac = contour.jacobian()
     # F''(z) = (d/du F'(w(u))) / w'(u)
     fpp = grid.from_spectral(grid.derivative(grid.to_spectral(fp))) / jac
     diag = 2.0 * fpp * jac
+    # real tables: the halves of zeta, then Re and Im of the F' difference
+    tables = factor_tables(*map(difference, (0.5 * zeta.real, 0.5 * zeta.imag, fp.real, fp.imag)))
 
     def sums(block: Block):
-        # cot and the F' difference are both odd, so their product is even
-        even = pairwise_cot(zeta, block) * block.diff(fp)
+        a, b, fp_re, fp_im = block.product(*tables, out=block.buffers("integrands", 4))
+        # cot and the F' difference are both odd, so their product is even;
+        # a product's entries are never -0.0, so a finite F' difference is
+        # assembled exactly
+        even = pairwise_cot(a, b, block)
+        even *= fp_re + 1j * fp_im
         rows, cols = block.rows, block.cols
         return [block.sums(even * jac[None, cols], even * jac[rows, None], diag[rows])]
 

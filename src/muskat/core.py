@@ -53,13 +53,15 @@ complex transcendental, nor numpy's float64 sin or cos, which run scalar
 loops 4-7x slower than its vectorized tan, sinh and cosh.  A lifted block
 takes all six half differences, of Z+, Z- and zeta, from one BLAS product
 of O(N) factor tables (:attr:`KernelWorkspace.half_factors`), exact as
-the flat ones are.  On construction it forms only the two denominators of
-K's cotangents and its chord-arc ratio from them; the cotangents follow
-from the same arrays when an integrand reads them, and the PV sums weight
-and reduce them by matrix-vector products.  A lifted sample writes each
-wavenumber as a baby step plus a giant step, so its phases, read from a
-cached table of the N-th roots of unity, take O(N sqrt K) real
-exponentials for K live modes, not N K.
+the exp-map ones are, and a flat block the halves of z1, z2 and the nodes
+from tables of the same kind: no pair difference in the package is formed
+by broadcast.  On construction a lifted block forms only the two
+denominators of K's cotangents and its chord-arc ratio from them; the
+cotangents follow from the same arrays when an integrand reads them, and
+the PV sums weight and reduce them by matrix-vector products.  A lifted
+sample writes each wavenumber as a baby step plus a giant step, so its
+phases, read from a cached table of the N-th roots of unity, take
+O(N sqrt K) real exponentials for K live modes, not N K.
 """
 
 from __future__ import annotations
@@ -74,9 +76,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 from numpy.typing import NDArray
 
 from .contour_ops import (LiftedContour, _cot, _cot_denominator, _cot_from_denominator,
-                          _cot_real_part, _sin_modulus, pairwise_cot)
+                          _sin_modulus, pairwise_cot)
 from .errors import DegenerateGeometryError
-from .grid import _BLOCK_BYTES, Block, SpectralGrid, factor_tables
+from .grid import _BLOCK_BYTES, Block, SpectralGrid, difference, factor_tables
 
 DEFAULT_CHORD_ARC_FLOOR = 1e-4
 
@@ -143,9 +145,14 @@ def evaluate_on_contour(
     times the giant table and summed over a.  A block's product stays
     within ``_BLOCK_BYTES`` and small enough that BLAS keeps it on one
     thread, so the samples do not depend on the thread count.
+
+    Raises:
+        SizeMismatchError: the coefficients or the contour do not have the
+            grid's N nodes.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
     grid._check_length(coeffs, stacked=True)
+    grid._check_length(contour.h)
     n = grid.n_modes
     rows = coeffs.reshape(-1, n)
     live = (np.abs(rows) > 0.0).any(axis=0)
@@ -242,22 +249,23 @@ class KernelWorkspace:
         broadcast form rounds twice.  O(N), formed once.
         """
         u, v, c = self.exp_map
-        one, zero = np.ones_like(u), np.zeros_like(u)
-        return factor_tables(([u, one], [one, -u]), ([v, one], [one, -v]),
+        zero = np.zeros_like(u)
+        return factor_tables(difference(u), difference(v),
                              ([c, zero], [c, zero]), ([2.0 * v, -2.0 * u], [u, v]))
 
     @functools.cached_property
     def half_factors(self) -> tuple[NDArray, NDArray]:
-        """Lifted contour: factor tables of the half differences, for :meth:`Block.product`.
+        """Factor tables of the half differences of the PV kernel's cotangents, for :meth:`Block.product`.
 
-        One term ([x/2, 1], [1, -x/2]) (:func:`factor_tables`) for each x
-        in Re Z+, Re Z-, Im Z+, Im Z-, Re zeta and Im zeta, Z+- = z1 +- i z2.
-        Halving is exact, so each entry is the broadcast (x_i - x_j)/2 bit
-        for bit up to a zero's sign.  O(N), formed once.
+        One term :func:`~muskat.grid.difference` of x/2 for each x in Re Z+,
+        Re Z-, Im Z+, Im Z-, Re zeta and Im zeta, Z+- = z1 +- i z2, on a
+        lifted contour; on the flat grid, where Z- is the conjugate of Z+
+        and zeta is real, for z1, z2 and zeta.  Each entry is the broadcast
+        (x_i - x_j)/2 bit for bit up to a zero's sign.  O(N), formed once.
         """
-        (plus, minus), one = (self.z1 + 1j * self.z2, self.z1 - 1j * self.z2), np.ones(len(self.zeta))
+        plus, minus = self.z1 + 1j * self.z2, self.z1 - 1j * self.z2
         parts = (plus.real, minus.real, plus.imag, minus.imag, self.zeta.real, self.zeta.imag)
-        return factor_tables(*(([0.5 * x, one], [one, -0.5 * x]) for x in parts))
+        return factor_tables(*(difference(0.5 * x) for x in (parts[::2] if self.flat else parts)))
 
 
 def build_workspace(
@@ -387,15 +395,20 @@ class PairBlock(Block):
         """The PV integrand's two terms over the block, formed on first use: K and cot(dzeta/2).
 
         Both are cotangents, zero on the diagonal and exactly odd.  On the
-        flat grid Z- is the conjugate of Z+, so K = Re cot(dZ+/2) = T / den
-        in real arithmetic (:func:`muskat.contour_ops._cot_real_part`), and
-        the second is :func:`muskat.contour_ops.pairwise_cot` of the nodes.
-        A lifted block forms K = (cot(dZ+/2) + cot(dZ-/2)) / 2 from the T, b
-        and denominators formed on construction (b takes cosh b), then
-        cot(dzeta/2) from its halves of zeta in Z+'s arrays.
+        flat grid one product of :attr:`KernelWorkspace.half_factors` gives
+        the halves of z1, z2 and the nodes, in the block's buffers; Z- is
+        the conjugate of Z+, so K = Re cot(dZ+/2) = T / den in real
+        arithmetic, the real part of :func:`muskat.contour_ops.pairwise_cot`
+        by the same operations, and the second is ``pairwise_cot`` of the
+        nodes.  A lifted block forms K = (cot(dZ+/2) + cot(dZ-/2)) / 2 from
+        the T, b and denominators formed on construction (b takes cosh b),
+        then cot(dzeta/2) from its halves of zeta in Z+'s arrays.
         """
         if self.ws.flat:
-            return _cot_real_part(self.ws.z1, self.ws.z2, self), pairwise_cot(self.ws.zeta, self)
+            a, b, a_zeta = self.product(*self.ws.half_factors, out=self.buffers("integrands", 3))
+            kern = np.tan(a, out=a)
+            kern /= _cot_denominator(kern, b, self)[0]
+            return kern, pairwise_cot(a_zeta, None, self)
         kern, cot = self._cotangents[:2]
         (tan_a, b), (tan_zeta, b_zeta) = self.halves[:4].reshape(2, 2, *self.shape), self.halves[4:]
         # cot(dZ+/2) in the cotangent's array and cot(dZ-/2) in K's

@@ -24,7 +24,7 @@ from numpy.typing import NDArray
 
 from .core import DEFAULT_CHORD_ARC_FLOOR, InterfaceState, PairBlock, build_workspace
 from .core import kernel_difference_sums, pair_sweep
-from .grid import SpectralGrid, factor_tables
+from .grid import SpectralGrid, difference, factor_tables
 
 #: Leibniz coefficients of the six safe terms, in expansion order.
 SAFE_COEFFICIENTS = (4.0, -4.0, -4.0, 1.0, -1.0, -1.0)
@@ -94,12 +94,11 @@ def rhs_d4_decomposition(
     (dangerous_sums, dangerous_finish), (rhs_sums, rhs_finish) = (
         kernel_difference_sums(ws, grid, order) for order in (5, 1))
     u, v, _ = ws.exp_map
-    one = np.ones_like(u)
     # factor tables of the block arrays the safe kernels take, all four formed
     # by one product per block: the differences of d z1 and d z2 (slots 0, 1),
     # |w_j|^2 - |w_i|^2 = (-|w_i|^2) - (-|w_j|^2) (slot 2), and
     # 2 (u_i u_j + v_i v_j) (slot 3)
-    left, right = factor_tables(*(([x, one], [one, -x]) for x in (*der[1], -np.exp(-2.0 * ws.z2))),
+    left, right = factor_tables(*(difference(x) for x in (*der[1], -np.exp(-2.0 * ws.z2))),
                                 ([2.0 * u, 2.0 * v], [u, v]))
 
     def integrands(block: PairBlock):

@@ -251,10 +251,6 @@ class Block:
         self.width = rows.stop - rows.start
         self.shape = (self.width, n - rows.start)
 
-    def diff(self, x: NDArray) -> NDArray:
-        """x_i - x_j over the block."""
-        return x[self.rows, None] - x[None, self.cols]
-
     def product(self, left: NDArray, right: NDArray, out: NDArray | None = None) -> NDArray:
         """sum_m left[i, m] right[m, j] over the block: one BLAS product of factor tables.
 
@@ -306,17 +302,27 @@ def factor_tables(*terms: tuple[list[NDArray], list[NDArray]]) -> tuple[NDArray,
 
     A term (a, b) lists k left and k right node arrays; its entry forms
     sum_m a[m]_i b[m]_j over a block.  Returns left (terms, N, k), a
-    transposed view, and right (terms, k, N).
-
-    The difference x_i - x_j is the term ([x, 1], [1, -x]).  Both of its
-    products are exact, so the one rounding of the sum gives the broadcast
-    difference bit for bit, with or without a fused multiply-add, except
-    for a zero's sign: BLAS accumulates from +0.0, so -0.0 - (+0.0) comes
-    out +0.0.  Likewise ([a, 0], [b, 0]) is the outer product a_i b_j bit
-    for bit, up to the sign of a zero product.
+    transposed view, and right (terms, k, N).  Every pair difference in the
+    package is such an entry, the term :func:`difference`; likewise
+    ([a, 0], [b, 0]) is the outer product a_i b_j bit for bit, up to the
+    sign of a zero product.
     """
     left = np.array([a for a, _ in terms]).transpose(0, 2, 1)
     return left, np.array([b for _, b in terms])
+
+
+def difference(x: NDArray) -> tuple[list[NDArray], list[NDArray]]:
+    """The :func:`factor_tables` term ([x, 1], [1, -x]) of the difference x_i - x_j, for real x.
+
+    A complex x enters as two terms, of its real and imaginary parts, so
+    the tables stay real.  Both products of a term are exact, so the one
+    rounding of the sum gives the broadcast difference bit for bit, with or without a fused
+    multiply-add, and exactly odd, except for a zero's sign: BLAS
+    accumulates from +0.0, so -0.0 - (+0.0) comes out +0.0.  Halving is
+    exact too, so the term of x/2 gives the half difference (x_i - x_j)/2.
+    """
+    one = np.ones_like(x)
+    return [x, one], [one, -x]
 
 
 def conjugate_symmetrize(coeffs: NDArray) -> NDArray:

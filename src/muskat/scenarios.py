@@ -31,7 +31,7 @@ from .errors import (
     DegenerateParametrizationError,
     UndefinedRadiusError,
 )
-from .grid import Block, SpectralGrid
+from .grid import Block, SpectralGrid, difference, factor_tables
 from .initial_data import f_kappa, log_datum, make_turnover_state, perturb
 from .integrator import DiagnosticsRecord, Trajectory, run, two_solution_monitor
 from .schedules import rt_coupled_margins, schedule_margins
@@ -240,13 +240,14 @@ def _scenario_operator_suite(cfg: ScenarioConfig, out_dir: str) -> dict:
     # |f(x) - f(u)|^2 / sin^2((x - u)/2), with 1/sin^2 = 1 + cot^2 and the
     # diagonal limit 4 |f'(x)|^2; symmetric, so its own mirror
     diag = 4.0 * np.sin(x) ** 2
+    tables = factor_tables(difference(f.real), difference(f.imag), difference(0.5 * x))
 
     def sums(block: Block):
-        values = np.abs(block.diff(f)) ** 2 * (1.0 + pairwise_cot(x, block) ** 2)
+        re, im, a = block.product(*tables, out=block.buffers("integrands", 3))
+        values = (re**2 + im**2) * (1.0 + pairwise_cot(a, None, block) ** 2)
         return [block.sums(values, values, diag[block.rows])]
 
-    (row_sums,) = grid.pair_quadrature(sums, float)
-    rhs_side = row_sums.sum() * grid.dx / (8.0 * np.pi)
+    rhs_side = grid.pair_quadrature(sums, float)[0].sum() * grid.dx / (8.0 * np.pi)
     quadratic_form_err = abs(lhs - rhs_side) / abs(lhs)
 
     return {

@@ -3,9 +3,9 @@ import numpy as np
 import pytest
 
 from muskat import LiftedContour, SpectralGrid, garding_form, lambda_gamma, pv_cot_integral
-from muskat.contour_ops import _cot_denominator, _half_diff, _sin_modulus, _tan_half, pairwise_cot
+from muskat.contour_ops import _cot_denominator, _sin_modulus, pairwise_cot
 from muskat.errors import InvalidContourError, SizeMismatchError
-from muskat.grid import Block
+from muskat.grid import Block, difference, factor_tables
 
 from oracles import full_lambda_gamma, full_pv_cot_integral
 
@@ -22,6 +22,13 @@ def make_contour(grid, label):
         "two_mode": 0.3 + 0.1 * np.sin(2 * x),
     }[label]
     return LiftedContour.from_height(grid, heights)
+
+
+def half_differences(zeta, block):
+    """A block's half differences a of Re zeta and b of Im zeta (None on real nodes), from factor tables."""
+    parts = (zeta.real, zeta.imag) if np.iscomplexobj(zeta) else (zeta,)
+    halves = list(block.product(*factor_tables(*(difference(0.5 * x) for x in parts))))
+    return halves + [None] * (2 - len(halves))
 
 
 class TestLiftedContour:
@@ -127,8 +134,8 @@ class TestSinModulus:
         x = SpectralGrid(n_modes).nodes
         zeta = x + 0.3 * np.sin(x) + 1j * (0.4 * np.sin(x) + 0.1 * np.cos(3 * x))
         block = Block(rows, n_modes)
-        den, scale, _, spare = _cot_denominator(_tan_half(zeta.real, block),
-                                                _half_diff(zeta.imag, block), block)
+        a, b = half_differences(zeta, block)
+        den, scale, _, spare = _cot_denominator(np.tan(a), b, block)
         return zeta, _sin_modulus(den, scale, out=spare)
 
     @pytest.mark.parametrize("n_modes, blocks", [
@@ -167,7 +174,8 @@ class TestPairwiseCot:
         grid = SpectralGrid(n_modes)
         zeta = grid.nodes if label is None else make_contour(grid, label).complex_nodes(grid)
         for rows in blocks:
-            got = pairwise_cot(zeta, Block(rows, n_modes))
+            block = Block(rows, n_modes)
+            got = pairwise_cot(*half_differences(zeta, block), block)
             half = (zeta[rows, None] - zeta[None, rows.start:]) / 2.0
             off_diagonal = half != 0.0
             with mpmath.workdps(30):
@@ -180,7 +188,8 @@ class TestPairwiseCot:
     def test_lifted_is_exactly_odd(self, label):
         # the sweep takes the mirror -cot from the pair
         grid = SpectralGrid(64)
-        full = pairwise_cot(make_contour(grid, label).complex_nodes(grid), Block(slice(0, 64), 64))
+        block = Block(slice(0, 64), 64)
+        full = pairwise_cot(*half_differences(make_contour(grid, label).complex_nodes(grid), block), block)
         assert np.array_equal(full, -full.T)
 
 

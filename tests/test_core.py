@@ -33,7 +33,7 @@ from muskat.core import (
     pair_sweep,
 )
 from muskat.contour_ops import _cot_denominator, _sin_modulus, pairwise_cot
-from muskat.errors import DegenerateGeometryError
+from muskat.errors import DegenerateGeometryError, SizeMismatchError
 from muskat.initial_data import GraphFamilyParams, make_turnover_state
 
 from conftest import gentle_state, pool_like, run_with_blas_threads, strip_state
@@ -357,14 +357,16 @@ class TestKernelWorkspace:
 
     @pytest.mark.parametrize("n_modes", [64, 128, 256, 512, 1024])
     def test_flat_kernel_is_the_real_part_of_pairwise_cot(self, n_modes):
-        # the flat K = T / den is formed in real arithmetic by the operations
-        # of pairwise_cot's real part, on every block of the sweep
+        # the flat K = T / den is formed in real arithmetic from the product's
+        # half differences, by the operations of pairwise_cot's real part on
+        # the broadcast ones, on every block of the sweep
         grid = SpectralGrid(n_modes)
         ws = build_workspace(gentle_state(grid), grid, None, 1)
         blocks = []
 
         def check(block):
-            want = pairwise_cot(ws.z1 + 1j * ws.z2, block).real
+            a, b = ((x[block.rows, None] - x[None, block.cols]) * 0.5 for x in (ws.z1, ws.z2))
+            want = pairwise_cot(a, b, block).real
             assert block.pv_terms[0].tobytes() == want.tobytes()
             blocks.append(block.rows)
             return ()
@@ -823,6 +825,27 @@ class TestContourEvaluation:
         two = run_with_blas_threads(["-c", script], 2).stdout
         assert len(one) == 2 * 2 * 6 * 16 * 256
         assert one == two
+
+    @pytest.mark.parametrize("n_contour", [32, 128], ids=["half", "double"])
+    @pytest.mark.parametrize("evaluate", [
+        lambda grid, contour: evaluate_on_contour(gentle_state(grid).coeffs, grid, contour),
+        lambda grid, contour: h4_distance(gentle_state(grid), InterfaceState.flat(grid), grid,
+                                          contour),
+        lambda grid, contour: a_tilde(gentle_state(grid), grid, contour),
+        lambda grid, contour: chord_arc_constant(gentle_state(grid), grid, contour),
+        lambda grid, contour: rt_generalized(gentle_state(grid), grid, contour,
+                                             np.zeros(grid.n_modes)),
+        lambda grid, contour: pv_cot_integral(grid, contour),
+        lambda grid, contour: lambda_gamma(np.ones(grid.n_modes, complex),
+                                           np.zeros(grid.n_modes, complex), contour, grid),
+    ], ids=["evaluate_on_contour", "h4_distance", "a_tilde", "chord_arc_constant",
+            "rt_generalized", "pv_cot_integral", "lambda_gamma"])
+    def test_contour_of_another_size_is_refused(self, evaluate, n_contour):
+        # a contour of N/2 or 2N nodes on a 64-node grid: a 2N-node one
+        # was read in part (h4_distance took its first N heights), the
+        # others met numpy's bare broadcast error
+        with pytest.raises(SizeMismatchError):
+            evaluate(SpectralGrid(64), LiftedContour(np.full(n_contour, 0.1)))
 
 
 class TestDensityPrefactor:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from muskat import SpectralGrid
-from muskat.grid import Block, factor_tables
+from muskat.grid import Block, difference, factor_tables
 from muskat.errors import InvalidCutoffError, SizeMismatchError, UndefinedRadiusError
 
 from oracles import is_conjugate_symmetric
@@ -285,11 +285,12 @@ class TestBlock:
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_diff_and_outer_match_index_loops(self, dtype):
-        # the outer product a_i b_j is the factor-table term ([a, 0], [b, 0])
+        # the difference x_i - x_j is the factor-table term difference(x),
+        # the outer product a_i b_j the term ([a, 0], [b, 0])
         block = Block(slice(3, 7), self.N)
         x, y = self.samples(dtype, 1), self.samples(dtype, 2)
         zero = np.zeros_like(x)
-        diff, (outer,) = block.diff(x), block.product(*factor_tables(([x, zero], [y, zero])))
+        diff, outer = block.product(*factor_tables(difference(x), ([x, zero], [y, zero])))
         for i in range(3, 7):
             for j in range(3, self.N):
                 assert diff[i - 3, j - 3] == x[i] - x[j]
@@ -298,25 +299,39 @@ class TestBlock:
     def test_products_of_factor_tables_match_the_broadcasts_bitwise(self):
         # random float64 over all exponents, subnormals, +-0.0 and repeats;
         # the one difference is a zero's sign: BLAS sums from +0.0, so the
-        # broadcast's -0.0 - (+0.0) = -0.0 comes out +0.0
+        # broadcast's -0.0 - (+0.0) = -0.0 comes out +0.0.  A complex f
+        # (lambda_gamma's F') enters as the differences of its real and
+        # imaginary parts, two real terms, which make up the complex
+        # broadcast difference
         n = 300
         rng = np.random.default_rng(5)
-        x = rng.choice([-1.0, 1.0], n) * rng.uniform(1.0, 2.0, n) * 2.0 ** rng.integers(-1070, 1020, n)
-        x[rng.choice(n, 40, replace=False)] = rng.choice([0.0, -0.0, 1.5, -1.5, 5e-324], 40)
+
+        def floats():
+            x = rng.choice([-1.0, 1.0], n) * rng.uniform(1.0, 2.0, n) * 2.0 ** rng.integers(-1070, 1020, n)
+            x[rng.choice(n, 40, replace=False)] = rng.choice([0.0, -0.0, 1.5, -1.5, 5e-324], 40)
+            return x
+
+        x, f = floats(), np.empty(n, complex)
+        f.real, f.imag = floats(), floats()
         # positive factors whose products neither overflow nor all stay normal
         a, b = rng.uniform(1.0, 2.0, (2, n)) * 2.0 ** rng.integers(-537, 511, (2, n))
-        one, zero = np.ones(n), np.zeros(n)
-        left, right = factor_tables(([x, one], [one, -x]), ([a, zero], [b, zero]))
+        zero = np.zeros(n)
+        left, right = factor_tables(difference(x), ([a, zero], [b, zero]),
+                                    difference(f.real), difference(f.imag))
         for rows in (slice(0, 13), slice(101, 140), slice(250, 300)):
             block = Block(rows, n)
-            diff, outer = block.product(left, right)
-            want = block.diff(x)
-            signed_zero = (x[rows, None] == 0) & (x[None, block.cols] == 0)
-            assert np.array_equal(diff, want)
-            assert diff[~signed_zero].tobytes() == want[~signed_zero].tobytes()
-            assert not np.signbit(diff[signed_zero]).any()
+            diff, outer, f_re, f_im = block.product(left, right)
+            for got, y in ((diff, x), (f_re, f.real), (f_im, f.imag)):
+                want = y[rows, None] - y[None, block.cols]
+                signed_zero = (y[rows, None] == 0) & (y[None, block.cols] == 0)
+                assert np.array_equal(got, want)
+                assert got[~signed_zero].tobytes() == want[~signed_zero].tobytes()
+                assert not np.signbit(got[signed_zero]).any()
+            f_diff = np.empty(block.shape, complex)
+            f_diff.real, f_diff.imag = f_re, f_im
+            assert np.array_equal(f_diff, f[rows, None] - f[None, block.cols])
             assert outer.tobytes() == (a[rows, None] * b[None, block.cols]).tobytes()
-            out = np.empty((2, *block.shape))
+            out = np.empty((4, *block.shape))
             assert block.product(left, right, out=out) is out
 
     @pytest.mark.parametrize("dtype", [float, complex])
