@@ -14,6 +14,7 @@ diagonal.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,6 +55,16 @@ class LiftedContour:
         """Build the contour of height samples taken at the nodes of ``grid``."""
         grid._check_length(np.asarray(h_values))
         return cls(h_values, sign)
+
+    def with_sign(self, sign: int) -> "LiftedContour":
+        """This height on the ``sign`` side of the axis, sharing h, h' and h'' (not re-derived)."""
+        if sign == self.sign:
+            return self
+        if sign not in (+1, -1):
+            raise InvalidContourError(f"sign must be +1 or -1, got {sign}")
+        mirrored = copy.copy(self)
+        mirrored.sign = sign
+        return mirrored
 
     def complex_nodes(self, grid: SpectralGrid) -> NDArray[np.complexfloating]:
         """The nodes x_j + i*sign*h_j; SizeMismatchError unless the contour has the grid's N nodes."""

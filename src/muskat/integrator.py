@@ -8,9 +8,11 @@ linear part L = -2 pi density |k|, the exact decay rate around the flat
 interface, is integrated exactly when e^{L dt} decays (L = 0 otherwise, so no
 step multiplies by a growing factor), and the last stage
 evaluated at the new state is the next step's first (FSAL), so an attempted
-step costs 4 rhs calls.  Every stage is re-projected (the quotient
-nonlinearity aliases badly) and the result is made conjugate-symmetric, so
-band-limitation and conjugate symmetry are preserved exactly along a run.
+step costs 4 rhs calls.  The standard step-size controller sets each next
+dt from the ratio of the estimate to its budget.  Every stage is
+re-projected (the quotient nonlinearity aliases badly) and the result is
+made conjugate-symmetric, so band-limitation and conjugate symmetry are
+preserved exactly along a run.
 
 Runs carry the monitors the analysis is built on: the graph indicator
 min z1', the chord-arc constant, Rayleigh-Taylor minima, H4 distance to a
@@ -42,6 +44,14 @@ from .schedules import HeightSchedule
 from .stability import h4_distance, rt_generalized, rt_sigma, rt_unperturbed
 
 STOP_CONDITIONS = frozenset({"chord_arc_floor", "rt_sign", "blowup_norm"})
+
+#: the adaptive step controller (Hairer, Norsett & Wanner, Solving ODEs I,
+#: II.4): safety factor s, the bounds of one step's factor on dt, and the
+#: exponent alpha = 1/3 of an O(|dt|^4) estimate against a budget per unit step
+STEP_SAFETY = 0.9
+STEP_FAC_MIN = 0.2
+STEP_FAC_MAX = 5.0
+STEP_ORDER_EXPONENT = 1.0 / 3.0
 
 
 @dataclass
@@ -273,13 +283,16 @@ def _rt_sign_violated(state: InterfaceState, grid: SpectralGrid, config: RunConf
     schedule's contour under the "generalized" convention, while the
     schedule covers the state's time, and the flat sigma otherwise.
     Backward runs need it positive everywhere (on the shrinking strip, the
-    direction the analysis solves) and forward runs negative (a graph).
+    direction the analysis solves) and forward runs negative (a graph).  A
+    non-finite monitor has no sign and raises BlowupError.
     """
     scheduled = _schedule_at(config, state.time, grid)
     if scheduled is None:
         monitor = rt_unperturbed(state, grid)
     else:
         monitor = rt_generalized(state, grid, *scheduled, floor=config.chord_arc_floor)
+    if not np.isfinite(monitor).all():
+        raise BlowupError(f"non-finite Rayleigh-Taylor monitor at t={state.time}")
     if config.direction == "backward":
         return bool(monitor.min() <= 0.0)
     return bool(monitor.max() >= 0.0)
@@ -399,11 +412,20 @@ def _attempts(state: InterfaceState, grid: SpectralGrid, config: RunConfig):
     accepted.  Adaptive runs evaluate the first stage k1 = N(state), then
     take steps of the embedded integrating-factor RK4 pair: the embedded
     third-order solution swaps k4 for k5 = N(new state), so the error
-    estimate is |dt|/6 max|k4 - k5|.  An attempt is accepted when that is
-    within adaptive_tol |dt|, and its k5 is the next step's k1 (FSAL); dt
-    then doubles when the error is below 1/16 of the budget.  A rejected
-    attempt yields the state it retries from, at half the dt.  The last
-    step is shortened to land on t_end.  Counts nothing: ``_advance`` does.
+    estimate is err = |dt|/6 max|k4 - k5|.  An attempt is accepted when that
+    is within the budget adaptive_tol |dt|, and its k5 is the next step's k1
+    (FSAL).  After every attempt the standard controller sets the next dt to
+
+        dt min(fac_max, max(fac_min, s (budget/err)^alpha)),
+
+    s = 0.9, fac_min = 0.2, fac_max = 5 (an estimate of 0 takes fac_max).
+    The estimate is O(|dt|^4) and the budget an error per unit step, so
+    err/budget is O(|dt|^3) and alpha = 1/3.  A rejected attempt yields the
+    state it retries from, at the controller's smaller dt, and the step
+    after a rejection does not grow (fac_max = 1 there).  A non-finite
+    estimate is rejected at fac_min, so the collapse guard ends the run.
+    The last step is shortened to land on t_end.  Counts nothing:
+    ``_advance`` does.
     """
     cutoff = config.galerkin_cutoff
     if not config.adaptive:
@@ -423,7 +445,7 @@ def _attempts(state: InterfaceState, grid: SpectralGrid, config: RunConfig):
         def nonlinear(u):
             return f(u) - lin * u
     k1 = nonlinear(state.coeffs)
-    dt = config.signed_dt
+    dt, fac_max = config.signed_dt, STEP_FAC_MAX
     while (config.t_end - state.time) * np.sign(config.signed_dt) > 1e-15:
         remaining = config.t_end - state.time
         this_dt = dt if abs(remaining) >= abs(dt) else remaining
@@ -434,14 +456,27 @@ def _attempts(state: InterfaceState, grid: SpectralGrid, config: RunConfig):
         err = abs(this_dt) / 6.0 * np.abs(k4 - k5).max()
         budget = config.adaptive_tol * abs(this_dt)
         accepted = bool(err <= budget)
+        # a rejection's factor is below s < 1 whatever fac_max is
+        dt = this_dt * _step_factor(err, budget, fac_max)
+        fac_max = STEP_FAC_MAX if accepted else 1.0
         if accepted:
             state, k1 = candidate, k5
-            dt = this_dt * (2.0 if err < budget / 16.0 else 1.0)
-        else:
-            dt = this_dt / 2.0
-            if abs(dt) < 1e-12:
-                raise BlowupError("adaptive step collapsed below 1e-12")
+        elif abs(dt) < 1e-12:
+            raise BlowupError("adaptive step collapsed below 1e-12")
         yield state, accepted
+
+
+def _step_factor(err: float, budget: float, fac_max: float) -> float:
+    """The standard controller's factor on dt: min(fac_max, max(fac_min, s (budget/err)^alpha)).
+
+    An estimate of 0 takes fac_max, and a non-finite one fac_min, so an
+    attempt that produced NaN shrinks its step until the collapse guard.
+    """
+    if not math.isfinite(err):
+        return STEP_FAC_MIN
+    if err == 0.0:
+        return fac_max
+    return min(fac_max, max(STEP_FAC_MIN, STEP_SAFETY * (budget / err) ** STEP_ORDER_EXPONENT))
 
 
 @dataclass

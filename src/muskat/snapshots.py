@@ -66,14 +66,23 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
+def _dumps(payload) -> str:
+    return json.dumps(payload, allow_nan=False, sort_keys=True, separators=(",\n", ": "))
+
+
 def write_json(path: str, payload: dict) -> None:
     """Write ``payload`` atomically as strict JSON (non-finite floats as null), keys sorted.
 
     The separators put one element per line; ``indent`` would send CPython's
-    ``json`` to its pure-Python encoder.
+    ``json`` to its pure-Python encoder.  A finite payload is dumped as it
+    is; only one that the strict dump refuses is walked by
+    :func:`finite_or_null`, which gives the same text where both succeed.
     """
-    atomic_write_text(path, json.dumps(finite_or_null(payload), allow_nan=False,
-                                       sort_keys=True, separators=(",\n", ": ")))
+    try:
+        text = _dumps(payload)
+    except ValueError:
+        text = _dumps(finite_or_null(payload))
+    atomic_write_text(path, text)
 
 
 def save_snapshot(

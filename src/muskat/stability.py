@@ -83,7 +83,7 @@ def _h4_norm_sq_of_difference(
     if contour is None:
         samples, weight = grid.from_spectral(stack), 2.0
     else:
-        lifts = (LiftedContour(contour.h, sign) for sign in (+1, -1))
+        lifts = (contour.with_sign(sign) for sign in (+1, -1))
         samples, weight = np.concatenate([evaluate_on_contour(stack, grid, s) for s in lifts]), 1.0
     return weight * sum(grid.quadrature(np.abs(vals) ** 2).real for vals in samples)
 

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from muskat import InterfaceState, LiftedContour, SpectralGrid
+from muskat import InterfaceState, LiftedContour, SpectralGrid, integrator
 from muskat.schedules import HeightSchedule, h_of
 
 
@@ -83,3 +83,14 @@ def run_with_blas_threads(args: list[str], threads: int) -> subprocess.Completed
     proc = subprocess.run([sys.executable, *args], env=env, capture_output=True)
     assert proc.returncode == 0, proc.stderr.decode()
     return proc
+
+
+def nan_rt_generalized_after_start(monkeypatch) -> None:
+    """Make the generalized Rayleigh-Taylor monitor all NaN at every time after t = 0."""
+    real = integrator.rt_generalized
+
+    def nan_after_start(state, *args, **kwargs):
+        monitor = real(state, *args, **kwargs)
+        return monitor if state.time == 0.0 else np.full_like(monitor, np.nan)
+
+    monkeypatch.setattr(integrator, "rt_generalized", nan_after_start)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from muskat import InterfaceState, SpectralGrid, run
 from muskat.cli import _load, build_parser, main
-from muskat import core, integrator, scenarios
+from muskat import core, integrator, scenarios, snapshots
 from muskat.config import SCENARIOS, load_config, load_config_text, serialize_config
 from muskat.errors import ConfigError, DegenerateParametrizationError, SnapshotError
 from muskat.initial_data import GraphFamilyParams
@@ -22,7 +22,7 @@ from muskat.scenarios import run_scenario
 from muskat.schedules import HeightSchedule
 from muskat.snapshots import atomic_write_text, load_snapshot, save_snapshot, write_json
 
-from conftest import run_with_blas_threads
+from conftest import nan_rt_generalized_after_start, run_with_blas_threads
 
 
 class TestConfig:
@@ -164,6 +164,18 @@ class TestSnapshots:
         path = tmp_path / "out.json"
         write_json(str(path), {"b": [1.5, math.inf], "a": {"c": (2, -math.nan)}})
         assert path.read_text() == '{"a": {"c": [2,\nnull]},\n"b": [1.5,\nnull]}'
+
+    def test_finite_payload_is_written_without_the_walk(self, tmp_path, monkeypatch):
+        payload = {"b": [1.5, np.float64(-0.0), (2, 3.25e-300)], "a": {"c": [], "d": "x"}}
+        walked = json.dumps(snapshots.finite_or_null(payload), allow_nan=False,
+                            sort_keys=True, separators=(",\n", ": "))
+
+        def refuse(value):
+            raise AssertionError("a finite payload was walked")
+
+        monkeypatch.setattr(snapshots, "finite_or_null", refuse)
+        write_json(str(tmp_path / "out.json"), payload)
+        assert (tmp_path / "out.json").read_text() == walked
 
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
                              ids=["umask_022", "umask_077"])
@@ -635,6 +647,20 @@ class TestCli:
         assert run_scenario(cfg, str(tmp_path)) == 3
         report = json.loads((tmp_path / "report.json").read_text())
         assert "tangent norm vanishes" in report["error"]
+
+    def test_non_finite_rt_monitor_exits_three(self, tmp_path, monkeypatch, capsys):
+        # a generalized monitor that turns NaN after the first step has no
+        # sign to stop on: the run ends with exit 3 and the reason
+        nan_rt_generalized_after_start(monkeypatch)
+        path = tmp_path / "cfg.ini"
+        path.write_text("[run]\nscenario = turnover\nn_modes = 32\ndt = 1e-5\nt_end = 5e-5\n"
+                        "rt_convention = generalized\nstop_on = rt_sign\n"
+                        "[schedule]\na = 2.0\ntau = 0.0138\n[family]\nslope_amplitude = 0.06\n"
+                        "steepening_rate = 0.43\nvertical_amplitudes = 0.29, 0.22\n")
+        assert main(["turnover", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+        assert "Traceback" not in capsys.readouterr().err
+        report = strict_json((tmp_path / "o" / "report.json").read_text())
+        assert "non-finite Rayleigh-Taylor monitor" in report["error"]
 
     @pytest.mark.parametrize("fields, status", [
         ({"kappa": 0.2}, 0),

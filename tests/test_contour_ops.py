@@ -55,6 +55,20 @@ class TestLiftedContour:
         assert np.abs(contour.h_second - (-0.05 * np.cos(grid.nodes))).max() < 1e-8
 
 
+    def test_with_sign_mirrors_without_deriving_again(self):
+        grid = SpectralGrid(64)
+        upper = make_contour(grid, "two_mode")
+        lower = upper.with_sign(-1)
+        assert upper.with_sign(+1) is upper and (upper.sign, lower.sign) == (1, -1)
+        assert lower.h is upper.h
+        assert lower.h_prime is upper.h_prime and lower.h_second is upper.h_second
+        fresh = LiftedContour(upper.h, -1)
+        assert np.array_equal(lower.complex_nodes(grid), fresh.complex_nodes(grid))
+        assert np.array_equal(lower.jacobian(), fresh.jacobian())
+        with pytest.raises(InvalidContourError):
+            upper.with_sign(0)
+
+
 class TestPrincipalValue:
     def test_vanishes_on_torus(self):
         grid = SpectralGrid(256)

@@ -20,8 +20,9 @@ from muskat import (
     two_solution_monitor,
 )
 from muskat import core, integrator, stability
-from muskat.errors import ConfigError, DegenerateGeometryError
+from muskat.errors import BlowupError, ConfigError, DegenerateGeometryError
 
+from conftest import nan_rt_generalized_after_start
 from oracles import is_real, sampled, turnover_indicator
 
 
@@ -367,6 +368,19 @@ def fixed_rk4(initial, grid, cutoff, dts, density=1.0):
     return states
 
 
+def record_attempt_steps(monkeypatch):
+    """The dt of every attempted integrating-factor step, appended as it is taken."""
+    steps = []
+    real = integrator._lawson_rk4
+
+    def recording(u, k1, h, *rest):
+        steps.append(h)
+        return real(u, k1, h, *rest)
+
+    monkeypatch.setattr(integrator, "_lawson_rk4", recording)
+    return steps
+
+
 def max_gap(a, b):
     return max(np.abs(a.p1 - b.p1).max(), np.abs(a.p2 - b.p2).max())
 
@@ -427,7 +441,52 @@ class TestEmbeddedPair:
         config = RunConfig(n_modes=128, dt=1e-3, t_end=0.5, adaptive=True, record_every=1)
         trajectory = run(decay_state(grid), config)
         assert trajectory.termination == "reached_t_end"
-        assert trajectory.rhs_calls <= 60
+        assert trajectory.rhs_calls <= 25
+        assert trajectory.rhs_calls == 1 + 4 * (len(trajectory.records) - 1
+                                                 + trajectory.rejected_steps)
+
+    def test_no_accepted_step_grows_dt_beyond_fac_max(self):
+        grid = SpectralGrid(128)
+        config = RunConfig(n_modes=128, dt=1e-3, t_end=0.5, adaptive=True, record_every=1)
+        steps = np.diff(run(decay_state(grid), config).times())
+        growth = steps[1:] / steps[:-1]
+        assert steps[0] == config.dt
+        assert growth.max() <= integrator.STEP_FAC_MAX * (1 + 1e-12)
+        # far inside its budget the controller takes the largest factor
+        assert growth.max() == pytest.approx(integrator.STEP_FAC_MAX, rel=1e-12)
+
+    def test_a_rejection_shrinks_dt_by_at_most_fac_min_and_the_next_step_does_not_grow(
+            self, monkeypatch):
+        steps = record_attempt_steps(monkeypatch)
+        grid = SpectralGrid(64)
+        steep = InterfaceState(np.zeros(grid.n_modes, dtype=complex),
+                               grid.to_spectral(0.3 * np.sin(grid.nodes)))
+        config = RunConfig(n_modes=64, dt=0.05, t_end=0.1, adaptive=True)
+        (start,) = integrator._projected((steep,), grid, config)
+        accepted = [ok for _, ok in integrator._attempts(start, grid, config)]
+        assert len(steps) == len(accepted) and not all(accepted)
+        for i in np.flatnonzero(~np.array(accepted)):
+            assert integrator.STEP_FAC_MIN <= steps[i + 1] / steps[i] < 1.0
+            if accepted[i + 1] and i + 2 < len(steps):
+                assert steps[i + 2] <= steps[i + 1]
+
+    def test_a_nan_error_estimate_is_rejected_until_the_step_collapses(self, monkeypatch):
+        real = integrator._lawson_rk4
+
+        def nan_k4(u, k1, h, *rest):
+            u_next, k4 = real(u, k1, h, *rest)
+            return u_next, np.full_like(k4, np.nan)
+
+        monkeypatch.setattr(integrator, "_lawson_rk4", nan_k4)
+        steps = record_attempt_steps(monkeypatch)
+        grid = SpectralGrid(32)
+        config = RunConfig(n_modes=32, dt=1e-3, t_end=0.01, adaptive=True)
+        with pytest.raises(BlowupError, match="collapsed"):
+            run(decay_state(grid), config)
+        # every attempt is rejected at fac_min: 1e-3 * 0.2^13 < 1e-12
+        assert np.array(steps[1:]) / np.array(steps[:-1]) == pytest.approx(
+            integrator.STEP_FAC_MIN, rel=1e-12)
+        assert len(steps) == 13
 
     @pytest.mark.parametrize("direction, density", [("backward", 1.0), ("forward", -0.5)])
     def test_no_growing_factor(self, direction, density):
@@ -586,6 +645,22 @@ class TestRtConventions:
         trajectory = run(initial, config)
         assert trajectory.termination == "rt_sign"
         assert trajectory.times() == pytest.approx([0.0, 1e-4, 2e-4], abs=1e-15)
+
+    def test_non_finite_generalized_monitor_raises(self, monkeypatch):
+        # NaN has no sign: min() <= 0 and max() >= 0 are both False on it, so
+        # a NaN monitor must end the run instead of passing as no violation
+        from muskat import HeightSchedule
+        nan_rt_generalized_after_start(monkeypatch)
+        grid = SpectralGrid(32)
+        initial = make_turnover_state(GraphFamilyParams(
+            slope_amplitude=0.06, steepening_rate=0.43, vertical_amplitudes=(0.29, 0.22),
+        ), grid)
+        config = RunConfig(
+            n_modes=32, dt=1e-5, t_end=5e-5, stop_on=frozenset({"rt_sign"}),
+            schedule=HeightSchedule(A=2.0, tau=0.0138), rt_convention="generalized",
+        )
+        with pytest.raises(BlowupError, match="non-finite Rayleigh-Taylor monitor"):
+            run(initial, config)
 
     def test_generalized_without_schedule_falls_back_to_sigma(self):
         config = RunConfig(

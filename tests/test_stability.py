@@ -167,6 +167,19 @@ class TestH4Distance:
         value = h4_distance(a, b, grid256, contour)
         assert abs(value - closed) <= 1e-8 * closed
 
+    def test_lifted_distance_derives_no_contour(self, grid256, monkeypatch):
+        # both lifts share the given contour's h' and h'': h4_distance builds
+        # no LiftedContour, and a mirrored contour gives the same bits
+        state = gentle_state(grid256)
+        upper = LiftedContour.from_height(grid256, 0.1 + 0.03 * np.cos(grid256.nodes))
+        lower = upper.with_sign(-1)
+        flat = InterfaceState.flat(grid256)
+        derived = []
+        monkeypatch.setattr(LiftedContour, "__post_init__", lambda self: derived.append(self))
+        value = h4_distance(state, flat, grid256, upper)
+        assert derived == []
+        assert h4_distance(state, flat, grid256, lower) == value > 0.0
+
     def test_symmetry_and_triangle(self, grid256):
         rng = np.random.default_rng(0)
 
