@@ -204,12 +204,16 @@ class KernelWorkspace:
     der: node samples, shape (max_order + 1, 2, N): der[k] = (d^k z1, d^k z2),
         identity parts included, so der[0] is the curve and der[1, 0] = z1'.
     flat: whether the samples are real (the flat grid), set from ``der``.
+    chord_arc: the chord-arc constant and its node pair, kept by every
+        :func:`pair_sweep` of the workspace; None before the first
+        (:func:`chord_arc_of` sweeps then).
     """
 
     zeta: NDArray
     jac: NDArray
     der: NDArray = field(repr=False)
     flat: bool = field(init=False)
+    chord_arc: tuple[float, tuple[int, int]] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.flat = not np.iscomplexobj(self.der)
@@ -249,9 +253,14 @@ class KernelWorkspace:
         broadcast form rounds twice.  O(N), formed once.
         """
         u, v, c = self.exp_map
-        zero = np.zeros_like(u)
-        return factor_tables(difference(u), difference(v),
-                             ([c, zero], [c, zero]), ([2.0 * v, -2.0 * u], [u, v]))
+        # factor_tables' layout, filled in place: its terms difference(u),
+        # difference(v), ([c, 0], [c, 0]) and ([2v, -2u], [u, v]), row by row
+        left, right = np.empty((4, 2, len(u))), np.empty((4, 2, len(u)))
+        for table, rows in ((left, (u, 1.0, v, 1.0, c, 0.0, 2.0 * v, -2.0 * u)),
+                            (right, (1.0, -u, 1.0, -v, c, 0.0, u, v))):
+            for row, value in zip(table.reshape(8, -1), rows):
+                row[...] = value
+        return left.transpose(0, 2, 1), right
 
     @functools.cached_property
     def half_factors(self) -> tuple[NDArray, NDArray]:
@@ -281,16 +290,23 @@ def build_workspace(
     values only drops imaginary round-off, which up to six derivatives
     amplify to about 3e-7 relative.  On a lifted contour it is complex.
     """
-    pair = state.coeffs
-    stack = np.concatenate([pair] + [grid.derivative(pair, k) for k in range(1, max_order + 1)])
+    pair, n = state.coeffs, grid.n_modes
+    grid._check_length(pair, stacked=True)
+    # the derivatives in one multiply by the grid's (ik)^k rows, Nyquist zeroed
+    # afterwards as SpectralGrid.derivative does; order 0 is the pair itself
+    stack = np.empty((max_order + 1, 2, n), dtype=complex)
+    stack[0] = pair
+    np.multiply(pair, grid.derivative_multipliers[1:max_order + 1, None], out=stack[1:])
+    stack[1:, :, n // 2] = 0.0
+    stack = stack.reshape(-1, n)
     if contour is None:
-        zeta, jac = grid.nodes, np.ones(grid.n_modes)
+        zeta, jac = grid.nodes, np.ones(n)
         # a copy, so the workspace does not keep the complex transform alive
         samples = grid.from_spectral(stack).real.copy()
     else:
         zeta, jac = contour.complex_nodes(grid), contour.jacobian()
         samples = evaluate_on_contour(stack, grid, contour)
-    der = samples.reshape(max_order + 1, 2, grid.n_modes)
+    der = samples.reshape(max_order + 1, 2, n)
     # z1's identity part: the node position at order 0, slope 1 at order 1 (none if max_order = 0)
     der[0, 0] += zeta
     der[1:2, 0] += 1.0
@@ -457,7 +473,8 @@ def pair_sweep(
 
     Returns:
         The quadratures (none without ``sums``), and the chord-arc constant
-        with its node pair (i < j).
+        with its node pair (i < j), which is also kept as ``ws.chord_arc``,
+        raise or not: it depends on the geometry alone.
 
     Raises:
         DegenerateGeometryError: chord-arc constant below the floor, with
@@ -482,12 +499,24 @@ def pair_sweep(
     totals = grid.pair_quadrature(sweep, ws.der.dtype, functools.partial(PairBlock, ws=ws))
     best = int(np.argmin(minima))
     chord_arc, pair = float(minima[best]), pairs[best]
+    ws.chord_arc = (chord_arc, pair)
     if degenerate:
         raise DegenerateGeometryError(
             f"chord-arc constant {chord_arc:.3e} below floor {floor:.3e} at pair {pair}",
             pair=pair, ratio=chord_arc,
         )
     return totals, (chord_arc, pair)
+
+
+def chord_arc_of(ws: KernelWorkspace, grid: SpectralGrid) -> tuple[float, tuple[int, int]]:
+    """The chord-arc constant of a workspace with its node pair, as its sweeps kept it.
+
+    A workspace that no sweep has read yet takes one over its geometry
+    alone, with no floor.
+    """
+    if ws.chord_arc is None:
+        pair_sweep(ws, grid)
+    return ws.chord_arc
 
 
 def chord_arc_constant(
@@ -505,6 +534,7 @@ def rhs(
     state: InterfaceState,
     grid: SpectralGrid,
     floor: float = DEFAULT_CHORD_ARC_FLOOR,
+    workspace: KernelWorkspace | None = None,
 ) -> NDArray[np.complexfloating]:
     """Muskat right-hand side d/dt coeffs in coefficient space, shape (2, N).
 
@@ -516,20 +546,23 @@ def rhs(
         state: Interface state (coefficients).
         grid: Collocation grid.
         floor: Chord-arc floor; below it the evaluation is rejected.
+        workspace: The state's flat order-2 sample, for a caller that keeps
+            it: the sweep leaves the chord-arc constant on it
+            (:attr:`KernelWorkspace.chord_arc`).  Built here when None.
 
     Raises:
         DegenerateGeometryError: chord-arc constant below the floor.
     """
-    ws = build_workspace(state, grid, None, 2)
+    ws = build_workspace(state, grid, None, 2) if workspace is None else workspace
     sums, finish = kernel_difference_sums(ws, grid, 1)
     (total,), _ = pair_sweep(ws, grid, sums, floor)
-    return grid.to_spectral(np.stack(finish(total)))
+    return grid.to_spectral(finish(total))
 
 
 def kernel_difference_sums(
     ws: KernelWorkspace, grid: SpectralGrid, order: int
 ) -> tuple[Callable[[PairBlock], list[tuple[NDArray, NDArray]]],
-           Callable[[NDArray], list[NDArray]]]:
+           Callable[[NDArray], NDArray]]:
     """Block sums of K(x, u) (d^k z_mu(x) - d^k z_mu(u)), mu = 1, 2, on the flat grid, and their finish.
 
     ``ws`` holds derivatives up to k + 1.  Order 1 is the right-hand side in
@@ -539,10 +572,11 @@ def kernel_difference_sums(
     integrand: K A over each block, and for the mirror -K_ij of each pair
     beyond the diagonal sub-block, -K^T A over the tail, two matrix
     products per block and no other arithmetic.  ``finish`` turns that
-    quadrature into the two row quadratures, with the diagonal limit
-    2 z1' d^{k+1} z_mu / T, T = (z1')^2 + (z2')^2.
+    quadrature into the two row quadratures, one (2, N) array, with the
+    diagonal limit 2 z1' d^{k+1} z_mu / T, T = (z1')^2 + (z2')^2.
     """
-    columns = np.column_stack([np.ones_like(ws.z1), *ws.der[order]])
+    columns = np.empty((len(ws.z1), 3))
+    columns[:, 0], columns[:, 1:] = 1.0, ws.der[order].T
     negated = -columns
     diagonals = 2.0 * ws.der[1, 0] * ws.der[order + 1] / ws.tangent_sq
 
@@ -550,8 +584,8 @@ def kernel_difference_sums(
         kern = block.kern
         return [(kern @ columns[block.cols], kern[:, block.width:].T @ negated[block.rows])]
 
-    def finish(total: NDArray) -> list[NDArray]:
-        return list(columns[:, 1:].T * total[:, 0] - total[:, 1:].T + grid.dx * diagonals)
+    def finish(total: NDArray) -> NDArray:
+        return columns[:, 1:].T * total[:, 0] - total[:, 1:].T + grid.dx * diagonals
 
     return sums, finish
 

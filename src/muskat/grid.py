@@ -12,6 +12,7 @@ and :func:`conjugate_symmetrize` also act row by row on a stack of shape
 
 from __future__ import annotations
 
+import functools
 import threading
 from collections.abc import Callable, Iterable
 
@@ -28,6 +29,9 @@ COEFF_FLOOR = 1e-14
 #: complex pairs.  It keeps every block array cache-sized, and a temporary
 #: one below glibc's default mmap threshold (128 KiB).
 _BLOCK_BYTES = 64 * 1024
+
+#: highest order of :meth:`SpectralGrid.derivative`
+MAX_DERIVATIVE_ORDER = 8
 
 
 class SpectralGrid:
@@ -48,6 +52,7 @@ class SpectralGrid:
         self.dx = 2.0 * np.pi / n_modes
         self.nodes = self.dx * np.arange(n_modes)
         self.wavenumbers = np.fft.fftfreq(n_modes, d=1.0 / n_modes).astype(int)
+        self._beyond: dict[int, NDArray[np.bool_]] = {}
 
     def __repr__(self) -> str:
         return f"SpectralGrid(n_modes={self.n_modes})"
@@ -91,8 +96,11 @@ class SpectralGrid:
             raise InvalidCutoffError(
                 f"cutoff must lie in 1..{self.n_modes // 2}, got {cutoff}"
             )
+        beyond = self._beyond.get(cutoff)
+        if beyond is None:
+            beyond = self._beyond[cutoff] = np.abs(self.wavenumbers) > cutoff
         out = coeffs.copy()
-        out[..., np.abs(self.wavenumbers) > cutoff] = 0.0
+        out[..., beyond] = 0.0
         return out
 
     def derivative(self, coeffs: NDArray, order: int = 1) -> NDArray:
@@ -101,13 +109,25 @@ class SpectralGrid:
         The Nyquist coefficient is zeroed afterwards so that derivatives of
         real grid functions stay exactly real.
         """
-        if not 0 <= order <= 8:
-            raise ValueError(f"derivative order must be in 0..8, got {order}")
+        if not 0 <= order <= MAX_DERIVATIVE_ORDER:
+            raise ValueError(f"derivative order must be in 0..{MAX_DERIVATIVE_ORDER}, got {order}")
         coeffs = np.asarray(coeffs, dtype=complex)
         self._check_length(coeffs, stacked=True)
-        out = coeffs * (1j * self.wavenumbers) ** order
+        out = coeffs * self.derivative_multipliers[order]
         out[..., self.n_modes // 2] = 0.0
         return out
+
+    @functools.cached_property
+    def derivative_multipliers(self) -> NDArray[np.complexfloating]:
+        """Read-only (ik)^k for k = 0..MAX_DERIVATIVE_ORDER, one row per order, formed once.
+
+        Row k is (1j * wavenumbers) ** k, Nyquist included: a derivative
+        zeroes that coefficient after multiplying, as the product of a
+        coefficient and 0 may carry a zero's sign.
+        """
+        table = np.stack([(1j * self.wavenumbers) ** k for k in range(MAX_DERIVATIVE_ORDER + 1)])
+        table.flags.writeable = False
+        return table
 
     def lambda_op(self, coeffs: NDArray) -> NDArray:
         """Half-Laplacian: multiply coefficient k by |k|."""

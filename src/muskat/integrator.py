@@ -21,10 +21,15 @@ normal outcomes recorded in the trajectory, not errors.
 
 One driver, ``_advance``, steps a single state (``run``) and a perturbed
 pair (``two_solution_monitor``) alike: it projects the initial states,
-refuses one that violates a requested rt_sign stop, draws every attempted
-step from ``_attempts``, counts the rhs calls and rejected attempts, checks
-the stop conditions on every accepted state, keeps the record cadence and
-writes the termination.  The callers only say what a record is.
+refuses one that violates a requested rt_sign stop, draws the start and
+every attempted step from ``_attempts``, counts the rhs calls and rejected
+attempts, keeps the least chord-arc constant over every stage, checks the
+stop conditions on every accepted state, keeps the record cadence and
+writes the termination.  The callers only say what a record is.  Each
+state is sampled at most once: records and the sigma rt_sign check read
+the workspace of the stage that evaluated the rhs at that state (an
+adaptive run's k1 at the start and its k5 after each accepted step), and
+sample a state no stage met (fixed steps) once, on demand.
 """
 
 from __future__ import annotations
@@ -37,13 +42,16 @@ import numpy as np
 
 from . import core
 from .contour_ops import LiftedContour
-from .core import DEFAULT_CHORD_ARC_FLOOR, InterfaceState, pair_sweep, rhs
+from .core import DEFAULT_CHORD_ARC_FLOOR, InterfaceState, KernelWorkspace, rhs
 from .errors import BlowupError, ConfigError, DegenerateGeometryError, UndefinedRadiusError
 from .grid import SpectralGrid, conjugate_symmetrize
 from .schedules import HeightSchedule
-from .stability import h4_distance, rt_generalized, rt_sigma, rt_unperturbed
+from .stability import h4_distance, rt_generalized, rt_sigma
 
 STOP_CONDITIONS = frozenset({"chord_arc_floor", "rt_sign", "blowup_norm"})
+
+#: a chord-arc constant with its node pair, as a sweep finds it
+_Minimum = tuple[float, tuple[int, int]]
 
 #: the adaptive step controller (Hairer, Norsett & Wanner, Solving ODEs I,
 #: II.4): safety factor s, the bounds of one step's factor on dt, and the
@@ -155,6 +163,11 @@ class Trajectory:
     #: adaptive attempts rejected by the error control
     rhs_calls: int = 0
     rejected_steps: int = 0
+    #: the least chord-arc constant that any stage's sweep met, rejected
+    #: attempts and the stage of a chord-arc stop included, with its node
+    #: pair; None when no stage ran
+    min_stage_chord_arc: float | None = None
+    min_stage_chord_arc_pair: tuple[int, int] | None = None
 
     def times(self) -> list[float]:
         return [t for t, _, _ in self.records]
@@ -172,13 +185,15 @@ def galerkin_rhs(
     cutoff: int,
     floor: float = DEFAULT_CHORD_ARC_FLOOR,
     density_jump_over_2pi: float = 1.0,
+    workspace: KernelWorkspace | None = None,
 ) -> np.ndarray:
     """Projected right-hand side Pi_N (density_jump_over_2pi * rhs), shape (2, N).
 
     The physical prefactor (rho2 - rho1)/(2 pi) enters here, where time is
-    integrated; :func:`muskat.core.rhs` carries the unit normalization.
+    integrated; :func:`muskat.core.rhs` carries the unit normalization, and
+    takes ``workspace``, the state's order-2 sample, when the caller keeps it.
     """
-    return grid.project_modes(density_jump_over_2pi * rhs(state, grid, floor), cutoff)
+    return grid.project_modes(density_jump_over_2pi * rhs(state, grid, floor, workspace), cutoff)
 
 
 def step(
@@ -188,13 +203,17 @@ def step(
     cutoff: int,
     floor: float = DEFAULT_CHORD_ARC_FLOOR,
     density_jump_over_2pi: float = 1.0,
+    minima: list[_Minimum] | None = None,
 ) -> InterfaceState:
     """One classical RK4 step of the Galerkin ODE (dt may be negative).
 
     Stages are projected to the cutoff; the result is projected and made
     conjugate-symmetric, so real band-limited states stay exactly so.
+    ``minima``, when given, collects the chord-arc constant and node pair
+    that each of the four stages' sweeps met.
     """
-    f = _galerkin_field(grid, cutoff, floor, density_jump_over_2pi)
+    f = _GalerkinField(grid, cutoff, floor, density_jump_over_2pi,
+                       [] if minima is None else minima)
     u_next, _ = _lawson_rk4(state.coeffs, f(state.coeffs), dt, f, 1.0, 1.0)
     return _finished(u_next, grid, cutoff, state.time + dt)
 
@@ -204,13 +223,59 @@ def _finished(u: np.ndarray, grid: SpectralGrid, cutoff: int, time: float) -> In
     return InterfaceState(*conjugate_symmetrize(grid.project_modes(u, cutoff)), time)
 
 
-def _galerkin_field(grid: SpectralGrid, cutoff: int, floor: float, density: float):
-    """galerkin_rhs on coefficients u, shape (2, N)."""
+class _GalerkinField:
+    """galerkin_rhs on coefficients u, shape (2, N), keeping what each stage swept.
 
-    def f(u: np.ndarray) -> np.ndarray:
-        return galerkin_rhs(InterfaceState(*u), grid, cutoff, floor, density)
+    A call samples the state once, as the order-2 workspace its rhs sweeps
+    (built through ``core`` so that a wrapper of core.build_workspace sees
+    it), appends the chord-arc constant and node pair the sweep kept to
+    ``minima`` and keeps the workspace as ``last``, the sample of the state
+    the field was last evaluated at.  Earlier workspaces are let go.
+    """
 
-    return f
+    def __init__(self, grid: SpectralGrid, cutoff: int, floor: float, density: float,
+                 minima: list[_Minimum]):
+        self.grid, self.cutoff, self.floor, self.density = grid, cutoff, floor, density
+        self.minima = minima
+        self.last: KernelWorkspace | None = None
+
+    def __call__(self, u: np.ndarray) -> np.ndarray:
+        state = InterfaceState(*u)
+        self.last = core.build_workspace(state, self.grid, None, 2)
+        tendency = galerkin_rhs(state, self.grid, self.cutoff, self.floor, self.density, self.last)
+        self.minima.append(self.last.chord_arc)
+        return tendency
+
+
+def _least(minima: list[_Minimum]) -> _Minimum:
+    """The least of the stages' chord-arc constants, with its node pair (the first on a tie)."""
+    return min(minima, key=lambda minimum: minimum[0])
+
+
+@dataclass
+class _Step:
+    """One record of the attempt stream: the start, or an attempted step.
+
+    state: the start, the accepted state, or the state a rejected attempt
+        retries from.
+    accepted: False only for a rejected attempt.
+    sample: the state's flat workspace, from the stage that evaluated the
+        rhs there (k1 at an adaptive start, k5 after an accepted adaptive
+        step) or from :meth:`sampled`; None until one exists.
+    minimum: the least chord-arc constant over the record's stages, with
+        its node pair; None for a start that took no stage.
+    """
+
+    state: InterfaceState
+    accepted: bool = True
+    sample: KernelWorkspace | None = None
+    minimum: _Minimum | None = None
+
+    def sampled(self, grid: SpectralGrid) -> KernelWorkspace:
+        """The state's flat sample: the stage's, or one order-1 sample made now and kept."""
+        if self.sample is None:
+            self.sample = core.build_workspace(self.state, grid, None, 1)
+        return self.sample
 
 
 def _lawson_rk4(u, k1, h, nonlinear, e_half, e_full):
@@ -260,12 +325,19 @@ def diagnostics_for(
     grid: SpectralGrid,
     config: RunConfig,
     reference: InterfaceState,
+    sample: KernelWorkspace | None = None,
 ) -> DiagnosticsRecord:
+    """The monitors of a state; the H4 distance is measured from ``reference``.
+
+    min z1', min sigma and the chord-arc constant come from one flat
+    sample of the state: ``sample``, a workspace of order 1 or more whose
+    chord-arc constant its sweep kept (a stage's, in a run), or else one
+    order-1 sample and one sweep, built through ``core`` so that a wrapper
+    of core.build_workspace sees them.  Both give the same bits.
+    """
     contour, _ = _schedule_at(config, state.time, grid) or (None, None)
-    # one sampling for min z1', the chord-arc constant and min sigma, built
-    # through ``core`` so that a wrapper of core.build_workspace sees it
-    ws = core.build_workspace(state, grid, None, 1)
-    _, (chord_arc, _) = pair_sweep(ws, grid)
+    ws = core.build_workspace(state, grid, None, 1) if sample is None else sample
+    chord_arc, _ = core.chord_arc_of(ws, grid)
     return DiagnosticsRecord(
         time=state.time,
         min_dz1=float(ws.der[1, 0].min()),
@@ -276,19 +348,21 @@ def diagnostics_for(
     )
 
 
-def _rt_sign_violated(state: InterfaceState, grid: SpectralGrid, config: RunConfig) -> bool:
-    """Sign bookkeeping of the rt_sign stop.
+def _rt_sign_violated(step: _Step, grid: SpectralGrid, config: RunConfig) -> bool:
+    """Sign bookkeeping of the rt_sign stop on a record's state.
 
     The monitor is the generalized Rayleigh-Taylor function on the
     schedule's contour under the "generalized" convention, while the
-    schedule covers the state's time, and the flat sigma otherwise.
+    schedule covers the state's time, and the flat sigma of the record's
+    sample otherwise.
     Backward runs need it positive everywhere (on the shrinking strip, the
     direction the analysis solves) and forward runs negative (a graph).  A
     non-finite monitor has no sign and raises BlowupError.
     """
+    state = step.state
     scheduled = _schedule_at(config, state.time, grid)
     if scheduled is None:
-        monitor = rt_unperturbed(state, grid)
+        monitor = rt_sigma(step.sampled(grid))
     else:
         monitor = rt_generalized(state, grid, *scheduled, floor=config.chord_arc_floor)
     if not np.isfinite(monitor).all():
@@ -298,13 +372,13 @@ def _rt_sign_violated(state: InterfaceState, grid: SpectralGrid, config: RunConf
     return bool(monitor.max() >= 0.0)
 
 
-def _check_stops(state: InterfaceState, grid: SpectralGrid, config: RunConfig) -> str | None:
-    coeff_norm = np.abs(state.coeffs).sum(axis=1).max()
+def _check_stops(step: _Step, grid: SpectralGrid, config: RunConfig) -> str | None:
+    coeff_norm = np.abs(step.state.coeffs).sum(axis=1).max()
     if not np.isfinite(coeff_norm):
-        raise BlowupError(f"non-finite coefficients at t={state.time}")
+        raise BlowupError(f"non-finite coefficients at t={step.state.time}")
     if "blowup_norm" in config.stop_on and coeff_norm > config.blowup_norm:
         return "blowup_norm"
-    if "rt_sign" in config.stop_on and _rt_sign_violated(state, grid, config):
+    if "rt_sign" in config.stop_on and _rt_sign_violated(step, grid, config):
         return "rt_sign"
     return None
 
@@ -322,10 +396,11 @@ def run(initial: InterfaceState, config: RunConfig) -> Trajectory:
     grid = SpectralGrid(config.n_modes)
     trajectory = Trajectory()
 
-    def record(states) -> None:
-        (state,) = states
+    def record(steps) -> None:
+        (step,) = steps
+        state = step.state
         reference = trajectory.records[0][1] if trajectory.records else state
-        diagnostics = diagnostics_for(state, grid, config, reference)
+        diagnostics = diagnostics_for(state, grid, config, reference, step.sampled(grid))
         trajectory.records.append((state.time, state.copy(), diagnostics))
 
     _advance((initial,), grid, config, record, trajectory)
@@ -336,33 +411,59 @@ def _advance(initials, grid: SpectralGrid, config: RunConfig, record, outcome: T
     """Step ``initials`` together from t_start with identical steps: the one run loop.
 
     Projects each initial state to the cutoff at t_start and raises
-    ConfigError when one violates a requested rt_sign stop.  Calls
-    ``record`` with the tuple of states at the start, at every
-    record_every-th accepted step and always at the last accepted one.  The
-    run ends at t_end ("reached_t_end"), when a state meets a stop
-    condition, or on a DegenerateGeometryError, which ends it as
-    "chord_arc_floor" if that stop is requested and propagates otherwise.
-    The only writer of ``outcome``'s ending and counts: per state, an
-    adaptive run's first stage is 1 rhs call and each attempt 4, the
-    attempt cut short by a geometry stop included, so a run that reaches
-    t_end has rhs_calls = (1 if adaptive) + 4 (accepted + rejected) per
-    state.
+    ConfigError when one violates a requested rt_sign stop, before any
+    stage.  Calls ``record`` with the tuple of step records
+    (:class:`_Step`, one per state) at the start, at every record_every-th
+    accepted step and always at the last accepted one; a record's
+    :meth:`_Step.sampled` is the sample the stop checks read, so each
+    state is sampled at most once.  The run ends at t_end
+    ("reached_t_end"), when a state meets a stop condition, or on a
+    DegenerateGeometryError, which ends it as "chord_arc_floor" if that
+    stop is requested and propagates otherwise.  The only writer of
+    ``outcome``'s ending, counts and stage minimum: per state, an adaptive
+    run's first stage is 1 rhs call and each attempt 4, the attempt cut
+    short by a geometry stop included, so a run that reaches t_end has
+    rhs_calls = (1 if adaptive) + 4 (accepted + rejected) per state.
     """
-    states = _projected(initials, grid, config)
+    last = tuple(_Step(s) for s in _projected(initials, grid, config))
     if "rt_sign" in config.stop_on and any(_check_stops(s, grid, config) == "rt_sign"
-                                           for s in states):
+                                           for s in last):
         raise ConfigError("initial state violates the Rayleigh-Taylor sign for this run direction")
-    record(states)
-    last, recorded, reason, accepted_steps = states, True, None, 0
-    outcome.rhs_calls = len(states) if config.adaptive else 0
+    count = len(last)
+    outcome.rhs_calls = count if config.adaptive else 0
+
+    def note(minimum: _Minimum | None) -> None:
+        if minimum is not None and (outcome.min_stage_chord_arc is None
+                                    or minimum[0] < outcome.min_stage_chord_arc):
+            outcome.min_stage_chord_arc, outcome.min_stage_chord_arc_pair = minimum
+
+    def noted(attempts):
+        # the stage minima of every record, and of a stage that fails the floor
+        while True:
+            try:
+                steps = next(attempts)
+            except StopIteration:
+                return
+            except DegenerateGeometryError as exc:
+                note((exc.ratio, exc.pair))
+                raise
+            for s in steps:
+                note(s.minimum)
+            yield steps
+
+    attempts = noted(zip(*(_attempts(s.state, grid, config, s.sample) for s in last)))
+    recorded, reason, accepted_steps = False, None, 0
     try:
-        for attempt in zip(*(_attempts(s, grid, config) for s in states)):
-            outcome.rhs_calls += 4 * len(states)
-            rejected = sum(not accepted for _, accepted in attempt)
+        last = next(attempts)  # the start, after an adaptive run's first stage
+        record(last)
+        recorded = True
+        for attempt in attempts:
+            outcome.rhs_calls += 4 * count
+            rejected = sum(not s.accepted for s in attempt)
             if rejected:
                 outcome.rejected_steps += rejected
                 continue
-            last, recorded = tuple(s for s, _ in attempt), False
+            last, recorded = attempt, False
             accepted_steps += 1
             reason = next(filter(None, (_check_stops(s, grid, config) for s in last)), None)
             if reason is not None:
@@ -373,7 +474,7 @@ def _advance(initials, grid: SpectralGrid, config: RunConfig, record, outcome: T
     except DegenerateGeometryError as exc:
         if "chord_arc_floor" not in config.stop_on:
             raise
-        outcome.rhs_calls += 4 * len(states)  # the attempt cut short
+        outcome.rhs_calls += 4 * count  # the attempt cut short
         reason = "chord_arc_floor"
         outcome.chord_arc_pair, outcome.chord_arc_ratio = exc.pair, exc.ratio
     if not recorded:
@@ -405,16 +506,24 @@ def _step_plan(config: RunConfig) -> Iterator[tuple[float, float]]:
         yield tail, config.t_end
 
 
-def _attempts(state: InterfaceState, grid: SpectralGrid, config: RunConfig):
-    """(state, accepted) for each attempted step from t_start up to t_end.
+def _attempts(state: InterfaceState, grid: SpectralGrid, config: RunConfig,
+              sample: KernelWorkspace | None = None) -> Iterator[_Step]:
+    """The start, then one record (:class:`_Step`) per attempted step from t_start up to t_end.
 
-    Fixed runs follow the step plan with classical RK4, and every step is
-    accepted.  Adaptive runs evaluate the first stage k1 = N(state), then
-    take steps of the embedded integrating-factor RK4 pair: the embedded
-    third-order solution swaps k4 for k5 = N(new state), so the error
-    estimate is err = |dt|/6 max|k4 - k5|.  An attempt is accepted when that
-    is within the budget adaptive_tol |dt|, and its k5 is the next step's k1
-    (FSAL).  After every attempt the standard controller sets the next dt to
+    The start is ``state`` with ``sample``, its flat sample if the caller
+    made one.  Fixed runs follow the step plan with classical RK4, every
+    step is accepted, and a record carries the least chord-arc constant of
+    its four stages but no sample: no stage evaluated the rhs at the new
+    state.  Adaptive runs evaluate the first stage k1 = N(state), whose
+    sample and minimum the start takes (its sample only if it has none),
+    then take steps of the embedded integrating-factor RK4 pair: the
+    embedded third-order solution swaps k4 for k5 = N(new state), so the
+    error estimate is err = |dt|/6 max|k4 - k5|.  An attempt is accepted
+    when that is within the budget adaptive_tol |dt|, and its k5 is the
+    next step's k1 (FSAL), so its record carries k5's sample, the new
+    state's; every record carries the least chord-arc constant of its
+    stages k2..k5.  After every attempt the standard controller sets the
+    next dt to
 
         dt min(fac_max, max(fac_min, s (budget/err)^alpha)),
 
@@ -427,16 +536,17 @@ def _attempts(state: InterfaceState, grid: SpectralGrid, config: RunConfig):
     The last step is shortened to land on t_end.  Counts nothing:
     ``_advance`` does.
     """
-    cutoff = config.galerkin_cutoff
-    if not config.adaptive:
-        for step_dt, target_time in _step_plan(config):
-            state = step(state, grid, step_dt, cutoff, config.chord_arc_floor,
-                         config.density_jump_over_2pi)
-            state.time = target_time
-            yield state, True
-        return
+    cutoff, floor = config.galerkin_cutoff, config.chord_arc_floor
     density = config.density_jump_over_2pi
-    f = _galerkin_field(grid, cutoff, config.chord_arc_floor, density)
+    if not config.adaptive:
+        yield _Step(state, sample=sample)
+        for step_dt, target_time in _step_plan(config):
+            minima: list[_Minimum] = []
+            state = step(state, grid, step_dt, cutoff, floor, density, minima)
+            state.time = target_time
+            yield _Step(state, minimum=_least(minima))
+        return
+    f = _GalerkinField(grid, cutoff, floor, density, [])
     lin, nonlinear = 0.0, f
     if density * config.signed_dt > 0:
         # e^{L dt} decays: integrate the flat-interface linear part exactly
@@ -445,8 +555,10 @@ def _attempts(state: InterfaceState, grid: SpectralGrid, config: RunConfig):
         def nonlinear(u):
             return f(u) - lin * u
     k1 = nonlinear(state.coeffs)
+    yield _Step(state, sample=f.last if sample is None else sample, minimum=_least(f.minima))
     dt, fac_max = config.signed_dt, STEP_FAC_MAX
     while (config.t_end - state.time) * np.sign(config.signed_dt) > 1e-15:
+        f.minima.clear()
         remaining = config.t_end - state.time
         this_dt = dt if abs(remaining) >= abs(dt) else remaining
         e_half, e_full = np.exp(lin * (this_dt / 2.0)), np.exp(lin * this_dt)
@@ -463,7 +575,8 @@ def _attempts(state: InterfaceState, grid: SpectralGrid, config: RunConfig):
             state, k1 = candidate, k5
         elif abs(dt) < 1e-12:
             raise BlowupError("adaptive step collapsed below 1e-12")
-        yield state, accepted
+        # f.last is k5's sample, of the candidate
+        yield _Step(state, accepted, f.last if accepted else None, _least(f.minima))
 
 
 def _step_factor(err: float, budget: float, fac_max: float) -> float:
@@ -530,7 +643,8 @@ def two_solution_monitor(
     times: list[float] = []
     distances: list[float] = []
 
-    def record(pair) -> None:
+    def record(steps) -> None:
+        pair = tuple(s.state for s in steps)
         times.append(pair[0].time)
         distances.append(_pair_distance(pair, grid, config))
 

@@ -81,13 +81,20 @@ def _write_plot_data(path: str, trajectory: Trajectory, grid: SpectralGrid,
 
 
 def _ending(outcome: Trajectory, records: int) -> dict:
-    """The report fields of how a time-stepping run went, from the driver's ``outcome``."""
+    """The report fields of how a time-stepping run went, from the driver's ``outcome``.
+
+    ``min_stage_chord_arc`` and its pair are the least chord-arc constant
+    over every stage of the run, null when no stage ran.
+    """
     stop = {}
     if outcome.chord_arc_pair is not None:
         stop = {"chord_arc_pair": list(outcome.chord_arc_pair),
                 "chord_arc_ratio": outcome.chord_arc_ratio}
+    pair = outcome.min_stage_chord_arc_pair
     return {"termination": outcome.termination, "records": records,
-            "rhs_calls": outcome.rhs_calls, "rejected_steps": outcome.rejected_steps, **stop}
+            "rhs_calls": outcome.rhs_calls, "rejected_steps": outcome.rejected_steps,
+            "min_stage_chord_arc": outcome.min_stage_chord_arc,
+            "min_stage_chord_arc_pair": None if pair is None else list(pair), **stop}
 
 
 def _emit_trajectory(out_dir: str, cfg: ScenarioConfig, trajectory: Trajectory,

@@ -30,6 +30,7 @@ from muskat.core import (
     _node_distance,
     _roots_of_unity,
     build_workspace,
+    chord_arc_of,
     pair_sweep,
 )
 from muskat.contour_ops import _cot_denominator, _sin_modulus, pairwise_cot
@@ -752,6 +753,46 @@ class TestChordArc:
         grids = [SpectralGrid(n) for n in (64, 128, 64)]
         values = [chord_arc_constant(gentle_state(g), g) for g in grids]
         assert values[2] == values[0]
+
+
+def decay_like(grid: SpectralGrid, seed: int) -> InterfaceState:
+    """z2 = sum of modes 1-4 at the decay benchmark's amplitudes, phases drawn from ``seed``."""
+    phases = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, 4)
+    z2 = sum(a * np.cos((k + 1) * grid.nodes + phase)
+             for k, (a, phase) in enumerate(zip((1e-2, 7.5e-3, 5e-3, 2e-3), phases)))
+    return InterfaceState(np.zeros(grid.n_modes, dtype=complex), grid.to_spectral(z2))
+
+
+class TestStageSample:
+    @pytest.mark.parametrize("n_modes", [64, 128, 256, 512, 1024])
+    def test_an_rhs_stage_sample_is_an_order_one_sample_bitwise(self, n_modes):
+        # a run reads a state's monitors from the order-2 workspace an rhs
+        # stage swept there: its slopes, sigma and the chord-arc constant
+        # its sweep kept are those of an order-1 sample and its own sweep
+        grid = SpectralGrid(n_modes)
+        states = [make_turnover_state(GraphFamilyParams(slope_amplitude=slope), grid)
+                  for slope in (0.98, 3.35)]
+        states += [pool_like(grid, seed)[0] for seed in range(4)]
+        states += [decay_like(grid, seed) for seed in range(3)]
+        for state in states:
+            state = InterfaceState(*grid.project_modes(state.coeffs, n_modes // 3))
+            stage = build_workspace(state, grid, None, 2)
+            rhs(state, grid, 0.0, stage)
+            sample = build_workspace(state, grid, None, 1)
+            assert stage.der[:2].tobytes() == sample.der.tobytes()
+            assert stability.rt_sigma(stage).tobytes() == stability.rt_sigma(sample).tobytes()
+            assert stage.chord_arc == chord_arc_of(sample, grid)
+
+    def test_every_sweep_keeps_its_chord_arc_constant(self):
+        grid = SpectralGrid(64)
+        state = make_turnover_state(GraphFamilyParams(slope_amplitude=3.35), grid)
+        ws = build_workspace(state, grid, None, 2)
+        assert ws.chord_arc is None
+        with pytest.raises(DegenerateGeometryError) as raised:
+            rhs(state, grid, 1.0, ws)
+        # kept on a sweep that raises too: the constant is the geometry's alone
+        assert ws.chord_arc == (raised.value.ratio, raised.value.pair)
+        assert chord_arc_of(ws, grid) == pair_sweep(build_workspace(state, grid, None, 1), grid)[1]
 
 
 class TestContourEvaluation:

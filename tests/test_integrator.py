@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -284,9 +285,11 @@ class TestRun:
             return stepper(*args, **kwargs)
 
         def attempting(*args, **kwargs):
-            for state, accepted in stepper(*args, **kwargs):
-                counts["steps"] += accepted
-                yield state, accepted
+            records = stepper(*args, **kwargs)
+            yield next(records)  # the start, not an attempt
+            for attempt in records:
+                counts["steps"] += attempt.accepted
+                yield attempt
 
         monkeypatch.setattr(integrator, "_check_stops", checking)
         monkeypatch.setattr(integrator, counted, stepping if counted == "step" else attempting)
@@ -385,6 +388,98 @@ def max_gap(a, b):
     return max(np.abs(a.p1 - b.p1).max(), np.abs(a.p2 - b.p2).max())
 
 
+def counting_builds(monkeypatch) -> list[int]:
+    """The max_order of every core.build_workspace call, appended as it is made."""
+    orders = []
+    build = core.build_workspace
+
+    def building(*args, **kwargs):
+        orders.append(args[3] if len(args) > 3 else kwargs.get("max_order", 2))
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(core, "build_workspace", building)
+    return orders
+
+
+class TestStageSamples:
+    def test_adaptive_records_read_their_stage_samples_bitwise(self, monkeypatch):
+        grid = SpectralGrid(128)
+        config = RunConfig(n_modes=128, dt=1e-3, t_end=0.5, adaptive=True, record_every=1)
+        orders = counting_builds(monkeypatch)
+        minima = []
+        sweep = core.pair_sweep
+
+        def sweeping(*args, **kwargs):
+            result = sweep(*args, **kwargs)
+            minima.append(result[1])
+            return result
+
+        monkeypatch.setattr(core, "pair_sweep", sweeping)
+        trajectory = run(decay_state(grid), config)
+        monkeypatch.undo()
+        # one sample and one sweep per rhs call, and none for the records
+        assert len(orders) == len(minima) == trajectory.rhs_calls
+        assert set(orders) == {2}
+        reference = trajectory.records[0][1]
+        for _, state, record in trajectory.records:
+            fresh = integrator.diagnostics_for(state, grid, config, reference)
+            assert (np.array(dataclasses.astuple(record)).tobytes()
+                    == np.array(dataclasses.astuple(fresh)).tobytes())
+        least = min(minima, key=lambda minimum: minimum[0])
+        assert (trajectory.min_stage_chord_arc, trajectory.min_stage_chord_arc_pair) == least
+        assert all(trajectory.min_stage_chord_arc <= d.chord_arc for d in trajectory.diagnostics())
+
+    @pytest.mark.parametrize("adaptive", [False, True])
+    def test_rt_sign_checks_and_records_share_one_sample_per_state(self, monkeypatch, adaptive):
+        grid = SpectralGrid(64)
+        initial = InterfaceState(np.zeros(grid.n_modes, dtype=complex),
+                                 grid.to_spectral(0.01 * np.cos(grid.nodes)))
+        config = RunConfig(n_modes=64, dt=1e-3, t_end=0.01, adaptive=adaptive, record_every=1,
+                           stop_on=frozenset({"rt_sign"}))
+        orders = counting_builds(monkeypatch)
+        trajectory = run(initial, config)
+        assert trajectory.termination == "reached_t_end"
+        assert orders.count(2) == trajectory.rhs_calls
+        if adaptive:
+            # the refusal samples the start before any stage, and its record
+            # reads that sample; every later state reads its k5 sample
+            assert orders.count(1) == 1
+        else:
+            # no stage evaluates the rhs at a new fixed-step state: one
+            # sample for its rt_sign check and its record
+            assert orders.count(1) == len(trajectory.records) == 11
+
+    def test_fixed_steps_keep_the_least_chord_arc_of_every_stage(self, monkeypatch):
+        grid = SpectralGrid(64)
+        config = RunConfig(n_modes=64, dt=1e-3, t_end=0.01, record_every=5)
+        minima = []
+        real = integrator.rhs
+
+        def sweeping(state, grid, floor, workspace):
+            tendency = real(state, grid, floor, workspace)
+            minima.append(workspace.chord_arc)
+            return tendency
+
+        monkeypatch.setattr(integrator, "rhs", sweeping)
+        trajectory = run(make_turnover_state(GraphFamilyParams(slope_amplitude=0.98), grid),
+                         config)
+        assert len(minima) == trajectory.rhs_calls == 40
+        least = min(minima, key=lambda minimum: minimum[0])
+        assert (trajectory.min_stage_chord_arc, trajectory.min_stage_chord_arc_pair) == least
+        assert all(trajectory.min_stage_chord_arc <= d.chord_arc for d in trajectory.diagnostics())
+
+    def test_a_chord_arc_stop_keeps_the_failing_stage(self):
+        grid = SpectralGrid(8)
+        initial = InterfaceState(np.zeros(grid.n_modes, dtype=complex),
+                                 grid.to_spectral(0.01 * np.cos(grid.nodes)))
+        config = RunConfig(n_modes=8, dt=1e-3, t_end=0.01, adaptive=True,
+                           chord_arc_floor=0.5, stop_on=frozenset({"chord_arc_floor"}))
+        trajectory = run(initial, config)
+        assert trajectory.termination == "chord_arc_floor"
+        assert trajectory.min_stage_chord_arc == trajectory.chord_arc_ratio
+        assert trajectory.min_stage_chord_arc_pair == trajectory.chord_arc_pair
+
+
 class TestEmbeddedPair:
     def test_fsal_accounting_with_a_forced_rejection(self):
         grid = SpectralGrid(64)
@@ -463,7 +558,9 @@ class TestEmbeddedPair:
                                grid.to_spectral(0.3 * np.sin(grid.nodes)))
         config = RunConfig(n_modes=64, dt=0.05, t_end=0.1, adaptive=True)
         (start,) = integrator._projected((steep,), grid, config)
-        accepted = [ok for _, ok in integrator._attempts(start, grid, config)]
+        # the stream opens with the start, then one record per attempt
+        accepted = [a.accepted for a in itertools.islice(integrator._attempts(start, grid, config),
+                                                          1, None)]
         assert len(steps) == len(accepted) and not all(accepted)
         for i in np.flatnonzero(~np.array(accepted)):
             assert integrator.STEP_FAC_MIN <= steps[i + 1] / steps[i] < 1.0
