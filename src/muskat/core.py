@@ -18,8 +18,12 @@ converge spectrally for analytic interfaces.
 A :class:`KernelWorkspace` holds the node samples, real float64 on the flat
 grid (the curve is real).  Every pairwise quantity is formed by
 :func:`pair_sweep`, one pass of :meth:`SpectralGrid.pair_quadrature` over
-the upper triangle of node pairs in cache-sized row blocks, each checked
-against the chord-arc floor before any integrand is formed.
+the upper triangle of node pairs in cache-sized row blocks, the grid's one
+cached tiling.  No object is built per block: the sweep writes each
+block's pair geometry into the calling thread's buffers by a plain
+function and checks it against the chord-arc floor before any integrand
+is formed, and the integrands form their kernels by explicit calls
+(:func:`flat_kernel`, :func:`pv_terms`).
 
 The flat sweep of the right-hand side takes its pair geometry from
 w = e^{iZ}, Z = z1 + i z2, taken once per node, so it takes no
@@ -55,10 +59,10 @@ takes all six half differences, of Z+, Z- and zeta, from one BLAS product
 of O(N) factor tables (:attr:`KernelWorkspace.half_factors`), exact as
 the exp-map ones are, and a flat block the halves of z1, z2 and the nodes
 from tables of the same kind: no pair difference in the package is formed
-by broadcast.  On construction a lifted block forms only the two
-denominators of K's cotangents and its chord-arc ratio from them; the
-cotangents follow from the same arrays when an integrand reads them, and
-the PV sums weight and reduce them by matrix-vector products.  A lifted
+by broadcast.  A lifted block's geometry is only the two denominators of
+K's cotangents and its chord-arc ratio from them; the cotangents follow
+from the same arrays when an integrand asks for them, and the PV sums
+weight and reduce them by matrix-vector products.  A lifted
 sample writes each wavenumber as a baby step plus a giant step, so its
 phases, read from a cached table of the N-th roots of unity, take
 O(N sqrt K) real exponentials for K live modes, not N K.
@@ -68,11 +72,11 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from typing import Any
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from numpy.typing import NDArray
 
 from .contour_ops import (LiftedContour, _cot, _cot_denominator, _cot_from_denominator,
@@ -242,7 +246,7 @@ class KernelWorkspace:
         return scale * np.cos(self.z1), scale * np.sin(self.z1), np.sqrt(0.5) / scale
 
     @functools.cached_property
-    def exp_factors(self) -> tuple[NDArray, NDArray]:
+    def exp_factors(self) -> tuple[tuple[NDArray, NDArray], tuple[NDArray, NDArray]]:
         """Flat grid: factor tables of the pair geometry, for :meth:`Block.product`.
 
         Four rank-2 entries (:func:`factor_tables`): u_i - u_j and v_i - v_j,
@@ -250,7 +254,9 @@ class KernelWorkspace:
         squares away; c_i c_j, the broadcast outer product bit for bit
         (c > 0) and about 2.5x faster; and 2 (v_i u_j - u_i v_j), K's cross
         product, where a fused multiply-add may round once where the
-        broadcast form rounds twice.  O(N), formed once.
+        broadcast form rounds twice.  Returns the tables of the first three,
+        which :func:`_flat_geometry` forms by one product, and those of the
+        cross product, which :func:`flat_kernel` forms.  O(N), formed once.
         """
         u, v, c = self.exp_map
         # factor_tables' layout, filled in place: its terms difference(u),
@@ -260,7 +266,7 @@ class KernelWorkspace:
                             (right, (1.0, -u, 1.0, -v, c, 0.0, u, v))):
             for row, value in zip(table.reshape(8, -1), rows):
                 row[...] = value
-        return left.transpose(0, 2, 1), right
+        return (left[:3].transpose(0, 2, 1), right[:3]), (left[3].T, right[3])
 
     @functools.cached_property
     def half_factors(self) -> tuple[NDArray, NDArray]:
@@ -313,157 +319,132 @@ def build_workspace(
     return KernelWorkspace(zeta=zeta, jac=jac, der=der)
 
 
-@functools.lru_cache(maxsize=8)
-def _node_distance(n_modes: int) -> NDArray:
-    """Read-only wrapped distance of node pairs and its square, as a (2, N, N) view.
+def _flat_geometry(ws: KernelWorkspace, block: Block) -> NDArray:
+    """The exp-map geometry of a flat block, one (3, *shape) stack in the calling thread's buffers.
 
-    [0, i, j] = ||x_i - x_j|| and [1, i, j] its square, both 1 on the
-    diagonal: a Toeplitz view of an O(N) table by the signed offset j - i,
-    so both are exactly symmetric.
+    q = |w_i - w_j|^2, diagonal 1, so that cosh(dz2) - cos(dz1) = q_ij c_i c_j
+    (:attr:`KernelWorkspace.exp_map`); a scratch array, which
+    :func:`flat_kernel` takes over; and the chord-arc ratio
+    (c_i c_j) q / distance^2, diagonal inf.  Delta u, Delta v and c_i c_j
+    come from one product of :attr:`KernelWorkspace.exp_factors`.
     """
-    offset = np.abs(np.arange(1 - n_modes, n_modes))
-    dist = SpectralGrid(n_modes).dx * np.minimum(offset, n_modes - offset)
-    dist[n_modes - 1] = 1.0
-    return sliding_window_view(np.stack([dist, dist**2]), n_modes, axis=1)[:, ::-1]
+    q, scratch, ratio = stack = block.product(*ws.exp_factors[0], out=block.buffers("geometry", 3))
+    np.square(stack[:2], out=stack[:2])
+    q += scratch
+    ratio *= q
+    block.fill_diagonal(q, 1.0)
+    ratio /= block.distance[1]
+    block.fill_diagonal(ratio, np.inf)
+    return stack
 
 
-def _distance_sq(ws: KernelWorkspace, block: PairBlock, out: NDArray | None = None) -> NDArray:
-    """(||Re(zi - zj)|| + |Im(zi - zj)|)^2 over a block's pairs, diagonal 1.
+def _lifted_geometry(ws: KernelWorkspace, block: Block) -> tuple[NDArray, ...]:
+    """The cotangent geometry of a lifted block: (halves, cotangents, parts, ratio).
 
-    ``ws.zeta`` is the grid, or the grid lifted by i*sign*h; its real parts
-    are the nodes, so their wrapped distance is read from the cached view.
-    On a lifted contour |Im(zi - zj)| is twice the block's half difference,
-    exactly, and the result goes to ``out`` when given.
-    """
-    dist, dist_sq = _node_distance(len(ws.zeta))[:, block.rows, block.cols]
-    if ws.flat:
-        return dist_sq
-    out = np.multiply(np.abs(block.halves[5], out=out), 2.0, out=out)
-    return np.square(np.add(out, dist, out=out), out=out)
-
-
-class PairBlock(Block):
-    """A :class:`~muskat.grid.Block` of :func:`pair_sweep`, with its pair geometry.
-
-    The geometry is formed on construction, once per block, valid until
-    the next block.
-
-    On the flat grid it is the exp-map geometry
-    (:attr:`KernelWorkspace.exp_map`), in the calling thread's block
-    buffers:
-    q: |w_i - w_j|^2, diagonal 1; cosh(dz2) - cos(dz1) = q_ij c_i c_j.
-    ratio: the chord-arc ratio (c_i c_j) q / distance^2.
-
-    On a lifted contour it is the cotangent geometry of Z+- = z1 +- i z2
-    (:func:`muskat.contour_ops.pairwise_cot`), from one product of the
-    factor tables :attr:`KernelWorkspace.half_factors`:
+    From one product of :attr:`KernelWorkspace.half_factors`, the
+    cotangent geometry of Z+- = z1 +- i z2
+    (:func:`muskat.contour_ops.pairwise_cot`):
     halves: the half differences of Re Z+, Re Z-, Im Z+, Im Z-, Re zeta and
-        Im zeta, so a, then b, of Z+ and Z- stack; a becomes T = tan a on
-        construction, and the two cotangents' arrays are formed as one stack.
+        Im zeta, so a, then b, of Z+ and Z- stack; a becomes T = tan a.
+    cotangents: six complex block arrays; the first two are free for
+        :func:`pv_terms`, the rest hold ``parts``.
+    parts: (den, 1 + T^2, sinh b, |sin|) of Z+ and Z-, the two
+        denominators of K's cotangents.
     ratio: 2 |sin(dZ+/2)| |sin(dZ-/2)| / distance^2, that is
         |cosh(dz2) - cos(dz1)| / distance^2, each |sin| read from its
-        cotangent's denominator (:func:`muskat.contour_ops._sin_modulus`).
-    Construction forms only these denominators and the ratio; the
-    cotangents are formed from the same arrays when :attr:`pv_terms` is
-    first read.  Every array lives in the calling thread's block buffers,
-    float arrays two to a complex one.
-
-    distance = ||Re(zeta_i - zeta_j)|| + |Im(zeta_i - zeta_j)|.  Either
-    ratio is exactly symmetric, diagonal inf.  :func:`pair_sweep` takes its
-    minimum before the block's sums run, which may then use the array as
-    scratch.
+        cotangent's denominator (:func:`muskat.contour_ops._sin_modulus`),
+        diagonal inf.
+    Every array lives in the calling thread's block buffers, those of the
+    flat sweep, float arrays two to a complex one.
     """
+    halves = block.buffers("geometry", 3, complex).view(float).reshape(6, *block.shape)
+    cotangents = block.buffers("integrands", 6, complex)
+    parts = cotangents[2:].view(float).reshape(4, 2, *block.shape)
+    block.product(*ws.half_factors, out=halves)
+    tan_a = np.tan(halves[:2], out=halves[:2])
+    _cot_denominator(tan_a, halves[2:4], block, parts)
+    sin_plus, sin_minus = _sin_modulus(*parts[:2], out=parts[3])
+    # |sin| by |sin|: the product of their squares may overflow
+    ratio = np.multiply(sin_minus, sin_plus, out=sin_minus)
+    ratio *= 2.0
+    ratio /= _lifted_distance_sq(block, halves[5], out=sin_plus)
+    block.fill_diagonal(ratio, np.inf)
+    return halves, cotangents, parts, ratio
 
-    def __init__(self, rows: slice, n: int, ws: KernelWorkspace):
-        super().__init__(rows, n)
-        self.ws = ws
-        if ws.flat:
-            # Delta u, Delta v and c_i c_j in one product; Delta v's array
-            # is free once q is formed, and K takes it over
-            stack = self.buffers("geometry", 3)
-            self.q, self._scratch, self.ratio = stack
-            left, right = ws.exp_factors
-            self.product(left[:3], right[:3], out=stack)
-            np.square(stack[:2], out=stack[:2])
-            self.q += self._scratch
-            self.ratio *= self.q
-            self.fill_diagonal(self.q, 1.0)
-            self.ratio /= _distance_sq(ws, self)
-        else:
-            # the flat sweep's buffers, float arrays two to a complex one: the
-            # halves in the geometry's, K, one cotangent and the denominator
-            # parts (den, 1 + T^2, sinh b, |sin|) of Z+ and Z- in the integrands'
-            self.halves = self.buffers("geometry", 3, complex).view(float).reshape(6, *self.shape)
-            self._cotangents = self.buffers("integrands", 6, complex)
-            self._parts = self._cotangents[2:].view(float).reshape(4, 2, *self.shape)
-            self.product(*ws.half_factors, out=self.halves)
-            tan_a = np.tan(self.halves[:2], out=self.halves[:2])
-            _cot_denominator(tan_a, self.halves[2:4], self, self._parts)
-            sin_plus, sin_minus = _sin_modulus(*self._parts[:2], out=self._parts[3])
-            # |sin| by |sin|: the product of their squares may overflow
-            self.ratio = np.multiply(sin_minus, sin_plus, out=sin_minus)
-            self.ratio *= 2.0
-            self.ratio /= _distance_sq(ws, self, out=sin_plus)
-        self.fill_diagonal(self.ratio, np.inf)
 
-    @functools.cached_property
-    def pv_terms(self) -> tuple[NDArray, NDArray]:
-        """The PV integrand's two terms over the block, formed on first use: K and cot(dzeta/2).
+def _lifted_distance_sq(block: Block, b_zeta: NDArray, out: NDArray | None = None) -> NDArray:
+    """(||Re(zi - zj)|| + |Im(zi - zj)|)^2 over a lifted block's pairs, diagonal 1.
 
-        Both are cotangents, zero on the diagonal and exactly odd.  On the
-        flat grid one product of :attr:`KernelWorkspace.half_factors` gives
-        the halves of z1, z2 and the nodes, in the block's buffers; Z- is
-        the conjugate of Z+, so K = Re cot(dZ+/2) = T / den in real
-        arithmetic, the real part of :func:`muskat.contour_ops.pairwise_cot`
-        by the same operations, and the second is ``pairwise_cot`` of the
-        nodes.  A lifted block forms K = (cot(dZ+/2) + cot(dZ-/2)) / 2 from
-        the T, b and denominators formed on construction (b takes cosh b),
-        then cot(dzeta/2) from its halves of zeta in Z+'s arrays.
-        """
-        if self.ws.flat:
-            a, b, a_zeta = self.product(*self.ws.half_factors, out=self.buffers("integrands", 3))
-            kern = np.tan(a, out=a)
-            kern /= _cot_denominator(kern, b, self)[0]
-            return kern, pairwise_cot(a_zeta, None, self)
-        kern, cot = self._cotangents[:2]
-        (tan_a, b), (tan_zeta, b_zeta) = self.halves[:4].reshape(2, 2, *self.shape), self.halves[4:]
-        # cot(dZ+/2) in the cotangent's array and cot(dZ-/2) in K's
-        _cot_from_denominator(tan_a, b, [*self._parts[:3], b], out=self._cotangents[1::-1])
-        kern += cot
-        kern *= 0.5
-        return kern, _cot(np.tan(tan_zeta, out=tan_zeta), b_zeta, self, self._parts[:, 0], out=cot)
+    The real parts of the lifted nodes are the grid nodes, whose wrapped
+    distance is the block's; |Im(zi - zj)| is twice ``b_zeta``, the half
+    difference of Im zeta, exactly.  Into ``out`` when given.
+    """
+    out = np.multiply(np.abs(b_zeta, out=out), 2.0, out=out)
+    return np.square(np.add(out, block.distance[0], out=out), out=out)
 
-    @functools.cached_property
-    def kern(self) -> NDArray:
-        """Flat grid: K(x_i, x_j) over the block in the exp-map form, zero on the diagonal.
 
-        2 (v_i u_j - u_i v_j) / q: the cross product vanishes on the
-        diagonal, where q = 1.  Its BLAS product may round K_ij and K_ji
-        apart by an ulp; the sums take each pair's mirror from the pair, as
-        -K_ij, so they do not rely on the cross product's antisymmetry.
-        """
-        left, right = self.ws.exp_factors
-        kern = self.product(left[3], right[3], out=self._scratch)
-        kern /= self.q
-        return kern
+def flat_kernel(ws: KernelWorkspace, block: Block, geometry: NDArray) -> NDArray:
+    """K(x_i, x_j) over a flat block in the exp-map form, zero on the diagonal.
+
+    2 (v_i u_j - u_i v_j) / q, in the scratch array of the block's
+    ``geometry`` (:func:`pair_sweep`): the cross product vanishes on the
+    diagonal, where q = 1.  Its BLAS product may round K_ij and K_ji apart
+    by an ulp; the sums take each pair's mirror from the pair, as -K_ij,
+    so they do not rely on the cross product's antisymmetry.
+    """
+    kern = block.product(*ws.exp_factors[1], out=geometry[1])
+    kern /= geometry[0]
+    return kern
+
+
+def pv_terms(ws: KernelWorkspace, block: Block, geometry) -> tuple[NDArray, NDArray]:
+    """The PV integrand's two terms over a block: K and cot(dzeta/2).
+
+    Both are cotangents, zero on the diagonal and exactly odd.  On the
+    flat grid one product of :attr:`KernelWorkspace.half_factors` gives
+    the halves of z1, z2 and the nodes, in the block's buffers; Z- is
+    the conjugate of Z+, so K = Re cot(dZ+/2) = T / den in real
+    arithmetic, the real part of :func:`muskat.contour_ops.pairwise_cot`
+    by the same operations, and the second is ``pairwise_cot`` of the
+    nodes.  A lifted block forms K = (cot(dZ+/2) + cot(dZ-/2)) / 2 from
+    the T, b and denominators of its ``geometry`` (:func:`pair_sweep`;
+    b takes cosh b), then cot(dzeta/2) from its halves of zeta in Z+'s
+    arrays.
+    """
+    if ws.flat:
+        a, b, a_zeta = block.product(*ws.half_factors, out=block.buffers("integrands", 3))
+        kern = np.tan(a, out=a)
+        kern /= _cot_denominator(kern, b, block)[0]
+        return kern, pairwise_cot(a_zeta, None, block)
+    halves, cotangents, parts, _ = geometry
+    kern, cot = cotangents[:2]
+    (tan_a, b), (tan_zeta, b_zeta) = halves[:4].reshape(2, 2, *block.shape), halves[4:]
+    # cot(dZ+/2) in the cotangent's array and cot(dZ-/2) in K's
+    _cot_from_denominator(tan_a, b, [*parts[:3], b], out=cotangents[1::-1])
+    kern += cot
+    kern *= 0.5
+    return kern, _cot(np.tan(tan_zeta, out=tan_zeta), b_zeta, block, parts[:, 0], out=cot)
 
 
 def pair_sweep(
     ws: KernelWorkspace,
     grid: SpectralGrid,
-    sums: Callable[[PairBlock], Iterable[tuple[NDArray, NDArray]]] | None = None,
+    sums: Callable[[Block, Any], Sequence[tuple[NDArray, NDArray]]] | None = None,
     floor: float | None = None,
 ) -> tuple[list[NDArray], tuple[float, tuple[int, int]]]:
     """Row quadratures of kernel integrands and the chord-arc constant, in one sweep.
 
-    Each row block of :meth:`SpectralGrid.pair_quadrature` is a
-    :class:`PairBlock` (q once), whose chord-arc minimum
-    |den| / distance^2, den = q_ij c_i c_j, is taken before anything
-    divides by q.  ``sums(block)`` then yields the block's row sums and
-    mirror column sums of each integrand, the same number for every block,
-    which ``pair_quadrature`` adds up.  The block's arrays are reused by
-    the next block and sweep on the same thread, so ``sums`` must not start
-    another sweep.
+    For each block of :meth:`SpectralGrid.pair_quadrature` this writes
+    the pair geometry into the calling thread's buffers: the flat exp-map
+    q and ratio (:func:`_flat_geometry`), or the lifted cotangent
+    denominators and ratio (:func:`_lifted_geometry`), from the
+    workspace's factor tables.  Its chord-arc minimum |den| / distance^2 is
+    taken before anything divides by q.  ``sums(block, geometry)`` then
+    returns the block's row sums and mirror column sums of each
+    integrand, the same number for every block, which ``pair_quadrature``
+    adds up; it forms K through :func:`flat_kernel` or :func:`pv_terms`.
+    The geometry's arrays are reused by the next block and sweep on the
+    same thread, so ``sums`` must not start another sweep.
 
     Args:
         ws: Node samples.
@@ -474,7 +455,9 @@ def pair_sweep(
     Returns:
         The quadratures (none without ``sums``), and the chord-arc constant
         with its node pair (i < j), which is also kept as ``ws.chord_arc``,
-        raise or not: it depends on the geometry alone.
+        raise or not: it depends on the geometry alone.  The constant is
+        the running minimum over the blocks: the first block wins a tie,
+        and the first block whose minimum is NaN wins over every other.
 
     Raises:
         DegenerateGeometryError: chord-arc constant below the floor, with
@@ -482,23 +465,23 @@ def pair_sweep(
             the floor on, no integrand is built; the sweep finishes the
             minimum on the geometry alone.
     """
-    minima, pairs = [], []
-    degenerate = False
+    form = _flat_geometry if ws.flat else _lifted_geometry
+    least, at, degenerate = None, None, False
 
-    def sweep(block: PairBlock):
-        # eager, not a generator: with no integrands nothing would run it
-        nonlocal degenerate
-        k = block.ratio.argmin()
-        minima.append(block.ratio.flat[k])
-        pairs.append(block.pair(k))
-        degenerate = degenerate or (floor is not None and minima[-1] < floor)
-        if sums is None or degenerate:
-            return ()
-        return sums(block)
+    def sweep(block: Block):
+        nonlocal least, at, degenerate
+        geometry = form(ws, block)
+        ratio = geometry[-1]
+        k = ratio.argmin()
+        value = ratio.flat[k]
+        # np.argmin's rules over the block minima: the first wins a tie, and the first NaN
+        if least is None or value < least or (math.isnan(value) and not math.isnan(least)):
+            least, at = value, (block, k)
+        degenerate = degenerate or (floor is not None and value < floor)
+        return () if sums is None or degenerate else sums(block, geometry)
 
-    totals = grid.pair_quadrature(sweep, ws.der.dtype, functools.partial(PairBlock, ws=ws))
-    best = int(np.argmin(minima))
-    chord_arc, pair = float(minima[best]), pairs[best]
+    totals = grid.pair_quadrature(sweep, ws.der.dtype)
+    chord_arc, pair = float(least), at[0].pair(at[1])
     ws.chord_arc = (chord_arc, pair)
     if degenerate:
         raise DegenerateGeometryError(
@@ -555,13 +538,14 @@ def rhs(
     """
     ws = build_workspace(state, grid, None, 2) if workspace is None else workspace
     sums, finish = kernel_difference_sums(ws, grid, 1)
-    (total,), _ = pair_sweep(ws, grid, sums, floor)
+    (total,), _ = pair_sweep(
+        ws, grid, lambda block, geometry: [sums(block, flat_kernel(ws, block, geometry))], floor)
     return grid.to_spectral(finish(total))
 
 
 def kernel_difference_sums(
     ws: KernelWorkspace, grid: SpectralGrid, order: int
-) -> tuple[Callable[[PairBlock], list[tuple[NDArray, NDArray]]],
+) -> tuple[Callable[[Block, NDArray], tuple[NDArray, NDArray]],
            Callable[[NDArray], NDArray]]:
     """Block sums of K(x, u) (d^k z_mu(x) - d^k z_mu(u)), mu = 1, 2, on the flat grid, and their finish.
 
@@ -571,7 +555,9 @@ def kernel_difference_sums(
     a_i (K 1)_i - (K a)_i, linear in K.  So the sweep adds up one (N, 3)
     integrand: K A over each block, and for the mirror -K_ij of each pair
     beyond the diagonal sub-block, -K^T A over the tail, two matrix
-    products per block and no other arithmetic.  ``finish`` turns that
+    products per block and no other arithmetic.  ``sums(block, kern)``
+    takes the block's K (:func:`flat_kernel`), so one K serves several
+    orders, and returns the block's pair.  ``finish`` turns that
     quadrature into the two row quadratures, one (2, N) array, with the
     diagonal limit 2 z1' d^{k+1} z_mu / T, T = (z1')^2 + (z2')^2.
     """
@@ -580,9 +566,8 @@ def kernel_difference_sums(
     negated = -columns
     diagonals = 2.0 * ws.der[1, 0] * ws.der[order + 1] / ws.tangent_sq
 
-    def sums(block: PairBlock) -> list[tuple[NDArray, NDArray]]:
-        kern = block.kern
-        return [(kern @ columns[block.cols], kern[:, block.width:].T @ negated[block.rows])]
+    def sums(block: Block, kern: NDArray) -> tuple[NDArray, NDArray]:
+        return kern @ columns[block.cols], kern[:, block.width:].T @ negated[block.rows]
 
     def finish(total: NDArray) -> NDArray:
         return columns[:, 1:].T * total[:, 0] - total[:, 1:].T + grid.dx * diagonals
@@ -602,7 +587,7 @@ def kernel_pv_integral(
 
     Because the principal value of the bare cotangent over the full contour
     vanishes, the integral of a equals PV int K dw.  K is the cotangent
-    mean in :attr:`PairBlock.pv_terms`, so both terms are cotangents of node
+    mean of :func:`pv_terms`, so both terms are cotangents of node
     differences, :func:`muskat.contour_ops.pairwise_cot`, and their poles
     and rounding cancel.  Both are exactly odd, so the mirror a(w, z) is
     [z1'/T](w) cot((z - w)/2) - K(z, w).  a and its mirror are formed
@@ -619,14 +604,14 @@ def kernel_pv_integral(
     diag = 2.0 * d1z1 * slope_sum / tangent_sq**2 - d2z1 / tangent_sq
     diag = diag * ws.jac
 
-    def sums(block: PairBlock):
+    def sums(block: Block, geometry) -> list[tuple[NDArray, NDArray]]:
         rows, cols = block.rows, block.cols
-        kern, cot = block.pv_terms
+        kern, cot = pv_terms(ws, block, geometry)
         values = kern - ratio[rows, None] * cot
         # the mirror, in the cotangent's array; both vanish on the diagonal
         cot *= ratio[None, cols]
         cot -= kern
-        yield values @ ws.jac[cols] + diag[rows], ws.jac[rows] @ cot[:, block.width:]
+        return [(values @ ws.jac[cols] + diag[rows], ws.jac[rows] @ cot[:, block.width:])]
 
     (total,), _ = pair_sweep(ws, grid, sums, floor)
     return total

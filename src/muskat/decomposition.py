@@ -22,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .core import DEFAULT_CHORD_ARC_FLOOR, InterfaceState, PairBlock, build_workspace
+from .core import DEFAULT_CHORD_ARC_FLOOR, InterfaceState, build_workspace, flat_kernel
 from .core import kernel_difference_sums, pair_sweep
-from .grid import SpectralGrid, difference, factor_tables
+from .grid import Block, SpectralGrid, difference, factor_tables
 
 #: Leibniz coefficients of the six safe terms, in expansion order.
 SAFE_COEFFICIENTS = (4.0, -4.0, -4.0, 1.0, -1.0, -1.0)
@@ -101,9 +101,9 @@ def rhs_d4_decomposition(
     left, right = factor_tables(*(difference(x) for x in (*der[1], -np.exp(-2.0 * ws.z2))),
                                 ([2.0 * u, 2.0 * v], [u, v]))
 
-    def integrands(block: PairBlock):
-        yield from dangerous_sums(block)
-        yield from rhs_sums(block)
+    def integrands(block: Block, geometry: NDArray) -> list[tuple[NDArray, NDArray]]:
+        kern = flat_kernel(ws, block, geometry)
+        sums = [dangerous_sums(block, kern), rhs_sums(block, kern)]
         # rational in w = u + iv, with q = |w_i - w_j|^2: cos(dz1)/den is
         # 2 (u_i u_j + v_i v_j)/q and sinh(dz2)/den is (|w_j|^2 - |w_i|^2)/q.
         # The stack takes (d dz1, d dz2, sinh fragment, cos fragment) and
@@ -111,15 +111,15 @@ def rhs_d4_decomposition(
         # the order of ``KERNELS``
         stack = block.buffers("integrands", 6)
         block.product(left, right, out=stack[2:])
-        stack[4:] /= block.q
-        stack[4] *= block.kern
+        stack[4:] /= geometry[0]
+        stack[4] *= kern
         np.multiply(stack[2], stack[5:3:-1], out=stack[:2])
         stack[4:] *= stack[3]
         # the kernel sums are taken, so K^2 may overwrite K
-        stack[2:4] *= np.square(block.kern, out=block.kern)
+        stack[2:4] *= np.square(kern, out=kern)
         pairs = stack.reshape(-1, block.shape[1]) @ columns[block.cols]
-        mirrors = negated[block.rows].T @ stack[:, :, block.width:]
-        yield pairs.reshape(6, block.width, 3).transpose(1, 0, 2), mirrors.transpose(2, 0, 1)
+        mirrors = (negated[block.rows].T @ stack[:, :, block.width:]).transpose(2, 0, 1)
+        return [*sums, (pairs.reshape(6, block.width, 3).transpose(1, 0, 2), mirrors)]
 
     sums, _ = pair_sweep(ws, grid, integrands, floor)
     dangerous = ComponentPair(*dangerous_finish(sums[0]))

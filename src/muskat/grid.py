@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import functools
 import threading
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.typing import NDArray
 
 from .errors import InvalidCutoffError, SizeMismatchError, UndefinedRadiusError
@@ -150,41 +151,30 @@ class SpectralGrid:
         return values.sum() * self.dx
 
     def pair_quadrature(
-        self,
-        sums: Callable[[Block], Iterable[tuple[NDArray, NDArray]]],
-        dtype,
-        block: Callable[[slice, int], Block] | None = None,
+        self, sums: Callable[[Block], Sequence[tuple[NDArray, NDArray]]], dtype
     ) -> list[NDArray]:
         """Trapezoid rule along the rows of pairwise integrands, in one triangle sweep.
 
         The pairs are tiled in blocks of at most ``_BLOCK_BYTES`` per
-        ``dtype`` array, each described by one :class:`Block`, or by
-        ``block(rows, N)`` for a caller that carries more per block.  For
-        each integrand, ``sums(block)`` yields one pair, its row sums over
-        the block and its mirror's column sums over the block's tail, which
-        this adds up.
+        ``dtype`` array, each described by one :class:`Block` of the cached
+        :func:`tiling`.  For each integrand, ``sums(block)`` returns one
+        pair, its row sums over the block and its mirror's column sums over
+        the block's tail, which this adds up.
 
         An integrand's pair may carry trailing axes, (width, ...) and
         (N - r1, ...), for several quadratures summed at once.  The first
-        block that yields anything sets the number of integrands;
-        a later block that yields a different number raises ValueError, and
-        one that yields nothing (a sweep stopped by its caller) is skipped.
+        block that returns anything sets the number of integrands;
+        a later block that returns a different number raises ValueError, and
+        one that returns nothing (a sweep stopped by its caller) is skipped.
         """
-        n = self.n_modes
-        block = block or Block
         totals: list[NDArray] = []
-        per_block = _BLOCK_BYTES // np.dtype(dtype).itemsize
-        r0 = 0
-        while r0 < n:
-            current = block(slice(r0, min(n, r0 + max(1, per_block // (n - r0)))), n)
-            pairs = list(sums(current))
+        for block in tiling(self.n_modes, np.dtype(dtype).itemsize):
+            pairs = sums(block)
             if pairs:
-                totals = totals or [np.zeros((n, *by_row.shape[1:]), dtype)
-                                    for by_row, _ in pairs]
+                totals = totals or [np.zeros((self.n_modes, *p.shape[1:]), dtype) for p, _ in pairs]
                 for total, (by_row, by_column) in zip(totals, pairs, strict=True):
-                    total[current.rows] += by_row
-                    total[current.tail] += by_column
-            r0 = current.rows.stop
+                    total[block.rows] += by_row
+                    total[block.tail] += by_column
         return [total * self.dx for total in totals]
 
     def norm_l2(self, values: NDArray) -> float:
@@ -229,22 +219,14 @@ class SpectralGrid:
         return float(max(sol[2], 0.0))
 
 
-class _BlockBuffers(threading.local):
-    """The calling thread's block arrays, kept from one sweep to the next.
-
-    Each is raw memory, allocated once at the full block budget per array
-    of its largest request, and every block of every sweep reuses it.
-    Block arrays allocated afresh and freed with each sweep left a heap top
-    that glibc returned to the system and faulted back in on the next call,
-    about 110 minor page faults per ``rhs`` at N=128.  The contents never
-    outlive a block, so sweeps must not nest.
-    """
-
-    def __init__(self):
-        self.arrays: dict = {}
-
-
-_BUFFERS = _BlockBuffers()
+#: The calling thread's block arrays by name (its ``vars``), kept from one
+#: sweep to the next.  Each is raw memory, allocated once at the full block
+#: budget per array of its largest request, and every block of every sweep
+#: reuses it.  Block arrays allocated afresh and freed with each sweep left
+#: a heap top that glibc returned to the system and faulted back in on the
+#: next call, about 110 minor page faults per ``rhs`` at N=128.  The
+#: contents never outlive a block, so sweeps must not nest.
+_BUFFERS = threading.local()
 
 
 class Block:
@@ -258,18 +240,27 @@ class Block:
     through F's row sums only, and a pair i < j beyond it enters row i
     through F and row j through M, as M's column sums over the tail.
 
-    The layout is set once, as plain attributes: ``rows`` (r0:r1), ``cols``
-    (r0:), ``tail`` (r1:), ``width`` and ``shape``.  A consumer forms its
-    pairwise arrays and reductions through the methods, and takes scratch
-    arrays from :meth:`buffers`.
+    The layout is set once and is immutable, so one :func:`tiling` serves
+    every sweep and thread: ``rows`` (r0:r1), ``cols`` (r0:), ``tail``
+    (r1:), ``width``, ``shape``, ``stride`` (the flat step between
+    diagonal pairs) and ``distance``, the wrapped node distance
+    ||x_i - x_j|| and its square over the block, both 1 on the diagonal,
+    as one read-only (2, *shape) view of an O(N) table.  A consumer forms
+    its pairwise arrays and reductions through the methods, and takes
+    scratch arrays from :meth:`buffers`.
     """
 
+    __slots__ = ("rows", "cols", "tail", "width", "shape", "stride", "distance")
+
     def __init__(self, rows: slice, n: int):
-        self.rows = rows
-        self.cols = slice(rows.start, None)
-        self.tail = slice(rows.stop, None)
-        self.width = rows.stop - rows.start
-        self.shape = (self.width, n - rows.start)
+        r0, r1 = rows.start, rows.stop
+        layout = (rows, slice(r0, None), slice(r1, None), r1 - r0, (r1 - r0, n - r0), n - r0 + 1,
+                  _node_distance(n)[:, rows, r0:])
+        for name, value in zip(self.__slots__, layout, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a Block is immutable: cannot set {name!r}")
 
     def product(self, left: NDArray, right: NDArray, out: NDArray | None = None) -> NDArray:
         """sum_m left[i, m] right[m, j] over the block: one BLAS product of factor tables.
@@ -284,7 +275,7 @@ class Block:
     def fill_diagonal(self, values: NDArray, diag) -> None:
         """Overwrite the pairs (k, k) of a block array with ``diag``."""
         # the stride shape[1] + 1 meets exactly ``width`` entries, as shape[1] >= width
-        values.flat[::self.shape[1] + 1] = diag
+        values.flat[::self.stride] = diag
 
     def sums(self, values: NDArray, mirror: NDArray, diag) -> tuple[NDArray, NDArray]:
         """The block's pair for an elementwise integrand F with mirror M.
@@ -311,10 +302,41 @@ class Block:
         one name shares it: sweeps that never run together, such as the
         flat and the lifted one, take the same bytes.
         """
-        array = _BUFFERS.arrays.get(name)
+        array = vars(_BUFFERS).get(name)
         if array is None or len(array) < count * _BLOCK_BYTES:
-            array = _BUFFERS.arrays[name] = np.empty(count * _BLOCK_BYTES, np.uint8)
-        return array.view(dtype)[:count * self.shape[0] * self.shape[1]].reshape(count, *self.shape)
+            array = vars(_BUFFERS)[name] = np.empty(count * _BLOCK_BYTES, np.uint8)
+        return np.ndarray((count, *self.shape), dtype, array)
+
+
+@functools.lru_cache(maxsize=16)
+def tiling(n_modes: int, itemsize: int) -> tuple[Block, ...]:
+    """The blocks of :meth:`SpectralGrid.pair_quadrature` for N nodes and arrays of ``itemsize`` bytes.
+
+    Row blocks r0:r1 of the upper triangle, in order, each at most
+    ``_BLOCK_BYTES`` per array: r1 - r0 = max(1, per_block // (N - r0))
+    rows for per_block = ``_BLOCK_BYTES`` // itemsize pairs, the last
+    block ending at N.  Computed once per (N, itemsize) and shared.
+    """
+    per_block, starts = _BLOCK_BYTES // itemsize, [0]
+    while starts[-1] < n_modes:
+        starts.append(min(n_modes, starts[-1] + max(1, per_block // (n_modes - starts[-1]))))
+    return tuple(Block(slice(r0, r1), n_modes) for r0, r1 in zip(starts, starts[1:]))
+
+
+@functools.cache
+def _node_distance(n_modes: int) -> NDArray:
+    """Read-only wrapped distance of node pairs and its square, as a (2, N, N) view.
+
+    [0, i, j] = ||x_i - x_j|| and [1, i, j] its square, both 1 on the
+    diagonal: a Toeplitz view of an O(N) table by the signed offset j - i,
+    so both are exactly symmetric.  Kept for good, one O(N) table per N,
+    so that every :func:`tiling` of N, however often the bounded tiling
+    cache rebuilds it, views the one table.
+    """
+    offset = np.abs(np.arange(1 - n_modes, n_modes))
+    dist = (2.0 * np.pi / n_modes) * np.minimum(offset, n_modes - offset)
+    dist[n_modes - 1] = 1.0
+    return sliding_window_view(np.stack([dist, dist**2]), n_modes, axis=1)[:, ::-1]
 
 
 def factor_tables(*terms: tuple[list[NDArray], list[NDArray]]) -> tuple[NDArray, NDArray]:

@@ -155,12 +155,17 @@ class Trajectory:
 
     records: list[tuple[float, InterfaceState, DiagnosticsRecord]] = field(default_factory=list)
     termination: str = "unterminated"
-    #: node pair and ratio of the chord-arc stop, None on other terminations
+    #: node pair and ratio of the chord-arc stop, None on other terminations,
+    #: and the contour whose sweep met the floor: "interface" for an rhs
+    #: stage's, "monitor" for the generalized Rayleigh-Taylor monitor's
+    #: lifted contour in a stop check
     chord_arc_pair: tuple[int, int] | None = None
     chord_arc_ratio: float | None = None
+    chord_arc_contour: str | None = None
     #: rhs evaluations the attempts asked for (an adaptive run's first stage,
-    #: then 4 per attempt, one cut short by a geometry stop included) and
-    #: adaptive attempts rejected by the error control
+    #: then 4 per attempt, one cut short by a stage's geometry stop included;
+    #: a stop check's monitor counts none) and adaptive attempts rejected by
+    #: the error control
     rhs_calls: int = 0
     rejected_steps: int = 0
     #: the least chord-arc constant that any stage's sweep met, rejected
@@ -419,10 +424,12 @@ def _advance(initials, grid: SpectralGrid, config: RunConfig, record, outcome: T
     state is sampled at most once.  The run ends at t_end
     ("reached_t_end"), when a state meets a stop condition, or on a
     DegenerateGeometryError, which ends it as "chord_arc_floor" if that
-    stop is requested and propagates otherwise.  The only writer of
-    ``outcome``'s ending, counts and stage minimum: per state, an adaptive
-    run's first stage is 1 rhs call and each attempt 4, the attempt cut
-    short by a geometry stop included, so a run that reaches t_end has
+    stop is requested and propagates otherwise; a stage's sweep raises it
+    on the interface, a stop check's generalized monitor on its lifted
+    contour.  The only writer of ``outcome``'s ending, counts and stage
+    minimum: per state, an adaptive run's first stage is 1 rhs call and
+    each attempt 4, the attempt cut short by a stage's geometry stop
+    included, so a run that reaches t_end has
     rhs_calls = (1 if adaptive) + 4 (accepted + rejected) per state.
     """
     last = tuple(_Step(s) for s in _projected(initials, grid, config))
@@ -438,7 +445,8 @@ def _advance(initials, grid: SpectralGrid, config: RunConfig, record, outcome: T
             outcome.min_stage_chord_arc, outcome.min_stage_chord_arc_pair = minimum
 
     def noted(attempts):
-        # the stage minima of every record, and of a stage that fails the floor
+        # the stage minima of every record, and of a stage that fails the
+        # floor, whose attempt is cut short on the interface
         while True:
             try:
                 steps = next(attempts)
@@ -446,6 +454,8 @@ def _advance(initials, grid: SpectralGrid, config: RunConfig, record, outcome: T
                 return
             except DegenerateGeometryError as exc:
                 note((exc.ratio, exc.pair))
+                outcome.rhs_calls += 4 * count
+                outcome.chord_arc_contour = "interface"
                 raise
             for s in steps:
                 note(s.minimum)
@@ -474,9 +484,10 @@ def _advance(initials, grid: SpectralGrid, config: RunConfig, record, outcome: T
     except DegenerateGeometryError as exc:
         if "chord_arc_floor" not in config.stop_on:
             raise
-        outcome.rhs_calls += 4 * count  # the attempt cut short
         reason = "chord_arc_floor"
         outcome.chord_arc_pair, outcome.chord_arc_ratio = exc.pair, exc.ratio
+        # set only when a stage met the floor; otherwise a stop check's generalized monitor did
+        outcome.chord_arc_contour = outcome.chord_arc_contour or "monitor"
     if not recorded:
         record(last)
     outcome.termination = reason or "reached_t_end"

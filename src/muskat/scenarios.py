@@ -89,7 +89,8 @@ def _ending(outcome: Trajectory, records: int) -> dict:
     stop = {}
     if outcome.chord_arc_pair is not None:
         stop = {"chord_arc_pair": list(outcome.chord_arc_pair),
-                "chord_arc_ratio": outcome.chord_arc_ratio}
+                "chord_arc_ratio": outcome.chord_arc_ratio,
+                "chord_arc_contour": outcome.chord_arc_contour}
     pair = outcome.min_stage_chord_arc_pair
     return {"termination": outcome.termination, "records": records,
             "rhs_calls": outcome.rhs_calls, "rejected_steps": outcome.rejected_steps,

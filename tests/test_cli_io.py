@@ -479,6 +479,35 @@ class TestScenarios:
         assert i != j and 0 <= min(i, j) and max(i, j) < 128
         assert 0.0 <= report["chord_arc_ratio"] < 0.5
 
+    def test_floor_met_by_the_generalized_monitor_counts_no_cut_short_attempt(self, tmp_path):
+        # the mid-run rt_sign graph with a chord-arc floor of 0.02: twenty
+        # fixed steps (80 rhs calls) are accepted, then the stop check's
+        # generalized monitor meets the floor on its lifted contour, while
+        # every rhs stage of the interface stays above it
+        cfg = load_config_text(
+            "[run]\nscenario = turnover\nn_modes = 32\ndt = 1e-5\nt_end = 0.004\n"
+            "rt_convention = generalized\nstop_on = rt_sign, chord_arc_floor\n"
+            "chord_arc_floor = 0.02\n[schedule]\na = 2.0\ntau = 0.0138\n[family]\n"
+            "slope_amplitude = 0.06\nsteepening_rate = 0.43\nvertical_amplitudes = 0.29, 0.22\n"
+        )
+        assert run_scenario(cfg, str(tmp_path)) == 3
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["termination"] == "chord_arc_floor"
+        assert (report["rhs_calls"], report["chord_arc_contour"]) == (80, "monitor")
+        assert report["chord_arc_ratio"] < 0.02 < report["min_stage_chord_arc"]
+
+    def test_floor_met_by_a_stage_names_the_interface(self, tmp_path):
+        # the flat-torus constant 2/pi^2 is below the floor at the first
+        # stage, so the one fixed attempt is cut short and counts 4 calls
+        cfg = load_config_text(
+            "[run]\nscenario = linear_decay\nn_modes = 8\nt_end = 0.01\n"
+            "stop_on = chord_arc_floor\nchord_arc_floor = 0.5\n"
+        )
+        assert run_scenario(cfg, str(tmp_path)) == 3
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert (report["rhs_calls"], report["chord_arc_contour"]) == (4, "interface")
+        assert report["chord_arc_ratio"] == report["min_stage_chord_arc"]
+
     def test_byte_identical_reruns_across_blas_thread_counts(self, tmp_path):
         config = tmp_path / "pair.ini"
         config.write_text("[run]\nscenario = perturbed_pair\nn_modes = 64\nt_end = 0.01\n")

@@ -25,16 +25,17 @@ from muskat import (
 )
 from muskat.core import (
     DEFAULT_CHORD_ARC_FLOOR,
-    PairBlock,
-    _distance_sq,
-    _node_distance,
+    KernelWorkspace,
+    _lifted_distance_sq,
     _roots_of_unity,
     build_workspace,
     chord_arc_of,
     pair_sweep,
+    pv_terms,
 )
 from muskat.contour_ops import _cot_denominator, _sin_modulus, pairwise_cot
 from muskat.errors import DegenerateGeometryError, SizeMismatchError
+from muskat.grid import _BUFFERS, _node_distance, tiling
 from muskat.initial_data import GraphFamilyParams, make_turnover_state
 
 from conftest import gentle_state, pool_like, run_with_blas_threads, strip_state
@@ -261,13 +262,15 @@ class TestKernelWorkspace:
         ws = build_workspace(gentle_state(grid), grid, contour, max_order=1)
         blocks = []
 
-        def check(block):
+        def check(block, geometry):
             i = np.arange(block.rows.start, block.rows.stop)[:, None]
             j = np.arange(block.rows.start, n)[None, :]
             offset = np.abs(i - j)
             want = (grid.dx * np.minimum(offset, n - offset) + np.abs(heights[i] - heights[j])) ** 2
             want[i == j] = 1.0
-            assert np.array_equal(_distance_sq(ws, block), want)
+            # the lifted form from the geometry's half differences of Im zeta
+            got = _lifted_distance_sq(block, geometry[0][5]) if lifted else block.distance[1]
+            assert np.array_equal(got, want)
             blocks.append(block.rows)
             return ()
 
@@ -281,8 +284,8 @@ class TestKernelWorkspace:
         ws = build_workspace(InterfaceState.flat(grid), grid, contour, max_order=1)
         covered = np.zeros((grid.n_modes, grid.n_modes), dtype=int)
 
-        def record(block):
-            assert (block.pv_terms[0] if lifted else block.q).nbytes <= 64 * 1024
+        def record(block, geometry):
+            assert (pv_terms(ws, block, geometry)[0] if lifted else geometry[0]).nbytes <= 64 * 1024
             covered[block.rows, block.cols] += 1
             return ()
 
@@ -298,13 +301,13 @@ class TestKernelWorkspace:
         ws = build_workspace(gentle_state(grid), grid, contour, max_order=1)
         blocks = []
 
-        def check(block):
+        def check(block, geometry):
             rows, cols = block.rows, block.cols
             dz1 = ws.z1[rows, None] - ws.z1[None, cols]
             dz2 = ws.z2[rows, None] - ws.z2[None, cols]
             direct = np.abs(np.cosh(dz2) - np.cos(dz1))
             # the ratio is 2 |sin(dZ+/2)| |sin(dZ-/2)| / distance^2
-            den = block.ratio * _distance_sq(ws, block)
+            den = geometry[-1] * _lifted_distance_sq(block, geometry[0][5])
             off = ~np.eye(*direct.shape, dtype=bool)
             assert (np.abs(den - direct)[off] <= 1e-12 * direct[off]).all()
             blocks.append(block.rows)
@@ -353,7 +356,11 @@ class TestKernelWorkspace:
         contour = (LiftedContour.from_height(grid, 0.15 + 0.03 * np.cos(grid.nodes))
                    if lifted else None)
         ws = build_workspace(gentle_state(grid), grid, contour, 1)
-        full = PairBlock(slice(0, 64), 64, ws).pv_terms[0]
+        # at N = 64 the sweep is one block, the whole square
+        kernels = []
+        pair_sweep(ws, grid, lambda block, geometry:
+                   kernels.append(pv_terms(ws, block, geometry)[0].copy()) or ())
+        (full,) = kernels
         assert np.array_equal(full, -full.T)
 
     @pytest.mark.parametrize("n_modes", [64, 128, 256, 512, 1024])
@@ -365,10 +372,10 @@ class TestKernelWorkspace:
         ws = build_workspace(gentle_state(grid), grid, None, 1)
         blocks = []
 
-        def check(block):
+        def check(block, geometry):
             a, b = ((x[block.rows, None] - x[None, block.cols]) * 0.5 for x in (ws.z1, ws.z2))
             want = pairwise_cot(a, b, block).real
-            assert block.pv_terms[0].tobytes() == want.tobytes()
+            assert pv_terms(ws, block, geometry)[0].tobytes() == want.tobytes()
             blocks.append(block.rows)
             return ()
 
@@ -483,6 +490,8 @@ class TestPairQuadratureMemory:
         # the pool-like state's first random draw imports numpy.random
         # (0.7 MiB of module objects), which is not the call's memory
         pool_like(grid, 0)
+        # the tilings hold views of the distance table: both are paid for
+        tiling.cache_clear()
         _node_distance.cache_clear()
         assert _traced_peak(lambda: evaluate(grid)) < 2 * 2**20
 
@@ -681,8 +690,8 @@ class TestChordArc:
         state, contour = pool_like(grid, 0)
         ratios = []
 
-        def record(block):
-            ratios.append(block.ratio.copy())
+        def record(block, geometry):
+            ratios.append(geometry[-1].copy())
             return ()
 
         pair_sweep(build_workspace(state, grid, contour, 1), grid, record)
@@ -700,9 +709,9 @@ class TestChordArc:
         ws = build_workspace(state, grid, None, 1)
         minima = []
 
-        def check(block):
+        def check(block, geometry):
             q, ratio = broadcast_geometry(ws, block.rows)
-            assert np.array_equal(block.q, q) and np.array_equal(block.ratio, ratio)
+            assert np.array_equal(geometry[0], q) and np.array_equal(geometry[-1], ratio)
             k = np.argmin(ratio)
             minima.append((ratio.flat[k], block.pair(k)))
             return ()
@@ -727,7 +736,7 @@ class TestChordArc:
             parts = (plus.real, minus.real, plus.imag, minus.imag, ws.zeta.real, ws.zeta.imag)
             minima = []
 
-            def check(block):
+            def check(block, geometry):
                 halves = [(x[block.rows, None] - x[None, block.cols]) * 0.5 for x in parts]
                 for got, want in zip(block.product(*ws.half_factors), halves):
                     nonzero = want != 0.0
@@ -740,7 +749,7 @@ class TestChordArc:
                 dist = _node_distance(n_modes)[0, block.rows, block.cols]
                 ratio = sins[1] * (2.0 * sins[0]) / (dist + np.abs(2.0 * halves[5])) ** 2
                 block.fill_diagonal(ratio, np.inf)
-                assert block.ratio.tobytes() == ratio.tobytes()
+                assert geometry[-1].tobytes() == ratio.tobytes()
                 k = np.argmin(ratio)
                 minima.append((ratio.flat[k], block.pair(k)))
                 return ()
@@ -753,6 +762,77 @@ class TestChordArc:
         grids = [SpectralGrid(n) for n in (64, 128, 64)]
         values = [chord_arc_constant(gentle_state(g), g) for g in grids]
         assert values[2] == values[0]
+
+
+def _block_minima(ws: KernelWorkspace, grid: SpectralGrid):
+    """The sweep's chord-arc constant and pair, and each block's (minimum, pair) by np.argmin."""
+    minima = []
+
+    def record(block, geometry):
+        k = np.argmin(geometry[-1])
+        minima.append((geometry[-1].flat[k], block.pair(k)))
+        return ()
+
+    _, found = pair_sweep(ws, grid, record)
+    return found, minima
+
+
+class TestSharedTiling:
+    @pytest.mark.parametrize("n_modes", [128, 512])
+    def test_flat_lifted_flat_sweeps_on_one_thread_match_fresh_sweeps_bitwise(self, n_modes):
+        # every sweep of a thread writes its geometry into the same buffers,
+        # the flat sweep's float arrays and the lifted one's complex ones;
+        # what a sweep left there must not reach the next sweep's results
+        grid = SpectralGrid(n_modes)
+        turnover = make_turnover_state(GraphFamilyParams(), grid)
+        pool, upper = pool_like(grid, 0)
+        calls = [
+            lambda: rhs(turnover, grid),
+            lambda: a_tilde(pool, grid, upper),
+            lambda: a_tilde(turnover, grid),
+            lambda: rhs_d4_decomposition(turnover, grid).easy.d1,
+            lambda: chord_arc_constant(pool, grid, upper.with_sign(-1)),
+            lambda: str(pair_sweep(build_workspace(turnover, grid, None, 1), grid)[1]),
+        ]
+        fresh = []
+        for call in calls:
+            vars(_BUFFERS).clear()
+            tiling.cache_clear()
+            fresh.append(np.asarray(call()).tobytes())
+        for _ in range(2):
+            for call, want in zip(calls, fresh):
+                assert np.asarray(call()).tobytes() == want
+
+    @pytest.mark.parametrize("lifted", [False, True], ids=["flat", "lifted"])
+    def test_chord_arc_minimum_keeps_the_first_pair_on_a_tie_bitwise(self, lifted):
+        # the flat interface's ratio depends on |i - j| alone; on a constant
+        # contour every block meets the same least value, at distance pi, and
+        # the first block's first pair is the constant's, as np.argmin over
+        # the block minima picks it
+        grid = SpectralGrid(1024)
+        contour = LiftedContour.from_height(grid, np.full(1024, 0.1)) if lifted else None
+        (value, pair), minima = _block_minima(
+            build_workspace(InterfaceState.flat(grid), grid, contour, 1), grid)
+        values = [minimum for minimum, _ in minima]
+        assert (value, pair) == minima[int(np.argmin(values))]
+        if lifted:
+            assert values.count(value) > 1 and pair == (0, 512)
+
+    @pytest.mark.parametrize("lifted", [False, True], ids=["flat", "lifted"])
+    @pytest.mark.parametrize("n_modes", [64, 1024])
+    def test_nan_geometry_gives_the_first_nan_pair_bitwise(self, n_modes, lifted):
+        # np.argmin takes NaN as the least value: the first block whose
+        # minimum is NaN wins over every finite one, and within it its first
+        # NaN pair, row 0 against the first NaN node
+        grid = SpectralGrid(n_modes)
+        contour = (LiftedContour.from_height(grid, 0.15 + 0.03 * np.cos(grid.nodes))
+                   if lifted else None)
+        ws = build_workspace(gentle_state(grid), grid, contour, 1)
+        ws.der[0, 1, [n_modes // 2 + 3, n_modes - 2]] = np.nan
+        with np.errstate(invalid="ignore", over="ignore"):
+            (value, pair), minima = _block_minima(ws, grid)
+        assert np.isnan(value) and pair == (0, n_modes // 2 + 3)
+        assert pair == minima[int(np.argmin([minimum for minimum, _ in minima]))][1]
 
 
 def decay_like(grid: SpectralGrid, seed: int) -> InterfaceState:

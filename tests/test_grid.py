@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from muskat import SpectralGrid
-from muskat.grid import Block, difference, factor_tables
+from muskat.grid import _BLOCK_BYTES, Block, _node_distance, difference, factor_tables, tiling
 from muskat.errors import InvalidCutoffError, SizeMismatchError, UndefinedRadiusError
 
 from oracles import is_conjugate_symmetric
@@ -260,6 +260,59 @@ class TestPairQuadrature:
         sums = self.ones_sums(grid, lambda block: 2 if block.rows.start == 0 else 1)
         with pytest.raises(ValueError):
             grid.pair_quadrature(sums, float)
+
+
+def row_loop_layout(n: int, itemsize: int) -> list[tuple[int, int]]:
+    """The row blocks (r0, r1) of the triangle sweep, as a loop over r0 forms them."""
+    per_block = 64 * 1024 // itemsize
+    layout, r0 = [], 0
+    while r0 < n:
+        r1 = min(n, r0 + max(1, per_block // (n - r0)))
+        layout.append((r0, r1))
+        r0 = r1
+    return layout
+
+
+class TestTiling:
+    @pytest.mark.parametrize("itemsize", [8, 16], ids=["float", "complex"])
+    def test_tiling_is_the_row_loop_layout_bitwise(self, itemsize):
+        # the cached blocks are the loop's, in its order, within the 64 KiB
+        # budget per array; each distance is a read-only view of the O(N) table
+        assert _BLOCK_BYTES == 64 * 1024
+        for n in (4, 8, 16, 32, 64, 128, 256, 512, 1024):
+            blocks = tiling(n, itemsize)
+            assert [(b.rows.start, b.rows.stop) for b in blocks] == row_loop_layout(n, itemsize)
+            table = _node_distance(n)
+            for b in blocks:
+                r0, r1 = b.rows.start, b.rows.stop
+                assert (b.cols, b.tail) == (slice(r0, None), slice(r1, None))
+                assert (b.width, b.shape, b.stride) == (r1 - r0, (r1 - r0, n - r0), n - r0 + 1)
+                assert b.width * (n - r0) * itemsize <= _BLOCK_BYTES
+                assert b.distance.tobytes() == table[:, b.rows, b.cols].tobytes()
+                assert np.shares_memory(b.distance, table) and not b.distance.flags.writeable
+
+    @pytest.mark.parametrize("itemsize", [8, 16], ids=["float", "complex"])
+    @pytest.mark.parametrize("n", [4, 64, 128, 1024])
+    def test_tiling_covers_every_pair_once(self, n, itemsize):
+        # a diagonal sub-block holds its rows' pairs in both orders and the
+        # diagonal; every other pair i < j lies in one block's tail, and its
+        # mirror j > i enters through that block's column sums
+        diagonal, beyond = np.zeros((2, n, n), dtype=int)
+        for b in tiling(n, itemsize):
+            diagonal[b.rows, b.rows] += 1
+            beyond[b.rows, b.tail] += 1
+        assert not np.tril(beyond).any()
+        assert (diagonal + beyond + beyond.T == 1).all()
+
+    def test_tiling_is_cached_shared_and_immutable(self):
+        grid = SpectralGrid(128)
+        blocks = tiling(128, 8)
+        assert tiling(128, 8) is blocks and tiling(128, 16) is not blocks
+        seen = []
+        grid.pair_quadrature(lambda block: seen.append(block) or (), float)
+        assert len(seen) == len(blocks) and all(a is b for a, b in zip(seen, blocks))
+        with pytest.raises(AttributeError):
+            blocks[0].width = 1
 
 
 class TestBlock:
