@@ -23,9 +23,10 @@ One driver, ``_advance``, steps a single state (``run``) and a perturbed
 pair (``two_solution_monitor``) alike: it projects the initial states,
 refuses one that violates a requested rt_sign stop, draws the start and
 every attempted step from ``_attempts``, counts the rhs calls and rejected
-attempts, keeps the least chord-arc constant over every stage, checks the
-stop conditions on every accepted state, keeps the record cadence and
-writes the termination.  The callers only say what a record is.  Each
+attempts, keeps the least chord-arc constant over every stage (each
+stage's field notes it to the driver as the stage ends), checks the stop
+conditions on every accepted state, keeps the record cadence and writes
+the termination.  The callers only say what a record is.  Each
 state is sampled at most once: records and the sigma rt_sign check read
 the workspace of the stage that evaluated the rhs at that state (an
 adaptive run's k1 at the start and its k5 after each accepted step), and
@@ -35,7 +36,7 @@ sample a state no stage met (fixed steps) once, on demand.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -208,19 +209,21 @@ def step(
     cutoff: int,
     floor: float = DEFAULT_CHORD_ARC_FLOOR,
     density_jump_over_2pi: float = 1.0,
-    minima: list[_Minimum] | None = None,
 ) -> InterfaceState:
     """One classical RK4 step of the Galerkin ODE (dt may be negative).
 
     Stages are projected to the cutoff; the result is projected and made
-    conjugate-symmetric, so real band-limited states stay exactly so.
-    ``minima``, when given, collects the chord-arc constant and node pair
-    that each of the four stages' sweeps met.
+    conjugate-symmetric, so real band-limited states stay exactly so.  A
+    fixed-step run takes the same step through its own field.
     """
-    f = _GalerkinField(grid, cutoff, floor, density_jump_over_2pi,
-                       [] if minima is None else minima)
+    f = _GalerkinField(grid, cutoff, floor, density_jump_over_2pi, lambda minimum: None)
+    return _rk4_step(f, state, dt, state.time + dt)
+
+
+def _rk4_step(f: _GalerkinField, state: InterfaceState, dt: float, time: float) -> InterfaceState:
+    """One classical RK4 step of the field f from ``state``, landing at ``time``."""
     u_next, _ = _lawson_rk4(state.coeffs, f(state.coeffs), dt, f, 1.0, 1.0)
-    return _finished(u_next, grid, cutoff, state.time + dt)
+    return _finished(u_next, f.grid, f.cutoff, time)
 
 
 def _finished(u: np.ndarray, grid: SpectralGrid, cutoff: int, time: float) -> InterfaceState:
@@ -229,32 +232,30 @@ def _finished(u: np.ndarray, grid: SpectralGrid, cutoff: int, time: float) -> In
 
 
 class _GalerkinField:
-    """galerkin_rhs on coefficients u, shape (2, N), keeping what each stage swept.
+    """galerkin_rhs on coefficients u, shape (2, N), noting what each stage swept.
 
     A call samples the state once, as the order-2 workspace its rhs sweeps
     (built through ``core`` so that a wrapper of core.build_workspace sees
-    it), appends the chord-arc constant and node pair the sweep kept to
-    ``minima`` and keeps the workspace as ``last``, the sample of the state
-    the field was last evaluated at.  Earlier workspaces are let go.
+    it), and keeps it as ``last``, the sample of the state the field was
+    last evaluated at; earlier workspaces are let go.  As the stage ends,
+    passing or not, it hands ``note`` the chord-arc constant and node pair
+    its sweep kept (None if it raised before its sweep): a stage that fails
+    the floor is noted like any other.
     """
 
     def __init__(self, grid: SpectralGrid, cutoff: int, floor: float, density: float,
-                 minima: list[_Minimum]):
+                 note: Callable[[_Minimum | None], None]):
         self.grid, self.cutoff, self.floor, self.density = grid, cutoff, floor, density
-        self.minima = minima
+        self.note = note
         self.last: KernelWorkspace | None = None
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
         state = InterfaceState(*u)
         self.last = core.build_workspace(state, self.grid, None, 2)
-        tendency = galerkin_rhs(state, self.grid, self.cutoff, self.floor, self.density, self.last)
-        self.minima.append(self.last.chord_arc)
-        return tendency
-
-
-def _least(minima: list[_Minimum]) -> _Minimum:
-    """The least of the stages' chord-arc constants, with its node pair (the first on a tie)."""
-    return min(minima, key=lambda minimum: minimum[0])
+        try:
+            return galerkin_rhs(state, self.grid, self.cutoff, self.floor, self.density, self.last)
+        finally:
+            self.note(self.last.chord_arc)
 
 
 @dataclass
@@ -267,14 +268,11 @@ class _Step:
     sample: the state's flat workspace, from the stage that evaluated the
         rhs there (k1 at an adaptive start, k5 after an accepted adaptive
         step) or from :meth:`sampled`; None until one exists.
-    minimum: the least chord-arc constant over the record's stages, with
-        its node pair; None for a start that took no stage.
     """
 
     state: InterfaceState
     accepted: bool = True
     sample: KernelWorkspace | None = None
-    minimum: _Minimum | None = None
 
     def sampled(self, grid: SpectralGrid) -> KernelWorkspace:
         """The state's flat sample: the stage's, or one order-1 sample made now and kept."""
@@ -430,7 +428,10 @@ def _advance(initials, grid: SpectralGrid, config: RunConfig, record, outcome: T
     minimum: per state, an adaptive run's first stage is 1 rhs call and
     each attempt 4, the attempt cut short by a stage's geometry stop
     included, so a run that reaches t_end has
-    rhs_calls = (1 if adaptive) + 4 (accepted + rejected) per state.
+    rhs_calls = (1 if adaptive) + 4 (accepted + rejected) per state.  The
+    stage minimum is a running one over the stages' chord-arc constants,
+    in the order the fields note them (state by state within an attempt),
+    and the first stage wins a tie.
     """
     last = tuple(_Step(s) for s in _projected(initials, grid, config))
     if "rt_sign" in config.stop_on and any(_check_stops(s, grid, config) == "rt_sign"
@@ -445,23 +446,15 @@ def _advance(initials, grid: SpectralGrid, config: RunConfig, record, outcome: T
             outcome.min_stage_chord_arc, outcome.min_stage_chord_arc_pair = minimum
 
     def noted(attempts):
-        # the stage minima of every record, and of a stage that fails the
-        # floor, whose attempt is cut short on the interface
-        while True:
-            try:
-                steps = next(attempts)
-            except StopIteration:
-                return
-            except DegenerateGeometryError as exc:
-                note((exc.ratio, exc.pair))
-                outcome.rhs_calls += 4 * count
-                outcome.chord_arc_contour = "interface"
-                raise
-            for s in steps:
-                note(s.minimum)
-            yield steps
+        # an attempt cut short by a stage's geometry stop, on the interface
+        try:
+            yield from attempts
+        except DegenerateGeometryError:
+            outcome.rhs_calls += 4 * count
+            outcome.chord_arc_contour = "interface"
+            raise
 
-    attempts = noted(zip(*(_attempts(s.state, grid, config, s.sample) for s in last)))
+    attempts = noted(zip(*(_attempts(s.state, grid, config, note, s.sample) for s in last)))
     recorded, reason, accepted_steps = False, None, 0
     try:
         last = next(attempts)  # the start, after an adaptive run's first stage
@@ -518,23 +511,25 @@ def _step_plan(config: RunConfig) -> Iterator[tuple[float, float]]:
 
 
 def _attempts(state: InterfaceState, grid: SpectralGrid, config: RunConfig,
+              note: Callable[[_Minimum | None], None],
               sample: KernelWorkspace | None = None) -> Iterator[_Step]:
     """The start, then one record (:class:`_Step`) per attempted step from t_start up to t_end.
 
     The start is ``state`` with ``sample``, its flat sample if the caller
-    made one.  Fixed runs follow the step plan with classical RK4, every
-    step is accepted, and a record carries the least chord-arc constant of
-    its four stages but no sample: no stage evaluated the rhs at the new
-    state.  Adaptive runs evaluate the first stage k1 = N(state), whose
-    sample and minimum the start takes (its sample only if it has none),
-    then take steps of the embedded integrating-factor RK4 pair: the
-    embedded third-order solution swaps k4 for k5 = N(new state), so the
-    error estimate is err = |dt|/6 max|k4 - k5|.  An attempt is accepted
-    when that is within the budget adaptive_tol |dt|, and its k5 is the
-    next step's k1 (FSAL), so its record carries k5's sample, the new
-    state's; every record carries the least chord-arc constant of its
-    stages k2..k5.  After every attempt the standard controller sets the
-    next dt to
+    made one.  Fixed and adaptive runs evaluate every stage through one
+    :class:`_GalerkinField`, which hands each stage's chord-arc constant
+    and node pair to ``note`` as the stage ends, rejected attempts and a
+    stage that fails the floor included.  Fixed runs follow the step plan
+    with classical RK4, every step is accepted, and a record carries no
+    sample: no stage evaluated the rhs at the new state.  Adaptive runs
+    evaluate the first stage k1 = N(state), whose sample the start takes
+    if it has none, then take steps of the embedded integrating-factor RK4
+    pair: the embedded third-order solution swaps k4 for k5 = N(new
+    state), so the error estimate is err = |dt|/6 max|k4 - k5|.  An
+    attempt is accepted when that is within the budget adaptive_tol |dt|,
+    and its k5 is the next step's k1 (FSAL), so its record carries k5's
+    sample, the new state's.  After every attempt the standard controller
+    sets the next dt to
 
         dt min(fac_max, max(fac_min, s (budget/err)^alpha)),
 
@@ -547,34 +542,30 @@ def _attempts(state: InterfaceState, grid: SpectralGrid, config: RunConfig,
     The last step is shortened to land on t_end.  Counts nothing:
     ``_advance`` does.
     """
-    cutoff, floor = config.galerkin_cutoff, config.chord_arc_floor
-    density = config.density_jump_over_2pi
+    f = _GalerkinField(grid, config.galerkin_cutoff, config.chord_arc_floor,
+                       config.density_jump_over_2pi, note)
     if not config.adaptive:
         yield _Step(state, sample=sample)
         for step_dt, target_time in _step_plan(config):
-            minima: list[_Minimum] = []
-            state = step(state, grid, step_dt, cutoff, floor, density, minima)
-            state.time = target_time
-            yield _Step(state, minimum=_least(minima))
+            state = _rk4_step(f, state, step_dt, target_time)
+            yield _Step(state)
         return
-    f = _GalerkinField(grid, cutoff, floor, density, [])
     lin, nonlinear = 0.0, f
-    if density * config.signed_dt > 0:
+    if f.density * config.signed_dt > 0:
         # e^{L dt} decays: integrate the flat-interface linear part exactly
-        lin = -2.0 * math.pi * density * np.abs(grid.wavenumbers)
+        lin = -2.0 * math.pi * f.density * np.abs(grid.wavenumbers)
 
         def nonlinear(u):
             return f(u) - lin * u
     k1 = nonlinear(state.coeffs)
-    yield _Step(state, sample=f.last if sample is None else sample, minimum=_least(f.minima))
+    yield _Step(state, sample=f.last if sample is None else sample)
     dt, fac_max = config.signed_dt, STEP_FAC_MAX
     while (config.t_end - state.time) * np.sign(config.signed_dt) > 1e-15:
-        f.minima.clear()
         remaining = config.t_end - state.time
         this_dt = dt if abs(remaining) >= abs(dt) else remaining
         e_half, e_full = np.exp(lin * (this_dt / 2.0)), np.exp(lin * this_dt)
         u_next, k4 = _lawson_rk4(state.coeffs, k1, this_dt, nonlinear, e_half, e_full)
-        candidate = _finished(u_next, grid, cutoff, state.time + this_dt)
+        candidate = _finished(u_next, grid, f.cutoff, state.time + this_dt)
         k5 = nonlinear(candidate.coeffs)
         err = abs(this_dt) / 6.0 * np.abs(k4 - k5).max()
         budget = config.adaptive_tol * abs(this_dt)
@@ -587,7 +578,7 @@ def _attempts(state: InterfaceState, grid: SpectralGrid, config: RunConfig,
         elif abs(dt) < 1e-12:
             raise BlowupError("adaptive step collapsed below 1e-12")
         # f.last is k5's sample, of the candidate
-        yield _Step(state, accepted, f.last if accepted else None, _least(f.minima))
+        yield _Step(state, accepted, f.last if accepted else None)
 
 
 def _step_factor(err: float, budget: float, fac_max: float) -> float:

@@ -430,6 +430,9 @@ class TestScenarios:
         i, j = report["chord_arc_pair"]
         assert i != j and 0 <= min(i, j) and max(i, j) < 8
         assert 0.0 <= report["chord_arc_ratio"] < 0.5
+        # the failing stage is the least of every stage either state took
+        assert report["min_stage_chord_arc"] == report["chord_arc_ratio"]
+        assert report["min_stage_chord_arc_pair"] == report["chord_arc_pair"]
         # one record spans no interval to take a difference quotient over
         assert report["min_quotient_of_squared_distance"] is None
 

@@ -35,14 +35,19 @@ def decay_state(grid):
     return InterfaceState(np.zeros(grid.n_modes, dtype=complex), grid.to_spectral(z2))
 
 
-def pinched_state(grid):
-    """A state 20 fixed steps into a tightening neck, set back to t = 0."""
+def tight_state(grid):
+    """An overturned curve with a tightening neck."""
     x = grid.nodes
-    tight = InterfaceState(
+    return InterfaceState(
         grid.to_spectral(-1.3 * np.sin(x) + 0.15 * np.sin(2 * x)),
         grid.to_spectral(-0.5 * np.sin(x) + np.sin(2 * x)),
     )
-    pinched = run(tight, RunConfig(n_modes=grid.n_modes, dt=5e-4, t_end=0.01)).final_state()
+
+
+def pinched_state(grid):
+    """A state 20 fixed steps into a tightening neck, set back to t = 0."""
+    config = RunConfig(n_modes=grid.n_modes, dt=5e-4, t_end=0.01)
+    pinched = run(tight_state(grid), config).final_state()
     pinched.time = 0.0
     return pinched
 
@@ -125,6 +130,19 @@ class TestStep:
             state = step(state, grid, 1e-3, cutoff)
         assert is_real(state, tol=1e-12)
         assert np.abs(state.p2[np.abs(grid.wavenumbers) > cutoff]).max() == 0.0
+
+
+    def test_fixed_run_states_equal_repeated_public_steps_bitwise(self):
+        grid = SpectralGrid(64)
+        config = RunConfig(n_modes=64, dt=1e-3, t_end=0.0105, record_every=1)
+        initial = make_turnover_state(GraphFamilyParams(slope_amplitude=0.98), grid)
+        trajectory = run(initial, config)
+        plan = list(integrator._step_plan(config))
+        assert len(trajectory.records) == len(plan) + 1 == 12
+        states = fixed_rk4(initial, grid, config.galerkin_cutoff, [dt for dt, _ in plan])
+        for (time, got, _), want in zip(trajectory.records, states):
+            assert got.coeffs.tobytes() == want.coeffs.tobytes()
+            assert time == pytest.approx(want.time, abs=1e-15)
 
 
 class TestStepPlan:
@@ -271,28 +289,24 @@ class TestRun:
         assert raised.value.pair == trajectory.chord_arc_pair
         assert raised.value.ratio == trajectory.chord_arc_ratio
 
-    @pytest.mark.parametrize("adaptive, counted", [(False, "step"), (True, "_attempts")])
-    def test_check_stops_runs_once_per_accepted_step(self, monkeypatch, adaptive, counted):
+    @pytest.mark.parametrize("adaptive", [False, True])
+    def test_check_stops_runs_once_per_accepted_step(self, monkeypatch, adaptive):
         counts = {"checks": 0, "steps": 0}
-        check_stops, stepper = integrator._check_stops, getattr(integrator, counted)
+        check_stops, attempts = integrator._check_stops, integrator._attempts
 
         def checking(*args, **kwargs):
             counts["checks"] += 1
             return check_stops(*args, **kwargs)
 
-        def stepping(*args, **kwargs):  # a fixed step is always accepted
-            counts["steps"] += 1
-            return stepper(*args, **kwargs)
-
         def attempting(*args, **kwargs):
-            records = stepper(*args, **kwargs)
+            records = attempts(*args, **kwargs)
             yield next(records)  # the start, not an attempt
             for attempt in records:
                 counts["steps"] += attempt.accepted
                 yield attempt
 
         monkeypatch.setattr(integrator, "_check_stops", checking)
-        monkeypatch.setattr(integrator, counted, stepping if counted == "step" else attempting)
+        monkeypatch.setattr(integrator, "_attempts", attempting)
         grid = SpectralGrid(64)
         initial = InterfaceState(
             np.zeros(grid.n_modes, dtype=complex),
@@ -401,20 +415,31 @@ def counting_builds(monkeypatch) -> list[int]:
     return orders
 
 
+def counting_sweeps(monkeypatch) -> list[tuple[float, tuple[int, int]]]:
+    """The chord-arc constant and node pair of every core.pair_sweep that returns, in order."""
+    minima = []
+    sweep = core.pair_sweep
+
+    def sweeping(*args, **kwargs):
+        result = sweep(*args, **kwargs)
+        minima.append(result[1])
+        return result
+
+    monkeypatch.setattr(core, "pair_sweep", sweeping)
+    return minima
+
+
+def least(minima):
+    """The least chord-arc constant with its node pair, the first on a tie."""
+    return min(minima, key=lambda minimum: minimum[0])
+
+
 class TestStageSamples:
     def test_adaptive_records_read_their_stage_samples_bitwise(self, monkeypatch):
         grid = SpectralGrid(128)
         config = RunConfig(n_modes=128, dt=1e-3, t_end=0.5, adaptive=True, record_every=1)
         orders = counting_builds(monkeypatch)
-        minima = []
-        sweep = core.pair_sweep
-
-        def sweeping(*args, **kwargs):
-            result = sweep(*args, **kwargs)
-            minima.append(result[1])
-            return result
-
-        monkeypatch.setattr(core, "pair_sweep", sweeping)
+        minima = counting_sweeps(monkeypatch)
         trajectory = run(decay_state(grid), config)
         monkeypatch.undo()
         # one sample and one sweep per rhs call, and none for the records
@@ -425,8 +450,8 @@ class TestStageSamples:
             fresh = integrator.diagnostics_for(state, grid, config, reference)
             assert (np.array(dataclasses.astuple(record)).tobytes()
                     == np.array(dataclasses.astuple(fresh)).tobytes())
-        least = min(minima, key=lambda minimum: minimum[0])
-        assert (trajectory.min_stage_chord_arc, trajectory.min_stage_chord_arc_pair) == least
+        assert (trajectory.min_stage_chord_arc,
+                trajectory.min_stage_chord_arc_pair) == least(minima)
         assert all(trajectory.min_stage_chord_arc <= d.chord_arc for d in trajectory.diagnostics())
 
     @pytest.mark.parametrize("adaptive", [False, True])
@@ -464,9 +489,45 @@ class TestStageSamples:
         trajectory = run(make_turnover_state(GraphFamilyParams(slope_amplitude=0.98), grid),
                          config)
         assert len(minima) == trajectory.rhs_calls == 40
-        least = min(minima, key=lambda minimum: minimum[0])
-        assert (trajectory.min_stage_chord_arc, trajectory.min_stage_chord_arc_pair) == least
+        assert (trajectory.min_stage_chord_arc,
+                trajectory.min_stage_chord_arc_pair) == least(minima)
         assert all(trajectory.min_stage_chord_arc <= d.chord_arc for d in trajectory.diagnostics())
+
+    @pytest.mark.parametrize("case", ["steep", "tight"])
+    def test_rejected_attempts_keep_their_stages(self, monkeypatch, case):
+        if case == "steep":
+            # the state and dt of the forced-rejection accounting test
+            grid = SpectralGrid(64)
+            initial = InterfaceState(np.zeros(grid.n_modes, dtype=complex),
+                                     grid.to_spectral(0.3 * np.sin(grid.nodes)))
+            config = RunConfig(n_modes=64, dt=0.05, t_end=0.1, adaptive=True, record_every=1)
+        else:
+            # a rejected attempt's stage comes closer to contact than any accepted state
+            grid = SpectralGrid(32)
+            initial = tight_state(grid)
+            config = RunConfig(n_modes=32, dt=0.05, t_end=0.05, adaptive=True,
+                               adaptive_tol=1e-2, record_every=1)
+        minima = counting_sweeps(monkeypatch)
+        trajectory = run(initial, config)
+        assert trajectory.rejected_steps >= 1
+        # every sweep is a stage's, rejected attempts included
+        assert len(minima) == trajectory.rhs_calls
+        assert (trajectory.min_stage_chord_arc,
+                trajectory.min_stage_chord_arc_pair) == least(minima)
+        if case == "tight":
+            assert trajectory.min_stage_chord_arc < min(
+                d.chord_arc for d in trajectory.diagnostics())
+
+    def test_a_pair_keeps_the_least_stage_of_both_states(self, monkeypatch):
+        grid = SpectralGrid(64)
+        base = make_turnover_state(GraphFamilyParams(slope_amplitude=0.98), grid)
+        config = RunConfig(n_modes=64, dt=1e-3, t_end=0.01, record_every=5)
+        minima = counting_sweeps(monkeypatch)
+        outcome = two_solution_monitor(base, perturb(base, 1e-2, f_kappa(0.2, grid)),
+                                       config).outcome
+        # both states' stages, in the order they were evaluated
+        assert len(minima) == outcome.rhs_calls == 2 * 40
+        assert (outcome.min_stage_chord_arc, outcome.min_stage_chord_arc_pair) == least(minima)
 
     def test_a_chord_arc_stop_keeps_the_failing_stage(self):
         grid = SpectralGrid(8)
@@ -559,8 +620,8 @@ class TestEmbeddedPair:
         config = RunConfig(n_modes=64, dt=0.05, t_end=0.1, adaptive=True)
         (start,) = integrator._projected((steep,), grid, config)
         # the stream opens with the start, then one record per attempt
-        accepted = [a.accepted for a in itertools.islice(integrator._attempts(start, grid, config),
-                                                          1, None)]
+        attempts = integrator._attempts(start, grid, config, lambda minimum: None)
+        accepted = [a.accepted for a in itertools.islice(attempts, 1, None)]
         assert len(steps) == len(accepted) and not all(accepted)
         for i in np.flatnonzero(~np.array(accepted)):
             assert integrator.STEP_FAC_MIN <= steps[i + 1] / steps[i] < 1.0
