@@ -461,9 +461,10 @@ def pair_sweep(
 
     Raises:
         DegenerateGeometryError: chord-arc constant below the floor, with
-            the offending node pair and ratio.  From the first block under
-            the floor on, no integrand is built; the sweep finishes the
-            minimum on the geometry alone.
+            the offending node pair and ratio, and ``lifted`` set from the
+            workspace.  From the first block under the floor on, no
+            integrand is built; the sweep finishes the minimum on the
+            geometry alone.
     """
     form = _flat_geometry if ws.flat else _lifted_geometry
     least, at, degenerate = None, None, False
@@ -486,7 +487,7 @@ def pair_sweep(
     if degenerate:
         raise DegenerateGeometryError(
             f"chord-arc constant {chord_arc:.3e} below floor {floor:.3e} at pair {pair}",
-            pair=pair, ratio=chord_arc,
+            pair=pair, ratio=chord_arc, lifted=not ws.flat,
         )
     return totals, (chord_arc, pair)
 

@@ -23,12 +23,16 @@ class DegenerateGeometryError(RuntimeError):
     Attributes:
         pair: index pair (i, j) realizing the offending ratio, or None.
         ratio: the offending chord-arc ratio.
+        lifted: True when the sweep that met the floor ran on a lifted
+            contour (the generalized Rayleigh-Taylor monitor's), False on
+            the flat interface (an rhs stage's).
     """
 
-    def __init__(self, message, pair=None, ratio=None):
+    def __init__(self, message, pair=None, ratio=None, lifted=False):
         super().__init__(message)
         self.pair = pair
         self.ratio = ratio
+        self.lifted = lifted
 
 
 class DegenerateParametrizationError(RuntimeError):

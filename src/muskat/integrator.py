@@ -22,15 +22,16 @@ normal outcomes recorded in the trajectory, not errors.
 One driver, ``_advance``, steps a single state (``run``) and a perturbed
 pair (``two_solution_monitor``) alike: it projects the initial states,
 refuses one that violates a requested rt_sign stop, draws the start and
-every attempted step from ``_attempts``, counts the rhs calls and rejected
-attempts, keeps the least chord-arc constant over every stage (each
-stage's field notes it to the driver as the stage ends), checks the stop
-conditions on every accepted state, keeps the record cadence and writes
-the termination.  The callers only say what a record is.  Each
-state is sampled at most once: records and the sigma rt_sign check read
-the workspace of the stage that evaluated the rhs at that state (an
-adaptive run's k1 at the start and its k5 after each accepted step), and
-sample a state no stage met (fixed steps) once, on demand.
+every attempted step from ``_attempts``, counts the rhs calls (one per
+stage that ran) and rejected attempts, keeps the least chord-arc constant
+over every stage (each stage's field notes it to the driver as the stage
+ends), checks the stop conditions on every accepted state, keeps the
+record cadence and writes the termination.  The callers only say what a
+record is.  Each state is sampled at most once: records and the sigma
+rt_sign check read the workspace of the stage that evaluated the rhs at
+that state (an adaptive run's k1 at the start and its k5 after each
+accepted step), and sample a state no stage met (fixed steps) once, on
+demand.
 """
 
 from __future__ import annotations
@@ -150,8 +151,8 @@ class Trajectory:
 
     ``run`` records (time, state, diagnostics) triples.  For a pair,
     ``two_solution_monitor`` keeps its own records, and the counts add up
-    the attempts of both states.  Only ``_advance`` writes the ending and
-    the counts.
+    the stages and attempts of both states.  Only ``_advance`` writes the
+    ending and the counts.
     """
 
     records: list[tuple[float, InterfaceState, DiagnosticsRecord]] = field(default_factory=list)
@@ -163,10 +164,9 @@ class Trajectory:
     chord_arc_pair: tuple[int, int] | None = None
     chord_arc_ratio: float | None = None
     chord_arc_contour: str | None = None
-    #: rhs evaluations the attempts asked for (an adaptive run's first stage,
-    #: then 4 per attempt, one cut short by a stage's geometry stop included;
-    #: a stop check's monitor counts none) and adaptive attempts rejected by
-    #: the error control
+    #: rhs evaluations, one per stage that ran (the stage that fails the
+    #: floor included; a stop check's monitor evaluates none), and adaptive
+    #: attempts rejected by the error control
     rhs_calls: int = 0
     rejected_steps: int = 0
     #: the least chord-arc constant that any stage's sweep met, rejected
@@ -424,44 +424,32 @@ def _advance(initials, grid: SpectralGrid, config: RunConfig, record, outcome: T
     DegenerateGeometryError, which ends it as "chord_arc_floor" if that
     stop is requested and propagates otherwise; a stage's sweep raises it
     on the interface, a stop check's generalized monitor on its lifted
-    contour.  The only writer of ``outcome``'s ending, counts and stage
-    minimum: per state, an adaptive run's first stage is 1 rhs call and
-    each attempt 4, the attempt cut short by a stage's geometry stop
-    included, so a run that reaches t_end has
-    rhs_calls = (1 if adaptive) + 4 (accepted + rejected) per state.  The
-    stage minimum is a running one over the stages' chord-arc constants,
-    in the order the fields note them (state by state within an attempt),
-    and the first stage wins a tie.
+    contour, and the error's ``lifted`` names which.  The only writer of
+    ``outcome``'s ending, counts and stage minimum: ``note`` counts one rhs
+    call per stage as the fields note them, so rhs_calls is the number of
+    stages that ran, whatever the scheme.  The stage minimum is a running
+    one over the stages' chord-arc constants, in the order the fields note
+    them (state by state within an attempt), and the first stage wins a
+    tie.
     """
     last = tuple(_Step(s) for s in _projected(initials, grid, config))
     if "rt_sign" in config.stop_on and any(_check_stops(s, grid, config) == "rt_sign"
                                            for s in last):
         raise ConfigError("initial state violates the Rayleigh-Taylor sign for this run direction")
-    count = len(last)
-    outcome.rhs_calls = count if config.adaptive else 0
 
     def note(minimum: _Minimum | None) -> None:
+        outcome.rhs_calls += 1
         if minimum is not None and (outcome.min_stage_chord_arc is None
                                     or minimum[0] < outcome.min_stage_chord_arc):
             outcome.min_stage_chord_arc, outcome.min_stage_chord_arc_pair = minimum
 
-    def noted(attempts):
-        # an attempt cut short by a stage's geometry stop, on the interface
-        try:
-            yield from attempts
-        except DegenerateGeometryError:
-            outcome.rhs_calls += 4 * count
-            outcome.chord_arc_contour = "interface"
-            raise
-
-    attempts = noted(zip(*(_attempts(s.state, grid, config, note, s.sample) for s in last)))
+    attempts = zip(*(_attempts(s.state, grid, config, note, s.sample) for s in last))
     recorded, reason, accepted_steps = False, None, 0
     try:
         last = next(attempts)  # the start, after an adaptive run's first stage
         record(last)
         recorded = True
         for attempt in attempts:
-            outcome.rhs_calls += 4 * count
             rejected = sum(not s.accepted for s in attempt)
             if rejected:
                 outcome.rejected_steps += rejected
@@ -479,8 +467,7 @@ def _advance(initials, grid: SpectralGrid, config: RunConfig, record, outcome: T
             raise
         reason = "chord_arc_floor"
         outcome.chord_arc_pair, outcome.chord_arc_ratio = exc.pair, exc.ratio
-        # set only when a stage met the floor; otherwise a stop check's generalized monitor did
-        outcome.chord_arc_contour = outcome.chord_arc_contour or "monitor"
+        outcome.chord_arc_contour = "monitor" if exc.lifted else "interface"
     if not recorded:
         record(last)
     outcome.termination = reason or "reached_t_end"
@@ -567,9 +554,10 @@ def _attempts(state: InterfaceState, grid: SpectralGrid, config: RunConfig,
         u_next, k4 = _lawson_rk4(state.coeffs, k1, this_dt, nonlinear, e_half, e_full)
         candidate = _finished(u_next, grid, f.cutoff, state.time + this_dt)
         k5 = nonlinear(candidate.coeffs)
-        err = abs(this_dt) / 6.0 * np.abs(k4 - k5).max()
+        # a Python float, so the controller's dt and every time stay Python floats
+        err = abs(this_dt) / 6.0 * float(np.abs(k4 - k5).max())
         budget = config.adaptive_tol * abs(this_dt)
-        accepted = bool(err <= budget)
+        accepted = err <= budget
         # a rejection's factor is below s < 1 whatever fac_max is
         dt = this_dt * _step_factor(err, budget, fac_max)
         fac_max = STEP_FAC_MAX if accepted else 1.0

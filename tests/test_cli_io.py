@@ -418,7 +418,8 @@ class TestScenarios:
         assert len(rows) >= 3
 
     def test_perturbed_pair_stopped_at_the_floor_reports_its_ending(self, tmp_path):
-        # both states lie below the floor: each one's first attempt is cut short
+        # both states lie below the floor: the first state's first stage fails,
+        # so one rhs call ran
         cfg = load_config_text(
             "[run]\nscenario = perturbed_pair\nn_modes = 8\n"
             "stop_on = chord_arc_floor\nchord_arc_floor = 0.5\n"
@@ -426,7 +427,7 @@ class TestScenarios:
         assert run_scenario(cfg, str(tmp_path)) == 3
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["termination"] == "chord_arc_floor"
-        assert (report["records"], report["rhs_calls"], report["rejected_steps"]) == (1, 8, 0)
+        assert (report["records"], report["rhs_calls"], report["rejected_steps"]) == (1, 1, 0)
         i, j = report["chord_arc_pair"]
         assert i != j and 0 <= min(i, j) and max(i, j) < 8
         assert 0.0 <= report["chord_arc_ratio"] < 0.5
@@ -501,15 +502,62 @@ class TestScenarios:
 
     def test_floor_met_by_a_stage_names_the_interface(self, tmp_path):
         # the flat-torus constant 2/pi^2 is below the floor at the first
-        # stage, so the one fixed attempt is cut short and counts 4 calls
+        # stage, so the one rhs call that ran is the stage that failed
         cfg = load_config_text(
             "[run]\nscenario = linear_decay\nn_modes = 8\nt_end = 0.01\n"
             "stop_on = chord_arc_floor\nchord_arc_floor = 0.5\n"
         )
         assert run_scenario(cfg, str(tmp_path)) == 3
         report = json.loads((tmp_path / "report.json").read_text())
-        assert (report["rhs_calls"], report["chord_arc_contour"]) == (4, "interface")
+        assert (report["rhs_calls"], report["chord_arc_contour"]) == (1, "interface")
         assert report["chord_arc_ratio"] == report["min_stage_chord_arc"]
+
+    @pytest.mark.parametrize("text, termination", [
+        ("scenario = turnover\nn_modes = 32\nt_end = 0.005\n", "reached_t_end"),
+        ("scenario = linear_decay\nn_modes = 32\nadaptive = true\n", "reached_t_end"),
+        ("scenario = perturbed_pair\nn_modes = 32\nt_end = 0.005\n", "reached_t_end"),
+        ("scenario = linear_decay\nn_modes = 8\nt_end = 0.01\n"
+         "stop_on = chord_arc_floor\nchord_arc_floor = 0.5\n", "chord_arc_floor"),
+        ("scenario = linear_decay\nn_modes = 8\nt_end = 0.01\nadaptive = true\n"
+         "stop_on = chord_arc_floor\nchord_arc_floor = 0.5\n", "chord_arc_floor"),
+        ("scenario = perturbed_pair\nn_modes = 8\n"
+         "stop_on = chord_arc_floor\nchord_arc_floor = 0.5\n", "chord_arc_floor"),
+        # the 27th attempt fails the floor at its second stage
+        ("scenario = turnover\nn_modes = 64\ndt = 1e-3\ndirection = backward\n"
+         "t_end = -0.04\nstop_on = chord_arc_floor\nchord_arc_floor = 0.0023\n",
+         "chord_arc_floor"),
+        # the generalized monitor meets the floor after 20 accepted steps
+        ("scenario = turnover\nn_modes = 32\ndt = 1e-5\nt_end = 0.004\n"
+         "rt_convention = generalized\nstop_on = rt_sign, chord_arc_floor\n"
+         "chord_arc_floor = 0.02\n[schedule]\na = 2.0\ntau = 0.0138\n[family]\n"
+         "slope_amplitude = 0.06\nsteepening_rate = 0.43\nvertical_amplitudes = 0.29, 0.22\n",
+         "chord_arc_floor"),
+    ], ids=["fixed", "adaptive", "pair", "fixed_floor", "adaptive_floor", "pair_floor",
+            "backward_mid_attempt_floor", "monitor_floor"])
+    def test_rhs_calls_count_the_rhs_evaluations(self, tmp_path, monkeypatch, text,
+                                                 termination):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return core.rhs(*args, **kwargs)
+
+        monkeypatch.setattr(integrator, "rhs", counting)
+        run_scenario(load_config_text("[run]\n" + text), str(tmp_path))
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["termination"] == termination
+        assert report["rhs_calls"] == len(calls) > 0
+
+    def test_adaptive_turnover_csv_holds_only_numbers(self, tmp_path):
+        path = tmp_path / "cfg.ini"
+        path.write_text("[run]\nscenario = turnover\nadaptive = true\nt_end = 0.01\n")
+        out = tmp_path / "o"
+        assert main(["turnover", "--modes", "64", "--config", str(path), "--out", str(out)]) == 0
+        header, rows = read_csv(out / "trajectory.csv")
+        assert header[0] == "time" and len(rows) > 2
+        for row in rows:
+            for cell in row:
+                float(cell)
 
     def test_byte_identical_reruns_across_blas_thread_counts(self, tmp_path):
         config = tmp_path / "pair.ini"

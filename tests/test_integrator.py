@@ -562,10 +562,10 @@ class TestEmbeddedPair:
         assert trajectory.rhs_calls == 4 * 11
         assert trajectory.rejected_steps == 0
 
-    @pytest.mark.parametrize("adaptive, rhs_calls", [(False, 4), (True, 5)])
-    def test_an_attempt_cut_short_counts_in_full(self, adaptive, rhs_calls):
-        # the initial state lies below the floor, so the first attempt fails;
-        # an adaptive run also counts the first stage it evaluated before it
+    @pytest.mark.parametrize("adaptive", [False, True])
+    def test_a_floor_stop_at_the_first_stage_counts_one_call(self, adaptive):
+        # the initial state lies below the floor, so the first stage fails:
+        # a fixed run's k1 of its first attempt, an adaptive run's first stage
         grid = SpectralGrid(8)
         initial = InterfaceState(np.zeros(grid.n_modes, dtype=complex),
                                  grid.to_spectral(0.01 * np.cos(grid.nodes)))
@@ -574,7 +574,7 @@ class TestEmbeddedPair:
         trajectory = run(initial, config)
         assert trajectory.termination == "chord_arc_floor"
         assert trajectory.times() == [0.0]
-        assert (trajectory.rhs_calls, trajectory.rejected_steps) == (rhs_calls, 0)
+        assert (trajectory.rhs_calls, trajectory.rejected_steps) == (1, 0)
 
     @pytest.mark.parametrize("case", ["decay", "turnover"])
     def test_final_state_matches_fixed_rk4_at_an_eighth_of_dt(self, case):
@@ -591,6 +591,15 @@ class TestEmbeddedPair:
         reference = fixed_rk4(initial, grid, config.galerkin_cutoff, [dt / 8] * n_steps)[-1]
         assert adaptive.time == pytest.approx(t_end, abs=1e-15)
         assert max_gap(adaptive, reference) <= config.adaptive_tol * t_end
+
+    def test_adaptive_times_are_python_floats(self):
+        # the controller's dt stays a Python float, so no time is a numpy scalar
+        grid = SpectralGrid(64)
+        config = RunConfig(n_modes=64, dt=5e-4, t_end=0.01, adaptive=True, record_every=1)
+        trajectory = run(make_turnover_state(GraphFamilyParams(slope_amplitude=0.98), grid),
+                         config)
+        assert len(trajectory.records) > 2
+        assert all(type(t) is float for t in trajectory.times())
 
     def test_decay_state_reaches_half_in_few_rhs_calls(self):
         grid = SpectralGrid(128)
