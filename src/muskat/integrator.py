@@ -1,17 +1,19 @@
 """Galerkin-truncated time integration of the interface evolution.
 
 The truncated system projects the right-hand side onto modes |k| <= cutoff,
-which turns the evolution into a finite ODE system.  Fixed-step runs step it
-with classical RK4 in either time direction.  Adaptive runs step it with
-Lawson's integrating-factor RK4 and an embedded third-order estimate: the
-linear part L = -2 pi density |k|, the exact decay rate around the flat
-interface, is integrated exactly when e^{L dt} decays (L = 0 otherwise, so no
-step multiplies by a growing factor), and the last stage
-evaluated at the new state is the next step's first (FSAL), so an attempted
-step costs 4 rhs calls.  The standard step-size controller sets each next
-dt from the ratio of the estimate to its budget.  Every stage is
-re-projected (the quotient nonlinearity aliases badly) and the result is
-made conjugate-symmetric, so band-limitation and conjugate symmetry are
+which turns the evolution into a finite ODE system.  Every run steps it in
+one loop of Lawson's integrating-factor RK4 with an embedded third-order
+estimate, and the last stage evaluated at the new state is the next step's
+first (FSAL), so a run costs one rhs call to start and 4 per attempted
+step.  Fixed-step runs take L = 0, which is classical RK4 bit for bit,
+follow a step plan in either time direction and accept every step; the
+estimate is reported, not acted on.  Adaptive runs integrate the linear
+part L = -2 pi density |k|, the exact decay rate around the flat interface,
+exactly when e^{L dt} decays (L = 0 otherwise, so no step multiplies by a
+growing factor), and the standard step-size controller sets each next dt
+from the ratio of the estimate to its budget.  Every stage is re-projected
+(the quotient nonlinearity aliases badly) and the result is made
+conjugate-symmetric, so band-limitation and conjugate symmetry are
 preserved exactly along a run.
 
 Runs carry the monitors the analysis is built on: the graph indicator
@@ -23,15 +25,14 @@ One driver, ``_advance``, steps a single state (``run``) and a perturbed
 pair (``two_solution_monitor``) alike: it projects the initial states,
 refuses one that violates a requested rt_sign stop, draws the start and
 every attempted step from ``_attempts``, counts the rhs calls (one per
-stage that ran) and rejected attempts, keeps the least chord-arc constant
-over every stage (each stage's field notes it to the driver as the stage
-ends), checks the stop conditions on every accepted state, keeps the
-record cadence and writes the termination.  The callers only say what a
-record is.  Each state is sampled at most once: records and the sigma
-rt_sign check read the workspace of the stage that evaluated the rhs at
-that state (an adaptive run's k1 at the start and its k5 after each
-accepted step), and sample a state no stage met (fixed steps) once, on
-demand.
+stage that ran), accepted steps and rejected attempts, keeps the least
+chord-arc constant over every stage (each stage's field notes it to the
+driver as the stage ends) and the largest step error estimate, checks the
+stop conditions on every accepted state, keeps the record cadence and
+writes the termination.  The callers only say what a record is.  Each
+state is sampled once: records and the sigma rt_sign check read the
+workspace of the stage that evaluated the rhs at that state (k1 at the
+start, k5 after each accepted step).
 """
 
 from __future__ import annotations
@@ -165,10 +166,17 @@ class Trajectory:
     chord_arc_ratio: float | None = None
     chord_arc_contour: str | None = None
     #: rhs evaluations, one per stage that ran (the stage that fails the
-    #: floor included; a stop check's monitor evaluates none), and adaptive
-    #: attempts rejected by the error control
+    #: floor included; a stop check's monitor evaluates none), accepted
+    #: steps (a pair's step counts once) and adaptive attempts rejected by
+    #: the error control; a run that ends at t_end or at a stop check has
+    #: rhs_calls = n_states (1 + 4 accepted_steps) + 4 rejected_steps
     rhs_calls: int = 0
+    accepted_steps: int = 0
     rejected_steps: int = 0
+    #: the largest error estimate of an accepted step relative to its step
+    #: and start, err/(|dt| max|u_n|), over every state; None when no step
+    #: was accepted
+    max_step_error: float | None = None
     #: the least chord-arc constant that any stage's sweep met, rejected
     #: attempts and the stage of a chord-arc stop included, with its node
     #: pair; None when no stage ran
@@ -214,16 +222,11 @@ def step(
 
     Stages are projected to the cutoff; the result is projected and made
     conjugate-symmetric, so real band-limited states stay exactly so.  A
-    fixed-step run takes the same step through its own field.
+    fixed-step run takes the same step, with L = 0, in its attempt loop.
     """
     f = _GalerkinField(grid, cutoff, floor, density_jump_over_2pi, lambda minimum: None)
-    return _rk4_step(f, state, dt, state.time + dt)
-
-
-def _rk4_step(f: _GalerkinField, state: InterfaceState, dt: float, time: float) -> InterfaceState:
-    """One classical RK4 step of the field f from ``state``, landing at ``time``."""
     u_next, _ = _lawson_rk4(state.coeffs, f(state.coeffs), dt, f, 1.0, 1.0)
-    return _finished(u_next, f.grid, f.cutoff, time)
+    return _finished(u_next, grid, cutoff, state.time + dt)
 
 
 def _finished(u: np.ndarray, grid: SpectralGrid, cutoff: int, time: float) -> InterfaceState:
@@ -266,19 +269,16 @@ class _Step:
         retries from.
     accepted: False only for a rejected attempt.
     sample: the state's flat workspace, from the stage that evaluated the
-        rhs there (k1 at an adaptive start, k5 after an accepted adaptive
-        step) or from :meth:`sampled`; None until one exists.
+        rhs there (k1 at the start, k5 after an accepted step); None after
+        a rejected attempt, and for a start whose first stage has not run.
+    error: the attempt's error estimate relative to its step and start,
+        err/(|dt| max|u_n|); None at the start.
     """
 
     state: InterfaceState
     accepted: bool = True
     sample: KernelWorkspace | None = None
-
-    def sampled(self, grid: SpectralGrid) -> KernelWorkspace:
-        """The state's flat sample: the stage's, or one order-1 sample made now and kept."""
-        if self.sample is None:
-            self.sample = core.build_workspace(self.state, grid, None, 1)
-        return self.sample
+    error: float | None = None
 
 
 def _lawson_rk4(u, k1, h, nonlinear, e_half, e_full):
@@ -357,7 +357,8 @@ def _rt_sign_violated(step: _Step, grid: SpectralGrid, config: RunConfig) -> boo
     The monitor is the generalized Rayleigh-Taylor function on the
     schedule's contour under the "generalized" convention, while the
     schedule covers the state's time, and the flat sigma of the record's
-    sample otherwise.
+    sample otherwise; the refusal checks an initial state before any stage
+    has sampled it, and makes one order-1 sample for it.
     Backward runs need it positive everywhere (on the shrinking strip, the
     direction the analysis solves) and forward runs negative (a graph).  A
     non-finite monitor has no sign and raises BlowupError.
@@ -365,7 +366,8 @@ def _rt_sign_violated(step: _Step, grid: SpectralGrid, config: RunConfig) -> boo
     state = step.state
     scheduled = _schedule_at(config, state.time, grid)
     if scheduled is None:
-        monitor = rt_sigma(step.sampled(grid))
+        sample = step.sample
+        monitor = rt_sigma(core.build_workspace(state, grid, None, 1) if sample is None else sample)
     else:
         monitor = rt_generalized(state, grid, *scheduled, floor=config.chord_arc_floor)
     if not np.isfinite(monitor).all():
@@ -403,7 +405,7 @@ def run(initial: InterfaceState, config: RunConfig) -> Trajectory:
         (step,) = steps
         state = step.state
         reference = trajectory.records[0][1] if trajectory.records else state
-        diagnostics = diagnostics_for(state, grid, config, reference, step.sampled(grid))
+        diagnostics = diagnostics_for(state, grid, config, reference, step.sample)
         trajectory.records.append((state.time, state.copy(), diagnostics))
 
     _advance((initial,), grid, config, record, trajectory)
@@ -418,19 +420,24 @@ def _advance(initials, grid: SpectralGrid, config: RunConfig, record, outcome: T
     stage.  Calls ``record`` with the tuple of step records
     (:class:`_Step`, one per state) at the start, at every record_every-th
     accepted step and always at the last accepted one; a record's
-    :meth:`_Step.sampled` is the sample the stop checks read, so each
-    state is sampled at most once.  The run ends at t_end
+    :attr:`_Step.sample` is the sample of the stage that evaluated the rhs
+    at its state, which the stop checks read too.  Every accepted state
+    has one, as its k5 stage sweeps it before its stop checks run, so a
+    state that fails both a stop check and the floor ends the run as
+    "chord_arc_floor", and the state a run ends on is checked against the
+    floor too.  The run ends at t_end
     ("reached_t_end"), when a state meets a stop condition, or on a
     DegenerateGeometryError, which ends it as "chord_arc_floor" if that
     stop is requested and propagates otherwise; a stage's sweep raises it
     on the interface, a stop check's generalized monitor on its lifted
     contour, and the error's ``lifted`` names which.  The only writer of
-    ``outcome``'s ending, counts and stage minimum: ``note`` counts one rhs
-    call per stage as the fields note them, so rhs_calls is the number of
-    stages that ran, whatever the scheme.  The stage minimum is a running
+    ``outcome``'s ending, counts, stage minimum and step error: ``note``
+    counts one rhs call per stage as the fields note them, so rhs_calls is
+    the number of stages that ran.  The stage minimum is a running
     one over the stages' chord-arc constants, in the order the fields note
     them (state by state within an attempt), and the first stage wins a
-    tie.
+    tie.  max_step_error is a running maximum over every state of every
+    accepted step.
     """
     last = tuple(_Step(s) for s in _projected(initials, grid, config))
     if "rt_sign" in config.stop_on and any(_check_stops(s, grid, config) == "rt_sign"
@@ -443,10 +450,10 @@ def _advance(initials, grid: SpectralGrid, config: RunConfig, record, outcome: T
                                     or minimum[0] < outcome.min_stage_chord_arc):
             outcome.min_stage_chord_arc, outcome.min_stage_chord_arc_pair = minimum
 
-    attempts = zip(*(_attempts(s.state, grid, config, note, s.sample) for s in last))
-    recorded, reason, accepted_steps = False, None, 0
+    attempts = zip(*(_attempts(s.state, grid, config, note) for s in last))
+    recorded, reason = False, None
     try:
-        last = next(attempts)  # the start, after an adaptive run's first stage
+        last = next(attempts)  # the start, after its first stage
         record(last)
         recorded = True
         for attempt in attempts:
@@ -455,11 +462,14 @@ def _advance(initials, grid: SpectralGrid, config: RunConfig, record, outcome: T
                 outcome.rejected_steps += rejected
                 continue
             last, recorded = attempt, False
-            accepted_steps += 1
+            outcome.accepted_steps += 1
+            worst = max(s.error for s in last)
+            if outcome.max_step_error is None or worst > outcome.max_step_error:
+                outcome.max_step_error = worst
             reason = next(filter(None, (_check_stops(s, grid, config) for s in last)), None)
             if reason is not None:
                 break
-            if accepted_steps % config.record_every == 0:
+            if outcome.accepted_steps % config.record_every == 0:
                 record(last)
                 recorded = True
     except DegenerateGeometryError as exc:
@@ -498,24 +508,25 @@ def _step_plan(config: RunConfig) -> Iterator[tuple[float, float]]:
 
 
 def _attempts(state: InterfaceState, grid: SpectralGrid, config: RunConfig,
-              note: Callable[[_Minimum | None], None],
-              sample: KernelWorkspace | None = None) -> Iterator[_Step]:
+              note: Callable[[_Minimum | None], None]) -> Iterator[_Step]:
     """The start, then one record (:class:`_Step`) per attempted step from t_start up to t_end.
 
-    The start is ``state`` with ``sample``, its flat sample if the caller
-    made one.  Fixed and adaptive runs evaluate every stage through one
-    :class:`_GalerkinField`, which hands each stage's chord-arc constant
-    and node pair to ``note`` as the stage ends, rejected attempts and a
-    stage that fails the floor included.  Fixed runs follow the step plan
-    with classical RK4, every step is accepted, and a record carries no
-    sample: no stage evaluated the rhs at the new state.  Adaptive runs
-    evaluate the first stage k1 = N(state), whose sample the start takes
-    if it has none, then take steps of the embedded integrating-factor RK4
-    pair: the embedded third-order solution swaps k4 for k5 = N(new
-    state), so the error estimate is err = |dt|/6 max|k4 - k5|.  An
-    attempt is accepted when that is within the budget adaptive_tol |dt|,
-    and its k5 is the next step's k1 (FSAL), so its record carries k5's
-    sample, the new state's.  After every attempt the standard controller
+    Fixed and adaptive runs take one loop, and evaluate every stage through
+    one :class:`_GalerkinField`, which hands each stage's chord-arc
+    constant and node pair to ``note`` as the stage ends, rejected attempts
+    and a stage that fails the floor included.  The first stage
+    k1 = N(state) gives the start its sample.  Each attempt takes a step of
+    the embedded integrating-factor RK4 pair: the embedded third-order
+    solution swaps k4 for k5 = N(new state), so the error estimate is
+    err = |dt|/6 max|k4 - k5|, which the record carries relative to the
+    step and its start, err/(|dt| max|u_n|).  An accepted attempt's k5 is
+    the next step's k1 (FSAL), so its record carries k5's sample, the new
+    state's.
+
+    Fixed runs take L = 0, which is classical RK4 bit for bit, take their
+    (dt, time) pairs from the step plan, and accept every attempt.
+    Adaptive runs accept an attempt when err is within the budget
+    adaptive_tol |dt|, and after every attempt the standard controller
     sets the next dt to
 
         dt min(fac_max, max(fac_min, s (budget/err)^alpha)),
@@ -531,33 +542,36 @@ def _attempts(state: InterfaceState, grid: SpectralGrid, config: RunConfig,
     """
     f = _GalerkinField(grid, config.galerkin_cutoff, config.chord_arc_floor,
                        config.density_jump_over_2pi, note)
-    if not config.adaptive:
-        yield _Step(state, sample=sample)
-        for step_dt, target_time in _step_plan(config):
-            state = _rk4_step(f, state, step_dt, target_time)
-            yield _Step(state)
-        return
     lin, nonlinear = 0.0, f
-    if f.density * config.signed_dt > 0:
+    if config.adaptive and f.density * config.signed_dt > 0:
         # e^{L dt} decays: integrate the flat-interface linear part exactly
         lin = -2.0 * math.pi * f.density * np.abs(grid.wavenumbers)
 
         def nonlinear(u):
             return f(u) - lin * u
     k1 = nonlinear(state.coeffs)
-    yield _Step(state, sample=f.last if sample is None else sample)
+    yield _Step(state, sample=f.last)
     dt, fac_max = config.signed_dt, STEP_FAC_MAX
-    while (config.t_end - state.time) * np.sign(config.signed_dt) > 1e-15:
-        remaining = config.t_end - state.time
-        this_dt = dt if abs(remaining) >= abs(dt) else remaining
+
+    def controlled() -> Iterator[tuple[float, float]]:
+        # the controller's dt from the current state, shortened to land on t_end
+        while (config.t_end - state.time) * np.sign(config.signed_dt) > 1e-15:
+            remaining = config.t_end - state.time
+            this_dt = dt if abs(remaining) >= abs(dt) else remaining
+            yield this_dt, state.time + this_dt
+
+    for this_dt, time in controlled() if config.adaptive else _step_plan(config):
         e_half, e_full = np.exp(lin * (this_dt / 2.0)), np.exp(lin * this_dt)
         u_next, k4 = _lawson_rk4(state.coeffs, k1, this_dt, nonlinear, e_half, e_full)
-        candidate = _finished(u_next, grid, f.cutoff, state.time + this_dt)
+        candidate = _finished(u_next, grid, f.cutoff, time)
         k5 = nonlinear(candidate.coeffs)
         # a Python float, so the controller's dt and every time stay Python floats
         err = abs(this_dt) / 6.0 * float(np.abs(k4 - k5).max())
+        # a step from the flat state stays flat: its estimate is 0 over max|u_n| = 0
+        error = 0.0 if err == 0.0 else err / (abs(this_dt) * float(np.abs(state.coeffs).max()))
         budget = config.adaptive_tol * abs(this_dt)
-        accepted = err <= budget
+        # fixed runs accept every step, and their plan never reads the controller's dt
+        accepted = not config.adaptive or err <= budget
         # a rejection's factor is below s < 1 whatever fac_max is
         dt = this_dt * _step_factor(err, budget, fac_max)
         fac_max = STEP_FAC_MAX if accepted else 1.0
@@ -566,7 +580,7 @@ def _attempts(state: InterfaceState, grid: SpectralGrid, config: RunConfig,
         elif abs(dt) < 1e-12:
             raise BlowupError("adaptive step collapsed below 1e-12")
         # f.last is k5's sample, of the candidate
-        yield _Step(state, accepted, f.last if accepted else None)
+        yield _Step(state, accepted, f.last if accepted else None, error)
 
 
 def _step_factor(err: float, budget: float, fac_max: float) -> float:

@@ -85,6 +85,9 @@ def _ending(outcome: Trajectory, records: int) -> dict:
 
     ``min_stage_chord_arc`` and its pair are the least chord-arc constant
     over every stage of the run, null when no stage ran.
+    ``max_step_error`` is the largest error estimate of an accepted step
+    relative to its step and start, a report only, null when no step was
+    accepted.
     """
     stop = {}
     if outcome.chord_arc_pair is not None:
@@ -93,7 +96,8 @@ def _ending(outcome: Trajectory, records: int) -> dict:
                 "chord_arc_contour": outcome.chord_arc_contour}
     pair = outcome.min_stage_chord_arc_pair
     return {"termination": outcome.termination, "records": records,
-            "rhs_calls": outcome.rhs_calls, "rejected_steps": outcome.rejected_steps,
+            "rhs_calls": outcome.rhs_calls, "accepted_steps": outcome.accepted_steps,
+            "rejected_steps": outcome.rejected_steps, "max_step_error": outcome.max_step_error,
             "min_stage_chord_arc": outcome.min_stage_chord_arc,
             "min_stage_chord_arc_pair": None if pair is None else list(pair), **stop}
 

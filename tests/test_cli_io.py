@@ -339,8 +339,26 @@ class TestScenarios:
             # FSAL: one call to start, four per attempted step
             assert (report["rhs_calls"] - 1) % 4 == 0 and report["rhs_calls"] <= 60
         else:
-            assert report["rhs_calls"] == 4 * 500
+            # FSAL: k1 of the start, then four stages per step
+            assert report["rhs_calls"] == 1 + 4 * 500
             assert report["rejected_steps"] == 0
+
+    @pytest.mark.parametrize("dt, unstable", [("4e-3", True), ("2e-3", False)])
+    def test_max_step_error_shows_an_unstable_fixed_step(self, tmp_path, dt, unstable):
+        # at N = 512 the largest decay rates make RK4 unstable at dt = 4e-3:
+        # the run still exits 0, and only its step error estimate shows it
+        out = tmp_path / "o"
+        assert main(["linear_decay", "--modes", "512", "--dt", dt, "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        # linear_decay runs to t_end = 0.5
+        assert report["accepted_steps"] == round(0.5 / float(dt))
+        if unstable:
+            # the fitted rate is off by 78%
+            assert report["relative_error"] > 0.5
+            assert report["max_step_error"] >= 1e2
+        else:
+            assert report["relative_error"] < 1e-4
+            assert 0.0 < report["max_step_error"] <= 1e-6
 
     def test_f_kappa_build_emits_deviation(self, tmp_path):
         cfg = load_config_text("[run]\nscenario = f_kappa_build\nn_modes = 256\n")
@@ -485,7 +503,7 @@ class TestScenarios:
 
     def test_floor_met_by_the_generalized_monitor_counts_no_cut_short_attempt(self, tmp_path):
         # the mid-run rt_sign graph with a chord-arc floor of 0.02: twenty
-        # fixed steps (80 rhs calls) are accepted, then the stop check's
+        # fixed steps (81 rhs calls) are accepted, then the stop check's
         # generalized monitor meets the floor on its lifted contour, while
         # every rhs stage of the interface stays above it
         cfg = load_config_text(
@@ -497,7 +515,7 @@ class TestScenarios:
         assert run_scenario(cfg, str(tmp_path)) == 3
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["termination"] == "chord_arc_floor"
-        assert (report["rhs_calls"], report["chord_arc_contour"]) == (80, "monitor")
+        assert (report["rhs_calls"], report["chord_arc_contour"]) == (81, "monitor")
         assert report["chord_arc_ratio"] < 0.02 < report["min_stage_chord_arc"]
 
     def test_floor_met_by_a_stage_names_the_interface(self, tmp_path):
@@ -511,6 +529,8 @@ class TestScenarios:
         report = json.loads((tmp_path / "report.json").read_text())
         assert (report["rhs_calls"], report["chord_arc_contour"]) == (1, "interface")
         assert report["chord_arc_ratio"] == report["min_stage_chord_arc"]
+        # no step was accepted, so no step has an error estimate
+        assert (report["accepted_steps"], report["max_step_error"]) == (0, None)
 
     @pytest.mark.parametrize("text, termination", [
         ("scenario = turnover\nn_modes = 32\nt_end = 0.005\n", "reached_t_end"),

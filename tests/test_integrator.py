@@ -21,6 +21,7 @@ from muskat import (
     two_solution_monitor,
 )
 from muskat import core, integrator, stability
+from muskat.config import load_config_text
 from muskat.errors import BlowupError, ConfigError, DegenerateGeometryError
 
 from conftest import nan_rt_generalized_after_start
@@ -465,14 +466,12 @@ class TestStageSamples:
         trajectory = run(initial, config)
         assert trajectory.termination == "reached_t_end"
         assert orders.count(2) == trajectory.rhs_calls
-        if adaptive:
-            # the refusal samples the start before any stage, and its record
-            # reads that sample; every later state reads its k5 sample
-            assert orders.count(1) == 1
-        else:
-            # no stage evaluates the rhs at a new fixed-step state: one
-            # sample for its rt_sign check and its record
-            assert orders.count(1) == len(trajectory.records) == 11
+        # the refusal samples the start before any stage; every state's
+        # rt_sign check and record read its stage's sample, k1 at the start
+        # and k5 after each step, fixed or adaptive
+        assert orders.count(1) == 1
+        if not adaptive:
+            assert len(trajectory.records) == 11
 
     def test_fixed_steps_keep_the_least_chord_arc_of_every_stage(self, monkeypatch):
         grid = SpectralGrid(64)
@@ -488,10 +487,29 @@ class TestStageSamples:
         monkeypatch.setattr(integrator, "rhs", sweeping)
         trajectory = run(make_turnover_state(GraphFamilyParams(slope_amplitude=0.98), grid),
                          config)
-        assert len(minima) == trajectory.rhs_calls == 40
+        # k1 of the start, then four stages per step, the last k5 included
+        assert len(minima) == trajectory.rhs_calls == 41
         assert (trajectory.min_stage_chord_arc,
                 trajectory.min_stage_chord_arc_pair) == least(minima)
         assert all(trajectory.min_stage_chord_arc <= d.chord_arc for d in trajectory.diagnostics())
+
+    def test_a_fixed_run_evaluates_the_rhs_at_its_final_state(self, monkeypatch):
+        # the last step's k5 is a stage at the final state, so its record
+        # reads that stage's sample like every other state's
+        grid = SpectralGrid(32)
+        config = RunConfig(n_modes=32, dt=1e-3, t_end=0.005, record_every=10)
+        inputs = []
+        real = integrator.rhs
+
+        def evaluating(state, grid, floor, workspace):
+            inputs.append(state.coeffs.copy())
+            return real(state, grid, floor, workspace)
+
+        monkeypatch.setattr(integrator, "rhs", evaluating)
+        trajectory = run(decay_state(grid), config)
+        assert trajectory.times() == [0.0, 0.005]
+        final = trajectory.final_state().coeffs
+        assert any(np.array_equal(final, u) for u in inputs)
 
     @pytest.mark.parametrize("case", ["steep", "tight"])
     def test_rejected_attempts_keep_their_stages(self, monkeypatch, case):
@@ -526,7 +544,7 @@ class TestStageSamples:
         outcome = two_solution_monitor(base, perturb(base, 1e-2, f_kappa(0.2, grid)),
                                        config).outcome
         # both states' stages, in the order they were evaluated
-        assert len(minima) == outcome.rhs_calls == 2 * 40
+        assert len(minima) == outcome.rhs_calls == 2 * 41
         assert (outcome.min_stage_chord_arc, outcome.min_stage_chord_arc_pair) == least(minima)
 
     def test_a_chord_arc_stop_keeps_the_failing_stage(self):
@@ -542,25 +560,76 @@ class TestStageSamples:
 
 
 class TestEmbeddedPair:
-    def test_fsal_accounting_with_a_forced_rejection(self):
-        grid = SpectralGrid(64)
-        steep = InterfaceState(np.zeros(grid.n_modes, dtype=complex),
-                               grid.to_spectral(0.3 * np.sin(grid.nodes)))
-        # a first step of 0.05 is far outside the error budget on this slope
-        config = RunConfig(n_modes=64, dt=0.05, t_end=0.1, adaptive=True, record_every=1)
-        trajectory = run(steep, config)
-        accepted = len(trajectory.records) - 1
-        assert trajectory.termination == "reached_t_end"
-        assert trajectory.rejected_steps >= 1
-        assert trajectory.rhs_calls == 1 + 4 * (accepted + trajectory.rejected_steps)
+    @pytest.mark.parametrize("case", ["fixed", "forced_rejection", "pair", "rt_sign_stop",
+                                      "monitor_floor"])
+    def test_rhs_calls_are_one_start_and_four_per_attempt_per_state(self, case):
+        # every run that ends at t_end or at a stop check:
+        # rhs_calls = n_states (1 + 4 accepted_steps) + 4 rejected_steps
+        n_states, termination = 1, "reached_t_end"
+        if case == "fixed":
+            grid = SpectralGrid(32)
+            config = RunConfig(n_modes=32, dt=1e-3, t_end=0.0105, record_every=1)
+            outcome = run(decay_state(grid), config)
+            assert len(outcome.records) == 12
+            assert outcome.rhs_calls == 1 + 4 * 11
+            assert outcome.rejected_steps == 0
+        elif case == "forced_rejection":
+            grid = SpectralGrid(64)
+            steep = InterfaceState(np.zeros(grid.n_modes, dtype=complex),
+                                   grid.to_spectral(0.3 * np.sin(grid.nodes)))
+            # a first step of 0.05 is far outside the error budget on this slope
+            config = RunConfig(n_modes=64, dt=0.05, t_end=0.1, adaptive=True, record_every=1)
+            outcome = run(steep, config)
+            assert outcome.rejected_steps >= 1
+            assert outcome.accepted_steps == len(outcome.records) - 1
+        elif case == "pair":
+            grid = SpectralGrid(32)
+            base = make_turnover_state(GraphFamilyParams(slope_amplitude=0.98), grid)
+            config = RunConfig(n_modes=32, dt=1e-3, t_end=0.005, record_every=2)
+            outcome = two_solution_monitor(base, perturb(base, 1e-2, f_kappa(0.2, grid)),
+                                           config).outcome
+            n_states = 2
+            assert outcome.accepted_steps == 5
+        else:
+            # the mid-run rt_sign graph: its generalized monitor turns at the
+            # 20th step, and with a floor of 0.02 its lifted contour meets
+            # the floor there first
+            floor = "chord_arc_floor = 0.02\n" if case == "monitor_floor" else ""
+            cfg = load_config_text(
+                "[run]\nscenario = turnover\nn_modes = 32\ndt = 1e-5\nt_end = 0.004\n"
+                "rt_convention = generalized\nstop_on = rt_sign, chord_arc_floor\n"
+                f"{floor}[schedule]\na = 2.0\ntau = 0.0138\n[family]\n"
+                "slope_amplitude = 0.06\nsteepening_rate = 0.43\n"
+                "vertical_amplitudes = 0.29, 0.22\n")
+            outcome = run(make_turnover_state(cfg.family, SpectralGrid(32)), cfg.run)
+            termination = "chord_arc_floor" if floor else "rt_sign"
+            assert outcome.accepted_steps == 20
+        assert outcome.termination == termination
+        assert outcome.rhs_calls == (n_states * (1 + 4 * outcome.accepted_steps)
+                                     + 4 * outcome.rejected_steps)
 
-    def test_fixed_runs_count_four_calls_per_step(self):
+    def test_max_step_error_is_the_largest_relative_estimate_of_a_fixed_run(self):
+        # err/(|dt| max|u_n|) with err = |dt|/6 max|k4 - k5| and k5 = N(u_{n+1}),
+        # from classical RK4 stages formed here
         grid = SpectralGrid(32)
-        config = RunConfig(n_modes=32, dt=1e-3, t_end=0.0105, record_every=1)
+        dt = 2e-3
+        config = RunConfig(n_modes=32, dt=dt, t_end=0.01)
         trajectory = run(decay_state(grid), config)
-        assert len(trajectory.records) == 12
-        assert trajectory.rhs_calls == 4 * 11
-        assert trajectory.rejected_steps == 0
+        states = fixed_rk4(decay_state(grid), grid, config.galerkin_cutoff, [dt] * 5)
+
+        def f(u):
+            return galerkin_rhs(InterfaceState(*u), grid, config.galerkin_cutoff)
+
+        errors = []
+        for start, end in zip(states, states[1:]):
+            u = start.coeffs
+            k1 = f(u)
+            k3 = f(u + dt / 2 * f(u + dt / 2 * k1))
+            k4 = f(u + dt * k3)
+            errors.append(np.abs(k4 - f(end.coeffs)).max() / (6 * np.abs(u).max()))
+        assert trajectory.accepted_steps == 5
+        assert trajectory.max_step_error == pytest.approx(max(errors), rel=1e-12)
+        assert max(errors) > min(errors) > 0.0
 
     @pytest.mark.parametrize("adaptive", [False, True])
     def test_a_floor_stop_at_the_first_stage_counts_one_call(self, adaptive):
