@@ -560,29 +560,37 @@ class TestStageSamples:
 
 
 class TestEmbeddedPair:
-    @pytest.mark.parametrize("case", ["fixed", "forced_rejection", "pair", "rt_sign_stop",
-                                      "monitor_floor"])
+    # every run that ends at t_end or at a stop check:
+    # rhs_calls = n_states (1 + 4 accepted_steps) + 4 rejected_steps
+    def test_fsal_accounting_with_a_forced_rejection(self):
+        grid = SpectralGrid(64)
+        steep = InterfaceState(np.zeros(grid.n_modes, dtype=complex),
+                               grid.to_spectral(0.3 * np.sin(grid.nodes)))
+        # a first step of 0.05 is far outside the error budget on this slope
+        config = RunConfig(n_modes=64, dt=0.05, t_end=0.1, adaptive=True, record_every=1)
+        trajectory = run(steep, config)
+        assert trajectory.termination == "reached_t_end"
+        assert trajectory.rejected_steps >= 1
+        assert trajectory.accepted_steps == len(trajectory.records) - 1
+        assert trajectory.rhs_calls == 1 + 4 * (trajectory.accepted_steps
+                                                + trajectory.rejected_steps)
+
+    def test_fixed_runs_count_four_calls_per_step(self):
+        # and one more for the k1 of the initial state
+        grid = SpectralGrid(32)
+        config = RunConfig(n_modes=32, dt=1e-3, t_end=0.0105, record_every=1)
+        trajectory = run(decay_state(grid), config)
+        assert trajectory.termination == "reached_t_end"
+        assert len(trajectory.records) == 12
+        assert trajectory.accepted_steps == 11
+        assert trajectory.rhs_calls == 1 + 4 * 11
+        assert trajectory.rejected_steps == 0
+
+    @pytest.mark.parametrize("case", ["pair", "rt_sign_stop", "monitor_floor"])
     def test_rhs_calls_are_one_start_and_four_per_attempt_per_state(self, case):
-        # every run that ends at t_end or at a stop check:
-        # rhs_calls = n_states (1 + 4 accepted_steps) + 4 rejected_steps
+        # the same identity for a pair and for runs that end at a stop check
         n_states, termination = 1, "reached_t_end"
-        if case == "fixed":
-            grid = SpectralGrid(32)
-            config = RunConfig(n_modes=32, dt=1e-3, t_end=0.0105, record_every=1)
-            outcome = run(decay_state(grid), config)
-            assert len(outcome.records) == 12
-            assert outcome.rhs_calls == 1 + 4 * 11
-            assert outcome.rejected_steps == 0
-        elif case == "forced_rejection":
-            grid = SpectralGrid(64)
-            steep = InterfaceState(np.zeros(grid.n_modes, dtype=complex),
-                                   grid.to_spectral(0.3 * np.sin(grid.nodes)))
-            # a first step of 0.05 is far outside the error budget on this slope
-            config = RunConfig(n_modes=64, dt=0.05, t_end=0.1, adaptive=True, record_every=1)
-            outcome = run(steep, config)
-            assert outcome.rejected_steps >= 1
-            assert outcome.accepted_steps == len(outcome.records) - 1
-        elif case == "pair":
+        if case == "pair":
             grid = SpectralGrid(32)
             base = make_turnover_state(GraphFamilyParams(slope_amplitude=0.98), grid)
             config = RunConfig(n_modes=32, dt=1e-3, t_end=0.005, record_every=2)
