@@ -15,9 +15,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import SCENARIOS, ScenarioConfig, load_config, load_config_text
+from .config import ScenarioConfig, load_config, load_config_text
 from .errors import ConfigError
-from .scenarios import EXIT_CONFIG, EXIT_IO, run_scenario
+from .scenarios import EXIT_CONFIG, EXIT_IO, SCENARIOS, run_scenario
 
 _DIRECTIONS = {"fwd": "forward", "bwd": "backward", "forward": "forward", "backward": "backward"}
 

@@ -6,10 +6,11 @@ builds: [run] of RunConfig plus ScenarioConfig's scenario and seed,
 [schedule] of HeightSchedule, [family] of GraphFamilyParams, [perturbation]
 of ScenarioConfig's perturbation_* fields.  The field's type hint sets how a
 value is parsed and written.  Only the scenario name is mandatory; an unset
-key takes its scenario's fallback, else the field's default.  Unknown
-sections or keys are rejected so that typos fail loudly, and validation
-errors always name the offending field.  The command-line flags set [run]
-keys through the same loader and checks.
+key takes its scenario's fallback, held beside the scenario's function in
+``scenarios.SCENARIOS``, else the field's default.  Unknown sections or
+keys are rejected so that typos fail loudly, and validation errors always
+name the offending field.  The command-line flags set [run] keys through
+the same loader and checks.
 """
 
 from __future__ import annotations
@@ -27,17 +28,8 @@ from dataclasses import dataclass
 from .errors import ConfigError
 from .initial_data import GraphFamilyParams
 from .integrator import RunConfig
+from .scenarios import SCENARIOS
 from .schedules import HeightSchedule
-
-SCENARIOS = (
-    "flat",
-    "linear_decay",
-    "turnover",
-    "perturbed_pair",
-    "schedule_check",
-    "operator_suite",
-    "f_kappa_build",
-)
 
 
 @dataclass
@@ -127,20 +119,6 @@ def _build_table() -> dict[tuple[str, str], tuple]:
 _TABLE = _build_table()
 _SECTION_NAMES = {section for section, _ in _TABLE}
 
-# per-scenario fallbacks for keys the file leaves unset, where they differ
-# from the field defaults
-_SCENARIO_DEFAULTS = {
-    "flat": {("run", "dt"): 1e-2},
-    "linear_decay": {("run", "t_end"): 0.5},
-    "turnover": {
-        ("run", "dt"): 5e-4,
-        ("run", "t_end"): 0.04,
-        ("run", "stop_on"): frozenset({"chord_arc_floor", "blowup_norm"}),
-        ("family", "slope_amplitude"): 0.98,
-    },
-    "perturbed_pair": {("run", "t_end"): 0.1},
-}
-
 
 def _parse_value(section: str, key: str, raw: str):
     hint = _TABLE[(section, key)][1]
@@ -177,7 +155,8 @@ def load_config_text(text: str, run: Mapping[str, str] | None = None) -> Scenari
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
             values[(section, key)] = _parse_value(section, key, raw)
 
-    fallbacks = _SCENARIO_DEFAULTS.get(values.get(("run", "scenario")), {})
+    scenario = SCENARIOS.get(values.get(("run", "scenario")))
+    fallbacks = scenario.fallbacks if scenario else {}
     kwargs: dict[str, typing.Any] = {}
     for name, (path, _, default) in _TABLE.items():
         value = values.get(name, fallbacks.get(name, default))

@@ -23,16 +23,17 @@ normal outcomes recorded in the trajectory, not errors.
 
 One driver, ``_advance``, steps a single state (``run``) and a perturbed
 pair (``two_solution_monitor``) alike: it projects the initial states,
-refuses one that violates a requested rt_sign stop, draws the start and
-every attempted step from ``_attempts``, counts the rhs calls (one per
-stage that ran), accepted steps and rejected attempts, keeps the least
-chord-arc constant over every stage (each stage's field notes it to the
-driver as the stage ends) and the largest step error estimate, checks the
-stop conditions on every accepted state, keeps the record cadence and
-writes the termination.  The callers only say what a record is.  Each
-state is sampled once: records and the sigma rt_sign check read the
-workspace of the stage that evaluated the rhs at that state (k1 at the
-start, k5 after each accepted step).
+draws the start and every attempted step from ``_attempts``, refuses a
+start that violates a requested rt_sign stop once its first stage has run,
+counts the rhs calls (one per stage that ran), accepted steps and rejected
+attempts, keeps the least chord-arc constant over every stage (each
+stage's field notes it to the driver as the stage ends) and the largest
+step error estimate, checks the stop conditions on every accepted state,
+keeps the record cadence and writes the termination.  The callers only say
+what a record is.  Each state is sampled once: records and the sigma
+rt_sign checks, the start's refusal included, read the workspace of the
+stage that evaluated the rhs at that state (k1 at the start, k5 after each
+accepted step).
 """
 
 from __future__ import annotations
@@ -161,7 +162,7 @@ class Trajectory:
     #: node pair and ratio of the chord-arc stop, None on other terminations,
     #: and the contour whose sweep met the floor: "interface" for an rhs
     #: stage's, "monitor" for the generalized Rayleigh-Taylor monitor's
-    #: lifted contour in a stop check
+    #: lifted contour in a stop check or in the start's rt_sign check
     chord_arc_pair: tuple[int, int] | None = None
     chord_arc_ratio: float | None = None
     chord_arc_contour: str | None = None
@@ -357,17 +358,16 @@ def _rt_sign_violated(step: _Step, grid: SpectralGrid, config: RunConfig) -> boo
     The monitor is the generalized Rayleigh-Taylor function on the
     schedule's contour under the "generalized" convention, while the
     schedule covers the state's time, and the flat sigma of the record's
-    sample otherwise; the refusal checks an initial state before any stage
-    has sampled it, and makes one order-1 sample for it.
-    Backward runs need it positive everywhere (on the shrinking strip, the
-    direction the analysis solves) and forward runs negative (a graph).  A
-    non-finite monitor has no sign and raises BlowupError.
+    sample otherwise, which every checked state carries: the start's from
+    its first stage, an accepted state's from its k5 stage.  Backward runs
+    need it positive everywhere (on the shrinking strip, the direction the
+    analysis solves) and forward runs negative (a graph).  A non-finite
+    monitor has no sign and raises BlowupError.
     """
     state = step.state
     scheduled = _schedule_at(config, state.time, grid)
     if scheduled is None:
-        sample = step.sample
-        monitor = rt_sigma(core.build_workspace(state, grid, None, 1) if sample is None else sample)
+        monitor = rt_sigma(step.sample)
     else:
         monitor = rt_generalized(state, grid, *scheduled, floor=config.chord_arc_floor)
     if not np.isfinite(monitor).all():
@@ -406,7 +406,7 @@ def run(initial: InterfaceState, config: RunConfig) -> Trajectory:
         state = step.state
         reference = trajectory.records[0][1] if trajectory.records else state
         diagnostics = diagnostics_for(state, grid, config, reference, step.sample)
-        trajectory.records.append((state.time, state.copy(), diagnostics))
+        trajectory.records.append((state.time, state, diagnostics))
 
     _advance((initial,), grid, config, record, trajectory)
     return trajectory
@@ -415,22 +415,25 @@ def run(initial: InterfaceState, config: RunConfig) -> Trajectory:
 def _advance(initials, grid: SpectralGrid, config: RunConfig, record, outcome: Trajectory) -> None:
     """Step ``initials`` together from t_start with identical steps: the one run loop.
 
-    Projects each initial state to the cutoff at t_start and raises
-    ConfigError when one violates a requested rt_sign stop, before any
-    stage.  Calls ``record`` with the tuple of step records
-    (:class:`_Step`, one per state) at the start, at every record_every-th
-    accepted step and always at the last accepted one; a record's
-    :attr:`_Step.sample` is the sample of the stage that evaluated the rhs
-    at its state, which the stop checks read too.  Every accepted state
-    has one, as its k5 stage sweeps it before its stop checks run, so a
-    state that fails both a stop check and the floor ends the run as
-    "chord_arc_floor", and the state a run ends on is checked against the
-    floor too.  The run ends at t_end
-    ("reached_t_end"), when a state meets a stop condition, or on a
-    DegenerateGeometryError, which ends it as "chord_arc_floor" if that
-    stop is requested and propagates otherwise; a stage's sweep raises it
-    on the interface, a stop check's generalized monitor on its lifted
-    contour, and the error's ``lifted`` names which.  The only writer of
+    Projects each initial state to the cutoff at t_start.  Calls ``record``
+    with the tuple of step records (:class:`_Step`, one per state) at the
+    start, at every record_every-th accepted step and always at the last
+    accepted one; a record's :attr:`_Step.sample` is the sample of the
+    stage that evaluated the rhs at its state, which the rt_sign checks
+    read too.  Once the start's first stage has run, a start that violates
+    a requested rt_sign stop raises ConfigError, whatever the other stop
+    conditions say; the stop checks run on accepted states only.  Every
+    accepted state has a sample, as its k5 stage sweeps it before its stop
+    checks run, so a state that fails both a stop check and the floor ends
+    the run as "chord_arc_floor", and the state a run ends on is checked
+    against the floor too.  The start is ordered the same way: one whose
+    first stage fails the floor ends the run before its refusal is
+    checked.  The run ends at t_end ("reached_t_end"), when a state meets
+    a stop condition, or on a DegenerateGeometryError, which ends it as
+    "chord_arc_floor" if that stop is requested and propagates otherwise;
+    a stage's sweep raises it on the interface, the generalized monitor of
+    a stop check or of the start's refusal on its lifted contour, and the
+    error's ``lifted`` names which.  The only writer of
     ``outcome``'s ending, counts, stage minimum and step error: ``note``
     counts one rhs call per stage as the fields note them, so rhs_calls is
     the number of stages that ran.  The stage minimum is a running
@@ -440,9 +443,6 @@ def _advance(initials, grid: SpectralGrid, config: RunConfig, record, outcome: T
     accepted step.
     """
     last = tuple(_Step(s) for s in _projected(initials, grid, config))
-    if "rt_sign" in config.stop_on and any(_check_stops(s, grid, config) == "rt_sign"
-                                           for s in last):
-        raise ConfigError("initial state violates the Rayleigh-Taylor sign for this run direction")
 
     def note(minimum: _Minimum | None) -> None:
         outcome.rhs_calls += 1
@@ -454,6 +454,9 @@ def _advance(initials, grid: SpectralGrid, config: RunConfig, record, outcome: T
     recorded, reason = False, None
     try:
         last = next(attempts)  # the start, after its first stage
+        if "rt_sign" in config.stop_on and any(_rt_sign_violated(s, grid, config) for s in last):
+            raise ConfigError("initial state violates the Rayleigh-Taylor sign "
+                              "for this run direction")
         record(last)
         recorded = True
         for attempt in attempts:

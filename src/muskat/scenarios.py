@@ -1,5 +1,9 @@
 """Named scenarios and their artifact files.
 
+``SCENARIOS`` is the one table of scenarios: it maps each name to its
+function and to the fallbacks the config loader takes for keys a file
+leaves unset; the loader and the command line read it.
+
 Every scenario writes its artifacts into an output directory and returns
 the fields of its report.  ``flat``, ``linear_decay`` and ``turnover``
 write a trajectory CSV with one row per recorded step, initial/final
@@ -17,11 +21,12 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
+from collections.abc import Callable, Mapping
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from . import core, integrator
-from .config import SCENARIOS, ScenarioConfig
 from .contour_ops import LiftedContour, garding_form, lambda_gamma, pairwise_cot, pv_cot_integral
 from .core import InterfaceState
 from .errors import (
@@ -36,6 +41,9 @@ from .initial_data import f_kappa, log_datum, make_turnover_state, perturb
 from .integrator import DiagnosticsRecord, Trajectory, run, two_solution_monitor
 from .schedules import rt_coupled_margins, schedule_margins
 from .snapshots import atomic_write_text, save_snapshot, write_json
+
+if TYPE_CHECKING:  # config reads the registry below, so it is imported for hints only
+    from .config import ScenarioConfig
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -118,6 +126,12 @@ def _emit_trajectory(out_dir: str, cfg: ScenarioConfig, trajectory: Trajectory,
     return _ending(trajectory, len(trajectory.records))
 
 
+def _cosine_graph(grid: SpectralGrid, amplitude: float) -> InterfaceState:
+    """The graph z2 = amplitude cos x over z1 = x."""
+    return InterfaceState(np.zeros(grid.n_modes, dtype=complex),
+                          grid.to_spectral(amplitude * np.cos(grid.nodes)))
+
+
 def _scenario_flat(cfg: ScenarioConfig, out_dir: str) -> dict:
     grid = SpectralGrid(cfg.run.n_modes)
     trajectory = run(InterfaceState.flat(grid), cfg.run)
@@ -126,11 +140,7 @@ def _scenario_flat(cfg: ScenarioConfig, out_dir: str) -> dict:
 
 def _scenario_linear_decay(cfg: ScenarioConfig, out_dir: str) -> dict:
     grid = SpectralGrid(cfg.run.n_modes)
-    initial = InterfaceState(
-        np.zeros(grid.n_modes, dtype=complex),
-        grid.to_spectral(0.01 * np.cos(grid.nodes)),
-    )
-    trajectory = run(initial, cfg.run)
+    trajectory = run(_cosine_graph(grid, 0.01), cfg.run)
     # the linear rate of mode 1 around the flat interface
     expected = 2.0 * math.pi * cfg.run.density_jump_over_2pi
     report = {"fitted_decay_rate": None, "expected_rate": expected, "relative_error": None}
@@ -164,10 +174,7 @@ def _scenario_turnover(cfg: ScenarioConfig, out_dir: str) -> dict:
 
 def _scenario_perturbed_pair(cfg: ScenarioConfig, out_dir: str) -> dict:
     grid = SpectralGrid(cfg.run.n_modes)
-    base = InterfaceState(
-        np.zeros(grid.n_modes, dtype=complex),
-        grid.to_spectral(0.05 * np.cos(grid.nodes)),
-    )
+    base = _cosine_graph(grid, 0.05)
     other = perturb(base, cfg.perturbation_lambda, f_kappa(cfg.perturbation_kappa, grid))
     initial_distance = integrator.initial_pair_distance(base, other, cfg.run)
     if initial_distance == 0.0:
@@ -307,19 +314,30 @@ def _scenario_f_kappa_build(cfg: ScenarioConfig, out_dir: str) -> dict:
     }
 
 
-_SCENARIO_TABLE = {
-    "flat": _scenario_flat,
-    "linear_decay": _scenario_linear_decay,
-    "turnover": _scenario_turnover,
-    "perturbed_pair": _scenario_perturbed_pair,
-    "schedule_check": _scenario_schedule_check,
-    "operator_suite": _scenario_operator_suite,
-    "f_kappa_build": _scenario_f_kappa_build,
+class Scenario(NamedTuple):
+    """A scenario's function, and the fallbacks (section, key) -> value that
+    the config loader takes for keys a file leaves unset, where they differ
+    from the field defaults."""
+
+    run: Callable[[ScenarioConfig, str], dict]
+    fallbacks: Mapping[tuple[str, str], object]
+
+
+#: the one table of scenarios, in the order the command line lists them
+SCENARIOS = {
+    "flat": Scenario(_scenario_flat, {("run", "dt"): 1e-2}),
+    "linear_decay": Scenario(_scenario_linear_decay, {("run", "t_end"): 0.5}),
+    "turnover": Scenario(_scenario_turnover, {
+        ("run", "dt"): 5e-4,
+        ("run", "t_end"): 0.04,
+        ("run", "stop_on"): frozenset({"chord_arc_floor", "blowup_norm"}),
+        ("family", "slope_amplitude"): 0.98,
+    }),
+    "perturbed_pair": Scenario(_scenario_perturbed_pair, {("run", "t_end"): 0.1}),
+    "schedule_check": Scenario(_scenario_schedule_check, {}),
+    "operator_suite": Scenario(_scenario_operator_suite, {}),
+    "f_kappa_build": Scenario(_scenario_f_kappa_build, {}),
 }
-
-
-# a name in SCENARIOS with no function behind it would be a KeyError traceback
-assert set(_SCENARIO_TABLE) == set(SCENARIOS)
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir: str) -> int:
@@ -335,7 +353,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str) -> int:
     except OSError as exc:
         raise OSError(f"cannot create output directory {out_dir}: {exc}") from exc
     try:
-        report = _SCENARIO_TABLE[cfg.scenario](cfg, out_dir)
+        report = SCENARIOS[cfg.scenario].run(cfg, out_dir)
     except ConfigError as exc:
         _write_report(out_dir, cfg, {"error": str(exc)})
         raise

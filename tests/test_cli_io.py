@@ -518,6 +518,24 @@ class TestScenarios:
         assert (report["rhs_calls"], report["chord_arc_contour"]) == (81, "monitor")
         assert report["chord_arc_ratio"] < 0.02 < report["min_stage_chord_arc"]
 
+    def test_a_start_whose_monitor_meets_the_floor_ends_as_later_states_do(self, tmp_path):
+        # the mid-run rt_sign graph with a chord-arc floor of 0.031: at t = 0
+        # the interface reads 0.0326 and the generalized monitor's lifted
+        # contour 0.0302, so the start's rt_sign check meets the floor
+        path = tmp_path / "cfg.ini"
+        path.write_text(
+            "[run]\nscenario = turnover\nn_modes = 32\ndt = 1e-5\nt_end = 0.004\n"
+            "rt_convention = generalized\nstop_on = rt_sign, chord_arc_floor\n"
+            "chord_arc_floor = 0.031\n[schedule]\na = 2.0\ntau = 0.0138\n[family]\n"
+            "slope_amplitude = 0.06\nsteepening_rate = 0.43\nvertical_amplitudes = 0.29, 0.22\n"
+        )
+        assert main(["turnover", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+        report = json.loads((tmp_path / "o" / "report.json").read_text())
+        assert (report["termination"], report["chord_arc_contour"]) == ("chord_arc_floor",
+                                                                        "monitor")
+        assert (report["rhs_calls"], report["records"]) == (1, 1)
+        assert report["chord_arc_ratio"] < 0.031 < report["min_stage_chord_arc"]
+
     def test_floor_met_by_a_stage_names_the_interface(self, tmp_path):
         # the flat-torus constant 2/pi^2 is below the floor at the first
         # stage, so the one rhs call that ran is the stage that failed
@@ -742,7 +760,8 @@ class TestCli:
         def degenerate(cfg, out_dir):
             raise DegenerateParametrizationError("tangent norm vanishes")
 
-        monkeypatch.setitem(scenarios._SCENARIO_TABLE, "flat", degenerate)
+        monkeypatch.setitem(scenarios.SCENARIOS, "flat",
+                            scenarios.SCENARIOS["flat"]._replace(run=degenerate))
         cfg = load_config_text("[run]\nscenario = flat\n")
         assert run_scenario(cfg, str(tmp_path)) == 3
         report = json.loads((tmp_path / "report.json").read_text())
@@ -769,7 +788,8 @@ class TestCli:
     ], ids=["no_termination", "reached_t_end", "stopped"])
     def test_run_scenario_writes_the_report_and_maps_the_termination(
             self, tmp_path, monkeypatch, fields, status):
-        monkeypatch.setitem(scenarios._SCENARIO_TABLE, "flat", lambda cfg, out_dir: fields)
+        monkeypatch.setitem(scenarios.SCENARIOS, "flat", scenarios.SCENARIOS["flat"]._replace(
+            run=lambda cfg, out_dir: fields))
         cfg = load_config_text("[run]\nscenario = flat\n")
         assert run_scenario(cfg, str(tmp_path)) == status
         report = strict_json((tmp_path / "report.json").read_text())

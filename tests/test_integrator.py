@@ -241,6 +241,28 @@ class TestRun:
         with pytest.raises(ValueError):
             run(overturned, config)
 
+    def test_the_start_is_refused_whatever_its_other_stop_checks_say(self):
+        # a backward graph violates rt_sign and is above blowup_norm at t = 0:
+        # the start's refusal does not wait on the stop checks
+        grid = SpectralGrid(32)
+        config = RunConfig(n_modes=32, dt=1e-3, direction="backward", t_end=-0.01,
+                           stop_on=frozenset({"rt_sign", "blowup_norm"}), blowup_norm=1e-6)
+        with pytest.raises(ConfigError, match="Rayleigh-Taylor sign"):
+            run(eps_mode_state(grid, eps=1e-2), config)
+
+    def test_a_start_that_fails_the_floor_ends_before_its_refusal(self):
+        # the same backward graph at N = 8 fails a floor of 0.5 at its first
+        # stage, which runs before the start's rt_sign check, as each later
+        # state's k5 stage runs before its stop checks
+        grid = SpectralGrid(8)
+        config = RunConfig(n_modes=8, dt=1e-3, direction="backward", t_end=-0.01,
+                           stop_on=frozenset({"rt_sign", "chord_arc_floor"}),
+                           chord_arc_floor=0.5)
+        trajectory = run(eps_mode_state(grid, eps=1e-2), config)
+        assert (trajectory.termination, trajectory.chord_arc_contour) == (
+            "chord_arc_floor", "interface")
+        assert (trajectory.rhs_calls, len(trajectory.records)) == (1, 1)
+
     def test_backward_run_from_overturned_state_stays_finite(self):
         grid = SpectralGrid(128)
         x = grid.nodes
@@ -466,10 +488,9 @@ class TestStageSamples:
         trajectory = run(initial, config)
         assert trajectory.termination == "reached_t_end"
         assert orders.count(2) == trajectory.rhs_calls
-        # the refusal samples the start before any stage; every state's
-        # rt_sign check and record read its stage's sample, k1 at the start
-        # and k5 after each step, fixed or adaptive
-        assert orders.count(1) == 1
+        # every state's rt_sign check and record read its stage's sample,
+        # the start's refusal k1's and each step's k5, fixed or adaptive
+        assert orders.count(1) == 0
         if not adaptive:
             assert len(trajectory.records) == 11
 
