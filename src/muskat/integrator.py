@@ -11,9 +11,10 @@ estimate is reported, not acted on.  Adaptive runs integrate the linear
 part L = -2 pi density |k|, the exact decay rate around the flat interface,
 exactly when e^{L dt} decays (L = 0 otherwise, so no step multiplies by a
 growing factor), and the standard step-size controller sets each next dt
-from the ratio of the estimate to its budget.  Every stage is re-projected
-(the quotient nonlinearity aliases badly) and the result is made
-conjugate-symmetric, so band-limitation and conjugate symmetry are
+from the ratio of the estimate to its budget.  Their last step is shortened
+to land on t_end, and takes t_end itself as its time.  Every stage is
+re-projected (the quotient nonlinearity aliases badly) and the result is
+made conjugate-symmetric, so band-limitation and conjugate symmetry are
 preserved exactly along a run.
 
 Runs carry the monitors the analysis is built on: the graph indicator
@@ -154,7 +155,10 @@ class Trajectory:
     ``run`` records (time, state, diagnostics) triples.  For a pair,
     ``two_solution_monitor`` keeps its own records, and the counts add up
     the stages and attempts of both states.  Only ``_advance`` writes the
-    ending and the counts.
+    ending and the counts.  Every field but ``records`` is a field of the
+    report's ending under its own name, field by field (the three
+    ``chord_arc_*`` stop fields only when a chord-arc stop set them), so a
+    field added here reaches ``report.json`` with no other edit.
     """
 
     records: list[tuple[float, InterfaceState, DiagnosticsRecord]] = field(default_factory=list)
@@ -498,7 +502,9 @@ def _step_plan(config: RunConfig) -> Iterator[tuple[float, float]]:
     Spans that are integer multiples of dt take only full-size steps, and
     times are assigned rather than accumulated, so splitting a fixed-step
     run at a snapshot reproduces the unbroken trajectory bit for bit (the
-    system is autonomous; only the step sizes enter the update).
+    system is autonomous; only the step sizes enter the update).  So a run
+    whose span is a multiple of dt ends at t_start + n dt, which can miss
+    t_end by round-off: t_end = 0.3 at dt = 0.1 ends at 0.30000000000000004.
     """
     span = config.t_end - config.t_start
     dt = config.signed_dt
@@ -540,7 +546,9 @@ def _attempts(state: InterfaceState, grid: SpectralGrid, config: RunConfig,
     state it retries from, at the controller's smaller dt, and the step
     after a rejection does not grow (fac_max = 1 there).  A non-finite
     estimate is rejected at fac_min, so the collapse guard ends the run.
-    The last step is shortened to land on t_end.  Counts nothing:
+    The step that reaches t_end, |t_end - t| <= |dt|, takes the remaining
+    span and is given the time t_end itself, so the run lands on t_end
+    exactly, as the step plan's shortened tail does.  Counts nothing:
     ``_advance`` does.
     """
     f = _GalerkinField(grid, config.galerkin_cutoff, config.chord_arc_floor,
@@ -557,11 +565,12 @@ def _attempts(state: InterfaceState, grid: SpectralGrid, config: RunConfig,
     dt, fac_max = config.signed_dt, STEP_FAC_MAX
 
     def controlled() -> Iterator[tuple[float, float]]:
-        # the controller's dt from the current state, shortened to land on t_end
+        # the controller's dt from the current state; the step that reaches
+        # t_end takes the remaining span and lands on t_end itself
         while (config.t_end - state.time) * np.sign(config.signed_dt) > 1e-15:
             remaining = config.t_end - state.time
-            this_dt = dt if abs(remaining) >= abs(dt) else remaining
-            yield this_dt, state.time + this_dt
+            landing = abs(remaining) <= abs(dt)
+            yield (remaining, config.t_end) if landing else (dt, state.time + dt)
 
     for this_dt, time in controlled() if config.adaptive else _step_plan(config):
         e_half, e_full = np.exp(lin * (this_dt / 2.0)), np.exp(lin * this_dt)

@@ -66,20 +66,19 @@ def _write_csv(path: str, header: tuple[str, ...], rows: list[tuple]) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def _trajectory_rows(trajectory: Trajectory, extra: dict[str, list] | None = None):
+def _trajectory_rows(trajectory: Trajectory, constants: dict):
+    """The trajectory CSV: one row per record, its diagnostics and then
+    ``constants``, the run's per-run values (name -> value) on every row."""
     header = tuple(field.name for field in dataclasses.fields(DiagnosticsRecord))
-    rows = [dataclasses.astuple(diag) for _, _, diag in trajectory.records]
-    if extra:
-        for name, column in extra.items():
-            header = header + (name,)
-            rows = [row + (column[i],) for i, row in enumerate(rows)]
-    return header, rows
+    tail = tuple(constants.values())
+    rows = [dataclasses.astuple(diag) + tail for _, _, diag in trajectory.records]
+    return header + tuple(constants), rows
 
 
-def _write_plot_data(path: str, trajectory: Trajectory, grid: SpectralGrid,
-                     max_curves: int = 9) -> None:
+def _write_plot_data(path: str, trajectory: Trajectory, grid: SpectralGrid) -> None:
+    """Curve samples at up to nine recorded times, spread evenly over the records."""
     count = len(trajectory.records)
-    picks = sorted(set(np.linspace(0, count - 1, min(max_curves, count)).astype(int)))
+    picks = sorted(set(np.linspace(0, count - 1, min(9, count)).astype(int)))
     curves = []
     for i in picks:
         t, state, _ = trajectory.records[i]
@@ -88,32 +87,29 @@ def _write_plot_data(path: str, trajectory: Trajectory, grid: SpectralGrid,
     write_json(path, {"curves": curves, "termination": trajectory.termination})
 
 
-def _ending(outcome: Trajectory, records: int) -> dict:
-    """The report fields of how a time-stepping run went, from the driver's ``outcome``.
+#: the ending fields that only a chord-arc stop sets
+_CHORD_ARC_STOP = frozenset({"chord_arc_pair", "chord_arc_ratio", "chord_arc_contour"})
 
-    ``min_stage_chord_arc`` and its pair are the least chord-arc constant
-    over every stage of the run, null when no stage ran.
-    ``max_step_error`` is the largest error estimate of an accepted step
-    relative to its step and start, a report only, null when no step was
-    accepted.
+
+def _ending(outcome: Trajectory, records: int) -> dict:
+    """The report fields of how a time-stepping run went: the fields of the
+    driver's ``outcome``, as :class:`~muskat.integrator.Trajectory` declares
+    them, with ``records`` the number of records.
+
+    The chord-arc stop's three fields are written only when a chord-arc stop
+    set them.  Read through ``vars``, which copies no recorded state; JSON
+    writes the node-pair tuples as lists.
     """
-    stop = {}
-    if outcome.chord_arc_pair is not None:
-        stop = {"chord_arc_pair": list(outcome.chord_arc_pair),
-                "chord_arc_ratio": outcome.chord_arc_ratio,
-                "chord_arc_contour": outcome.chord_arc_contour}
-    pair = outcome.min_stage_chord_arc_pair
-    return {"termination": outcome.termination, "records": records,
-            "rhs_calls": outcome.rhs_calls, "accepted_steps": outcome.accepted_steps,
-            "rejected_steps": outcome.rejected_steps, "max_step_error": outcome.max_step_error,
-            "min_stage_chord_arc": outcome.min_stage_chord_arc,
-            "min_stage_chord_arc_pair": None if pair is None else list(pair), **stop}
+    skipped = _CHORD_ARC_STOP if outcome.chord_arc_pair is None else frozenset()
+    ending = {name: value for name, value in vars(outcome).items() if name not in skipped}
+    return {**ending, "records": records}
 
 
 def _emit_trajectory(out_dir: str, cfg: ScenarioConfig, trajectory: Trajectory,
-                     grid: SpectralGrid, extra_columns: dict[str, list] | None = None) -> dict:
-    """Write the trajectory's artifacts; returns the report fields of how the run went."""
-    header, rows = _trajectory_rows(trajectory, extra_columns)
+                     grid: SpectralGrid, **constants) -> dict:
+    """Write the trajectory's artifacts, with ``constants`` (name=value) as
+    per-run CSV columns; returns the report fields of how the run went."""
+    header, rows = _trajectory_rows(trajectory, constants)
     _write_csv(os.path.join(out_dir, "trajectory.csv"), header, rows)
     digest = cfg.digest()
     first = trajectory.records[0]
@@ -144,16 +140,16 @@ def _scenario_linear_decay(cfg: ScenarioConfig, out_dir: str) -> dict:
     # the linear rate of mode 1 around the flat interface
     expected = 2.0 * math.pi * cfg.run.density_jump_over_2pi
     report = {"fitted_decay_rate": None, "expected_rate": expected, "relative_error": None}
-    extra = None
+    constants = {}
     if len(trajectory.records) > 1:  # a run stopped at its first step leaves no decay to fit
         amplitudes = [np.abs(core.build_workspace(state, grid, None, 0).z2).max()
                       for _, state, _ in trajectory.records]
         fitted_rate = float(-np.polyfit(trajectory.times(), np.log(amplitudes), 1)[0])
-        extra = {"fitted_decay_rate": [fitted_rate] * len(trajectory.records)}
+        constants = {"fitted_decay_rate": fitted_rate}
         report["fitted_decay_rate"] = fitted_rate
         if expected:
             report["relative_error"] = abs(fitted_rate - expected) / abs(expected)
-    return {**_emit_trajectory(out_dir, cfg, trajectory, grid, extra), **report}
+    return {**_emit_trajectory(out_dir, cfg, trajectory, grid, **constants), **report}
 
 
 def _scenario_turnover(cfg: ScenarioConfig, out_dir: str) -> dict:

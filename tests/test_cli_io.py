@@ -586,6 +586,32 @@ class TestScenarios:
         assert report["termination"] == termination
         assert report["rhs_calls"] == len(calls) > 0
 
+    @pytest.mark.parametrize("text, status, keys", [
+        ("scenario = flat\nn_modes = 32\nt_end = 0.05\n", 0, set()),
+        ("scenario = linear_decay\nn_modes = 32\nadaptive = true\n", 0,
+         {"fitted_decay_rate", "expected_rate", "relative_error"}),
+        ("scenario = perturbed_pair\nn_modes = 32\nt_end = 0.005\n", 0,
+         {"initial_distance", "max_ratio", "final_ratio", "min_quotient_of_squared_distance",
+          "lambda", "kappa"}),
+        ("scenario = linear_decay\nn_modes = 8\nt_end = 0.01\n"
+         "stop_on = chord_arc_floor\nchord_arc_floor = 0.5\n", 3,
+         {"chord_arc_pair", "chord_arc_ratio", "chord_arc_contour",
+          "fitted_decay_rate", "expected_rate", "relative_error"}),
+    ], ids=["fixed", "adaptive", "pair", "floor_stop"])
+    def test_report_key_sets(self, tmp_path, text, status, keys):
+        # every time-stepping report carries the same ending; only a
+        # chord-arc stop adds its three fields
+        path = tmp_path / "cfg.ini"
+        path.write_text("[run]\n" + text)
+        scenario = text.split("\n")[0].split(" = ")[1]
+        assert main([scenario, "--config", str(path), "--out", str(tmp_path / "o")]) == status
+        report = json.loads((tmp_path / "o" / "report.json").read_text())
+        assert set(report) == {
+            "scenario", "config_digest", "termination", "records", "rhs_calls",
+            "accepted_steps", "rejected_steps", "max_step_error", "min_stage_chord_arc",
+            "min_stage_chord_arc_pair",
+        } | keys
+
     def test_adaptive_turnover_csv_holds_only_numbers(self, tmp_path):
         path = tmp_path / "cfg.ini"
         path.write_text("[run]\nscenario = turnover\nadaptive = true\nt_end = 0.01\n")

@@ -708,6 +708,18 @@ class TestEmbeddedPair:
         assert trajectory.rhs_calls == 1 + 4 * (len(trajectory.records) - 1
                                                  + trajectory.rejected_steps)
 
+    def test_an_adaptive_run_lands_exactly_on_t_end(self):
+        # the linear_decay datum: state.time + remaining lands one ulp past 7.7
+        grid = SpectralGrid(32)
+        initial = InterfaceState(np.zeros(grid.n_modes, dtype=complex),
+                                 grid.to_spectral(0.01 * np.cos(grid.nodes)))
+        config = RunConfig(n_modes=32, dt=1e-2, adaptive=True, adaptive_tol=1e-6, t_end=7.7)
+        trajectory = run(initial, config)
+        assert trajectory.termination == "reached_t_end"
+        assert trajectory.times()[-1] == trajectory.final_state().time == 7.7
+        assert trajectory.rhs_calls == 1 + 4 * (trajectory.accepted_steps
+                                                + trajectory.rejected_steps) == 21
+
     def test_no_accepted_step_grows_dt_beyond_fac_max(self):
         grid = SpectralGrid(128)
         config = RunConfig(n_modes=128, dt=1e-3, t_end=0.5, adaptive=True, record_every=1)
